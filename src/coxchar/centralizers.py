@@ -10,8 +10,10 @@ Its centralizer splits one cycle length at a time,
 with a_i negative and b_j positive cycles of length i and j: an element
 permutes equal blocks, twists each block by a power of its cycle, and may
 negate positive blocks outright.  The coordinates of an element in this
-decomposition drive both linear-character evaluation and a direct streaming
-enumeration of the centralizer that needs no group arithmetic.
+decomposition drive linear-character evaluation.  Induction needs only
+weighted class tallies of the wreath-product factors, computed per block
+cycle without enumerating elements; the streaming enumeration of the whole
+centralizer is kept as an oracle for the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .partitions import SignedPartition
+from .partitions import SignedPartition, partitions
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -34,6 +36,8 @@ __all__ = [
     "coordinates",
     "reassemble",
     "centralizer_elements",
+    "centralizer_tallies",
+    "convolve_tallies",
     "conjugate_by_first_flip",
 ]
 
@@ -73,6 +77,148 @@ def _neg_orbit(offset, length):
     """Images of offset+1 under powers of the negative cycle on its block."""
     ups = list(range(offset + 1, offset + length + 1))
     return ups + [-v for v in ups]
+
+
+# -- class tallies ------------------------------------------------------------
+#
+# A family is the set of m blocks of one cycle length and one sign.  Its
+# part of C(w_mu) is a wreath product K wr S_m with block group
+# K = Z_2length (negative blocks) or Z_length x Z_2 (positive blocks, with
+# block negations; Z_length without), and it acts on its own coordinates.
+# A tally maps a key
+#
+#     (cycles, summary, negatives mod 2, side)
+#
+# to the number of family elements with that key: the signed cycle lengths
+# the family contributes (negative lengths for negative cycles, sorted),
+# the per-length data a linear character sees (as in centralizer_elements),
+# the parity of negative entries, and the D split-side parity of the cycles
+# (groups.cycle_side_parity, additive over cycles).
+
+
+def convolve_tallies(a: dict, b: dict, combine) -> dict:
+    """Tally of pairs: keys combined by combine, weights multiplied."""
+    out: dict = {}
+    for key_a, weight_a in a.items():
+        for key_b, weight_b in b.items():
+            key = combine(key_a, key_b)
+            out[key] = out.get(key, 0) + weight_a * weight_b
+    return out
+
+
+def _block_products(length, negative, flips):
+    """The block group as (twist, flip) pairs."""
+    if negative:
+        return [(k, 0) for k in range(2 * length)]
+    return [(k, e) for k in range(length) for e in ((0, 1) if flips else (0,))]
+
+
+@lru_cache(maxsize=None)
+def _cycle_tally(length, c, negative, flips):
+    """Tally of one c-cycle of the block permutation, as
+    (cycles, twist, flip, negatives, side) -> weight.
+
+    Conjugating by the block group inside these c blocks reaches every
+    choice of twists (and flips) with the same product around the cycle,
+    and keeps the signed cycles, twist sum, flip sum and negative parity.
+    So each product stands for |K|^(c-1) elements, represented by the one
+    that puts the whole product on the last block.  The D split side moves
+    by the parity of the conjugator.  When K has odd elements and c is
+    even, the conjugators that fix a tuple (the diagonal ones) are even,
+    so the tuples split evenly between the sides; when c is odd, an odd
+    diagonal element centralizes, the class does not split and the side is
+    moot.  Otherwise every conjugator is even and the representative's
+    side holds throughout.
+    """
+    from .groups import cycle_side_parity  # groups imports this module
+
+    products = _block_products(length, negative, flips)
+    weight = len(products) ** (c - 1)
+    has_odd = negative or (flips and length % 2)
+    n = c * length
+    out: dict = {}
+    for twist, flip in products:
+        images = list(range(length + 1, n + 1))
+        if negative:
+            orbit = _neg_orbit(0, length)
+            images += [orbit[(twist + q) % (2 * length)] for q in range(length)]
+        else:
+            sgn = -1 if flip else 1
+            images += [sgn * (1 + (twist + q) % length) for q in range(length)]
+        w = SignedPermutation(tuple(images))
+        cycles = w.signed_cycles()
+        signed = tuple(sorted(sign * len(support) for support, sign in cycles))
+        negatives = w.neg_count() % 2
+        if has_odd and c % 2 == 0:
+            sides = ((0, weight // 2), (1, weight // 2))
+        else:
+            side = sum(cycle_side_parity(w, support[0]) for support, _ in cycles)
+            sides = ((side % 2, weight),)
+        for side, count in sides:
+            out[(signed, twist, flip, negatives, side)] = count
+    return out
+
+
+def _z(lam):
+    """Order of the centralizer in S_m of a permutation of cycle type lam."""
+    z = 1
+    for part, count in _runs(lam):
+        z *= part**count * factorial(count)
+    return z
+
+
+@lru_cache(maxsize=None)
+def _family_tally(length, m, negative, flips):
+    """Tally of the family K wr S_m.
+
+    Conjugating by a block permutation changes no key, so one block
+    permutation per cycle type lam of S_m stands for its m!/z_lam
+    conjugates; its cycles move disjoint blocks, so its tally is the
+    convolution of their _cycle_tally.
+    """
+    modulus = 2 * length if negative else length
+
+    def combine(a, b):
+        return (
+            tuple(sorted(a[0] + b[0])),
+            (a[1] + b[1]) % modulus,
+            a[2] ^ b[2],
+            a[3] ^ b[3],
+            a[4] ^ b[4],
+        )
+
+    out: dict = {}
+    for lam in partitions(m):
+        tally = {((), 0, 0, 0, 0): 1}
+        for c in lam:
+            cycle = _cycle_tally(length, c, negative, flips)
+            tally = convolve_tallies(tally, cycle, combine)
+        conjugates = factorial(m) // _z(lam)
+        sign = -1 if (m - len(lam)) % 2 else 1
+        for (cycles, twist, flip, negatives, side), weight in tally.items():
+            if negative:
+                summary = (length, twist, sign)
+            else:
+                summary = (length, twist, sign, flip)
+            key = (cycles, summary, negatives, side)
+            out[key] = out.get(key, 0) + conjugates * weight
+    return out
+
+
+def centralizer_tallies(mu: SignedPartition, *, flips=True):
+    """Per family of C(w_mu): (negative, tally), negative families first.
+
+    With flips=False the positive blocks are never negated (the
+    centralizer inside S_n).
+    """
+    neg_fams, pos_fams = _layout(mu)
+    return [
+        (True, _family_tally(length, len(offsets), True, flips))
+        for length, offsets in neg_fams
+    ] + [
+        (False, _family_tally(length, len(offsets), False, flips))
+        for length, offsets in pos_fams
+    ]
 
 
 # -- representatives and the displayed generators ------------------------------

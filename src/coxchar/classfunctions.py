@@ -2,14 +2,18 @@
 
 A ClassFunction holds one exact cyclotomic value per conjugacy class of a
 fixed group, in the canonical class order.  Induction of a linear
-centralizer character to the whole group streams the centralizer once,
-bucketing character values by the class each element fuses into (signed
-cycle type, plus the split tag in type D):
+centralizer character to the whole group buckets character values by the
+class each element of H = C_G(w) fuses into (signed cycle type, plus the
+split tag in type D):
 
     Ind(g) = |C_G(g)| / |H| * sum of chi(h) over h in H with h ~_G g.
 
-A quadratic scan over the whole group implements the same functional as an
-independent oracle for small groups.
+No element of H is built: H is a direct product of wreath products, one
+per family of equal blocks, and the weighted class tallies of the families
+(centralizers.centralizer_tallies) are convolved, fusion key by
+concatenation, character value by product, D parity and split side by
+sum mod 2.  A quadratic scan over the whole group implements the same
+functional as an independent oracle for small groups.
 """
 
 from __future__ import annotations
@@ -18,20 +22,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .centralizers import centralizer_elements, conjugate_by_first_flip
+from .centralizers import centralizer_tallies, convolve_tallies
 from .characters import LinearCharacterSpec, evaluate
-from .cyclotomic import Cyc
+from .cyclotomic import ONE, Cyc, root_mul
 from .groups import (
     BudgetError,
     DEFAULT_ELEMENT_BUDGET,
     GroupDescriptor,
     class_index,
-    class_key,
     conjugacy_classes,
     group_elements,
     sign_character,
     signed_cycle_type,
 )
+from .partitions import SignedPartition
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -137,15 +141,31 @@ def class_function_of_spec(G, spec: LinearCharacterSpec) -> ClassFunction:
     )
 
 
-def _fusion_key(G, images):
-    w = SignedPermutation(images)
-    return class_key(w, G.family)
+def _combine(a, b):
+    """Join (cycles, value, negatives, side) keys of disjoint families."""
+    return (
+        tuple(sorted(a[0] + b[0])), root_mul(a[1], b[1]), a[2] ^ b[2], a[3] ^ b[3]
+    )
+
+
+@lru_cache(maxsize=None)
+def _label(cycles) -> SignedPartition:
+    """Signed cycle type from sorted signed cycle lengths."""
+    return SignedPartition(
+        tuple(-c for c in reversed(cycles) if c < 0),
+        tuple(c for c in reversed(cycles) if c > 0),
+    )
 
 
 def induce_from_centralizer(
     G: GroupDescriptor, chi: LinearCharacterSpec, budget=DEFAULT_ELEMENT_BUDGET
 ) -> ClassFunction:
-    """Induce a linear character of C_G(w) to G by fusion."""
+    """Induce a linear character of C_G(w) to G by fusion of class tallies.
+
+    Each family's tally is valued by chi, the families are convolved, and
+    in type D the odd elements are dropped (the parity of negative entries
+    is only known for the whole element).
+    """
     if chi.group != G:
         raise ValueError(f"character lives on {chi.group}, not {G}")
     classes = conjugacy_classes(G)
@@ -159,25 +179,41 @@ def induce_from_centralizer(
             f"centralizer of {chi.label} has order {order_h} > budget {budget}"
         )
 
+    in_d = G.family == "D"
+    tally = {((), ONE, 0, 0): 1}
+    for negative, family in centralizer_tallies(chi.label, flips=G.family != "A"):
+        valued: dict = {}
+        for (cycles, summary, negatives, side), weight in family.items():
+            if negative:
+                value = chi.evaluate_summaries((summary,), ())
+            else:
+                value = chi.evaluate_summaries((), (summary,))
+            # only D drops odd elements and splits classes, and only the
+            # all-even positive types split: clear the bits elsewhere
+            if not in_d:
+                negatives = 0
+            if not in_d or any(c < 0 or c % 2 for c in cycles):
+                side = 0
+            key = (cycles, value, negatives, side)
+            valued[key] = valued.get(key, 0) + weight
+        tally = convolve_tallies(tally, valued, _combine)
+
     buckets: dict = {}
-    stream = centralizer_elements(
-        G.degree,
-        chi.label,
-        flips=G.family != "A",
-        parity=0 if G.family == "D" else None,
-    )
     count = 0
-    for images, neg_summary, pos_summary in stream:
-        count += 1
-        value = chi.evaluate_summaries(neg_summary, pos_summary)
-        if chi.tag == "-":
-            images = conjugate_by_first_flip(images)
-        key = _fusion_key(G, images)
+    for (cycles, value, negatives, side), weight in tally.items():
+        if negatives:
+            continue
+        count += weight
+        key = (_label(cycles), None)
+        if key not in index:
+            # a split class; the '-' base class is t w_mu t, and Ind of
+            # chi^t is Ind of chi conjugated by the odd t: sides swap
+            key = (key[0], "-" if side ^ (chi.tag == "-") else "+")
         bucket = buckets.setdefault(key, {})
-        bucket[value] = bucket.get(value, 0) + 1
+        bucket[value] = bucket.get(value, 0) + weight
     if count != order_h:
         raise AssertionError(
-            f"streamed {count} elements, expected centralizer order {order_h}"
+            f"tallied {count} elements, expected centralizer order {order_h}"
         )
 
     values = []

@@ -12,6 +12,7 @@ failed, 2 usage or budget error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -34,6 +35,13 @@ CLI_FLAT_BUDGET = 6_000
 LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxchar",
@@ -51,18 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help='shape label, e.g. "2+1", "" for the full group, "2+2^-" in type D',
     )
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--json", default=None, metavar="PATH")
     parser.add_argument(
         "--budget-elements",
-        type=int,
+        type=_budget,
         default=CLI_ELEMENT_BUDGET,
         help=f"largest group/centralizer enumerated (default {CLI_ELEMENT_BUDGET}; "
         "rank 7-8 runs need an explicit raise)",
     )
     parser.add_argument(
         "--budget-flats",
-        type=int,
+        type=_budget,
         default=CLI_FLAT_BUDGET,
         help=f"largest intersection lattice built (default {CLI_FLAT_BUDGET})",
     )
@@ -89,7 +96,7 @@ def run(args) -> tuple[list[VerificationReport], int]:
     lattice = None
     if any(c in LATTICE_CHECKS for c in checks):
         lattice = get_lattice(G, args.budget_flats)
-    kwargs = dict(budget_elements=args.budget_elements, threads=args.threads)
+    kwargs = dict(budget_elements=args.budget_elements)
     for check in checks:
         if check == "regular":
             reports.append(verify_regular(G, **kwargs))
@@ -117,22 +124,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        reports, code = run(args)
-    except BudgetError as err:
-        print(f"budget error: {err}", file=sys.stderr)
+        output = open(args.json, "w") if args.json else contextlib.nullcontext()
+    except OSError as err:
+        print(f"error: cannot write {args.json}: {err.strerror}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    for report in reports:
-        print(report.summary())
-        if report.table is not None:
-            print(format_poincare_table(report))
-        for entry in report.discrepancies:
-            print(f"  {entry}")
-    if args.json:
-        payload = {"reports": [r.to_dict() for r in reports]}
-        with open(args.json, "w") as handle:
+    with output as handle:
+        try:
+            reports, code = run(args)
+        except BudgetError as err:
+            print(f"budget error: {err}", file=sys.stderr)
+            return 2
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        for report in reports:
+            print(report.summary())
+            if report.table is not None:
+                print(format_poincare_table(report))
+            for entry in report.discrepancies:
+                print(f"  {entry}")
+        if handle is not None:
+            payload = {"reports": [r.to_dict() for r in reports]}
             json.dump(payload, handle, indent=2)
     return code
 

@@ -40,11 +40,6 @@ def root(k: int, m: int) -> Root:
     return (k // g, m // g)
 
 
-def root_of_unity(m: int) -> Root:
-    """Primitive m-th root zeta_m."""
-    return root(1, m)
-
-
 def root_mul(a: Root, b: Root) -> Root:
     m = a[1] * b[1] // gcd(a[1], b[1])
     return root(a[0] * (m // a[1]) + b[0] * (m // b[1]), m)
@@ -56,10 +51,6 @@ def root_pow(a: Root, k: int) -> Root:
 
 def root_conj(a: Root) -> Root:
     return root(-a[0], a[1])
-
-
-def root_minus_one_pow(k: int) -> Root:
-    return MINUS_ONE if k % 2 else ONE
 
 
 def _poly_divide(num: list[int], den: list[int]) -> list[int]:

@@ -26,6 +26,7 @@ __all__ = [
     "signed_cycle_type",
     "conjugacy_classes",
     "d_split_side",
+    "cycle_side_parity",
     "class_key",
     "reflection_length",
     "sign_character",
@@ -121,35 +122,39 @@ def _splits_in_d(mu: SignedPartition) -> bool:
     return not mu.neg and all(p % 2 == 0 for p in mu.pos)
 
 
+def cycle_side_parity(w: SignedPermutation, start: int) -> int:
+    """Parity of the negative values met walking the cycle of w from start.
+
+    For a positive cycle of even length the parity does not depend on the
+    starting point (negating the start swaps the count with its complement
+    in the even length), so summed over cycles it is a property of w.
+    """
+    v, negatives = start, 0
+    while True:
+        negatives += v < 0
+        v = w(v)
+        if abs(v) == abs(start):
+            return negatives % 2
+
+
 def d_split_side(w: SignedPermutation) -> str:
     """Which of the two D-classes of an all-even positive type w lies in.
 
     Returns '+' when w is conjugate to w_mu inside the even-signed group,
     '-' when it is conjugate to t w_mu t.  Any conjugator x with
     x w x^{-1} = w_mu has well-defined sign parity because C(w_mu) is
-    even-signed for these types; we build one cycle by cycle.
+    even-signed for these types.  One conjugator sends each cycle, walked
+    from its smallest entry, onto consecutive coordinates of a block of
+    w_mu; its negative entries are the negative values met on those walks,
+    so the side is the sum of the cycles' cycle_side_parity.
     """
     mu = signed_cycle_type(w)
     if not _splits_in_d(mu):
         raise ValueError(f"class {mu} does not split")
     if not w.is_even_signed():
         raise ValueError("element is not even-signed")
-    cycles = sorted(
-        w.signed_cycles(), key=lambda c: (-len(c[0]), c[0][0])
-    )
-    images = [0] * w.n
-    position = 1
-    for support, _ in cycles:
-        v = support[0]
-        for _ in range(len(support)):
-            if v > 0:
-                images[v - 1] = position
-            else:
-                images[-v - 1] = -position
-            v = w(v)
-            position += 1
-    conjugator = SignedPermutation(tuple(images))
-    return "-" if conjugator.neg_count() % 2 else "+"
+    side = sum(cycle_side_parity(w, support[0]) for support, _ in w.signed_cycles())
+    return "-" if side % 2 else "+"
 
 
 def class_key(w: SignedPermutation, family: str):

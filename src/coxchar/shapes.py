@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import centralizers
-from .groups import ConjClass, GroupDescriptor, fixed_space_ambient
+from .groups import GroupDescriptor, fixed_space_ambient
 from .linalg import Subspace
 from .partitions import SignedPartition, format_partition, parse_partition, partitions
 from .signedperm import SignedPermutation
@@ -213,9 +213,3 @@ def is_cuspidal(G: GroupDescriptor, w: SignedPermutation, shape: Shape) -> bool:
     if not _member_of_parabolic(G, w, shape):
         raise ValueError(f"{w} is not in the parabolic of shape {shape}")
     return fixed_space_ambient(w).dim == len(shape.lam)
-
-
-def conjugacy_class_of(G: GroupDescriptor, label, tag=None) -> ConjClass:
-    from .groups import class_index, conjugacy_classes
-
-    return conjugacy_classes(G)[class_index(G)[(label, tag)]]

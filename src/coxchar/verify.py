@@ -16,7 +16,6 @@ classes (or degrees) where they differ:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .characters import alpha_char, chi_char, phi_for_class, spec_product
@@ -92,25 +91,17 @@ def _finish(report: VerificationReport, started: float) -> VerificationReport:
     return report
 
 
-def _config(budget_elements, budget_flats=None, threads=1):
-    config = {"budget_elements": budget_elements, "threads": threads}
+def _config(budget_elements, budget_flats=None):
+    config = {"budget_elements": budget_elements}
     if budget_flats is not None:
         config["budget_flats"] = budget_flats
     return config
 
 
-def _sum_inductions(G, specs, budget, threads) -> ClassFunction:
-    def work(spec):
-        return induce_from_centralizer(G, spec, budget)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, specs))
-    else:
-        parts = [work(spec) for spec in specs]
+def _sum_inductions(G, specs, budget) -> ClassFunction:
     total = zero_function(G)
-    for part in parts:
-        total = total + part
+    for spec in specs:
+        total = total + induce_from_centralizer(G, spec, budget)
     return total
 
 
@@ -125,32 +116,32 @@ def _discrepancies(G, expected: ClassFunction, got: ClassFunction, degree=None):
     return out
 
 
-def _triage(G, expected, got, discrepancies):
+def _triage(G, expected, got, discrepancies, degree=None):
     """On failure, inner products of the difference against triv and sign."""
     if not discrepancies:
         return
     from .classfunctions import inner_product, trivial_character
 
     diff = expected - got
-    discrepancies.append(
-        {
-            "class": "<inner products of difference>",
-            "expected": str(inner_product(diff, trivial_character(G))),
-            "got": str(inner_product(diff, sign_class_function(G))),
-        }
-    )
+    entry = {
+        "class": "<inner products of difference>",
+        "expected": str(inner_product(diff, trivial_character(G))),
+        "got": str(inner_product(diff, sign_class_function(G))),
+    }
+    if degree is not None:
+        entry["degree"] = degree
+    discrepancies.append(entry)
 
 
 def verify_regular(
     G: GroupDescriptor,
     budget_elements=DEFAULT_ELEMENT_BUDGET,
-    threads=1,
 ) -> VerificationReport:
     """Sum of Ind(phi_w) over all classes against the regular character."""
     started = time.perf_counter()
     classes = conjugacy_classes(G, budget_elements)
     specs = [phi_for_class(G, cls.label, cls.tag) for cls in classes]
-    total = _sum_inductions(G, specs, budget_elements, threads)
+    total = _sum_inductions(G, specs, budget_elements)
     expected = regular_character(G)
     disc = _discrepancies(G, expected, total)
     _triage(G, expected, total, disc)
@@ -159,7 +150,7 @@ def verify_regular(
         "regular",
         "pass" if not disc else "fail",
         disc,
-        config=_config(budget_elements, threads=threads),
+        config=_config(budget_elements),
     )
     return _finish(report, started)
 
@@ -176,7 +167,6 @@ def verify_os(
     G: GroupDescriptor,
     budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    threads=1,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """Total cohomology character against epsilon * sum Ind(alpha_w phi_w)."""
@@ -190,7 +180,7 @@ def verify_os(
         )
         for cls in classes
     ]
-    total = _sum_inductions(G, specs, budget_elements, threads) * sign_class_function(G)
+    total = _sum_inductions(G, specs, budget_elements) * sign_class_function(G)
     disc = _discrepancies(G, expected, total)
     _triage(G, expected, total, disc)
     report = VerificationReport(
@@ -198,7 +188,7 @@ def verify_os(
         "os",
         "pass" if not disc else "fail",
         disc,
-        config=_config(budget_elements, budget_flats, threads),
+        config=_config(budget_elements, budget_flats),
     )
     return _finish(report, started)
 
@@ -207,7 +197,6 @@ def verify_graded(
     G: GroupDescriptor,
     budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    threads=1,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """Degree by degree: H^p against classes of reflection length p."""
@@ -223,14 +212,16 @@ def verify_graded(
         specs = [
             chi_char(G, cls.label, cls.tag) for cls in by_length.get(p, [])
         ]
-        total = _sum_inductions(G, specs, budget_elements, threads)
-        disc.extend(_discrepancies(G, graded[p], total, degree=p))
+        total = _sum_inductions(G, specs, budget_elements)
+        degree_disc = _discrepancies(G, graded[p], total, degree=p)
+        _triage(G, graded[p], total, degree_disc, degree=p)
+        disc.extend(degree_disc)
     report = VerificationReport(
         str(G),
         "graded",
         "pass" if not disc else "fail",
         disc,
-        config=_config(budget_elements, budget_flats, threads),
+        config=_config(budget_elements, budget_flats),
     )
     return _finish(report, started)
 
@@ -240,7 +231,6 @@ def verify_shape(
     shape: Shape,
     budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    threads=1,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """The per-shape refinement: the shape's orbit summand of the
@@ -255,14 +245,15 @@ def verify_shape(
     specs = [
         chi_char(G, label, tag) for label, tag in cuspidal_labels(G, shape)
     ]
-    total = _sum_inductions(G, specs, budget_elements, threads)
+    total = _sum_inductions(G, specs, budget_elements)
     disc = _discrepancies(G, expected, total)
+    _triage(G, expected, total, disc)
     report = VerificationReport(
         str(G),
         f"shape {shape}",
         "pass" if not disc else "fail",
         disc,
-        config=_config(budget_elements, budget_flats, threads),
+        config=_config(budget_elements, budget_flats),
     )
     return _finish(report, started)
 

@@ -2,8 +2,6 @@
 
 import os
 
-import pytest
-
 from coxchar.signedperm import SignedPermutation
 
 
@@ -39,9 +37,3 @@ def conjugacy_orbit(group_elements, g):
 
 def stretch_enabled() -> bool:
     return os.environ.get("COXCHAR_STRETCH") == "1"
-
-
-requires_stretch = pytest.mark.skipif(
-    "COXCHAR_STRETCH" not in os.environ,
-    reason="stretch run; set COXCHAR_STRETCH=1 to enable",
-)

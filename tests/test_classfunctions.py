@@ -1,10 +1,13 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from coxchar.characters import chi_char, phi_for_class
+from coxchar.centralizers import centralizer_elements, conjugate_by_first_flip
+from coxchar.characters import alpha_char, chi_char, phi_for_class, spec_product
 from coxchar.classfunctions import (
     ClassFunction,
+    class_function_of_spec,
     induce_direct,
     induce_from_centralizer,
     inner_product,
@@ -18,6 +21,7 @@ from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
     class_index,
+    class_key,
     conjugacy_classes,
     reflection_length,
 )
@@ -122,6 +126,93 @@ def test_fusion_induction_matches_direct_scan(G):
         assert fused.equals(direct), f"{G} class {cls}"
 
 
+def induce_by_streaming(G, chi):
+    """Induction by streaming every element of the centralizer and
+    bucketing its character value under the class it fuses into."""
+    classes = conjugacy_classes(G, None)
+    base = classes[class_index(G)[(chi.label, chi.tag)]]
+    order_h = base.centralizer_order
+    if order_h == G.order:
+        return class_function_of_spec(G, chi)
+    buckets = {}
+    count = 0
+    for images, neg_summary, pos_summary in centralizer_elements(
+        G.degree,
+        chi.label,
+        flips=G.family != "A",
+        parity=0 if G.family == "D" else None,
+    ):
+        count += 1
+        value = chi.evaluate_summaries(neg_summary, pos_summary)
+        if chi.tag == "-":
+            images = conjugate_by_first_flip(images)
+        key = class_key(SignedPermutation(images), G.family)
+        bucket = buckets.setdefault(key, {})
+        bucket[value] = bucket.get(value, 0) + 1
+    assert count == order_h
+    values = []
+    for cls in classes:
+        bucket = buckets.get(cls.key, {})
+        scale = Fraction(cls.centralizer_order, order_h)
+        values.append(Cyc({r: scale * c for r, c in bucket.items()}))
+    return ClassFunction(G, tuple(values))
+
+
+def _induction_specs(G, cls):
+    phi = phi_for_class(G, cls.label, cls.tag)
+    return {
+        "phi": phi,
+        "alpha.phi": spec_product(alpha_char(G, cls.label, cls.tag), phi),
+        "chi": chi_char(G, cls.label, cls.tag),
+    }
+
+
+DIFFERENTIAL_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 7)]
+    + [GroupDescriptor("B", r) for r in range(2, 7)]
+    + [GroupDescriptor("D", r) for r in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS, ids=str)
+def test_tallies_match_streaming(G):
+    """Tally induction equals element streaming for every class (both tags
+    of the split D classes) and the phi, alpha.phi and chi specs."""
+    for cls in conjugacy_classes(G):
+        for name, spec in _induction_specs(G, cls).items():
+            tallied = induce_from_centralizer(G, spec)
+            assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls} {name}"
+
+
+@pytest.mark.parametrize(
+    "G", [GroupDescriptor("B", 7), GroupDescriptor("D", 7)], ids=str
+)
+def test_tallies_match_streaming_rank_7_phi(G):
+    for cls in conjugacy_classes(G, None):
+        spec = phi_for_class(G, cls.label, cls.tag)
+        tallied = induce_from_centralizer(G, spec, None)
+        assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls}"
+
+
+def test_induction_enumerates_no_element():
+    """No centralizer element is streamed, under whatever name it is called."""
+    streamed = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is centralizer_elements.__code__:
+            streamed.append(frame.f_code.co_name)
+
+    groups = [GroupDescriptor("A", 4), GroupDescriptor("B", 4), GroupDescriptor("D", 4)]
+    sys.setprofile(profile)
+    try:
+        for G in groups:
+            for cls in conjugacy_classes(G):
+                induce_from_centralizer(G, chi_char(G, cls.label, cls.tag))
+    finally:
+        sys.setprofile(None)
+    assert not streamed
+
+
 @pytest.mark.parametrize(
     "G",
     [GroupDescriptor("B", 2), GroupDescriptor("B", 3), GroupDescriptor("B", 4),
@@ -130,7 +221,6 @@ def test_fusion_induction_matches_direct_scan(G):
 )
 def test_frobenius_reciprocity(G):
     """<Ind chi, theta>_G = <chi, Res theta>_C for theta in {triv, sign}."""
-    from coxchar.centralizers import centralizer_elements
     from coxchar.groups import sign_character
 
     for cls in conjugacy_classes(G):

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from coxchar import verify
+from coxchar.classfunctions import trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor
 from coxchar.lattice import get_lattice
@@ -25,16 +29,6 @@ def test_verify_regular_report_fields():
     assert set(payload) == {
         "group", "check", "status", "discrepancies", "timing_ms", "config",
     }
-
-
-def test_threads_deterministic():
-    G = GroupDescriptor("B", 3)
-    single = verify_regular(G, threads=1)
-    multi = verify_regular(G, threads=3)
-    assert single.status == multi.status == "pass"
-    r1 = verify_graded(G, threads=1)
-    r2 = verify_graded(G, threads=3)
-    assert r1.status == r2.status == "pass"
 
 
 def test_poincare_table_format():
@@ -148,3 +142,43 @@ def test_verify_shape_reports():
     assert report.check == "shape 2+2^-"
     report = verify_os(G, lattice=lattice)
     assert report.status == "pass"
+
+
+def test_cli_unwritable_json_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main([
+        "--family", "B", "--rank", "3", "--check", "regular", "--json", str(target),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-elements", "--budget-flats"])
+def test_cli_negative_budget_is_usage_error(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "B", "--rank", "3", "--check", "regular", flag, "-1"])
+    assert exc.value.code == 2
+
+
+TRIAGE = "<inner products of difference>"
+
+
+def test_failing_graded_and_shape_carry_triage(monkeypatch):
+    real = verify.induce_from_centralizer
+
+    def off_by_trivial(G, spec, budget):
+        return real(G, spec, budget) + trivial_character(G)
+
+    monkeypatch.setattr(verify, "induce_from_centralizer", off_by_trivial)
+    G = GroupDescriptor("B", 2)
+    graded = verify_graded(G)
+    assert graded.status == "fail"
+    failing = {e["degree"] for e in graded.discrepancies if e["class"] != TRIAGE}
+    triaged = [e["degree"] for e in graded.discrepancies if e["class"] == TRIAGE]
+    assert failing and sorted(triaged) == sorted(failing)
+    shape = verify_shape(G, shapes(G)[0])
+    assert shape.status == "fail"
+    assert [e["class"] for e in shape.discrepancies].count(TRIAGE) == 1
+    assert shape.discrepancies[-1]["class"] == TRIAGE
