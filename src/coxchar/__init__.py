@@ -53,11 +53,8 @@ from .centralizers import (
 from .lattice import (
     Lattice,
     build_lattice,
-    fixed_subposet,
     get_lattice,
     graded_os_character,
-    moebius,
-    poincare_polynomial,
     reflection_exponents,
     shape_os_character,
 )

@@ -27,7 +27,6 @@ from .characters import LinearCharacterSpec, evaluate
 from .cyclotomic import ONE, Cyc, root_mul
 from .groups import (
     BudgetError,
-    DEFAULT_ELEMENT_BUDGET,
     GroupDescriptor,
     class_index,
     conjugacy_classes,
@@ -158,7 +157,7 @@ def _label(cycles) -> SignedPartition:
 
 
 def induce_from_centralizer(
-    G: GroupDescriptor, chi: LinearCharacterSpec, budget=DEFAULT_ELEMENT_BUDGET
+    G: GroupDescriptor, chi: LinearCharacterSpec
 ) -> ClassFunction:
     """Induce a linear character of C_G(w) to G by fusion of class tallies.
 
@@ -174,10 +173,6 @@ def induce_from_centralizer(
     order_h = base.centralizer_order
     if order_h == G.order:
         return class_function_of_spec(G, chi)
-    if budget is not None and order_h > budget:
-        raise BudgetError(
-            f"centralizer of {chi.label} has order {order_h} > budget {budget}"
-        )
 
     in_d = G.family == "D"
     tally = {((), ONE, 0, 0): 1}

@@ -3,7 +3,8 @@
     coxchar --family B --rank 4 --check regular
     coxchar --family D --rank 5 --check all --json report.json
     coxchar --family B --rank 3 --check shape --shape "1"
-    coxchar --family B --rank 7 --check regular --budget-elements 1000000
+    coxchar --family B --rank 10 --check regular
+    coxchar --family B --rank 4 --check os --budget-flats 10000
 
 Exit codes: 0 all requested checks pass (or are skipped), 1 a verification
 failed, 2 usage or budget error.
@@ -18,18 +19,18 @@ import sys
 
 from .groups import BudgetError, GroupDescriptor
 from .lattice import get_lattice
-from .shapes import parse_shape, shapes
+from .shapes import parse_shape
 from .verify import (
     VerificationReport,
     format_poincare_table,
     poincare_table,
+    verify_all_shapes,
     verify_graded,
     verify_os,
     verify_regular,
     verify_shape,
 )
 
-CLI_ELEMENT_BUDGET = 50_000
 CLI_FLAT_BUDGET = 6_000
 
 LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
@@ -63,9 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget-elements",
         type=_budget,
-        default=CLI_ELEMENT_BUDGET,
-        help=f"largest group/centralizer enumerated (default {CLI_ELEMENT_BUDGET}; "
-        "rank 7-8 runs need an explicit raise)",
+        help="accepted and ignored, for compatibility: no check enumerates "
+        "group or centralizer elements",
     )
     parser.add_argument(
         "--budget-flats",
@@ -96,26 +96,20 @@ def run(args) -> tuple[list[VerificationReport], int]:
     lattice = None
     if any(c in LATTICE_CHECKS for c in checks):
         lattice = get_lattice(G, args.budget_flats)
-    kwargs = dict(budget_elements=args.budget_elements)
+    flats = dict(budget_flats=args.budget_flats, lattice=lattice)
     for check in checks:
         if check == "regular":
-            reports.append(verify_regular(G, **kwargs))
+            reports.append(verify_regular(G))
         elif check == "os":
-            reports.append(verify_os(G, lattice=lattice, **kwargs))
+            reports.append(verify_os(G, **flats))
         elif check == "graded":
-            reports.append(verify_graded(G, lattice=lattice, **kwargs))
+            reports.append(verify_graded(G, **flats))
+        elif check == "shape" and args.shape is not None:
+            reports.append(verify_shape(G, parse_shape(args.shape), **flats))
         elif check == "shape":
-            if args.shape is not None:
-                targets = [parse_shape(args.shape)]
-            else:
-                targets = list(shapes(G))
-            for shape in targets:
-                reports.append(verify_shape(G, shape, lattice=lattice, **kwargs))
+            reports.extend(verify_all_shapes(G, **flats))
         elif check == "poincare":
-            report = poincare_table(
-                G, budget_elements=args.budget_elements, lattice=lattice
-            )
-            reports.append(report)
+            reports.append(poincare_table(G, **flats))
     code = 0 if all(r.passed for r in reports) else 1
     return reports, code
 
@@ -132,7 +126,7 @@ def main(argv=None) -> int:
         try:
             reports, code = run(args)
         except BudgetError as err:
-            print(f"budget error: {err}", file=sys.stderr)
+            print(f"budget error: {err} (raise --budget-flats)", file=sys.stderr)
             return 2
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)

@@ -195,7 +195,9 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
     return tuple(out)
 
 
-def conjugacy_classes(G: GroupDescriptor, budget=DEFAULT_ELEMENT_BUDGET):
+def conjugacy_classes(G: GroupDescriptor, budget=None):
+    """The classes in canonical order, listed from their labels: no element
+    is enumerated, so only a caller's explicit budget bounds |G|."""
     if budget is not None and G.order > budget:
         raise BudgetError(
             f"|{G}| = {G.order} exceeds the element budget {budget}"

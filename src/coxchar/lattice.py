@@ -42,9 +42,6 @@ __all__ = [
     "Lattice",
     "build_lattice",
     "get_lattice",
-    "fixed_subposet",
-    "moebius",
-    "poincare_polynomial",
     "graded_os_character",
     "shape_os_character",
     "reflection_exponents",
@@ -242,18 +239,6 @@ def get_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
             f"lattice of {G} has {len(lattice.flats)} flats > budget {budget}"
         )
     return lattice
-
-
-def fixed_subposet(lattice: Lattice, w: SignedPermutation):
-    return lattice.fixed_subposet(w)
-
-
-def moebius(lattice: Lattice, subposet):
-    return lattice.moebius(subposet)
-
-
-def poincare_polynomial(lattice: Lattice, w: SignedPermutation):
-    return lattice.poincare_polynomial(w)
 
 
 def graded_os_character(lattice: Lattice):

@@ -22,16 +22,13 @@ from .characters import alpha_char, chi_char, phi_for_class, spec_product
 from .classfunctions import (
     ClassFunction,
     induce_from_centralizer,
+    inner_product,
     regular_character,
     sign_class_function,
+    trivial_character,
     zero_function,
 )
-from .groups import (
-    DEFAULT_ELEMENT_BUDGET,
-    GroupDescriptor,
-    conjugacy_classes,
-    reflection_length,
-)
+from .groups import GroupDescriptor, conjugacy_classes, reflection_length
 from .lattice import (
     DEFAULT_FLAT_BUDGET,
     Lattice,
@@ -86,209 +83,124 @@ class VerificationReport:
         return text
 
 
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.timing_ms = int((time.perf_counter() - started) * 1000)
-    return report
+def _report(G, check, started, discrepancies, budget_flats=None, table=None):
+    """The report of one check: failed iff there are discrepancies."""
+    return VerificationReport(
+        str(G),
+        check,
+        "fail" if discrepancies else "pass",
+        discrepancies,
+        int((time.perf_counter() - started) * 1000),
+        {} if budget_flats is None else {"budget_flats": budget_flats},
+        table,
+    )
 
 
-def _config(budget_elements, budget_flats=None):
-    config = {"budget_elements": budget_elements}
-    if budget_flats is not None:
-        config["budget_flats"] = budget_flats
-    return config
-
-
-def _sum_inductions(G, specs, budget) -> ClassFunction:
-    total = zero_function(G)
-    for spec in specs:
-        total = total + induce_from_centralizer(G, spec, budget)
-    return total
-
-
-def _discrepancies(G, expected: ClassFunction, got: ClassFunction, degree=None):
+def _compare(G, expected: ClassFunction, got: ClassFunction, degree=None):
+    """One entry per class where got differs from expected; on failure, the
+    inner products of the difference against triv and sign as triage."""
     classes = conjugacy_classes(G)
-    out = []
-    for k, a, b in expected.discrepancies(got):
-        entry = {"class": str(classes[k]), "expected": str(a), "got": str(b)}
-        if degree is not None:
-            entry["degree"] = degree
-        out.append(entry)
+    tag = {} if degree is None else {"degree": degree}
+    out = [
+        {"class": str(classes[k]), "expected": str(a), "got": str(b), **tag}
+        for k, a, b in expected.discrepancies(got)
+    ]
+    if out:
+        diff = expected - got
+        out.append({
+            "class": "<inner products of difference>",
+            "expected": str(inner_product(diff, trivial_character(G))),
+            "got": str(inner_product(diff, sign_class_function(G))),
+            **tag,
+        })
     return out
 
 
-def _triage(G, expected, got, discrepancies, degree=None):
-    """On failure, inner products of the difference against triv and sign."""
-    if not discrepancies:
-        return
-    from .classfunctions import inner_product, trivial_character
-
-    diff = expected - got
-    entry = {
-        "class": "<inner products of difference>",
-        "expected": str(inner_product(diff, trivial_character(G))),
-        "got": str(inner_product(diff, sign_class_function(G))),
-    }
-    if degree is not None:
-        entry["degree"] = degree
-    discrepancies.append(entry)
+def _induced(G, specs) -> ClassFunction:
+    return sum((induce_from_centralizer(G, spec) for spec in specs), zero_function(G))
 
 
-def verify_regular(
-    G: GroupDescriptor,
-    budget_elements=DEFAULT_ELEMENT_BUDGET,
-) -> VerificationReport:
+def verify_regular(G: GroupDescriptor) -> VerificationReport:
     """Sum of Ind(phi_w) over all classes against the regular character."""
     started = time.perf_counter()
-    classes = conjugacy_classes(G, budget_elements)
-    specs = [phi_for_class(G, cls.label, cls.tag) for cls in classes]
-    total = _sum_inductions(G, specs, budget_elements)
-    expected = regular_character(G)
-    disc = _discrepancies(G, expected, total)
-    _triage(G, expected, total, disc)
-    report = VerificationReport(
-        str(G),
-        "regular",
-        "pass" if not disc else "fail",
-        disc,
-        config=_config(budget_elements),
-    )
-    return _finish(report, started)
-
-
-def _os_total(lattice: Lattice) -> ClassFunction:
-    graded = graded_os_character(lattice)
-    total = zero_function(lattice.G)
-    for piece in graded:
-        total = total + piece
-    return total
+    specs = [phi_for_class(G, cls.label, cls.tag) for cls in conjugacy_classes(G)]
+    got = _induced(G, specs)
+    return _report(G, "regular", started, _compare(G, regular_character(G), got))
 
 
 def verify_os(
     G: GroupDescriptor,
-    budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """Total cohomology character against epsilon * sum Ind(alpha_w phi_w)."""
     started = time.perf_counter()
-    classes = conjugacy_classes(G, budget_elements)
     lattice = lattice or get_lattice(G, budget_flats)
-    expected = _os_total(lattice)
+    expected = sum(graded_os_character(lattice), zero_function(G))
     specs = [
         spec_product(
             alpha_char(G, cls.label, cls.tag), phi_for_class(G, cls.label, cls.tag)
         )
-        for cls in classes
+        for cls in conjugacy_classes(G)
     ]
-    total = _sum_inductions(G, specs, budget_elements) * sign_class_function(G)
-    disc = _discrepancies(G, expected, total)
-    _triage(G, expected, total, disc)
-    report = VerificationReport(
-        str(G),
-        "os",
-        "pass" if not disc else "fail",
-        disc,
-        config=_config(budget_elements, budget_flats),
-    )
-    return _finish(report, started)
+    got = _induced(G, specs) * sign_class_function(G)
+    return _report(G, "os", started, _compare(G, expected, got), budget_flats)
 
 
 def verify_graded(
     G: GroupDescriptor,
-    budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """Degree by degree: H^p against classes of reflection length p."""
     started = time.perf_counter()
-    classes = conjugacy_classes(G, budget_elements)
     lattice = lattice or get_lattice(G, budget_flats)
-    graded = graded_os_character(lattice)
     by_length: dict[int, list] = {}
-    for cls in classes:
-        by_length.setdefault(reflection_length(G, cls.rep), []).append(cls)
+    for cls in conjugacy_classes(G):
+        by_length.setdefault(reflection_length(G, cls.rep), []).append(
+            chi_char(G, cls.label, cls.tag)
+        )
     disc = []
-    for p in range(G.rank + 1):
-        specs = [
-            chi_char(G, cls.label, cls.tag) for cls in by_length.get(p, [])
-        ]
-        total = _sum_inductions(G, specs, budget_elements)
-        degree_disc = _discrepancies(G, graded[p], total, degree=p)
-        _triage(G, graded[p], total, degree_disc, degree=p)
-        disc.extend(degree_disc)
-    report = VerificationReport(
-        str(G),
-        "graded",
-        "pass" if not disc else "fail",
-        disc,
-        config=_config(budget_elements, budget_flats),
-    )
-    return _finish(report, started)
+    for p, expected in enumerate(graded_os_character(lattice)):
+        got = _induced(G, by_length.get(p, []))
+        disc.extend(_compare(G, expected, got, degree=p))
+    return _report(G, "graded", started, disc, budget_flats)
 
 
 def verify_shape(
     G: GroupDescriptor,
     shape: Shape,
-    budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """The per-shape refinement: the shape's orbit summand of the
     cohomology character against its cuspidal classes."""
     started = time.perf_counter()
-    conjugacy_classes(G, budget_elements)
     lattice = lattice or get_lattice(G, budget_flats)
-    graded = shape_os_character(lattice, shape)
-    expected = zero_function(G)
-    for piece in graded:
-        expected = expected + piece
-    specs = [
-        chi_char(G, label, tag) for label, tag in cuspidal_labels(G, shape)
-    ]
-    total = _sum_inductions(G, specs, budget_elements)
-    disc = _discrepancies(G, expected, total)
-    _triage(G, expected, total, disc)
-    report = VerificationReport(
-        str(G),
-        f"shape {shape}",
-        "pass" if not disc else "fail",
-        disc,
-        config=_config(budget_elements, budget_flats),
-    )
-    return _finish(report, started)
+    expected = sum(shape_os_character(lattice, shape), zero_function(G))
+    specs = [chi_char(G, label, tag) for label, tag in cuspidal_labels(G, shape)]
+    disc = _compare(G, expected, _induced(G, specs))
+    return _report(G, f"shape {shape}", started, disc, budget_flats)
 
 
-def verify_all_shapes(G, **kwargs):
-    lattice = kwargs.pop("lattice", None) or get_lattice(
-        G, kwargs.get("budget_flats", DEFAULT_FLAT_BUDGET)
-    )
-    return [
-        verify_shape(G, shape, lattice=lattice, **kwargs) for shape in shapes(G)
-    ]
+def verify_all_shapes(G, budget_flats=DEFAULT_FLAT_BUDGET, lattice=None):
+    lattice = lattice or get_lattice(G, budget_flats)
+    return [verify_shape(G, shape, budget_flats, lattice) for shape in shapes(G)]
 
 
 def poincare_table(
     G: GroupDescriptor,
-    budget_elements=DEFAULT_ELEMENT_BUDGET,
     budget_flats=DEFAULT_FLAT_BUDGET,
     lattice: Lattice | None = None,
 ) -> VerificationReport:
     """P_w(t) for every class in canonical order, ascending coefficients."""
     started = time.perf_counter()
-    classes = conjugacy_classes(G, budget_elements)
     lattice = lattice or get_lattice(G, budget_flats)
     table = [
-        [str(cls), list(lattice.poincare_polynomial(cls.rep))] for cls in classes
+        [str(cls), list(lattice.poincare_polynomial(cls.rep))]
+        for cls in conjugacy_classes(G)
     ]
-    report = VerificationReport(
-        str(G),
-        "poincare",
-        "pass",
-        [],
-        config=_config(budget_elements, budget_flats),
-        table=table,
-    )
-    return _finish(report, started)
+    return _report(G, "poincare", started, [], budget_flats, table)
 
 
 def format_poincare_table(report: VerificationReport) -> str:

@@ -18,7 +18,6 @@ from coxchar.classfunctions import (
 )
 from coxchar.cyclotomic import Cyc
 from coxchar.groups import (
-    BudgetError,
     GroupDescriptor,
     class_index,
     class_key,
@@ -190,7 +189,7 @@ def test_tallies_match_streaming(G):
 def test_tallies_match_streaming_rank_7_phi(G):
     for cls in conjugacy_classes(G, None):
         spec = phi_for_class(G, cls.label, cls.tag)
-        tallied = induce_from_centralizer(G, spec, None)
+        tallied = induce_from_centralizer(G, spec)
         assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls}"
 
 
@@ -294,13 +293,6 @@ def test_b2_os_trivial_multiplicity():
         sum(lattice.poincare_polynomial(w)) for w in group_elements(G)
     )
     assert Fraction(brute, G.order) == value
-
-
-def test_induce_budget():
-    G = GroupDescriptor("B", 5)
-    mu = SignedPartition((1, 1, 1, 1), (1,))
-    with pytest.raises(BudgetError):
-        induce_from_centralizer(G, phi_for_class(G, mu), budget=10)
 
 
 def test_induce_group_mismatch():

@@ -24,7 +24,7 @@ def test_verify_regular_report_fields():
     assert report.discrepancies == []
     assert report.group == "B2"
     assert report.timing_ms >= 0
-    assert "budget_elements" in report.config
+    assert report.config == {}
     payload = report.to_dict()
     assert set(payload) == {
         "group", "check", "status", "discrepancies", "timing_ms", "config",
@@ -111,14 +111,27 @@ def test_cli_exceptional_family_skipped(tmp_path):
     assert "out of desk scale" in str(payload["reports"][0]["discrepancies"])
 
 
-def test_cli_budget_exceeded_is_usage_error():
-    assert main(["--family", "B", "--rank", "7", "--check", "regular"]) == 2
+def test_cli_budget_exceeded_is_usage_error(capsys):
     assert main(["--family", "B", "--rank", "4", "--check", "os",
                  "--budget-flats", "10"]) == 2
-    assert (
-        main(["--family", "D", "--rank", "4", "--check", "regular",
-              "--budget-elements", "10"]) == 2
-    )
+    assert "(raise --budget-flats)" in capsys.readouterr().err
+
+
+def test_cli_config_records_applied_flat_budget(tmp_path):
+    out = tmp_path / "report.json"
+    code = main([
+        "--family", "B", "--rank", "3", "--check", "all",
+        "--budget-flats", "5000", "--json", str(out),
+    ])
+    assert code == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert reports[0]["check"] == "regular" and reports[0]["config"] == {}
+    assert all(r["config"] == {"budget_flats": 5000} for r in reports[1:])
+
+
+def test_cli_rank_9_regular_without_budget_flag():
+    for family in "BD":
+        assert main(["--family", family, "--rank", "9", "--check", "regular"]) == 0
 
 
 def test_cli_bad_shape_is_usage_error():
@@ -168,8 +181,8 @@ TRIAGE = "<inner products of difference>"
 def test_failing_graded_and_shape_carry_triage(monkeypatch):
     real = verify.induce_from_centralizer
 
-    def off_by_trivial(G, spec, budget):
-        return real(G, spec, budget) + trivial_character(G)
+    def off_by_trivial(G, spec):
+        return real(G, spec) + trivial_character(G)
 
     monkeypatch.setattr(verify, "induce_from_centralizer", off_by_trivial)
     G = GroupDescriptor("B", 2)
