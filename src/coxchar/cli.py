@@ -92,24 +92,23 @@ def run(args) -> tuple[list[VerificationReport], int]:
         if args.check == "all"
         else [args.check]
     )
-    reports: list[VerificationReport] = []
-    lattice = None
+    budget = args.budget_flats
     if any(c in LATTICE_CHECKS for c in checks):
-        lattice = get_lattice(G, args.budget_flats)
-    flats = dict(budget_flats=args.budget_flats, lattice=lattice)
+        get_lattice(G, budget)  # a budget error comes before any check runs
+    reports: list[VerificationReport] = []
     for check in checks:
         if check == "regular":
             reports.append(verify_regular(G))
         elif check == "os":
-            reports.append(verify_os(G, **flats))
+            reports.append(verify_os(G, budget))
         elif check == "graded":
-            reports.append(verify_graded(G, **flats))
+            reports.append(verify_graded(G, budget))
         elif check == "shape" and args.shape is not None:
-            reports.append(verify_shape(G, parse_shape(args.shape), **flats))
+            reports.append(verify_shape(G, parse_shape(args.shape), budget))
         elif check == "shape":
-            reports.extend(verify_all_shapes(G, **flats))
+            reports.extend(verify_all_shapes(G, budget))
         elif check == "poincare":
-            reports.append(poincare_table(G, **flats))
+            reports.append(poincare_table(G, budget))
     code = 0 if all(r.passed for r in reports) else 1
     return reports, code
 

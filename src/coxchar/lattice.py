@@ -1,12 +1,19 @@
 """Intersection lattice of the reflection arrangement.
 
-Flats are intersections of reflecting hyperplanes, stored with a canonical
-exact basis and an incidence bitset over the hyperplane list; the bitset
-determines the flat, shared bits decide containment (X <= Y in the lattice,
-i.e. X is a subspace of Y, iff bits(Y) is a subset of bits(X)).  The
-ambient space is Q^n for every family; in type A all flats contain the
-diagonal, and codimension (n - dim) equals the degree in the reflection
-representation, so nothing else changes.
+The flats of the A, B and D arrangements are (signed) set partitions: set
+partitions of the coordinates in type A, and in types B and D signed set
+partitions with a zero block (of size other than 1 in type D), the
+Dowling lattices (Dowling 1973; Orlik-Terao, Arrangements of Hyperplanes,
+6.4).  A flat is stored as its canonical generic point: an integer tuple
+that is 0 on the zero block and +-(smallest index of the block + 1) on
+every other block, positive at that smallest index.  Meets, incidence and
+dimension are integer bookkeeping on that point; no linear algebra is
+done.  Each flat also carries an incidence bitset over the hyperplane
+list; the bitset determines the flat, shared bits decide containment
+(X <= Y in the lattice, i.e. X is a subspace of Y, iff bits(Y) is a subset
+of bits(X)).  The ambient space is Q^n for every family; in type A all
+flats contain the diagonal, and codimension (n - dim) equals the degree
+in the reflection representation, so nothing else changes.
 
 Per element w the w-stable flats form the subposet on which the Moebius
 function mu_w recurses top-down; its generating function
@@ -15,11 +22,14 @@ function mu_w recurses top-down; its generating function
 
 has the trace of w on the degree-p cohomology of the arrangement
 complement as its t^p coefficient.  Orbits of flats are labelled by
-shapes, refining P_w per shape.
+shapes, read off the point: the block sizes, and in type D with no zero
+block and all sizes even the parity of its negative entries, refining
+P_w per shape.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .classfunctions import ClassFunction
@@ -27,14 +37,14 @@ from .cyclotomic import Cyc
 from .groups import (
     BudgetError,
     GroupDescriptor,
+    Hyperplane,
     conjugacy_classes,
     class_index,
     class_key,
     hyperplane_action,
     hyperplane_set,
 )
-from .linalg import Subspace
-from .shapes import Shape, shape_fix_space, shape_rank, shapes
+from .shapes import Shape, shape_rank
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -54,13 +64,13 @@ DEFAULT_FLAT_BUDGET = 300_000
 @dataclass(frozen=True)
 class Flat:
     index: int
-    subspace: Subspace
+    point: tuple[int, ...]
     bits: int
     dim: int
 
     @property
     def codim(self) -> int:
-        return self.subspace.ambient - self.dim
+        return len(self.point) - self.dim
 
 
 def _permute_bits(bits: int, action) -> int:
@@ -77,16 +87,12 @@ class Lattice:
         self.G = G
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
-        self.by_bits = {f.bits: f.index for f in flats}
         self.shape_labels = shape_labels
         self._mu_cache: dict = {}
 
     @property
     def rank(self) -> int:
         return self.G.rank
-
-    def flats_of_shape(self, shape: Shape):
-        return [f for f in self.flats if self.shape_labels[f.index] == shape]
 
     # -- fixed subposets and their Moebius functions -------------------------
 
@@ -147,78 +153,70 @@ class Lattice:
         return tuple(coeffs)
 
 
+def _sides(point, h: Hyperplane) -> tuple[int, int]:
+    """x_i and rel * x_j at the point (0 for a coordinate hyperplane):
+    equal exactly when the hyperplane contains the point's flat."""
+    return point[h.i - 1], (h.rel * point[h.j - 1] if h.j else 0)
+
+
+def _meet(point, a: int, b: int) -> tuple[int, ...]:
+    """Generic point of the flat cut out by a hyperplane with sides a != b."""
+    if a == 0 or b == 0 or a == -b:
+        gone = (abs(a), abs(b))
+        return tuple([0 if abs(x) in gone else x for x in point])
+    # the block with the larger label joins the other, whose label is its
+    # smallest index + 1, so the point stays canonical; x // old is +-1
+    old, keep = (a, b) if abs(a) > abs(b) else (b, a)
+    top = abs(old)
+    return tuple([x // old * keep if abs(x) == top else x for x in point])
+
+
+def _incidence(point, hyperplanes) -> int:
+    bits = 0
+    for k, h in enumerate(hyperplanes):
+        a, b = _sides(point, h)
+        if a == b:
+            bits |= 1 << k
+    return bits
+
+
+def _shape(G: GroupDescriptor, point) -> Shape:
+    """The shape of the flat's orbit: block sizes, and in type D the sign
+    parity when there is no zero block and every block is even."""
+    sizes = Counter(abs(x) for x in point if x)
+    lam = tuple(sorted(sizes.values(), reverse=True))
+    if G.family == "D" and 0 not in point and all(p % 2 == 0 for p in lam):
+        return Shape(lam, "-" if sum(x < 0 for x in point) % 2 else "+")
+    return Shape(lam)
+
+
 def build_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
     n = G.degree
     hyperplanes = hyperplane_set(G)
-    normals = [h.normal(n) for h in hyperplanes]
-
-    def incidence(space: Subspace) -> int:
-        bits = 0
-        for k, normal in enumerate(normals):
-            if space.orthogonal_to(normal):
-                bits |= 1 << k
-        return bits
-
-    ambient = Subspace.full(n)
+    ambient = tuple(range(1, n + 1))
     flats = [Flat(0, ambient, 0, n)]
-    by_basis = {ambient.basis: 0}
+    seen = {ambient}
     frontier = [flats[0]]
     while frontier:
         next_frontier = []
         for flat in frontier:
-            for k, normal in enumerate(normals):
+            for k, h in enumerate(hyperplanes):
                 if flat.bits >> k & 1:
                     continue
-                space = flat.subspace.meet_hyperplane(normal)
-                if space.basis in by_basis:
+                point = _meet(flat.point, *_sides(flat.point, h))
+                if point in seen:
                     continue
                 if budget is not None and len(flats) >= budget:
                     raise BudgetError(
                         f"flat budget {budget} exceeded while building {G} lattice"
                     )
-                new = Flat(len(flats), space, incidence(space), space.dim)
-                by_basis[space.basis] = new.index
+                dim = len({abs(x) for x in point if x})
+                new = Flat(len(flats), point, _incidence(point, hyperplanes), dim)
+                seen.add(point)
                 flats.append(new)
                 next_frontier.append(new)
         frontier = next_frontier
-
-    labels = _label_orbits(G, flats)
-    return Lattice(G, flats, labels)
-
-
-def _label_orbits(G, flats):
-    by_bits = {f.bits: f.index for f in flats}
-    actions = [hyperplane_action(G, g) for g in G.coxeter_generators()]
-    labels: list[Shape | None] = [None] * len(flats)
-    for shape in shapes(G):
-        space = shape_fix_space(G, shape)
-        n = G.degree
-        normals = [h.normal(n) for h in hyperplane_set(G)]
-        bits = 0
-        for k, normal in enumerate(normals):
-            if space.orthogonal_to(normal):
-                bits |= 1 << k
-        start = by_bits.get(bits)
-        if start is None or flats[start].subspace != space:
-            raise AssertionError(f"fixed space of shape {shape} is not a flat")
-        stack = [flats[start].bits]
-        seen = {flats[start].bits}
-        while stack:
-            bits = stack.pop()
-            idx = by_bits[bits]
-            if labels[idx] is not None:
-                raise AssertionError(
-                    f"flat {idx} reached from two shapes: {labels[idx]}, {shape}"
-                )
-            labels[idx] = shape
-            for action in actions:
-                image = _permute_bits(bits, action)
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
-    if any(label is None for label in labels):
-        raise AssertionError("orbit labelling did not cover the lattice")
-    return tuple(labels)
+    return Lattice(G, flats, tuple(_shape(G, f.point) for f in flats))
 
 
 _LATTICES: dict[GroupDescriptor, Lattice] = {}

@@ -31,7 +31,6 @@ from .classfunctions import (
 from .groups import GroupDescriptor, conjugacy_classes, reflection_length
 from .lattice import (
     DEFAULT_FLAT_BUDGET,
-    Lattice,
     get_lattice,
     graded_os_character,
     shape_os_character,
@@ -131,11 +130,10 @@ def verify_regular(G: GroupDescriptor) -> VerificationReport:
 def verify_os(
     G: GroupDescriptor,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    lattice: Lattice | None = None,
 ) -> VerificationReport:
     """Total cohomology character against epsilon * sum Ind(alpha_w phi_w)."""
     started = time.perf_counter()
-    lattice = lattice or get_lattice(G, budget_flats)
+    lattice = get_lattice(G, budget_flats)
     expected = sum(graded_os_character(lattice), zero_function(G))
     specs = [
         spec_product(
@@ -150,11 +148,10 @@ def verify_os(
 def verify_graded(
     G: GroupDescriptor,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    lattice: Lattice | None = None,
 ) -> VerificationReport:
     """Degree by degree: H^p against classes of reflection length p."""
     started = time.perf_counter()
-    lattice = lattice or get_lattice(G, budget_flats)
+    lattice = get_lattice(G, budget_flats)
     by_length: dict[int, list] = {}
     for cls in conjugacy_classes(G):
         by_length.setdefault(reflection_length(G, cls.rep), []).append(
@@ -171,31 +168,28 @@ def verify_shape(
     G: GroupDescriptor,
     shape: Shape,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    lattice: Lattice | None = None,
 ) -> VerificationReport:
     """The per-shape refinement: the shape's orbit summand of the
     cohomology character against its cuspidal classes."""
     started = time.perf_counter()
-    lattice = lattice or get_lattice(G, budget_flats)
+    lattice = get_lattice(G, budget_flats)
     expected = sum(shape_os_character(lattice, shape), zero_function(G))
     specs = [chi_char(G, label, tag) for label, tag in cuspidal_labels(G, shape)]
     disc = _compare(G, expected, _induced(G, specs))
     return _report(G, f"shape {shape}", started, disc, budget_flats)
 
 
-def verify_all_shapes(G, budget_flats=DEFAULT_FLAT_BUDGET, lattice=None):
-    lattice = lattice or get_lattice(G, budget_flats)
-    return [verify_shape(G, shape, budget_flats, lattice) for shape in shapes(G)]
+def verify_all_shapes(G, budget_flats=DEFAULT_FLAT_BUDGET):
+    return [verify_shape(G, shape, budget_flats) for shape in shapes(G)]
 
 
 def poincare_table(
     G: GroupDescriptor,
     budget_flats=DEFAULT_FLAT_BUDGET,
-    lattice: Lattice | None = None,
 ) -> VerificationReport:
     """P_w(t) for every class in canonical order, ascending coefficients."""
     started = time.perf_counter()
-    lattice = lattice or get_lattice(G, budget_flats)
+    lattice = get_lattice(G, budget_flats)
     table = [
         [str(cls), list(lattice.poincare_polynomial(cls.rep))]
         for cls in conjugacy_classes(G)

@@ -73,9 +73,8 @@ def test_criterion_2_os_and_graded_identities():
     A_1..A_4, B_2..B_5, D_4, D_5, exactly."""
     failures = []
     for G in OS_GROUPS:
-        lattice = get_lattice(G)
         for check in (verify_os, verify_graded):
-            report = check(G, lattice=lattice)
+            report = check(G)
             if report.status != "pass":
                 failures.append((str(G), report.check))
     _report(2, not failures, f"{len(OS_GROUPS)} groups x 2 checks")

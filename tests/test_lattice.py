@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import stretch_enabled
 from coxchar.groups import (
     GroupDescriptor,
     conjugacy_classes,
     group_elements,
+    hyperplane_action,
     hyperplane_set,
 )
 from coxchar.lattice import (
@@ -37,6 +39,44 @@ def whitney_point_count(lattice, q):
     return sum(mu[f.index] * q**f.dim for f in lattice.flats)
 
 
+def incidence(G, space):
+    """Bitset of the hyperplanes containing a subspace, by exact algebra."""
+    normals = [h.normal(G.degree) for h in hyperplane_set(G)]
+    return sum(
+        1 << k for k, normal in enumerate(normals) if space.orthogonal_to(normal)
+    )
+
+
+def point_subspace(point):
+    """The flat of a generic point: one signed indicator row per block."""
+    labels = sorted({abs(x) for x in point if x})
+    rows = [[(x > 0) - (x < 0) if abs(x) == c else 0 for x in point] for c in labels]
+    return Subspace.from_vectors(len(point), rows)
+
+
+def rref_closure(G):
+    """(bits, dim) of every flat, closed under exact RREF meets with each
+    hyperplane from the ambient space, as linear algebra finds them."""
+    normals = [h.normal(G.degree) for h in hyperplane_set(G)]
+    ambient = Subspace.full(G.degree)
+    seen = {ambient}
+    frontier = [ambient]
+    while frontier:
+        next_frontier = []
+        for space in frontier:
+            for normal in normals:
+                meet = space.meet_hyperplane(normal)
+                if meet not in seen:
+                    seen.add(meet)
+                    next_frontier.append(meet)
+        frontier = next_frontier
+    return {(incidence(G, space), space.dim) for space in seen}
+
+
+def permute_bits(bits, action):
+    return sum(1 << action[k] for k in range(len(action)) if bits >> k & 1)
+
+
 def brute_point_count(G, q):
     """Points of F_q^n avoiding every reflecting hyperplane."""
     n = G.degree
@@ -52,11 +92,29 @@ def brute_point_count(G, q):
     return int(mask.sum())
 
 
+STRETCH = pytest.mark.skipif(
+    not stretch_enabled(), reason="rank 8 lattices need COXCHAR_STRETCH=1"
+)
+
+
 @pytest.mark.parametrize(
     "family,rank,count",
-    # A: Bell numbers; B/D: zero set + signed partition of the rest,
-    # e.g. B_3: 11 + 3*3 + 3*1 + 1 = 24, D_4: 49 + 6*3 + 4*1 + 1 = 72
-    [("B", 2, 6), ("A", 2, 5), ("B", 3, 24), ("D", 4, 72), ("A", 3, 15), ("B", 4, 116)],
+    # A: Bell numbers; B/D: zero set + signed partition of the rest
+    # (Dowling lattices), e.g. B_3: 11 + 3*3 + 3*1 + 1 = 24,
+    # D_4: 49 + 6*3 + 4*1 + 1 = 72
+    [
+        ("B", 2, 6),
+        ("A", 2, 5),
+        ("B", 3, 24),
+        ("D", 4, 72),
+        ("A", 3, 15),
+        ("B", 4, 116),
+        ("B", 7, 28_640),
+        ("D", 7, 17_867),
+        ("A", 8, 21_147),
+        pytest.param("B", 8, 219_920, marks=STRETCH),
+        pytest.param("D", 8, 137_528, marks=STRETCH),
+    ],
 )
 def test_flat_counts(family, rank, count):
     G = GroupDescriptor(family, rank)
@@ -103,17 +161,67 @@ def test_poincare_hand_values():
     "family,rank", [("B", 2), ("B", 3), ("A", 2), ("A", 3), ("D", 4)]
 )
 def test_bitset_containment_matches_subspaces(family, rank):
-    """X <= Y as subspaces iff incidence(X) >= incidence(Y)."""
+    """X <= Y as subspaces iff incidence(X) >= incidence(Y), with each
+    flat's subspace spanned by the blocks of its generic point."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    flats = lattice.flats
-    for f in flats:
-        for g in flats:
+    spaces = [point_subspace(f.point) for f in lattice.flats]
+    for f, space in zip(lattice.flats, spaces):
+        assert space.dim == f.dim
+        assert incidence(G, space) == f.bits
+    for f in lattice.flats:
+        for g in lattice.flats:
             bits_contain = f.bits & g.bits == g.bits
             spaces_contain = all(
-                g.subspace.contains(row) for row in f.subspace.basis
+                spaces[g.index].contains(row) for row in spaces[f.index].basis
             )
             assert bits_contain == spaces_contain
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 6)]
+    + [("B", r) for r in range(2, 6)]
+    + [("D", 4), ("D", 5)],
+)
+def test_flats_match_rref_closure(family, rank):
+    """The generic-point closure finds the flats linear algebra finds."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    expected = rref_closure(G)
+    assert len(lattice.flats) == len(expected)
+    assert {(f.bits, f.dim) for f in lattice.flats} == expected
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 6)]
+    + [("B", r) for r in range(2, 6)]
+    + [("D", 4), ("D", 5), ("D", 6)],
+)
+def test_shape_labels_are_orbit_labels(family, rank):
+    """Labels are shapes of G, constant on W-orbits, and each shape's
+    standard fixed space carries its own label."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    labels = lattice.shape_labels
+    by_bits = {f.bits: f.index for f in lattice.flats}
+    assert set(labels) <= set(shapes(G))
+    for g in G.coxeter_generators():
+        action = hyperplane_action(G, g)
+        for f in lattice.flats:
+            assert labels[by_bits[permute_bits(f.bits, action)]] == labels[f.index]
+    for shape in shapes(G):
+        assert labels[by_bits[incidence(G, shape_fix_space(G, shape))]] == shape
+
+
+def test_build_does_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice build called linear algebra")
+
+    monkeypatch.setattr(Subspace, "meet_hyperplane", refuse)
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(refuse))
+    assert len(build_lattice(GroupDescriptor("B", 4)).flats) == 116
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from coxchar import verify
 from coxchar.classfunctions import trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor
-from coxchar.lattice import get_lattice
 from coxchar.verify import (
     format_poincare_table,
     poincare_table,
@@ -149,11 +148,10 @@ def test_cli_rank_7_with_raised_budget():
 
 def test_verify_shape_reports():
     G = GroupDescriptor("D", 4)
-    lattice = get_lattice(G)
-    report = verify_shape(G, Shape((2, 2), "-"), lattice=lattice)
+    report = verify_shape(G, Shape((2, 2), "-"))
     assert report.status == "pass"
     assert report.check == "shape 2+2^-"
-    report = verify_os(G, lattice=lattice)
+    report = verify_os(G)
     assert report.status == "pass"
 
 
