@@ -7,7 +7,8 @@
     coxchar --family B --rank 4 --check os --budget-flats 10000
 
 Exit codes: 0 all requested checks pass (or are skipped), 1 a verification
-failed, 2 usage or budget error.
+failed, 2 usage or budget error, 3 internal error (an invariant of the
+program failed; the message is one `internal error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .verify import (
     verify_shape,
 )
 
-CLI_FLAT_BUDGET = 6_000
+CLI_FLAT_BUDGET = 30_000
 
 LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
 
@@ -130,6 +131,9 @@ def main(argv=None) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
+        except AssertionError as err:
+            print(f"internal error: {err}", file=sys.stderr)
+            return 3
         for report in reports:
             print(report.summary())
             if report.table is not None:

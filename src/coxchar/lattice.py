@@ -21,10 +21,24 @@ function mu_w recurses top-down; its generating function
     P_w(t) = sum over stable X of mu_w(X) (-t)^(codim X)
 
 has the trace of w on the degree-p cohomology of the arrangement
-complement as its t^p coefficient.  Orbits of flats are labelled by
-shapes, read off the point: the block sizes, and in type D with no zero
-block and all sizes even the parity of its negative entries, refining
-P_w per shape.
+complement as its t^p coefficient.
+
+mu_w(V, X) is computed once per interval type.  For a flat X with zero
+block Z and other blocks B_1..B_m, the flats containing X are those of
+the hyperplanes through X, so [V, X] is L(Z) x Pi(B_1) x ... x Pi(B_m):
+L(Z) the lattice of the B_Z arrangement (D_Z in type D; nothing in type
+A), Pi(B) the partition lattice of a block, its signs inherited from X.
+A w stabilizing X acts on L(Z) through w|Z and permutes the Pi(B)
+factors; the fixed points of an orbit of k factors are those of
+Pi(B)^rho, rho = w^k on one block, acting through its underlying
+permutation.  Mu is multiplicative over products, so mu_w(V, X) depends
+only on the signed cycle type of w|Z and the multiset of (k, cycle type
+of rho) over the block orbits (_interval_type).  Conjugate actions give
+isomorphic fixed posets, so one subset scan per type suffices.
+
+Orbits of flats are labelled by shapes, read off the point: the block
+sizes, and in type D with no zero block and all sizes even the parity of
+its negative entries, refining P_w per shape.
 """
 
 from __future__ import annotations
@@ -73,15 +87,6 @@ class Flat:
         return len(self.point) - self.dim
 
 
-def _permute_bits(bits: int, action) -> int:
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << action[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 class Lattice:
     def __init__(self, G: GroupDescriptor, flats, shape_labels):
         self.G = G
@@ -97,27 +102,47 @@ class Lattice:
     # -- fixed subposets and their Moebius functions -------------------------
 
     def fixed_subposet(self, w: SignedPermutation):
+        """Indices of the w-stable flats.  w permutes the hyperplanes, so a
+        flat is stable once the image of each of its hyperplanes is again
+        one of them; the test stops at the first that is not."""
         action = hyperplane_action(self.G, w)
-        return [
-            f.index
-            for f in self.flats
-            if _permute_bits(f.bits, action) == f.bits
-        ]
+        out = []
+        for f in self.flats:
+            bits = rest = f.bits
+            while rest:
+                low = rest & -rest
+                if not bits >> action[low.bit_length() - 1] & 1:
+                    break
+                rest ^= low
+            else:
+                out.append(f.index)
+        return out
 
-    def moebius(self, subposet) -> dict[int, int]:
-        """mu of the subposet ordered by reverse inclusion from the bottom V."""
+    def moebius(self, subposet, w: SignedPermutation) -> dict[int, int]:
+        """mu_w on subposet = fixed_subposet(w), ordered by reverse inclusion
+        from the bottom V.
+
+        mu_w(V, X) depends only on _interval_type(X, w): the first flat of
+        each type sums mu over the stable flats below it, and every later
+        flat of that type reuses the value.
+        """
         flats = sorted((self.flats[k] for k in subposet), key=lambda f: f.codim)
         if not flats or flats[0].codim != 0:
             raise ValueError("subposet must contain the ambient space")
         mu: dict[int, int] = {}
+        by_type: dict = {}
         done: list[Flat] = []
         for f in flats:
-            total = 0
-            bx = f.bits
-            for g in done:
-                if g.bits & bx == g.bits:
-                    total += mu[g.index]
-            mu[f.index] = 1 if not done else -total
+            key = _interval_type(f.point, w)
+            value = by_type.get(key)
+            if value is None:
+                total = 0
+                bx = f.bits
+                for g in done:
+                    if g.bits & bx == g.bits:
+                        total += mu[g.index]
+                value = by_type[key] = 1 if not done else -total
+            mu[f.index] = value
             done.append(f)
         return mu
 
@@ -128,7 +153,7 @@ class Lattice:
         classes = conjugacy_classes(self.G)
         w = classes[k].rep
         sub = self.fixed_subposet(w)
-        mu = self.moebius(sub)
+        mu = self.moebius(sub, w)
         self._mu_cache[k] = (sub, mu)
         n = self.G.degree
         if self.G.family == "B" or (self.G.family == "D" and n % 2 == 0):
@@ -145,12 +170,49 @@ class Lattice:
             sub, mu = self._class_mu(k)
         else:
             sub = self.fixed_subposet(w)
-            mu = self.moebius(sub)
+            mu = self.moebius(sub, w)
         coeffs = [0] * (self.rank + 1)
         for idx in sub:
             c = self.flats[idx].codim
             coeffs[c] += mu[idx] * (-1) ** c
         return tuple(coeffs)
+
+
+def _interval_type(point, w: SignedPermutation):
+    """The key that fixes mu_w(V, X) for a w-stable flat X with this point.
+
+    The signed cycle type of w on the zero block, and the sorted multiset,
+    over w-orbits of the other blocks, of (orbit length k, cycle type of
+    w^k on one block of the orbit).  A cycle of |w| off the zero block
+    meets every block of its orbit equally often, so k is the number of
+    labels it meets and it leaves one cycle of length len/k in w^k on a
+    block.  Cycles are grouped by the orbit's smallest label; grouping them
+    by the label a walk starts in would split an orbit and merge types.
+    """
+    images = w.images
+    seen = [False] * len(point)
+    zero = []
+    orbits: dict[int, tuple[int, list[int]]] = {}
+    for start in range(len(point)):
+        if seen[start]:
+            continue
+        labels = set()
+        length, sign, v = 0, 1, start
+        while not seen[v]:
+            seen[v] = True
+            labels.add(abs(point[v]))
+            length += 1
+            image = images[v]
+            if image < 0:
+                sign = -sign
+            v = abs(image) - 1
+        if point[start] == 0:
+            zero.append((sign, length))
+        else:
+            k = len(labels)
+            orbits.setdefault(min(labels), (k, []))[1].append(length // k)
+    blocks = sorted((k, tuple(sorted(rho))) for k, rho in orbits.values())
+    return tuple(sorted(zero)), tuple(blocks)
 
 
 def _sides(point, h: Hyperplane) -> tuple[int, int]:

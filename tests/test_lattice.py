@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from coxchar.groups import (
     hyperplane_set,
 )
 from coxchar.lattice import (
+    _interval_type,
     build_lattice,
     get_lattice,
     graded_os_character,
@@ -35,7 +39,8 @@ def poly_product(exponents, rank):
 
 def whitney_point_count(lattice, q):
     """sum mu(X) q^dim X over the full lattice."""
-    mu = lattice.moebius([f.index for f in lattice.flats])
+    identity = SignedPermutation.identity(lattice.G.degree)
+    mu = lattice.moebius([f.index for f in lattice.flats], identity)
     return sum(mu[f.index] * q**f.dim for f in lattice.flats)
 
 
@@ -75,6 +80,41 @@ def rref_closure(G):
 
 def permute_bits(bits, action):
     return sum(1 << action[k] for k in range(len(action)) if bits >> k & 1)
+
+
+def stable_by_permuting(lattice, w):
+    """Indices of the flats whose hyperplane set w maps onto itself."""
+    action = hyperplane_action(lattice.G, w)
+    return [f.index for f in lattice.flats if permute_bits(f.bits, action) == f.bits]
+
+
+def moebius_by_scan(lattice, subposet):
+    """mu of the subposet by the plain scan: every flat sums mu over all
+    the subposet's flats below it, O(F^2) subset tests."""
+    flats = sorted((lattice.flats[k] for k in subposet), key=lambda f: f.codim)
+    mu = {}
+    done = []
+    for f in flats:
+        below = sum(mu[g.index] for g in done if g.bits & f.bits == g.bits)
+        mu[f.index] = 1 if not done else -below
+        done.append(f)
+    return mu
+
+
+def random_elements(G, count, seed):
+    """count seeded random elements of G, none a class representative."""
+    rng = random.Random(seed)
+    n = G.degree
+    reps = {cls.rep for cls in conjugacy_classes(G)}
+    out = []
+    while len(out) < count:
+        images = rng.sample(range(1, n + 1), n)
+        if G.family != "A":
+            images = [v * rng.choice((1, -1)) for v in images]
+        w = SignedPermutation(tuple(images))
+        if G.contains(w) and w not in reps:
+            out.append(w)
+    return out
 
 
 def brute_point_count(G, q):
@@ -132,7 +172,9 @@ def test_codim_one_flats_are_hyperplanes(family, rank):
 def test_b2_moebius_hand_values():
     G = GroupDescriptor("B", 2)
     lattice = get_lattice(G)
-    full = lattice.moebius([f.index for f in lattice.flats])
+    full = lattice.moebius(
+        [f.index for f in lattice.flats], SignedPermutation.identity(2)
+    )
     by_codim = {}
     for f in lattice.flats:
         by_codim.setdefault(f.codim, []).append(full[f.index])
@@ -141,7 +183,7 @@ def test_b2_moebius_hand_values():
     assert by_codim[2] == [3]
     sub = lattice.fixed_subposet(SignedPermutation.flip(2))
     assert len(sub) == 4
-    mu = lattice.moebius(sub)
+    mu = lattice.moebius(sub, SignedPermutation.flip(2))
     values = sorted(mu[k] for k in sub if lattice.flats[k].codim == 1)
     assert values == [-1, -1]
     origin = [k for k in sub if lattice.flats[k].codim == 2]
@@ -345,7 +387,7 @@ def test_pairing_shortcut_matches_direct_computation(family, rank):
     for cls in conjugacy_classes(G):
         shared = lattice.poincare_polynomial(cls.rep)
         sub = lattice.fixed_subposet(cls.rep)
-        mu = lattice.moebius(sub)
+        mu = lattice.moebius(sub, cls.rep)
         direct = [0] * (G.rank + 1)
         for idx in sub:
             c = lattice.flats[idx].codim
@@ -369,3 +411,83 @@ def test_trivial_parabolic_shape_orbit_is_ambient():
 def test_flat_budget():
     with pytest.raises(BudgetError):
         build_lattice(GroupDescriptor("B", 4), budget=10)
+
+
+SMALL_GROUPS = (
+    [("A", r) for r in range(1, 7)]
+    + [("B", r) for r in range(2, 7)]
+    + [("D", r) for r in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SMALL_GROUPS)
+def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
+    """Per-flat mu_w by interval type equals the full subset scan, and the
+    early-exit stability test finds the flats whose hyperplane set w maps
+    onto itself."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    for cls in conjugacy_classes(G):
+        sub = lattice.fixed_subposet(cls.rep)
+        assert sub == stable_by_permuting(lattice, cls.rep)
+        assert lattice.moebius(sub, cls.rep) == moebius_by_scan(lattice, sub)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, r in SMALL_GROUPS if 2 <= r <= 5]
+)
+def test_moebius_and_stable_flats_match_oracles_off_representatives(family, rank):
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    for w in random_elements(G, 20, seed=rank):
+        sub = lattice.fixed_subposet(w)
+        assert sub == stable_by_permuting(lattice, w)
+        assert lattice.moebius(sub, w) == moebius_by_scan(lattice, sub)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("A", 4)])
+def test_interval_type_is_conjugation_invariant(family, rank):
+    """_interval_type(g X, g w g^-1) == _interval_type(X, w) for every
+    Coxeter generator g, every class representative w and every w-stable X."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    by_bits = {f.bits: f for f in lattice.flats}
+    for g in G.coxeter_generators():
+        action = hyperplane_action(G, g)
+        for cls in conjugacy_classes(G):
+            w = cls.rep
+            for idx in lattice.fixed_subposet(w):
+                x = lattice.flats[idx]
+                gx = by_bits[permute_bits(x.bits, action)]
+                assert _interval_type(gx.point, w.conjugate(g)) == _interval_type(
+                    x.point, w
+                )
+
+
+@pytest.mark.parametrize(
+    "family,rank,types",
+    [("A", 6, 15), ("B", 6, 30), ("D", 6, 23), ("B", 7, 45), ("D", 7, 34)],
+)
+def test_identity_runs_one_scan_per_block_shape(family, rank, types):
+    """Work guard: for the identity the interval types, one subset scan
+    each, are the (zero-block size, block-size partition) pairs."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G, budget=30_000)
+    identity = SignedPermutation.identity(G.degree)
+    keys = {_interval_type(f.point, identity) for f in lattice.flats}
+    pairs = {
+        (
+            f.point.count(0),
+            tuple(sorted(Counter(abs(x) for x in f.point if x).values())),
+        )
+        for f in lattice.flats
+    }
+    assert len(keys) == len(pairs) == types
+
+
+@pytest.mark.parametrize("family,rank", [("B", 7), ("D", 7), ("A", 8)])
+def test_identity_poincare_is_exponent_product_rank_7_and_8(family, rank):
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G, budget=30_000)
+    got = lattice.poincare_polynomial(SignedPermutation.identity(G.degree))
+    assert got == poly_product(reflection_exponents(G), G.rank)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import stretch_enabled
 from coxchar import verify
 from coxchar.classfunctions import trivial_character
 from coxchar.cli import main
@@ -9,6 +10,7 @@ from coxchar.groups import GroupDescriptor
 from coxchar.verify import (
     format_poincare_table,
     poincare_table,
+    verify_all_shapes,
     verify_graded,
     verify_os,
     verify_regular,
@@ -144,6 +146,48 @@ def test_cli_rank_7_with_raised_budget():
         "--budget-elements", "1000000",
     ])
     assert code == 0
+
+
+def test_cli_rank_7_lattice_check_with_default_budget():
+    assert main(["--family", "D", "--rank", "7", "--check", "poincare"]) == 0
+
+
+def test_rank_7_lattice_identities():
+    """The os, graded and every shape identity, and the Poincare table, on
+    D7 (17 867 flats, 34 classes)."""
+    G = GroupDescriptor("D", 7)
+    reports = [
+        verify_os(G, budget_flats=30_000),
+        verify_graded(G, budget_flats=30_000),
+        *verify_all_shapes(G, budget_flats=30_000),
+        poincare_table(G, budget_flats=30_000),
+    ]
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+
+
+@pytest.mark.skipif(
+    not stretch_enabled(), reason="rank 7 and 8 check all needs COXCHAR_STRETCH=1"
+)
+@pytest.mark.parametrize(
+    "family,rank,budget",
+    [("B", 7, []), ("D", 8, ["--budget-flats", "300000"]),
+     ("B", 8, ["--budget-flats", "300000"])],
+)
+def test_cli_check_all_rank_7_and_8(family, rank, budget):
+    argv = ["--family", family, "--rank", str(rank), "--check", "all", *budget]
+    assert main(argv) == 0
+
+
+def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(G, spec):
+        raise AssertionError("class tally weights do not sum to |C|")
+
+    monkeypatch.setattr(verify, "induce_from_centralizer", broken)
+    code = main(["--family", "B", "--rank", "3", "--check", "regular"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: class tally weights do not sum to |C|\n"
 
 
 def test_verify_shape_reports():
