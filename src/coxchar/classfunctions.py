@@ -1,19 +1,26 @@
 """Class functions and induction from centralizers.
 
-A ClassFunction holds one exact cyclotomic value per conjugacy class of a
-fixed group, in the canonical class order.  Induction of a linear
-centralizer character to the whole group buckets character values by the
-class each element of H = C_G(w) fuses into (signed cycle type, plus the
-split tag in type D):
+A ClassFunction holds one value per conjugacy class of a fixed group, in
+the canonical class order.  Every class function built here is a
+(virtual) character of a Weyl group, so its values are rational
+integers, and a value is a Python int.  Induction of a linear centralizer
+character to the whole group buckets character values, roots of unity,
+by the class each element of H = C_G(w) fuses into (signed cycle type,
+plus the split tag in type D):
 
     Ind(g) = |C_G(g)| / |H| * sum of chi(h) over h in H with h ~_G g.
+
+Each bucket (root -> count) is reduced once, modulo the cyclotomic
+polynomial of the roots' common order, to its integer value; a value
+that is irrational or not an integer is an internal error
+(AssertionError).
 
 No element of H is built: H is a direct product of wreath products, one
 per family of equal blocks, and the weighted class tallies of the families
 (centralizers.centralizer_tallies) are convolved, fusion key by
 concatenation, character value by product, D parity and split side by
 sum mod 2.  A quadratic scan over the whole group implements the same
-functional as an independent oracle for small groups.
+functional as an independent oracle for small groups, in Cyc arithmetic.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .centralizers import centralizer_tallies, convolve_tallies
 from .characters import LinearCharacterSpec, evaluate
-from .cyclotomic import ONE, Cyc, root_mul
+from .cyclotomic import ONE, Cyc, Root, _power_table, root_mul
 from .groups import (
     BudgetError,
     GroupDescriptor,
@@ -52,7 +60,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ClassFunction:
     group: GroupDescriptor
-    values: tuple[Cyc, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.values) != len(conjugacy_classes(self.group)):
@@ -81,49 +89,69 @@ class ClassFunction:
             self.group, tuple(a * b for a, b in zip(self.values, other.values))
         )
 
-    def scale(self, q) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(v.scale(q) for v in self.values))
-
     def equals(self, other) -> bool:
         self._require_same_group(other)
-        return all((a - b).is_zero() for a, b in zip(self.values, other.values))
+        return self.values == other.values
 
     def discrepancies(self, other):
         """Indices and value pairs where the two functions differ."""
         self._require_same_group(other)
-        out = []
-        for k, (a, b) in enumerate(zip(self.values, other.values)):
-            if not (a - b).is_zero():
-                out.append((k, a, b))
-        return out
+        return [
+            (k, a, b)
+            for k, (a, b) in enumerate(zip(self.values, other.values))
+            if a != b
+        ]
 
-    def __getitem__(self, k) -> Cyc:
+    def __getitem__(self, k) -> int:
         return self.values[k]
 
 
 def zero_function(G) -> ClassFunction:
-    return ClassFunction(G, tuple(Cyc.zero() for _ in conjugacy_classes(G)))
+    return ClassFunction(G, (0,) * len(conjugacy_classes(G)))
 
 
 def regular_character(G) -> ClassFunction:
-    values = [Cyc.zero() for _ in conjugacy_classes(G)]
+    values = [0] * len(conjugacy_classes(G))
     identity = signed_cycle_type(SignedPermutation.identity(G.degree))
-    values[class_index(G)[(identity, None)]] = Cyc.from_rational(G.order)
+    values[class_index(G)[(identity, None)]] = G.order
     return ClassFunction(G, tuple(values))
 
 
 def trivial_character(G) -> ClassFunction:
-    return ClassFunction(G, tuple(Cyc.one() for _ in conjugacy_classes(G)))
+    return ClassFunction(G, (1,) * len(conjugacy_classes(G)))
 
 
 def sign_class_function(G) -> ClassFunction:
     return ClassFunction(
-        G,
-        tuple(
-            Cyc.from_rational(sign_character(G, cls.rep))
-            for cls in conjugacy_classes(G)
-        ),
+        G, tuple(sign_character(G, cls.rep) for cls in conjugacy_classes(G))
     )
+
+
+def _integer_value(bucket: dict[Root, int], num: int, den: int) -> int:
+    """num/den * sum of count * root over the bucket, which must be an
+    integer.
+
+    The roots are written in the power basis of Q(zeta_m), m the lcm of
+    their orders: the sum is rational iff only the constant coefficient
+    is left.
+    """
+    m = 1
+    for _, order in bucket:
+        m = m * order // gcd(m, order)
+    table = _power_table(m)
+    coeffs = [0] * len(table[0])
+    for (k, order), count in bucket.items():
+        for i, v in enumerate(table[k * (m // order)]):
+            if v:
+                coeffs[i] += count * v
+    if any(coeffs[1:]):
+        raise AssertionError(f"irrational class function value {bucket}")
+    value, rest = divmod(coeffs[0] * num, den)
+    if rest:
+        raise AssertionError(
+            f"non-integral class function value {coeffs[0] * num}/{den}"
+        )
+    return value
 
 
 def class_function_of_spec(G, spec: LinearCharacterSpec) -> ClassFunction:
@@ -135,7 +163,8 @@ def class_function_of_spec(G, spec: LinearCharacterSpec) -> ClassFunction:
     return ClassFunction(
         G,
         tuple(
-            Cyc.from_root(evaluate(spec, cls.rep)) for cls in conjugacy_classes(G)
+            _integer_value({evaluate(spec, cls.rep): 1}, 1, 1)
+            for cls in conjugacy_classes(G)
         ),
     )
 
@@ -211,14 +240,10 @@ def induce_from_centralizer(
             f"tallied {count} elements, expected centralizer order {order_h}"
         )
 
-    values = []
-    for cls in classes:
-        bucket = buckets.get(cls.key)
-        if not bucket:
-            values.append(Cyc.zero())
-            continue
-        scale = Fraction(cls.centralizer_order, order_h)
-        values.append(Cyc({r: scale * c for r, c in bucket.items()}))
+    values = [0] * len(classes)
+    for key, bucket in buckets.items():
+        k = index[key]
+        values[k] = _integer_value(bucket, classes[k].centralizer_order, order_h)
     return ClassFunction(G, tuple(values))
 
 
@@ -258,16 +283,19 @@ def induce_direct(G: GroupDescriptor, chi: LinearCharacterSpec, budget=5000):
             y = SignedPermutation(images)
             if y.compose(w) == w.compose(y):
                 total = total + Cyc.from_root(evaluate(chi, y)).scale(count)
-        values.append(total)
-    return ClassFunction(
-        G, tuple(v.scale(Fraction(1, order_h)) for v in values)
-    )
+        value = total.scale(Fraction(1, order_h)).as_rational()
+        if value is None or value.denominator != 1:
+            raise AssertionError(f"non-integral induced value {total}")
+        values.append(value.numerator)
+    return ClassFunction(G, tuple(values))
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Cyc:
-    """(1/|G|) sum over classes of size * f * conj(g)."""
+def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
+    """(1/|G|) sum over classes of size * f * conj(g); the values are
+    rational integers, so conj is the identity."""
     f._require_same_group(g)
-    total = Cyc.zero()
-    for cls, a, b in zip(conjugacy_classes(f.group), f.values, g.values):
-        total = total + (a * b.conj()).scale(cls.size)
-    return total.scale(Fraction(1, f.group.order))
+    total = sum(
+        cls.size * a * b
+        for cls, a, b in zip(conjugacy_classes(f.group), f.values, g.values)
+    )
+    return Fraction(total, f.group.order)

@@ -46,8 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .classfunctions import ClassFunction
-from .cyclotomic import Cyc
+from .classfunctions import ClassFunction, zero_function
 from .groups import (
     BudgetError,
     GroupDescriptor,
@@ -307,7 +306,7 @@ def graded_os_character(lattice: Lattice):
     classes = conjugacy_classes(G)
     rows = [lattice.poincare_polynomial(cls.rep) for cls in classes]
     return [
-        ClassFunction(G, tuple(Cyc.from_rational(row[p]) for row in rows))
+        ClassFunction(G, tuple(row[p] for row in rows))
         for p in range(lattice.rank + 1)
     ]
 
@@ -325,17 +324,10 @@ def shape_os_character(lattice: Lattice, shape: Shape):
             if lattice.shape_labels[idx] == shape:
                 total += mu[idx]
         values.append(total * (-1) ** p0)
-    out = []
-    for p in range(lattice.rank + 1):
-        if p == p0:
-            out.append(
-                ClassFunction(G, tuple(Cyc.from_rational(v) for v in values))
-            )
-        else:
-            out.append(
-                ClassFunction(G, tuple(Cyc.zero() for _ in classes))
-            )
-    return out
+    return [
+        ClassFunction(G, tuple(values)) if p == p0 else zero_function(G)
+        for p in range(lattice.rank + 1)
+    ]
 
 
 def reflection_exponents(G: GroupDescriptor):

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 9 runs the
 rank-7 identities by default (they take seconds here); the optional
-rank-8 runs are enabled with COXCHAR_STRETCH=1.
+rank-8, 10 and 12 runs are enabled with COXCHAR_STRETCH=1.
 """
 
 import math
@@ -237,16 +237,16 @@ def test_criterion_8_centralizer_orders():
 
 
 def test_criterion_9_stretch_rank_7_and_8():
-    """Rank 7 regular identities; rank 8 and 10 when COXCHAR_STRETCH=1
+    """Rank 7 regular identities; rank 8, 10 and 12 when COXCHAR_STRETCH=1
     (the headline classical instances, and beyond)."""
     ok = True
     for G in [GroupDescriptor("B", 7), GroupDescriptor("D", 7)]:
         ok = ok and verify_regular(G).status == "pass"
     detail = "B7, D7"
     if stretch_enabled():
-        for rank in (8, 10):
+        for rank in (8, 10, 12):
             for family in "BD":
                 G = GroupDescriptor(family, rank)
                 ok = ok and verify_regular(G).status == "pass"
-        detail = "B7, D7, B8, D8, B10, D10"
+        detail = "B7, D7, B8, D8, B10, D10, B12, D12"
     _report(9, ok, detail)

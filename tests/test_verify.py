@@ -1,12 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
 from conftest import stretch_enabled
 from coxchar import verify
-from coxchar.classfunctions import trivial_character
+from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
-from coxchar.groups import GroupDescriptor
+from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.verify import (
     format_poincare_table,
     poincare_table,
@@ -237,3 +238,112 @@ def test_failing_graded_and_shape_carry_triage(monkeypatch):
     assert shape.status == "fail"
     assert [e["class"] for e in shape.discrepancies].count(TRIAGE) == 1
     assert shape.discrepancies[-1]["class"] == TRIAGE
+
+
+def _at_identity(G):
+    """1 on the identity class, 0 elsewhere: not a character, so the
+    triage inner products are proper fractions."""
+    return ClassFunction(G, (1,) + (0,) * (len(conjugacy_classes(G)) - 1))
+
+
+# Frozen from the Cyc-valued class functions that preceded integer values:
+# exit code, number of discrepancy entries, sha256 of the JSON entries
+# (check name and entry, sort_keys) and of stdout, and for B3 every triage
+# entry as (check, degree, expected, got).
+FROZEN_FAILING_REPORTS = {
+    ("trivial", "B", 3): (
+        1, 143,
+        "6ec18df8f6327ce3d93bd746d3a01aef8e8815a742c88ab826404a256c7e76cf",
+        "2f4dcd8afcff98ee7374069c8955bc7abf9649ea9b74cc64071974d8c648bf48",
+        [
+            ("regular", None, "-10", "0"), ("os", None, "0", "-10"),
+            ("graded", 0, "-1", "0"), ("graded", 1, "-2", "0"),
+            ("graded", 2, "-4", "0"), ("graded", 3, "-3", "0"),
+            ("shape ()", None, "-3", "0"), ("shape 1", None, "-2", "0"),
+            ("shape 1+1", None, "-1", "0"), ("shape 2", None, "-1", "0"),
+            ("shape 1+1+1", None, "-1", "0"), ("shape 2+1", None, "-1", "0"),
+            ("shape 3", None, "-1", "0"),
+        ],
+    ),
+    ("trivial", "D", 4): (
+        1, 252,
+        "61d7fd07921e0c01c763f4fbf4fcfd955bf5eebdd312a3e1c6ca42c50680820d",
+        "c5e40353ea0ed2646610ee83504aa1c81f1894ace5612b019e61d80290ef02ce",
+        None,
+    ),
+    ("identity", "B", 3): (
+        1, 26,
+        "84126eb51aefb76ccb8bb97e9c9f7764fddcc73cbe7f7b559a151cdfafae872e",
+        "851a18ca601e3134f4266fd792e9d9153b35b72bd364d22cae4d0d510dadde7e",
+        [
+            ("regular", None, "-5/24", "-5/24"), ("os", None, "-5/24", "-5/24"),
+            ("graded", 0, "-1/48", "-1/48"), ("graded", 1, "-1/24", "-1/24"),
+            ("graded", 2, "-1/12", "-1/12"), ("graded", 3, "-1/16", "-1/16"),
+            ("shape ()", None, "-1/16", "-1/16"),
+            ("shape 1", None, "-1/24", "-1/24"),
+            ("shape 1+1", None, "-1/48", "-1/48"),
+            ("shape 2", None, "-1/48", "-1/48"),
+            ("shape 1+1+1", None, "-1/48", "-1/48"),
+            ("shape 2+1", None, "-1/48", "-1/48"),
+            ("shape 3", None, "-1/48", "-1/48"),
+        ],
+    ),
+    ("identity", "D", 4): (
+        1, 36,
+        "6a78f5c6ebb906da1623b454dbed195956cb1d833e0b2a87de0e5c76eb9c12f9",
+        "5a592a6517dd5c29e43e17512a85108ed9395316a86e6fc605c2adead6a6c6a8",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "perturbation,family,rank", sorted(FROZEN_FAILING_REPORTS), ids=str
+)
+def test_failing_report_strings_are_frozen(
+    perturbation, family, rank, monkeypatch, capsys, tmp_path
+):
+    """Every check fails with induction perturbed (off by the trivial
+    character, or by 1 at the identity); the printed and JSON discrepancy
+    and triage strings, inner-product fractions included, are unchanged."""
+    real = verify.induce_from_centralizer
+    offset = trivial_character if perturbation == "trivial" else _at_identity
+    monkeypatch.setattr(
+        verify, "induce_from_centralizer",
+        lambda G, spec: real(G, spec) + offset(G),
+    )
+    target = tmp_path / "report.json"
+    code = main([
+        "--family", family, "--rank", str(rank), "--check", "all",
+        "--json", str(target),
+    ])
+    stdout = capsys.readouterr().out
+    reports = json.loads(target.read_text())["reports"]
+    entries = [[r["check"], e] for r in reports for e in r["discrepancies"]]
+    digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode())
+    triage = [
+        (check, e.get("degree"), e["expected"], e["got"])
+        for check, e in entries
+        if e["class"] == TRIAGE
+    ]
+    want_code, count, want_digest, want_stdout, want_triage = (
+        FROZEN_FAILING_REPORTS[perturbation, family, rank]
+    )
+    assert (code, len(entries)) == (want_code, count)
+    if want_triage is not None:
+        assert triage == want_triage
+    assert digest.hexdigest() == want_digest
+    assert hashlib.sha256(stdout.encode()).hexdigest() == want_stdout
+
+
+def test_checks_build_no_cyc(monkeypatch, capsys):
+    """Every check runs on integer class functions: no Cyc is built."""
+    from coxchar.cyclotomic import Cyc
+
+    def refuse(self, terms=None):
+        raise RuntimeError("Cyc built on the check path")
+
+    monkeypatch.setattr(Cyc, "__init__", refuse)
+    for family, rank in [("A", 4), ("B", 3), ("D", 4)]:
+        assert main(["--family", family, "--rank", str(rank), "--check", "all"]) == 0
+    assert "pass" in capsys.readouterr().out
