@@ -3,7 +3,7 @@ Coxeter groups: conjugacy data, centralizer characters, induction, the
 intersection lattice with its equivariant Moebius functions, and the
 verification suite tying them together."""
 
-from .cyclotomic import Cyc, root
+from .cyclotomic import root
 from .groups import (
     BudgetError,
     ConjClass,
@@ -33,7 +33,6 @@ from .characters import (
 )
 from .classfunctions import (
     ClassFunction,
-    induce_direct,
     induce_from_centralizer,
     inner_product,
     regular_character,

@@ -19,8 +19,7 @@ No element of H is built: H is a direct product of wreath products, one
 per family of equal blocks, and the weighted class tallies of the families
 (centralizers.centralizer_tallies) are convolved, fusion key by
 concatenation, character value by product, D parity and split side by
-sum mod 2.  A quadratic scan over the whole group implements the same
-functional as an independent oracle for small groups, in Cyc arithmetic.
+sum mod 2.
 """
 
 from __future__ import annotations
@@ -32,13 +31,11 @@ from math import gcd
 
 from .centralizers import centralizer_tallies, convolve_tallies
 from .characters import LinearCharacterSpec, evaluate
-from .cyclotomic import ONE, Cyc, Root, _power_table, root_mul
+from .cyclotomic import ONE, Root, _power_table, root_mul
 from .groups import (
-    BudgetError,
     GroupDescriptor,
     class_index,
     conjugacy_classes,
-    group_elements,
     sign_character,
     signed_cycle_type,
 )
@@ -52,7 +49,6 @@ __all__ = [
     "sign_class_function",
     "class_function_of_spec",
     "induce_from_centralizer",
-    "induce_direct",
     "inner_product",
 ]
 
@@ -244,49 +240,6 @@ def induce_from_centralizer(
     for key, bucket in buckets.items():
         k = index[key]
         values[k] = _integer_value(bucket, classes[k].centralizer_order, order_h)
-    return ClassFunction(G, tuple(values))
-
-
-@lru_cache(maxsize=8)
-def _conjugate_multiset(G: GroupDescriptor):
-    """Per class of G: the multiset {x^{-1} g x : x in G} as an images->count
-    map.  One literal |G|-scan per class, shared across oracle calls."""
-    elements = list(group_elements(G))
-    tables = []
-    for cls in conjugacy_classes(G):
-        g = cls.rep
-        counts: dict[tuple, int] = {}
-        for x in elements:
-            y = g.conjugate(x.inverse())
-            counts[y.images] = counts.get(y.images, 0) + 1
-        tables.append(counts)
-    return tuple(tables)
-
-
-def induce_direct(G: GroupDescriptor, chi: LinearCharacterSpec, budget=5000):
-    """Induction by the definition, as an independent oracle:
-
-        Ind(g) = (1/|H|) sum over x in G with x^{-1} g x in H
-                 of chi(x^{-1} g x),
-
-    membership in H = C_G(w) decided by commutation, no fusion keys."""
-    if budget is not None and G.order > budget:
-        raise BudgetError(f"|{G}| = {G.order} exceeds the oracle budget {budget}")
-    w = chi.base_rep()
-    order_h = sum(
-        1 for x in group_elements(G) if x.compose(w) == w.compose(x)
-    )
-    values = []
-    for counts in _conjugate_multiset(G):
-        total = Cyc.zero()
-        for images, count in counts.items():
-            y = SignedPermutation(images)
-            if y.compose(w) == w.compose(y):
-                total = total + Cyc.from_root(evaluate(chi, y)).scale(count)
-        value = total.scale(Fraction(1, order_h)).as_rational()
-        if value is None or value.denominator != 1:
-            raise AssertionError(f"non-integral induced value {total}")
-        values.append(value.numerator)
     return ClassFunction(G, tuple(values))
 
 

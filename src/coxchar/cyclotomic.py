@@ -1,15 +1,13 @@
 """Exact cyclotomic arithmetic.
 
 Roots of unity are pairs (k, m) standing for exp(2*pi*i*k/m), kept
-normalized with gcd(k, m) = 1 (so m is the true order).  Sums of roots
-with rational coefficients live in `Cyc`; equality and rationality tests
-reduce modulo the m-th cyclotomic polynomial, so all identities are
-decided exactly.
+normalized with gcd(k, m) = 1 (so m is the true order).  A sum of roots
+is reduced modulo the m-th cyclotomic polynomial through the power table
+x^k mod Phi_m, so rationality is decided exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -21,7 +19,6 @@ __all__ = [
     "root_mul",
     "root_pow",
     "root_conj",
-    "Cyc",
     "cyclotomic_polynomial",
 ]
 
@@ -96,139 +93,3 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
             shifted = [a - lead * b for a, b in zip(shifted, phi[:deg])]
         rows.append(tuple(shifted))
     return tuple(rows)
-
-
-class Cyc:
-    """A finite rational combination of roots of unity, exact."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data: dict[Root, Fraction] = {}
-        if terms:
-            for r, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    data[r] = c
-        self.terms = data
-
-    @staticmethod
-    def zero() -> "Cyc":
-        return Cyc()
-
-    @staticmethod
-    def one() -> "Cyc":
-        return Cyc({ONE: Fraction(1)})
-
-    @staticmethod
-    def from_root(r: Root, coeff=1) -> "Cyc":
-        return Cyc({r: Fraction(coeff)})
-
-    @staticmethod
-    def from_rational(q) -> "Cyc":
-        return Cyc({ONE: Fraction(q)})
-
-    def __add__(self, other: "Cyc") -> "Cyc":
-        data = dict(self.terms)
-        for r, c in other.terms.items():
-            s = data.get(r, Fraction(0)) + c
-            if s:
-                data[r] = s
-            else:
-                data.pop(r, None)
-        out = Cyc()
-        out.terms = data
-        return out
-
-    def __neg__(self) -> "Cyc":
-        out = Cyc()
-        out.terms = {r: -c for r, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Cyc") -> "Cyc":
-        return self + (-other)
-
-    def __mul__(self, other: "Cyc") -> "Cyc":
-        data: dict[Root, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                r = root_mul(r1, r2)
-                s = data.get(r, Fraction(0)) + c1 * c2
-                if s:
-                    data[r] = s
-                else:
-                    data.pop(r, None)
-        out = Cyc()
-        out.terms = data
-        return out
-
-    def scale(self, q) -> "Cyc":
-        q = Fraction(q)
-        out = Cyc()
-        if q:
-            out.terms = {r: c * q for r, c in self.terms.items()}
-        return out
-
-    def conj(self) -> "Cyc":
-        out = Cyc()
-        out.terms = {root_conj(r): c for r, c in self.terms.items()}
-        return out
-
-    # -- canonical reduction -------------------------------------------------
-
-    def _reduced(self):
-        """(m, coefficient tuple mod Phi_m) with m = lcm of term orders."""
-        m = 1
-        for _, order in self.terms:
-            m = m * order // gcd(m, order)
-        table = _power_table(m)
-        deg = len(table[0])
-        coeffs = [Fraction(0)] * deg
-        for (k, order), c in self.terms.items():
-            for i, v in enumerate(table[k * (m // order)]):
-                if v:
-                    coeffs[i] += c * v
-        return m, coeffs
-
-    def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        _, coeffs = self._reduced()
-        return all(c == 0 for c in coeffs)
-
-    def as_rational(self):
-        """The value as a Fraction, or None if irrational."""
-        if not self.terms:
-            return Fraction(0)
-        _, coeffs = self._reduced()
-        if any(c != 0 for c in coeffs[1:]):
-            return None
-        return coeffs[0]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.from_rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        q = self.as_rational()
-        if q is not None:
-            return str(q)
-        parts = []
-        for (k, m), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            base = "1" if m == 1 else (f"z{m}" if k == 1 else f"z{m}^{k}")
-            if c == 1 and m > 1:
-                parts.append(base)
-            elif c == -1 and m > 1:
-                parts.append(f"-{base}")
-            else:
-                parts.append(f"{c}*{base}" if m > 1 else f"{c}")
-        out = "+".join(parts).replace("+-", "-")
-        return out
-
-    def __repr__(self) -> str:
-        return f"Cyc({self})"

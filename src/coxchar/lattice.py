@@ -6,14 +6,22 @@ partitions with a zero block (of size other than 1 in type D), the
 Dowling lattices (Dowling 1973; Orlik-Terao, Arrangements of Hyperplanes,
 6.4).  A flat is stored as its canonical generic point: an integer tuple
 that is 0 on the zero block and +-(smallest index of the block + 1) on
-every other block, positive at that smallest index.  Meets, incidence and
-dimension are integer bookkeeping on that point; no linear algebra is
-done.  Each flat also carries an incidence bitset over the hyperplane
-list; the bitset determines the flat, shared bits decide containment
-(X <= Y in the lattice, i.e. X is a subspace of Y, iff bits(Y) is a subset
-of bits(X)).  The ambient space is Q^n for every family; in type A all
-flats contain the diagonal, and codimension (n - dim) equals the degree
-in the reflection representation, so nothing else changes.
+every other block, positive at that smallest index.  The points are
+enumerated directly, each once, with no meets and no linear algebra: the
+coordinates are placed in turn, each opening a block, joining an open
+block with either sign (only + in type A) or joining the zero block (B
+and D), and type D drops the points whose zero block has one coordinate.
+
+Each flat also carries an incidence bitset over the hyperplane list.  A
+hyperplane contains a flat exactly when it relates two coordinates of
+one block with the block's relative sign (x_j = s_j s_i x_i), or lies on
+the zero block (x_i = 0 in type B, x_j = +-x_i), so the bits of a point
+are ORed in coordinate by coordinate from its block-mates.  The bitset
+determines the flat, and shared bits decide containment (X <= Y in the
+lattice, i.e. X is a subspace of Y, iff bits(Y) is a subset of bits(X)).
+The ambient space is Q^n for every family; in type A all flats contain
+the diagonal, and codimension (n - dim) equals the degree in the
+reflection representation, so nothing else changes.
 
 Per element w the w-stable flats form the subposet on which the Moebius
 function mu_w recurses top-down; its generating function
@@ -43,7 +51,6 @@ its negative entries, refining P_w per shape.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .classfunctions import ClassFunction, zero_function
@@ -74,7 +81,7 @@ __all__ = [
 DEFAULT_FLAT_BUDGET = 300_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flat:
     index: int
     point: tuple[int, ...]
@@ -214,70 +221,96 @@ def _interval_type(point, w: SignedPermutation):
     return tuple(sorted(zero)), tuple(blocks)
 
 
-def _sides(point, h: Hyperplane) -> tuple[int, int]:
-    """x_i and rel * x_j at the point (0 for a coordinate hyperplane):
-    equal exactly when the hyperplane contains the point's flat."""
-    return point[h.i - 1], (h.rel * point[h.j - 1] if h.j else 0)
+def _points(G: GroupDescriptor, budget):
+    """(point, bits, shape) of every flat, in buckets by dimension.
 
+    Coordinate i opens a block (label i + 1, sign +), joins an open block
+    with either sign (only + in type A) or, in types B and D, joins the
+    zero block.  Its incidence bits come from its block-mates: x_j = s x_i
+    for an earlier j of its block, s the product of their signs; x_i = 0
+    in type B; x_j = +-x_i for an earlier j of the zero block.  Type D
+    drops the points whose zero block has one coordinate.
+    """
+    n = G.degree
+    family = G.family
+    bit = {h: 1 << k for k, h in enumerate(hyperplane_set(G))}
+    # pair[j][i]: the bits of x_j = x_i and of x_j = -x_i, for j < i
+    pair = [
+        [(bit.get(Hyperplane(j, i, 1), 0), bit.get(Hyperplane(j, i, -1), 0))
+         for i in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    axis = [bit.get(Hyperplane(i + 1, 0, 0), 0) for i in range(n)]
+    buckets: list[list] = [[] for _ in range(n + 1)]
+    point = [0] * n
+    blocks: list[list[int]] = []
+    zero: list[int] = []
+    shapes: dict = {}
+    count = 0
 
-def _meet(point, a: int, b: int) -> tuple[int, ...]:
-    """Generic point of the flat cut out by a hyperplane with sides a != b."""
-    if a == 0 or b == 0 or a == -b:
-        gone = (abs(a), abs(b))
-        return tuple([0 if abs(x) in gone else x for x in point])
-    # the block with the larger label joins the other, whose label is its
-    # smallest index + 1, so the point stays canonical; x // old is +-1
-    old, keep = (a, b) if abs(a) > abs(b) else (b, a)
-    top = abs(old)
-    return tuple([x // old * keep if abs(x) == top else x for x in point])
+    def place(i, bits):
+        nonlocal count
+        if i == n:
+            if family == "D" and len(zero) == 1:
+                return
+            count += 1
+            if budget is not None and count > budget:
+                raise BudgetError(
+                    f"flat budget {budget} exceeded while building {G} lattice"
+                )
+            lam = tuple(sorted(map(len, blocks), reverse=True))
+            tag = None
+            if family == "D" and not zero and all(p % 2 == 0 for p in lam):
+                tag = "-" if sum(x < 0 for x in point) % 2 else "+"
+            shape = shapes.get((lam, tag))
+            if shape is None:
+                shape = shapes[lam, tag] = Shape(lam, tag)
+            buckets[len(blocks)].append((tuple(point), bits, shape))
+            return
+        point[i] = i + 1
+        blocks.append([i])
+        place(i + 1, bits)
+        blocks.pop()
+        for members in blocks:
+            plus = minus = 0
+            for j in members:
+                same, opposite = pair[j][i]
+                if point[j] < 0:
+                    same, opposite = opposite, same
+                plus |= same
+                minus |= opposite
+            label = point[members[0]]
+            members.append(i)
+            point[i] = label
+            place(i + 1, bits | plus)
+            if family != "A":
+                point[i] = -label
+                place(i + 1, bits | minus)
+            members.pop()
+        if family != "A":
+            add = axis[i]
+            for j in zero:
+                same, opposite = pair[j][i]
+                add |= same | opposite
+            point[i] = 0
+            zero.append(i)
+            place(i + 1, bits | add)
+            zero.pop()
 
-
-def _incidence(point, hyperplanes) -> int:
-    bits = 0
-    for k, h in enumerate(hyperplanes):
-        a, b = _sides(point, h)
-        if a == b:
-            bits |= 1 << k
-    return bits
-
-
-def _shape(G: GroupDescriptor, point) -> Shape:
-    """The shape of the flat's orbit: block sizes, and in type D the sign
-    parity when there is no zero block and every block is even."""
-    sizes = Counter(abs(x) for x in point if x)
-    lam = tuple(sorted(sizes.values(), reverse=True))
-    if G.family == "D" and 0 not in point and all(p % 2 == 0 for p in lam):
-        return Shape(lam, "-" if sum(x < 0 for x in point) % 2 else "+")
-    return Shape(lam)
+    place(0, 0)
+    return buckets
 
 
 def build_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
-    n = G.degree
-    hyperplanes = hyperplane_set(G)
-    ambient = tuple(range(1, n + 1))
-    flats = [Flat(0, ambient, 0, n)]
-    seen = {ambient}
-    frontier = [flats[0]]
-    while frontier:
-        next_frontier = []
-        for flat in frontier:
-            for k, h in enumerate(hyperplanes):
-                if flat.bits >> k & 1:
-                    continue
-                point = _meet(flat.point, *_sides(flat.point, h))
-                if point in seen:
-                    continue
-                if budget is not None and len(flats) >= budget:
-                    raise BudgetError(
-                        f"flat budget {budget} exceeded while building {G} lattice"
-                    )
-                dim = len({abs(x) for x in point if x})
-                new = Flat(len(flats), point, _incidence(point, hyperplanes), dim)
-                seen.add(point)
-                flats.append(new)
-                next_frontier.append(new)
-        frontier = next_frontier
-    return Lattice(G, flats, tuple(_shape(G, f.point) for f in flats))
+    """Every flat once, by codimension, the ambient space first."""
+    buckets = _points(G, budget)
+    flats, labels = [], []
+    for dim in range(G.degree, -1, -1):
+        for point, bits, shape in buckets[dim]:
+            flats.append(Flat(len(flats), point, bits, dim))
+            labels.append(shape)
+        buckets[dim] = None
+    return Lattice(G, flats, tuple(labels))
 
 
 _LATTICES: dict[GroupDescriptor, Lattice] = {}

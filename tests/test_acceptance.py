@@ -15,7 +15,7 @@ from coxchar.centralizers import (
     w_mu,
 )
 from coxchar.characters import phi_B, phi_for_class, psi_mu
-from coxchar.classfunctions import induce_direct, induce_from_centralizer
+from coxchar.classfunctions import induce_from_centralizer
 from coxchar.cyclotomic import root_mul
 from coxchar.groups import (
     GroupDescriptor,
@@ -32,6 +32,7 @@ from coxchar.verify import (
     verify_os,
     verify_regular,
 )
+from oracles import induce_direct
 from test_lattice import brute_point_count, poly_product, whitney_point_count
 
 

@@ -15,7 +15,6 @@ from coxchar.characters import (
 from coxchar.classfunctions import (
     ClassFunction,
     class_function_of_spec,
-    induce_direct,
     induce_from_centralizer,
     inner_product,
     regular_character,
@@ -24,7 +23,7 @@ from coxchar.classfunctions import (
     zero_function,
 )
 from coxchar.cli import main
-from coxchar.cyclotomic import ONE, Cyc, root, root_mul
+from coxchar.cyclotomic import ONE, root, root_mul
 from coxchar.groups import (
     GroupDescriptor,
     class_index,
@@ -34,6 +33,7 @@ from coxchar.groups import (
 )
 from coxchar.partitions import SignedPartition
 from coxchar.signedperm import SignedPermutation
+from oracles import Cyc, induce_direct
 
 SMALL_GROUPS = [
     GroupDescriptor("A", 1),

@@ -3,13 +3,13 @@ from fractions import Fraction
 from coxchar.cyclotomic import (
     MINUS_ONE,
     ONE,
-    Cyc,
     cyclotomic_polynomial,
     root,
     root_conj,
     root_mul,
     root_pow,
 )
+from oracles import Cyc
 
 
 def test_root_normalization():

@@ -1,10 +1,10 @@
 import random
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
 
-from conftest import stretch_enabled
 from coxchar.groups import (
     GroupDescriptor,
     conjugacy_classes,
@@ -24,6 +24,7 @@ from coxchar.groups import BudgetError
 from coxchar.linalg import Subspace
 from coxchar.shapes import shape_fix_space, shape_rank, shapes
 from coxchar.signedperm import SignedPermutation
+from oracles import closure_by_meets
 
 
 def poly_product(exponents, rank):
@@ -132,16 +133,35 @@ def brute_point_count(G, q):
     return int(mask.sum())
 
 
-STRETCH = pytest.mark.skipif(
-    not stretch_enabled(), reason="rank 8 lattices need COXCHAR_STRETCH=1"
-)
+def stirling2(m, j):
+    """Set partitions of m points into j blocks."""
+    row = [1] + [0] * j
+    for _ in range(m):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, j + 1)]
+    return row[j]
+
+
+def signed_partition_count(m):
+    """Signed set partitions of m points with no zero block: a block of
+    size s has 2^(s-1) sign patterns up to its overall sign."""
+    return sum(stirling2(m, j) * 2 ** (m - j) for j in range(m + 1))
+
+
+def expected_flat_count(family, rank):
+    """Bell numbers for A_(n-1); Dowling numbers for B_n, a zero block of
+    k coordinates and a signed partition of the rest; D_n without k = 1."""
+    if family == "A":
+        return sum(stirling2(rank + 1, j) for j in range(rank + 2))
+    return sum(
+        comb(rank, k) * signed_partition_count(rank - k)
+        for k in range(rank + 1)
+        if not (family == "D" and k == 1)
+    )
 
 
 @pytest.mark.parametrize(
     "family,rank,count",
-    # A: Bell numbers; B/D: zero set + signed partition of the rest
-    # (Dowling lattices), e.g. B_3: 11 + 3*3 + 3*1 + 1 = 24,
-    # D_4: 49 + 6*3 + 4*1 + 1 = 72
+    # e.g. B_4: 49 + 4*11 + 6*3 + 4*1 + 1 = 116, D_4: 116 - 4*11 = 72
     [
         ("B", 2, 6),
         ("A", 2, 5),
@@ -152,13 +172,41 @@ STRETCH = pytest.mark.skipif(
         ("B", 7, 28_640),
         ("D", 7, 17_867),
         ("A", 8, 21_147),
-        pytest.param("B", 8, 219_920, marks=STRETCH),
-        pytest.param("D", 8, 137_528, marks=STRETCH),
+        ("B", 8, 219_920),
+        ("D", 8, 137_528),
+        ("A", 9, 115_975),
     ],
 )
 def test_flat_counts(family, rank, count):
+    """The build finds exactly as many flats as the recurrences count,
+    uncached so that the rank-8 and rank-9 lattices are freed."""
+    assert expected_flat_count(family, rank) == count
     G = GroupDescriptor(family, rank)
-    assert len(get_lattice(G).flats) == count
+    assert len(build_lattice(G).flats) == count
+
+
+ORACLE_GROUPS = (
+    [("A", r) for r in range(1, 8)]
+    + [("B", r) for r in range(2, 7)]
+    + [("D", r) for r in range(4, 8)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_build_matches_closure_by_meets(family, rank):
+    """The enumeration finds the flats the meet closure finds, each once,
+    with the same incidence bits, dimension and shape, in codim order
+    from the ambient space."""
+    G = GroupDescriptor(family, rank)
+    lattice = build_lattice(G)
+    flats = lattice.flats
+    assert [f.index for f in flats] == list(range(len(flats)))
+    assert flats[0].codim == 0 and flats[0].bits == 0
+    assert all(f.codim <= g.codim for f, g in zip(flats, flats[1:]))
+    got = Counter(
+        (f.point, f.bits, f.dim, lattice.shape_labels[f.index]) for f in flats
+    )
+    assert got == Counter(closure_by_meets(G))
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("A", 3), ("D", 4)])
@@ -411,6 +459,19 @@ def test_trivial_parabolic_shape_orbit_is_ambient():
 def test_flat_budget():
     with pytest.raises(BudgetError):
         build_lattice(GroupDescriptor("B", 4), budget=10)
+
+
+@pytest.mark.parametrize(
+    "family,rank,count", [("A", 4, 52), ("B", 4, 116), ("D", 4, 72)]
+)
+def test_flat_budget_boundary(family, rank, count):
+    """A budget of exactly the flat count builds; one less is refused."""
+    G = GroupDescriptor(family, rank)
+    assert len(build_lattice(G, budget=count).flats) == count
+    message = f"flat budget {count - 1} exceeded while building {family}{rank} lattice"
+    with pytest.raises(BudgetError) as refused:
+        build_lattice(G, budget=count - 1)
+    assert str(refused.value) == message
 
 
 SMALL_GROUPS = (
