@@ -20,7 +20,6 @@ from .groups import (
 from .characters import (
     LinearCharacterSpec,
     alpha_char,
-    alpha_on_centralizer,
     chi_char,
     epsilon_char,
     evaluate,

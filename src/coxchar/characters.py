@@ -25,14 +25,11 @@ The stock characters:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import centralizers
 from .cyclotomic import MINUS_ONE, ONE, Root, root, root_mul, root_pow
 from .groups import GroupDescriptor
-from .linalg import det
 from .partitions import SignedPartition
-from .shapes import Shape, class_rep, is_cuspidal, shape_fix_space
+from .shapes import class_rep
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -47,7 +44,6 @@ __all__ = [
     "chi_char",
     "phi_for_class",
     "spec_product",
-    "alpha_on_centralizer",
 ]
 
 
@@ -289,38 +285,3 @@ def chi_char(G: GroupDescriptor, label, tag=None) -> LinearCharacterSpec:
         epsilon_char(G, label, tag),
         phi_for_class(G, label, tag),
     )
-
-
-def alpha_on_centralizer(G: GroupDescriptor, shape: Shape, w: SignedPermutation):
-    """Determinant on Fix(W_L) as a function on C_W(w), computed exactly.
-
-    Reference implementation via linear algebra; the fast path during
-    induction uses alpha_char.  Requires w cuspidal in the shape's
-    parabolic, so Fix(W_L) = Fix(w).
-    """
-    if not is_cuspidal(G, w, shape):
-        raise ValueError(f"{w} is not cuspidal in shape {shape}")
-    space = shape_fix_space(G, shape)
-
-    def apply(g: SignedPermutation, vector):
-        out = [Fraction(0)] * g.n
-        for i, x in enumerate(vector, start=1):
-            image = g(i)
-            out[abs(image) - 1] = x if image > 0 else -x
-        return out
-
-    def value(g: SignedPermutation) -> int:
-        rows = []
-        for b in space.basis:
-            coeffs = space.coordinates_of(apply(g, b))
-            if coeffs is None:
-                raise ValueError(f"{g} does not stabilize the fixed space")
-            rows.append(coeffs)
-        if not rows:
-            return 1
-        d = det(rows)
-        if d not in (1, -1):
-            raise ValueError(f"non-unimodular action: det = {d}")
-        return int(d)
-
-    return value

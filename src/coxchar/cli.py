@@ -9,6 +9,8 @@
 Exit codes: 0 all requested checks pass (or are skipped), 1 a verification
 failed, 2 usage or budget error, 3 internal error (an invariant of the
 program failed; the message is one `internal error:` line on stderr).
+A reader that closes stdout early (`| head -1`) stops the printing but
+changes neither the exit code nor the `--json` report.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .groups import BudgetError, GroupDescriptor
-from .lattice import get_lattice
+from .lattice import DEFAULT_FLAT_BUDGET, get_lattice
 from .shapes import parse_shape
 from .verify import (
     VerificationReport,
@@ -31,8 +34,6 @@ from .verify import (
     verify_regular,
     verify_shape,
 )
-
-CLI_FLAT_BUDGET = 30_000
 
 LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
 
@@ -71,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget-flats",
         type=_budget,
-        default=CLI_FLAT_BUDGET,
-        help=f"largest intersection lattice built (default {CLI_FLAT_BUDGET})",
+        default=DEFAULT_FLAT_BUDGET,
+        help=f"largest intersection lattice built (default {DEFAULT_FLAT_BUDGET})",
     )
     return parser
 
@@ -134,12 +135,20 @@ def main(argv=None) -> int:
         except AssertionError as err:
             print(f"internal error: {err}", file=sys.stderr)
             return 3
-        for report in reports:
-            print(report.summary())
-            if report.table is not None:
-                print(format_poincare_table(report))
-            for entry in report.discrepancies:
-                print(f"  {entry}")
+        try:
+            for report in reports:
+                print(report.summary())
+                if report.table is not None:
+                    print(format_poincare_table(report))
+                for entry in report.discrepancies:
+                    print(f"  {entry}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone (`| head`): print no more, but still write
+            # the JSON and exit with the checks' code.  Pointing stdout at
+            # devnull keeps the flush at interpreter exit from failing again.
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         if handle is not None:
             payload = {"reports": [r.to_dict() for r in reports]}
             json.dump(payload, handle, indent=2)

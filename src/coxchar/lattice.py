@@ -46,14 +46,18 @@ isomorphic fixed posets, so one subset scan per type suffices.
 
 Orbits of flats are labelled by shapes, read off the point: the block
 sizes, and in type D with no zero block and all sizes even the parity of
-its negative entries, refining P_w per shape.
+its negative entries.  A shape fixes the codimension of its flats
+(shape_rank), so one table per class, shape -> sum of mu_w over the
+w-stable flats of that shape (Lattice.shape_mu), serves every check: P_w
+sums it by rank, the graded and os characters read P_w of each class, and
+the per-shape character reads one entry per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classfunctions import ClassFunction, zero_function
+from .classfunctions import ClassFunction
 from .groups import (
     BudgetError,
     GroupDescriptor,
@@ -99,7 +103,7 @@ class Lattice:
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
         self.shape_labels = shape_labels
-        self._mu_cache: dict = {}
+        self._shape_mu: dict[int, dict[Shape, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -152,35 +156,38 @@ class Lattice:
             done.append(f)
         return mu
 
-    def _class_mu(self, k: int):
-        """(subposet, mu) for class k, shared with the -w partner class."""
-        if k in self._mu_cache:
-            return self._mu_cache[k]
-        classes = conjugacy_classes(self.G)
-        w = classes[k].rep
+    def shape_mu(self, w: SignedPermutation) -> dict[Shape, int]:
+        """Shape -> sum of mu_w(X) over the w-stable flats X of that shape.
+
+        Cached for class representatives and shared with the class of -w,
+        which acts on every flat as w does; any other w is computed afresh.
+        """
+        k = class_index(self.G).get(class_key(w, self.G.family))
+        cached = k is not None and conjugacy_classes(self.G)[k].rep == w
+        if cached and k in self._shape_mu:
+            return self._shape_mu[k]
         sub = self.fixed_subposet(w)
         mu = self.moebius(sub, w)
-        self._mu_cache[k] = (sub, mu)
-        n = self.G.degree
-        if self.G.family == "B" or (self.G.family == "D" and n % 2 == 0):
-            partner = w.compose(SignedPermutation.minus_identity(n))
-            pk = class_index(self.G)[class_key(partner, self.G.family)]
-            self._mu_cache.setdefault(pk, (sub, mu))
-        return self._mu_cache[k]
+        table: dict[Shape, int] = {}
+        for idx in sub:
+            shape = self.shape_labels[idx]
+            table[shape] = table.get(shape, 0) + mu[idx]
+        if cached:
+            self._shape_mu[k] = table
+            n = self.G.degree
+            if self.G.family == "B" or (self.G.family == "D" and n % 2 == 0):
+                partner = w.compose(SignedPermutation.minus_identity(n))
+                pk = class_index(self.G)[class_key(partner, self.G.family)]
+                self._shape_mu.setdefault(pk, table)
+        return table
 
     def poincare_polynomial(self, w: SignedPermutation):
-        """Coefficients of P_w(t), ascending, length rank + 1."""
-        key = class_key(w, self.G.family)
-        k = class_index(self.G).get(key)
-        if k is not None and conjugacy_classes(self.G)[k].rep == w:
-            sub, mu = self._class_mu(k)
-        else:
-            sub = self.fixed_subposet(w)
-            mu = self.moebius(sub, w)
+        """Coefficients of P_w(t), ascending, length rank + 1: a shape fixes
+        the codimension of its flats, so t^c collects the shapes of rank c."""
         coeffs = [0] * (self.rank + 1)
-        for idx in sub:
-            c = self.flats[idx].codim
-            coeffs[c] += mu[idx] * (-1) ** c
+        for shape, total in self.shape_mu(w).items():
+            c = shape_rank(self.G, shape)
+            coeffs[c] += total * (-1) ** c
         return tuple(coeffs)
 
 
@@ -344,23 +351,15 @@ def graded_os_character(lattice: Lattice):
     ]
 
 
-def shape_os_character(lattice: Lattice, shape: Shape):
-    """Per-shape refinement: degree-p trace from the shape's orbit of flats."""
+def shape_os_character(lattice: Lattice, shape: Shape) -> ClassFunction:
+    """Per-shape refinement: the trace on the degree-shape_rank cohomology
+    carried by the shape's orbit of flats."""
     G = lattice.G
-    classes = conjugacy_classes(G)
-    p0 = shape_rank(G, shape)
-    values = []
-    for k, cls in enumerate(classes):
-        sub, mu = lattice._class_mu(k)
-        total = 0
-        for idx in sub:
-            if lattice.shape_labels[idx] == shape:
-                total += mu[idx]
-        values.append(total * (-1) ** p0)
-    return [
-        ClassFunction(G, tuple(values)) if p == p0 else zero_function(G)
-        for p in range(lattice.rank + 1)
-    ]
+    sign = (-1) ** shape_rank(G, shape)
+    return ClassFunction(G, tuple(
+        sign * lattice.shape_mu(cls.rep).get(shape, 0)
+        for cls in conjugacy_classes(G)
+    ))
 
 
 def reflection_exponents(G: GroupDescriptor):

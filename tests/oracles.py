@@ -2,8 +2,9 @@
 
 Each computes what a production path computes, the slow way, so that a
 test can compare the two: exact sums of roots of unity (`Cyc`), induction
-by the definition over the whole group (`induce_direct`), and the
-intersection lattice closed under hyperplane meets (`closure_by_meets`).
+by the definition over the whole group (`induce_direct`), the alpha
+character as a determinant on a fixed space (`alpha_on_centralizer`), and
+the intersection lattice closed under hyperplane meets (`closure_by_meets`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from coxchar.groups import (
     group_elements,
     hyperplane_set,
 )
-from coxchar.shapes import Shape
+from coxchar.linalg import det
+from coxchar.shapes import Shape, is_cuspidal, shape_fix_space
 from coxchar.signedperm import SignedPermutation
 
 
@@ -205,6 +207,41 @@ def induce_direct(G: GroupDescriptor, chi: LinearCharacterSpec, budget=5000):
             raise AssertionError(f"non-integral induced value {total}")
         values.append(value.numerator)
     return ClassFunction(G, tuple(values))
+
+
+def alpha_on_centralizer(G: GroupDescriptor, shape: Shape, w: SignedPermutation):
+    """Determinant on Fix(W_L) as a function on C_W(w), computed exactly.
+
+    By linear algebra on the shape's fixed space, the oracle of
+    characters.alpha_char.  Requires w cuspidal in the shape's
+    parabolic, so Fix(W_L) = Fix(w).
+    """
+    if not is_cuspidal(G, w, shape):
+        raise ValueError(f"{w} is not cuspidal in shape {shape}")
+    space = shape_fix_space(G, shape)
+
+    def apply(g: SignedPermutation, vector):
+        out = [Fraction(0)] * g.n
+        for i, x in enumerate(vector, start=1):
+            image = g(i)
+            out[abs(image) - 1] = x if image > 0 else -x
+        return out
+
+    def value(g: SignedPermutation) -> int:
+        rows = []
+        for b in space.basis:
+            coeffs = space.coordinates_of(apply(g, b))
+            if coeffs is None:
+                raise ValueError(f"{g} does not stabilize the fixed space")
+            rows.append(coeffs)
+        if not rows:
+            return 1
+        d = det(rows)
+        if d not in (1, -1):
+            raise ValueError(f"non-unimodular action: det = {d}")
+        return int(d)
+
+    return value
 
 
 def _sides(point, h: Hyperplane) -> tuple[int, int]:

@@ -6,7 +6,6 @@ from coxchar.centralizers import centralizer_elements, centralizer_generators, w
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
-    alpha_on_centralizer,
     epsilon_char,
     evaluate,
     phi_A,
@@ -20,6 +19,7 @@ from coxchar.groups import GroupDescriptor, group_elements, sign_character
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import Shape, class_rep
 from coxchar.signedperm import SignedPermutation
+from oracles import alpha_on_centralizer
 
 
 def test_lemma_order_conditions_enforced():

@@ -354,7 +354,7 @@ def test_class_function_values_are_ints(G):
         rho + eps, rho - eps, rho * eps,
         class_function_of_spec(G, phi_for_class(G, conjugacy_classes(G)[0].label)),
         *graded_os_character(lattice),
-        *(f for shape in shapes(G) for f in shape_os_character(lattice, shape)),
+        *(shape_os_character(lattice, shape) for shape in shapes(G)),
     ]
     for f in built:
         assert all(type(v) is int for v in f.values), f

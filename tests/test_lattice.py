@@ -102,6 +102,14 @@ def moebius_by_scan(lattice, subposet):
     return mu
 
 
+def sums_by_shape(lattice, mu):
+    """Shape -> sum of mu over the flats of that shape."""
+    table = Counter()
+    for idx, value in mu.items():
+        table[lattice.shape_labels[idx]] += value
+    return dict(table)
+
+
 def random_elements(G, count, seed):
     """count seeded random elements of G, none a class representative."""
     rng = random.Random(seed)
@@ -419,9 +427,9 @@ def test_shape_characters_sum_to_graded(family, rank):
         [0] * len(conjugacy_classes(G)) for _ in range(G.rank + 1)
     ]
     for shape in shapes(G):
-        for p, piece in enumerate(shape_os_character(lattice, shape)):
-            for k, v in enumerate(piece.values):
-                totals[p][k] += v
+        p = shape_rank(G, shape)
+        for k, v in enumerate(shape_os_character(lattice, shape).values):
+            totals[p][k] += v
     for p in range(G.rank + 1):
         assert totals[p] == list(graded[p].values)
 
@@ -449,11 +457,10 @@ def test_trivial_parabolic_shape_orbit_is_ambient():
 
     G = GroupDescriptor("B", 3)
     lattice = get_lattice(G)
-    pieces = shape_os_character(lattice, Shape((1, 1, 1)))
-    assert all(v == 1 for v in pieces[0].values)
-    assert all(
-        v == 0 for piece in pieces[1:] for v in piece.values
-    )
+    piece = shape_os_character(lattice, Shape((1, 1, 1)))
+    assert all(v == 1 for v in piece.values)
+    # the shape's summand lives in degree 0 only
+    assert shape_rank(G, Shape((1, 1, 1))) == 0
 
 
 def test_flat_budget():
@@ -491,7 +498,9 @@ def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
     for cls in conjugacy_classes(G):
         sub = lattice.fixed_subposet(cls.rep)
         assert sub == stable_by_permuting(lattice, cls.rep)
-        assert lattice.moebius(sub, cls.rep) == moebius_by_scan(lattice, sub)
+        scan = moebius_by_scan(lattice, sub)
+        assert lattice.moebius(sub, cls.rep) == scan
+        assert lattice.shape_mu(cls.rep) == sums_by_shape(lattice, scan)
 
 
 @pytest.mark.parametrize(
@@ -503,7 +512,9 @@ def test_moebius_and_stable_flats_match_oracles_off_representatives(family, rank
     for w in random_elements(G, 20, seed=rank):
         sub = lattice.fixed_subposet(w)
         assert sub == stable_by_permuting(lattice, w)
-        assert lattice.moebius(sub, w) == moebius_by_scan(lattice, sub)
+        scan = moebius_by_scan(lattice, sub)
+        assert lattice.moebius(sub, w) == scan
+        assert lattice.shape_mu(w) == sums_by_shape(lattice, scan)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("A", 4)])

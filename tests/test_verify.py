@@ -1,6 +1,9 @@
 import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from coxchar import verify
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor, conjugacy_classes
+from coxchar.lattice import get_lattice
 from coxchar.verify import (
     format_poincare_table,
     poincare_table,
@@ -21,6 +25,8 @@ from coxchar.verify import (
     verify_shape,
 )
 from coxchar.shapes import Shape, shapes
+
+SRC = Path(coxchar.__file__).resolve().parents[1]
 
 
 def test_verify_regular_report_fields():
@@ -172,14 +178,70 @@ def test_rank_7_lattice_identities():
 @pytest.mark.skipif(
     not stretch_enabled(), reason="rank 7 and 8 check all needs COXCHAR_STRETCH=1"
 )
-@pytest.mark.parametrize(
-    "family,rank,budget",
-    [("B", 7, []), ("D", 8, ["--budget-flats", "300000"]),
-     ("B", 8, ["--budget-flats", "300000"])],
-)
-def test_cli_check_all_rank_7_and_8(family, rank, budget):
-    argv = ["--family", family, "--rank", str(rank), "--check", "all", *budget]
-    assert main(argv) == 0
+@pytest.mark.parametrize("family,rank", [("B", 7), ("D", 8), ("B", 8)])
+def test_cli_check_all_rank_7_and_8(family, rank):
+    assert main(["--family", family, "--rank", str(rank), "--check", "all"]) == 0
+
+
+def test_cli_a9_check_all_with_default_budget():
+    """A9's 115 975 flats fit the default flat budget."""
+    assert main(["--family", "A", "--rank", "9", "--check", "all"]) == 0
+
+
+def test_cli_b9_lattice_exceeds_default_budget(capsys):
+    """B9 has 1 832 224 flats: refused by the default budget."""
+    assert main(["--family", "B", "--rank", "9", "--check", "poincare"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget error: flat budget 300000 exceeded while building B9 lattice"
+        " (raise --budget-flats)\n"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("lines", [0, 1])
+def test_cli_closed_stdout_is_not_an_error(tmp_path, lines, unbuffered):
+    """A reader that goes away (`| head -1`) leaves no traceback, the JSON
+    is still written and the exit code is the checks' own.  With lines=0
+    the pipe is closed before the program prints, so its first write fails."""
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(
+        [sys.executable, "-m", "coxchar.cli", "--family", "B", "--rank", "3",
+         "--check", "all", "--json", str(report)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        for _ in range(lines):
+            assert proc.stdout.readline() == b"B3 regular: pass\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+    assert err == ""  # no traceback, no "Exception ignored" line
+    reports = json.loads(report.read_text())["reports"]
+    assert reports[0]["check"] == "regular"
+    assert all(r["status"] == "pass" for r in reports)
+
+
+class Unreadable:
+    """Stands in for Lattice.shape_labels: any read is a failure."""
+
+    def _refuse(self, *args):
+        raise AssertionError("shape labels read after every class table was built")
+
+    __getitem__ = __iter__ = __len__ = _refuse
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4)])
+def test_shape_checks_read_the_class_tables(family, rank, monkeypatch):
+    """Once the Poincare table has built every class's shape -> mu table,
+    the shape checks read those tables, not the per-flat shape labels."""
+    G = GroupDescriptor(family, rank)
+    poincare_table(G)
+    monkeypatch.setattr(get_lattice(G), "shape_labels", Unreadable())
+    reports = verify_all_shapes(G)
+    assert len(reports) == len(shapes(G))
+    assert all(r.status == "pass" for r in reports)
 
 
 def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
