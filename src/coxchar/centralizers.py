@@ -12,33 +12,26 @@ permutes equal blocks, twists each block by a power of its cycle, and may
 negate positive blocks outright.  The coordinates of an element in this
 decomposition drive linear-character evaluation.  Induction needs only
 weighted class tallies of the wreath-product factors, computed per block
-cycle without enumerating elements; the streaming enumeration of the whole
-centralizer is kept as an oracle for the tests.
+cycle without enumerating elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from itertools import permutations, product
 from math import factorial
 
 from .partitions import SignedPartition, partitions
 from .signedperm import SignedPermutation
 
 __all__ = [
-    "CentralizerGenSet",
     "CentralizerCoordinates",
     "w_mu",
-    "centralizer_generators",
     "centralizer_order",
     "symmetric_centralizer_order",
     "coordinates",
-    "reassemble",
-    "centralizer_elements",
     "centralizer_tallies",
     "convolve_tallies",
-    "conjugate_by_first_flip",
 ]
 
 
@@ -91,8 +84,9 @@ def _neg_orbit(offset, length):
 #
 # to the number of family elements with that key: the signed cycle lengths
 # the family contributes (negative lengths for negative cycles, sorted),
-# the per-length data a linear character sees (as in centralizer_elements),
-# the parity of negative entries, and the D split-side parity of the cycles
+# the per-length data a linear character sees (the summaries that
+# LinearCharacterSpec.evaluate_summaries reads), the parity of negative
+# entries, and the D split-side parity of the cycles
 # (groups.cycle_side_parity, additive over cycles).
 
 
@@ -221,7 +215,7 @@ def centralizer_tallies(mu: SignedPartition, *, flips=True):
     ]
 
 
-# -- representatives and the displayed generators ------------------------------
+# -- class representatives ----------------------------------------------------
 
 
 def _fill_neg_cycle(images, offset, length):
@@ -251,89 +245,6 @@ def w_mu(n: int, mu: SignedPartition) -> SignedPermutation:
     return SignedPermutation(tuple(images))
 
 
-def _cycle_neg(n, offset, length):
-    images = list(range(1, n + 1))
-    _fill_neg_cycle(images, offset, length)
-    return SignedPermutation(tuple(images))
-
-
-def _cycle_pos(n, offset, length):
-    images = list(range(1, n + 1))
-    _fill_pos_cycle(images, offset, length)
-    return SignedPermutation(tuple(images))
-
-
-def _swap_blocks(n, offset, length):
-    """Exchange the two adjacent blocks of the given length at offset."""
-    images = list(range(1, n + 1))
-    for v in range(offset + 1, offset + length + 1):
-        images[v - 1] = v + length
-        images[v + length - 1] = v
-    return SignedPermutation(tuple(images))
-
-
-def _negate_block(n, offset, length):
-    images = list(range(1, n + 1))
-    for v in range(offset + 1, offset + length + 1):
-        images[v - 1] = -v
-    return SignedPermutation(tuple(images))
-
-
-@dataclass(frozen=True)
-class CentralizerGenSet:
-    """The named generators of C(w_mu) built from the block formulas.
-
-    neg_swaps[i] (pos_swaps[j]) is present only where consecutive parts
-    agree; keys are 1-based positions into mu.neg (mu.pos).
-    """
-
-    n: int
-    mu: SignedPartition
-    neg_cycles: tuple[SignedPermutation, ...]
-    pos_cycles: tuple[SignedPermutation, ...]
-    neg_swaps: tuple[tuple[int, SignedPermutation], ...]
-    pos_swaps: tuple[tuple[int, SignedPermutation], ...]
-    flips: tuple[SignedPermutation, ...]
-
-    def all_generators(self):
-        return (
-            list(self.neg_cycles)
-            + list(self.pos_cycles)
-            + [g for _, g in self.neg_swaps]
-            + [g for _, g in self.pos_swaps]
-            + list(self.flips)
-        )
-
-
-def centralizer_generators(n: int, mu: SignedPartition) -> CentralizerGenSet:
-    if mu.n != n:
-        raise ValueError(f"{mu} is not a signed partition of {n}")
-    m = sum(mu.neg)
-    neg_cycles, pos_cycles, neg_swaps, pos_swaps, flips = [], [], [], [], []
-    u = 0
-    for i, length in enumerate(mu.neg, start=1):
-        neg_cycles.append(_cycle_neg(n, u, length))
-        if i < len(mu.neg) and mu.neg[i] == length:
-            neg_swaps.append((i, _swap_blocks(n, u, length)))
-        u += length
-    u = m
-    for j, length in enumerate(mu.pos, start=1):
-        pos_cycles.append(_cycle_pos(n, u, length))
-        if j < len(mu.pos) and mu.pos[j] == length:
-            pos_swaps.append((j, _swap_blocks(n, u, length)))
-        flips.append(_negate_block(n, u, length))
-        u += length
-    return CentralizerGenSet(
-        n,
-        mu,
-        tuple(neg_cycles),
-        tuple(pos_cycles),
-        tuple(neg_swaps),
-        tuple(pos_swaps),
-        tuple(flips),
-    )
-
-
 def centralizer_order(mu: SignedPartition) -> int:
     """|C_{W_n}(w_mu)| = prod (2i)^a_i a_i!  prod (2j)^b_j b_j!."""
     order = 1
@@ -357,8 +268,7 @@ def symmetric_centralizer_order(mu: SignedPartition) -> int:
 # -- coordinates --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerCoordinates:
+class CentralizerCoordinates(namedtuple("CentralizerCoordinates", "n mu neg pos")):
     """Coordinates of a centralizer element in the block decomposition.
 
     neg entries: (length, perm, exps) with perm the induced permutation of
@@ -367,10 +277,7 @@ class CentralizerCoordinates:
     in {0, 1} marking whole-block negation.
     """
 
-    n: int
-    mu: SignedPartition
-    neg: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-    pos: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ()
 
 
 def coordinates(g: SignedPermutation, mu: SignedPartition) -> CentralizerCoordinates:
@@ -428,122 +335,3 @@ def coordinates(g: SignedPermutation, mu: SignedPartition) -> CentralizerCoordin
             raise ValueError(f"{g} does not centralize w_{mu}")
         pos_out.append((length, tuple(perm), tuple(exps), tuple(flips)))
     return CentralizerCoordinates(n, mu, tuple(neg_out), tuple(pos_out))
-
-
-def reassemble(coords: CentralizerCoordinates) -> SignedPermutation:
-    """Inverse of coordinates(): rebuild the group element."""
-    neg_fams, pos_fams = _layout(coords.mu)
-    images = [0] * coords.n
-    for (length, offsets), (_, perm, exps) in zip(neg_fams, coords.neg):
-        for s, u in enumerate(offsets):
-            orbit = _neg_orbit(offsets[perm[s]], length)
-            k = exps[s]
-            for q in range(length):
-                images[u + q] = orbit[(k + q) % (2 * length)]
-    for (length, offsets), (_, perm, exps, flips) in zip(pos_fams, coords.pos):
-        for s, u in enumerate(offsets):
-            base = offsets[perm[s]] + 1
-            sgn = -1 if flips[s] else 1
-            k = exps[s]
-            for q in range(length):
-                images[u + q] = sgn * (base + (k + q) % length)
-    return SignedPermutation(tuple(images))
-
-
-# -- streaming enumeration ----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _perms_with_signs(m: int):
-    out = []
-    for perm in permutations(range(m)):
-        inversions = sum(
-            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inversions % 2 else 1))
-    return tuple(out)
-
-
-def centralizer_elements(n, mu, *, flips=True, parity=None):
-    """Stream C(w_mu) as (images, neg_summary, pos_summary) triples.
-
-    images is the raw image tuple; the summaries hold, per cycle length,
-    the data a linear character sees: (length, total twist, sign of the
-    block permutation) and for positive lengths additionally the number of
-    negated blocks mod 2.  With flips=False only flip-free elements are
-    produced (the centralizer taken inside S_n); parity=0 keeps elements
-    with an even number of negative entries (the centralizer inside D_n).
-    """
-    neg_fams, pos_fams = _layout(mu)
-    neg_choices = []
-    for length, offsets in neg_fams:
-        m = len(offsets)
-        fam = []
-        for perm, sign in _perms_with_signs(m):
-            for exps in product(range(2 * length), repeat=m):
-                fam.append((perm, sign, exps, sum(exps)))
-        neg_choices.append((length, offsets, fam))
-    pos_choices = []
-    for length, offsets in pos_fams:
-        m = len(offsets)
-        flip_space = product((0, 1), repeat=m) if flips else ((0,) * m,)
-        flip_space = tuple(flip_space)
-        fam = []
-        for perm, sign in _perms_with_signs(m):
-            for exps in product(range(length), repeat=m):
-                for eps in flip_space:
-                    fam.append((perm, sign, exps, eps))
-        pos_choices.append((length, offsets, fam))
-
-    neg_orbits = [
-        [_neg_orbit(off, length) for off in offsets]
-        for length, offsets, _ in neg_choices
-    ]
-
-    for neg_pick in product(*(fam for _, _, fam in neg_choices)):
-        neg_parity = sum(pick[3] for pick in neg_pick)
-        neg_summary = tuple(
-            (length, pick[3] % (2 * length), pick[1])
-            for (length, _, _), pick in zip(neg_choices, neg_pick)
-        )
-        for pos_pick in product(*(fam for _, _, fam in pos_choices)):
-            if parity is not None:
-                # negative entries: one per unit of twist on a negative
-                # block, a whole block per flip on a positive one
-                total = neg_parity + sum(
-                    length * sum(pick[3])
-                    for (length, _, _), pick in zip(pos_choices, pos_pick)
-                )
-                if total % 2 != parity:
-                    continue
-            images = [0] * n
-            for (length, offsets, _), orbits, (perm, _, exps, _) in zip(
-                neg_choices, neg_orbits, neg_pick
-            ):
-                two = 2 * length
-                for s, u in enumerate(offsets):
-                    orbit = orbits[perm[s]]
-                    k = exps[s]
-                    for q in range(length):
-                        images[u + q] = orbit[(k + q) % two]
-            for (length, offsets, _), (perm, _, exps, eps) in zip(
-                pos_choices, pos_pick
-            ):
-                for s, u in enumerate(offsets):
-                    base = offsets[perm[s]] + 1
-                    sgn = -1 if eps[s] else 1
-                    k = exps[s]
-                    for q in range(length):
-                        images[u + q] = sgn * (base + (k + q) % length)
-            pos_summary = tuple(
-                (length, sum(pick[2]) % length, pick[1], sum(pick[3]) % 2)
-                for (length, _, _), pick in zip(pos_choices, pos_pick)
-            )
-            yield tuple(images), neg_summary, pos_summary
-
-
-def conjugate_by_first_flip(images):
-    """Image tuple of t h t given the image tuple of h (t flips coordinate 1)."""
-    out = [-v if abs(v) == 1 else v for v in images]
-    out[0] = -out[0]
-    return tuple(out)

@@ -24,8 +24,7 @@ sum mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -53,14 +52,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    group: GroupDescriptor
-    values: tuple[int, ...]
+class ClassFunction(namedtuple("ClassFunction", "group values")):
+    """One int per class of group.  +, - and * are pointwise and f[k] is
+    the value at class k, in place of the tuple's own + (concatenation),
+    * (repetition) and [] (item access)."""
 
-    def __post_init__(self):
-        if len(self.values) != len(conjugacy_classes(self.group)):
+    __slots__ = ()
+
+    def __new__(cls, group: GroupDescriptor, values: tuple[int, ...]):
+        if len(values) != len(conjugacy_classes(group)):
             raise ValueError("one value per conjugacy class required")
+        return super().__new__(cls, group, values)
 
     def _require_same_group(self, other):
         if self.group != other.group:
@@ -243,9 +245,12 @@ def induce_from_centralizer(
     return ClassFunction(G, tuple(values))
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """(1/|G|) sum over classes of size * f * conj(g); the values are
-    rational integers, so conj is the identity."""
+def inner_product(f: ClassFunction, g: ClassFunction):
+    """(1/|G|) sum over classes of size * f * conj(g), a Fraction; the
+    values are rational integers, so conj is the identity.  Only failure
+    triage calls it, so fractions is imported here and not at start-up."""
+    from fractions import Fraction
+
     f._require_same_group(g)
     total = sum(
         cls.size * a * b

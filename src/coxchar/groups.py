@@ -9,20 +9,18 @@ of even length splits in two, distinguished by a +/- tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
 from . import centralizers
-from .linalg import Subspace, kernel
 from .partitions import SignedPartition, partitions, signed_partitions
-from .signedperm import SignedPermutation, all_signed_permutations
+from .signedperm import SignedPermutation
 
 __all__ = [
     "BudgetError",
     "GroupDescriptor",
     "ConjClass",
-    "DEFAULT_ELEMENT_BUDGET",
     "signed_cycle_type",
     "conjugacy_classes",
     "d_split_side",
@@ -30,33 +28,27 @@ __all__ = [
     "class_key",
     "reflection_length",
     "sign_character",
-    "fixed_space",
-    "fixed_space_ambient",
     "Hyperplane",
     "hyperplane_set",
     "hyperplane_action",
-    "group_elements",
 ]
-
-DEFAULT_ELEMENT_BUDGET = 2**8 * factorial(8)
 
 
 class BudgetError(RuntimeError):
     """An enumeration or lattice build would exceed the configured budget."""
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    family: str
-    rank: int
+class GroupDescriptor(namedtuple("GroupDescriptor", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("A", "B", "D"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+    def __new__(cls, family: str, rank: int):
+        if family not in ("A", "B", "D"):
+            raise ValueError(f"unknown family {family!r}")
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.family == "D" and self.rank < 4:
+        if family == "D" and rank < 4:
             raise ValueError("type D needs rank >= 4")
+        return super().__new__(cls, family, rank)
 
     @property
     def degree(self) -> int:
@@ -94,13 +86,10 @@ class GroupDescriptor:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    rep: SignedPermutation
-    label: SignedPartition
-    tag: str | None
-    size: int
-    centralizer_order: int
+class ConjClass(namedtuple("ConjClass", "rep label tag size centralizer_order")):
+    """rep: SignedPermutation, label: SignedPartition, tag: str | None."""
+
+    __slots__ = ()
 
     @property
     def key(self):
@@ -225,35 +214,13 @@ def sign_character(G: GroupDescriptor, w: SignedPermutation) -> int:
     return perm_sign * (-1 if w.neg_count() % 2 else 1)
 
 
-def fixed_space_ambient(w: SignedPermutation) -> Subspace:
-    """Fix(w) in Q^n: spanned by the indicator vectors of positive cycles."""
-    rows = []
-    for support, sign in w.signed_cycles():
-        if sign > 0:
-            rows.append(tuple(1 if i + 1 in support else 0 for i in range(w.n)))
-    return Subspace(w.n, tuple(rows))
-
-
-def fixed_space(G: GroupDescriptor, w: SignedPermutation) -> Subspace:
-    """Fix(w) in the reflection representation (sum-zero subspace for A)."""
-    if G.family != "A":
-        return fixed_space_ambient(w)
-    rows = [[a - b for a, b in zip(row, m_row)] for row, m_row in
-            zip(w.matrix_rows(), Subspace.full(w.n).basis)]
-    rows.append([1] * w.n)
-    return kernel(w.n, rows)
-
-
 # -- the reflection arrangement ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", "i j rel")):
     """x_i = rel * x_j for j > 0; the coordinate hyperplane x_i = 0 if j = 0."""
 
-    i: int
-    j: int
-    rel: int
+    __slots__ = ()
 
     def normal(self, n: int) -> tuple[int, ...]:
         row = [0] * n
@@ -302,12 +269,3 @@ def hyperplane_action(G: GroupDescriptor, w: SignedPermutation) -> tuple[int, ..
             image = Hyperplane(min(ai, bi), max(ai, bi), rel)
         out.append(index[image])
     return tuple(out)
-
-
-def group_elements(G: GroupDescriptor, budget=DEFAULT_ELEMENT_BUDGET):
-    """Iterate all elements; for brute-force checks on small groups."""
-    if budget is not None and G.order > budget:
-        raise BudgetError(f"|{G}| = {G.order} exceeds the element budget {budget}")
-    for w in all_signed_permutations(G.degree):
-        if G.contains(w):
-            yield w

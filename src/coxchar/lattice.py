@@ -55,7 +55,8 @@ the per-shape character reads one entry per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from math import comb
 
 from .classfunctions import ClassFunction
 from .groups import (
@@ -74,6 +75,7 @@ from .signedperm import SignedPermutation
 __all__ = [
     "Flat",
     "Lattice",
+    "flat_count",
     "build_lattice",
     "get_lattice",
     "graded_os_character",
@@ -85,12 +87,10 @@ __all__ = [
 DEFAULT_FLAT_BUDGET = 300_000
 
 
-@dataclass(frozen=True, slots=True)
-class Flat:
-    index: int
-    point: tuple[int, ...]
-    bits: int
-    dim: int
+class Flat(namedtuple("Flat", "index point bits dim")):
+    """index into Lattice.flats, canonical point, incidence bits, dim."""
+
+    __slots__ = ()
 
     @property
     def codim(self) -> int:
@@ -228,7 +228,7 @@ def _interval_type(point, w: SignedPermutation):
     return tuple(sorted(zero)), tuple(blocks)
 
 
-def _points(G: GroupDescriptor, budget):
+def _points(G: GroupDescriptor):
     """(point, bits, shape) of every flat, in buckets by dimension.
 
     Coordinate i opens a block (label i + 1, sign +), joins an open block
@@ -253,18 +253,11 @@ def _points(G: GroupDescriptor, budget):
     blocks: list[list[int]] = []
     zero: list[int] = []
     shapes: dict = {}
-    count = 0
 
     def place(i, bits):
-        nonlocal count
         if i == n:
             if family == "D" and len(zero) == 1:
                 return
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetError(
-                    f"flat budget {budget} exceeded while building {G} lattice"
-                )
             lam = tuple(sorted(map(len, blocks), reverse=True))
             tag = None
             if family == "D" and not zero and all(p % 2 == 0 for p in lam):
@@ -308,15 +301,43 @@ def _points(G: GroupDescriptor, budget):
     return buckets
 
 
+def flat_count(G: GroupDescriptor) -> int:
+    """The number of flats, from the counts of the signed set partitions
+    that _points enumerates: the Bell number B(n) in type A, and in types
+    B and D, summed over the size k of the zero block,
+    C(n, k) sum_j S(n - k, j) 2^(n - k - j), each of the j other blocks
+    carrying its signs up to one overall sign; type D drops k = 1.
+    """
+    n = G.degree
+    stirling = [[1] + [0] * n]  # stirling[m][j] = S(m, j)
+    for m in range(1, n + 1):
+        prev = stirling[-1]
+        stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, n + 1)])
+    if G.family == "A":
+        return sum(stirling[n])
+    return sum(
+        comb(n, k) * sum(stirling[n - k][j] << (n - k - j) for j in range(n - k + 1))
+        for k in range(n + 1)
+        if not (G.family == "D" and k == 1)
+    )
+
+
 def build_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
-    """Every flat once, by codimension, the ambient space first."""
-    buckets = _points(G, budget)
+    """Every flat once, by codimension, the ambient space first.  An
+    over-budget lattice is refused from its exact size, before any flat
+    is built."""
+    count = flat_count(G)
+    if budget is not None and count > budget:
+        raise BudgetError(f"flat budget {budget} exceeded while building {G} lattice")
+    buckets = _points(G)
     flats, labels = [], []
     for dim in range(G.degree, -1, -1):
         for point, bits, shape in buckets[dim]:
             flats.append(Flat(len(flats), point, bits, dim))
             labels.append(shape)
         buckets[dim] = None
+    if len(flats) != count:
+        raise AssertionError(f"{G} lattice has {len(flats)} flats, expected {count}")
     return Lattice(G, flats, tuple(labels))
 
 

@@ -11,7 +11,7 @@ pos the lengths of the positive ones.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -31,20 +31,19 @@ def _is_decreasing(parts) -> bool:
     return all(a >= b for a, b in zip(parts, parts[1:]))
 
 
-@dataclass(frozen=True, order=True)
-class SignedPartition:
+class SignedPartition(namedtuple("SignedPartition", "neg pos")):
     """Class label (neg ascending, pos descending) with |neg|+|pos| = n."""
 
-    neg: tuple[int, ...]
-    pos: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.neg) or any(p <= 0 for p in self.pos):
+    def __new__(cls, neg: tuple[int, ...], pos: tuple[int, ...]):
+        if any(p <= 0 for p in neg) or any(p <= 0 for p in pos):
             raise ValueError("parts must be positive")
-        if not _is_decreasing(tuple(reversed(self.neg))):
-            raise ValueError(f"negative parts must be ascending: {self.neg}")
-        if not _is_decreasing(self.pos):
-            raise ValueError(f"positive parts must be descending: {self.pos}")
+        if not _is_decreasing(tuple(reversed(neg))):
+            raise ValueError(f"negative parts must be ascending: {neg}")
+        if not _is_decreasing(pos):
+            raise ValueError(f"positive parts must be descending: {pos}")
+        return super().__new__(cls, neg, pos)
 
     @property
     def n(self) -> int:

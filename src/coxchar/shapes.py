@@ -21,32 +21,28 @@ for n = 4 and 5; no independent check is run at higher rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import centralizers
-from .groups import GroupDescriptor, fixed_space_ambient
-from .linalg import Subspace
+from .groups import GroupDescriptor
 from .partitions import SignedPartition, format_partition, parse_partition, partitions
 from .signedperm import SignedPermutation
 
 __all__ = [
     "Shape",
     "shapes",
-    "parabolic_generators",
-    "shape_fix_space",
     "shape_rank",
     "cuspidal_labels",
-    "is_cuspidal",
     "class_rep",
     "parse_shape",
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Shape:
-    lam: tuple[int, ...]
-    tag: str | None = None
+class Shape(namedtuple("Shape", "lam tag", defaults=(None,))):
+    """lam: tuple[int, ...], tag: str | None."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         text = format_partition(self.lam) or "()"
@@ -102,55 +98,10 @@ def _check_shape(G: GroupDescriptor, shape: Shape):
     return n, m
 
 
-def _young_generators(n, lam, offset):
-    gens = []
-    u = offset
-    for part in lam:
-        gens.extend(
-            SignedPermutation.transposition(n, i) for i in range(u + 1, u + part)
-        )
-        u += part
-    return gens
-
-
-def parabolic_generators(G: GroupDescriptor, shape: Shape):
-    """Reflections generating the standard parabolic of this shape."""
-    n, m = _check_shape(G, shape)
-    head = n - m
-    gens: list[SignedPermutation] = []
-    if G.family == "B" and head:
-        gens.append(SignedPermutation.flip(n))
-        gens.extend(SignedPermutation.transposition(n, i) for i in range(1, head))
-    elif G.family == "D" and head:
-        gens.append(SignedPermutation.neg_transposition(n))
-        gens.extend(SignedPermutation.transposition(n, i) for i in range(1, head))
-    young = _young_generators(n, shape.lam, head)
-    if shape.tag == "-":
-        t = SignedPermutation.flip(n)
-        young = [g.conjugate(t) for g in young]
-    return tuple(gens + young)
-
-
 def shape_rank(G: GroupDescriptor, shape: Shape) -> int:
     """Rank of the parabolic = codimension of its fixed space."""
     n, _ = _check_shape(G, shape)
     return n - len(shape.lam)
-
-
-def shape_fix_space(G: GroupDescriptor, shape: Shape) -> Subspace:
-    """Fixed space of the shape's standard parabolic in Q^n."""
-    n, m = _check_shape(G, shape)
-    rows = []
-    u = n - m
-    for part in shape.lam:
-        row = [0] * n
-        for c in range(u, u + part):
-            row[c] = 1
-        if shape.tag == "-" and u == 0:
-            row[0] = -1
-        rows.append(row)
-        u += part
-    return Subspace.from_vectors(n, rows)
 
 
 def cuspidal_labels(G: GroupDescriptor, shape: Shape):
@@ -185,31 +136,3 @@ def class_rep(G: GroupDescriptor, label: SignedPartition, tag: str | None = None
     if tag == "-":
         rep = rep.conjugate(SignedPermutation.flip(n))
     return rep
-
-
-def _member_of_parabolic(G, w, shape) -> bool:
-    n, m = _check_shape(G, shape)
-    head = n - m
-    v = w
-    if shape.tag == "-":
-        v = w.conjugate(SignedPermutation.flip(n))
-    if any(abs(v(i)) > head for i in range(1, head + 1)):
-        return False
-    u = head
-    for part in shape.lam:
-        for i in range(u + 1, u + part + 1):
-            if not u < v(i) <= u + part:
-                return False
-        u += part
-    if G.family == "A":
-        return v.is_positive()
-    if G.family == "D":
-        return v.is_even_signed()
-    return True
-
-
-def is_cuspidal(G: GroupDescriptor, w: SignedPermutation, shape: Shape) -> bool:
-    """True when w lies in no proper parabolic of the shape's parabolic."""
-    if not _member_of_parabolic(G, w, shape):
-        raise ValueError(f"{w} is not in the parabolic of shape {shape}")
-    return fixed_space_ambient(w).dim == len(shape.lam)

@@ -9,20 +9,19 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations, product
+from collections import namedtuple
 
-__all__ = ["SignedPermutation", "all_signed_permutations"]
+__all__ = ["SignedPermutation"]
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    images: tuple[int, ...]
+class SignedPermutation(namedtuple("SignedPermutation", "images")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(abs(v) for v in self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a signed permutation: {self.images}")
+    def __new__(cls, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(abs(v) for v in images) != list(range(1, n + 1)):
+            raise ValueError(f"not a signed permutation: {images}")
+        return super().__new__(cls, images)
 
     # -- construction ------------------------------------------------------
 
@@ -136,19 +135,5 @@ class SignedPermutation:
             cycles.append((tuple(support), sign))
         return cycles
 
-    def matrix_rows(self) -> list[list[int]]:
-        """Matrix of w on Q^n, rows indexed by output coordinate."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for i, v in enumerate(self.images):
-            rows[abs(v) - 1][i] = 1 if v > 0 else -1
-        return rows
-
     def __str__(self) -> str:
         return "[" + " ".join(str(v) for v in self.images) + "]"
-
-
-def all_signed_permutations(n: int):
-    """Iterate over all 2^n n! signed permutations of n."""
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))

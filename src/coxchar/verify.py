@@ -16,7 +16,6 @@ classes (or degrees) where they differ:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .characters import alpha_char, chi_char, phi_for_class, spec_product
 from .classfunctions import (
@@ -48,15 +47,24 @@ __all__ = [
 ]
 
 
-@dataclass
 class VerificationReport:
-    group: str
-    check: str
-    status: str
-    discrepancies: list[dict] = field(default_factory=list)
-    timing_ms: int = 0
-    config: dict = field(default_factory=dict)
-    table: list | None = None
+    def __init__(
+        self,
+        group: str,
+        check: str,
+        status: str,
+        discrepancies: list[dict] | None = None,
+        timing_ms: int = 0,
+        config: dict | None = None,
+        table: list | None = None,
+    ):
+        self.group = group
+        self.check = check
+        self.status = status
+        self.discrepancies = [] if discrepancies is None else discrepancies
+        self.timing_ms = timing_ms
+        self.config = {} if config is None else config
+        self.table = table
 
     @property
     def passed(self) -> bool:

@@ -5,15 +5,30 @@ test can compare the two: exact sums of roots of unity (`Cyc`), induction
 by the definition over the whole group (`induce_direct`), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
 the intersection lattice closed under hyperplane meets (`closure_by_meets`).
+Beside them live the element-level objects no check uses: every group
+element (`group_elements`), fixed spaces as rational subspaces
+(`fixed_space`, `shape_fix_space`), standard parabolics
+(`parabolic_generators`, `is_cuspidal`), and the named generators and the
+element stream of a centralizer (`centralizer_generators`,
+`centralizer_elements`, `reassemble`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import permutations, product
+from math import factorial, gcd
 
+from coxchar.centralizers import (
+    CentralizerCoordinates,
+    _fill_neg_cycle,
+    _fill_pos_cycle,
+    _layout,
+    _neg_orbit,
+)
 from coxchar.characters import LinearCharacterSpec, evaluate
 from coxchar.classfunctions import ClassFunction
 from coxchar.cyclotomic import ONE, Root, _power_table, root_conj, root_mul
@@ -22,11 +37,11 @@ from coxchar.groups import (
     GroupDescriptor,
     Hyperplane,
     conjugacy_classes,
-    group_elements,
     hyperplane_set,
 )
-from coxchar.linalg import det
-from coxchar.shapes import Shape, is_cuspidal, shape_fix_space
+from coxchar.linalg import Subspace, det, kernel
+from coxchar.partitions import SignedPartition
+from coxchar.shapes import Shape, _check_shape
 from coxchar.signedperm import SignedPermutation
 
 
@@ -164,6 +179,335 @@ class Cyc:
 
     def __repr__(self) -> str:
         return f"Cyc({self})"
+
+
+# -- group elements and fixed spaces -------------------------------------------
+
+DEFAULT_ELEMENT_BUDGET = 2**8 * factorial(8)
+
+
+def all_signed_permutations(n: int):
+    """Iterate over all 2^n n! signed permutations of n."""
+    for perm in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
+
+
+def group_elements(G: GroupDescriptor, budget=DEFAULT_ELEMENT_BUDGET):
+    """Iterate all elements; for brute-force checks on small groups."""
+    if budget is not None and G.order > budget:
+        raise BudgetError(f"|{G}| = {G.order} exceeds the element budget {budget}")
+    for w in all_signed_permutations(G.degree):
+        if G.contains(w):
+            yield w
+
+
+def matrix_rows(w: SignedPermutation) -> list[list[int]]:
+    """Matrix of w on Q^n, rows indexed by output coordinate."""
+    rows = [[0] * w.n for _ in range(w.n)]
+    for i, v in enumerate(w.images):
+        rows[abs(v) - 1][i] = 1 if v > 0 else -1
+    return rows
+
+
+def fixed_space_ambient(w: SignedPermutation) -> Subspace:
+    """Fix(w) in Q^n: spanned by the indicator vectors of positive cycles."""
+    rows = []
+    for support, sign in w.signed_cycles():
+        if sign > 0:
+            rows.append(tuple(1 if i + 1 in support else 0 for i in range(w.n)))
+    return Subspace(w.n, tuple(rows))
+
+
+def fixed_space(G: GroupDescriptor, w: SignedPermutation) -> Subspace:
+    """Fix(w) in the reflection representation (sum-zero subspace for A)."""
+    if G.family != "A":
+        return fixed_space_ambient(w)
+    rows = [[a - b for a, b in zip(row, m_row)] for row, m_row in
+            zip(matrix_rows(w), Subspace.full(w.n).basis)]
+    rows.append([1] * w.n)
+    return kernel(w.n, rows)
+
+
+# -- standard parabolic subgroups ----------------------------------------------
+
+
+def _young_generators(n, lam, offset):
+    gens = []
+    u = offset
+    for part in lam:
+        gens.extend(
+            SignedPermutation.transposition(n, i) for i in range(u + 1, u + part)
+        )
+        u += part
+    return gens
+
+
+def parabolic_generators(G: GroupDescriptor, shape: Shape):
+    """Reflections generating the standard parabolic of this shape."""
+    n, m = _check_shape(G, shape)
+    head = n - m
+    gens: list[SignedPermutation] = []
+    if G.family == "B" and head:
+        gens.append(SignedPermutation.flip(n))
+        gens.extend(SignedPermutation.transposition(n, i) for i in range(1, head))
+    elif G.family == "D" and head:
+        gens.append(SignedPermutation.neg_transposition(n))
+        gens.extend(SignedPermutation.transposition(n, i) for i in range(1, head))
+    young = _young_generators(n, shape.lam, head)
+    if shape.tag == "-":
+        t = SignedPermutation.flip(n)
+        young = [g.conjugate(t) for g in young]
+    return tuple(gens + young)
+
+
+def shape_fix_space(G: GroupDescriptor, shape: Shape) -> Subspace:
+    """Fixed space of the shape's standard parabolic in Q^n."""
+    n, m = _check_shape(G, shape)
+    rows = []
+    u = n - m
+    for part in shape.lam:
+        row = [0] * n
+        for c in range(u, u + part):
+            row[c] = 1
+        if shape.tag == "-" and u == 0:
+            row[0] = -1
+        rows.append(row)
+        u += part
+    return Subspace.from_vectors(n, rows)
+
+
+def _member_of_parabolic(G, w, shape) -> bool:
+    n, m = _check_shape(G, shape)
+    head = n - m
+    v = w
+    if shape.tag == "-":
+        v = w.conjugate(SignedPermutation.flip(n))
+    if any(abs(v(i)) > head for i in range(1, head + 1)):
+        return False
+    u = head
+    for part in shape.lam:
+        for i in range(u + 1, u + part + 1):
+            if not u < v(i) <= u + part:
+                return False
+        u += part
+    if G.family == "A":
+        return v.is_positive()
+    if G.family == "D":
+        return v.is_even_signed()
+    return True
+
+
+def is_cuspidal(G: GroupDescriptor, w: SignedPermutation, shape: Shape) -> bool:
+    """True when w lies in no proper parabolic of the shape's parabolic."""
+    if not _member_of_parabolic(G, w, shape):
+        raise ValueError(f"{w} is not in the parabolic of shape {shape}")
+    return fixed_space_ambient(w).dim == len(shape.lam)
+
+
+# -- centralizer generators and the element stream -------------------------------
+
+
+def _cycle_neg(n, offset, length):
+    images = list(range(1, n + 1))
+    _fill_neg_cycle(images, offset, length)
+    return SignedPermutation(tuple(images))
+
+
+def _cycle_pos(n, offset, length):
+    images = list(range(1, n + 1))
+    _fill_pos_cycle(images, offset, length)
+    return SignedPermutation(tuple(images))
+
+
+def _swap_blocks(n, offset, length):
+    """Exchange the two adjacent blocks of the given length at offset."""
+    images = list(range(1, n + 1))
+    for v in range(offset + 1, offset + length + 1):
+        images[v - 1] = v + length
+        images[v + length - 1] = v
+    return SignedPermutation(tuple(images))
+
+
+def _negate_block(n, offset, length):
+    images = list(range(1, n + 1))
+    for v in range(offset + 1, offset + length + 1):
+        images[v - 1] = -v
+    return SignedPermutation(tuple(images))
+
+
+@dataclass(frozen=True)
+class CentralizerGenSet:
+    """The named generators of C(w_mu) built from the block formulas.
+
+    neg_swaps[i] (pos_swaps[j]) is present only where consecutive parts
+    agree; keys are 1-based positions into mu.neg (mu.pos).
+    """
+
+    n: int
+    mu: SignedPartition
+    neg_cycles: tuple[SignedPermutation, ...]
+    pos_cycles: tuple[SignedPermutation, ...]
+    neg_swaps: tuple[tuple[int, SignedPermutation], ...]
+    pos_swaps: tuple[tuple[int, SignedPermutation], ...]
+    flips: tuple[SignedPermutation, ...]
+
+    def all_generators(self):
+        return (
+            list(self.neg_cycles)
+            + list(self.pos_cycles)
+            + [g for _, g in self.neg_swaps]
+            + [g for _, g in self.pos_swaps]
+            + list(self.flips)
+        )
+
+
+def centralizer_generators(n: int, mu: SignedPartition) -> CentralizerGenSet:
+    if mu.n != n:
+        raise ValueError(f"{mu} is not a signed partition of {n}")
+    m = sum(mu.neg)
+    neg_cycles, pos_cycles, neg_swaps, pos_swaps, flips = [], [], [], [], []
+    u = 0
+    for i, length in enumerate(mu.neg, start=1):
+        neg_cycles.append(_cycle_neg(n, u, length))
+        if i < len(mu.neg) and mu.neg[i] == length:
+            neg_swaps.append((i, _swap_blocks(n, u, length)))
+        u += length
+    u = m
+    for j, length in enumerate(mu.pos, start=1):
+        pos_cycles.append(_cycle_pos(n, u, length))
+        if j < len(mu.pos) and mu.pos[j] == length:
+            pos_swaps.append((j, _swap_blocks(n, u, length)))
+        flips.append(_negate_block(n, u, length))
+        u += length
+    return CentralizerGenSet(
+        n,
+        mu,
+        tuple(neg_cycles),
+        tuple(pos_cycles),
+        tuple(neg_swaps),
+        tuple(pos_swaps),
+        tuple(flips),
+    )
+
+
+def reassemble(coords: CentralizerCoordinates) -> SignedPermutation:
+    """Inverse of coordinates(): rebuild the group element."""
+    neg_fams, pos_fams = _layout(coords.mu)
+    images = [0] * coords.n
+    for (length, offsets), (_, perm, exps) in zip(neg_fams, coords.neg):
+        for s, u in enumerate(offsets):
+            orbit = _neg_orbit(offsets[perm[s]], length)
+            k = exps[s]
+            for q in range(length):
+                images[u + q] = orbit[(k + q) % (2 * length)]
+    for (length, offsets), (_, perm, exps, flips) in zip(pos_fams, coords.pos):
+        for s, u in enumerate(offsets):
+            base = offsets[perm[s]] + 1
+            sgn = -1 if flips[s] else 1
+            k = exps[s]
+            for q in range(length):
+                images[u + q] = sgn * (base + (k + q) % length)
+    return SignedPermutation(tuple(images))
+
+
+@lru_cache(maxsize=None)
+def _perms_with_signs(m: int):
+    out = []
+    for perm in permutations(range(m)):
+        inversions = sum(
+            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
+        )
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def centralizer_elements(n, mu, *, flips=True, parity=None):
+    """Stream C(w_mu) as (images, neg_summary, pos_summary) triples.
+
+    images is the raw image tuple; the summaries hold, per cycle length,
+    the data a linear character sees: (length, total twist, sign of the
+    block permutation) and for positive lengths additionally the number of
+    negated blocks mod 2.  With flips=False only flip-free elements are
+    produced (the centralizer taken inside S_n); parity=0 keeps elements
+    with an even number of negative entries (the centralizer inside D_n).
+    """
+    neg_fams, pos_fams = _layout(mu)
+    neg_choices = []
+    for length, offsets in neg_fams:
+        m = len(offsets)
+        fam = []
+        for perm, sign in _perms_with_signs(m):
+            for exps in product(range(2 * length), repeat=m):
+                fam.append((perm, sign, exps, sum(exps)))
+        neg_choices.append((length, offsets, fam))
+    pos_choices = []
+    for length, offsets in pos_fams:
+        m = len(offsets)
+        flip_space = product((0, 1), repeat=m) if flips else ((0,) * m,)
+        flip_space = tuple(flip_space)
+        fam = []
+        for perm, sign in _perms_with_signs(m):
+            for exps in product(range(length), repeat=m):
+                for eps in flip_space:
+                    fam.append((perm, sign, exps, eps))
+        pos_choices.append((length, offsets, fam))
+
+    neg_orbits = [
+        [_neg_orbit(off, length) for off in offsets]
+        for length, offsets, _ in neg_choices
+    ]
+
+    for neg_pick in product(*(fam for _, _, fam in neg_choices)):
+        neg_parity = sum(pick[3] for pick in neg_pick)
+        neg_summary = tuple(
+            (length, pick[3] % (2 * length), pick[1])
+            for (length, _, _), pick in zip(neg_choices, neg_pick)
+        )
+        for pos_pick in product(*(fam for _, _, fam in pos_choices)):
+            if parity is not None:
+                # negative entries: one per unit of twist on a negative
+                # block, a whole block per flip on a positive one
+                total = neg_parity + sum(
+                    length * sum(pick[3])
+                    for (length, _, _), pick in zip(pos_choices, pos_pick)
+                )
+                if total % 2 != parity:
+                    continue
+            images = [0] * n
+            for (length, offsets, _), orbits, (perm, _, exps, _) in zip(
+                neg_choices, neg_orbits, neg_pick
+            ):
+                two = 2 * length
+                for s, u in enumerate(offsets):
+                    orbit = orbits[perm[s]]
+                    k = exps[s]
+                    for q in range(length):
+                        images[u + q] = orbit[(k + q) % two]
+            for (length, offsets, _), (perm, _, exps, eps) in zip(
+                pos_choices, pos_pick
+            ):
+                for s, u in enumerate(offsets):
+                    base = offsets[perm[s]] + 1
+                    sgn = -1 if eps[s] else 1
+                    k = exps[s]
+                    for q in range(length):
+                        images[u + q] = sgn * (base + (k + q) % length)
+            pos_summary = tuple(
+                (length, sum(pick[2]) % length, pick[1], sum(pick[3]) % 2)
+                for (length, _, _), pick in zip(pos_choices, pos_pick)
+            )
+            yield tuple(images), neg_summary, pos_summary
+
+
+def conjugate_by_first_flip(images):
+    """Image tuple of t h t given the image tuple of h (t flips coordinate 1)."""
+    out = [-v if abs(v) == 1 else v for v in images]
+    out[0] = -out[0]
+    return tuple(out)
+
+
+# -- induction and the alpha character by definition -----------------------------
 
 
 @lru_cache(maxsize=8)

@@ -9,18 +9,13 @@ import math
 import random
 
 from conftest import stretch_enabled
-from coxchar.centralizers import (
-    centralizer_elements,
-    centralizer_order,
-    w_mu,
-)
+from coxchar.centralizers import centralizer_order, w_mu
 from coxchar.characters import phi_B, phi_for_class, psi_mu
 from coxchar.classfunctions import induce_from_centralizer
 from coxchar.cyclotomic import root_mul
 from coxchar.groups import (
     GroupDescriptor,
     conjugacy_classes,
-    group_elements,
     signed_cycle_type,
 )
 from coxchar.lattice import get_lattice, reflection_exponents
@@ -32,7 +27,7 @@ from coxchar.verify import (
     verify_os,
     verify_regular,
 )
-from oracles import induce_direct
+from oracles import centralizer_elements, group_elements, induce_direct
 from test_lattice import brute_point_count, poly_product, whitney_point_count
 
 

@@ -2,18 +2,21 @@ import pytest
 
 from conftest import mulclose
 from coxchar.centralizers import (
-    centralizer_elements,
-    centralizer_generators,
     centralizer_order,
-    conjugate_by_first_flip,
     coordinates,
-    reassemble,
     symmetric_centralizer_order,
     w_mu,
 )
-from coxchar.groups import GroupDescriptor, group_elements
+from coxchar.groups import GroupDescriptor
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.signedperm import SignedPermutation
+from oracles import (
+    centralizer_elements,
+    centralizer_generators,
+    conjugate_by_first_flip,
+    group_elements,
+    reassemble,
+)
 
 
 def test_generator_examples():

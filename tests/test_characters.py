@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coxchar.centralizers import centralizer_elements, centralizer_generators, w_mu
+from coxchar.centralizers import w_mu
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
@@ -15,11 +15,16 @@ from coxchar.characters import (
     spec_product,
 )
 from coxchar.cyclotomic import MINUS_ONE, ONE, root, root_mul
-from coxchar.groups import GroupDescriptor, group_elements, sign_character
+from coxchar.groups import GroupDescriptor, sign_character
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import Shape, class_rep
 from coxchar.signedperm import SignedPermutation
-from oracles import alpha_on_centralizer
+from oracles import (
+    alpha_on_centralizer,
+    centralizer_elements,
+    centralizer_generators,
+    group_elements,
+)
 
 
 def test_lemma_order_conditions_enforced():

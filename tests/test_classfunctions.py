@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from coxchar import classfunctions
-from coxchar.centralizers import centralizer_elements, conjugate_by_first_flip
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
@@ -33,7 +32,13 @@ from coxchar.groups import (
 )
 from coxchar.partitions import SignedPartition
 from coxchar.signedperm import SignedPermutation
-from oracles import Cyc, induce_direct
+from oracles import (
+    Cyc,
+    centralizer_elements,
+    conjugate_by_first_flip,
+    group_elements,
+    induce_direct,
+)
 
 SMALL_GROUPS = [
     GroupDescriptor("A", 1),
@@ -273,7 +278,6 @@ def test_induced_norms_are_positive_integers():
 def test_b2_os_trivial_multiplicity():
     """<omega, triv> = 4 at B_2 (= the number of flat orbits), frozen and
     cross-checked by summing P_w(1) over all eight group elements."""
-    from coxchar.groups import group_elements
     from coxchar.lattice import get_lattice, graded_os_character
     from coxchar.shapes import shapes
 

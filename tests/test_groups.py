@@ -9,9 +9,6 @@ from coxchar.groups import (
     class_key,
     conjugacy_classes,
     d_split_side,
-    fixed_space,
-    fixed_space_ambient,
-    group_elements,
     hyperplane_action,
     hyperplane_set,
     reflection_length,
@@ -21,6 +18,7 @@ from coxchar.groups import (
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import class_rep
 from coxchar.signedperm import SignedPermutation
+from oracles import fixed_space, fixed_space_ambient, group_elements
 
 
 def test_descriptor_validation():

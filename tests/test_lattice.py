@@ -8,13 +8,13 @@ import pytest
 from coxchar.groups import (
     GroupDescriptor,
     conjugacy_classes,
-    group_elements,
     hyperplane_action,
     hyperplane_set,
 )
 from coxchar.lattice import (
     _interval_type,
     build_lattice,
+    flat_count,
     get_lattice,
     graded_os_character,
     reflection_exponents,
@@ -22,9 +22,9 @@ from coxchar.lattice import (
 )
 from coxchar.groups import BudgetError
 from coxchar.linalg import Subspace
-from coxchar.shapes import shape_fix_space, shape_rank, shapes
+from coxchar.shapes import shape_rank, shapes
 from coxchar.signedperm import SignedPermutation
-from oracles import closure_by_meets
+from oracles import closure_by_meets, group_elements, shape_fix_space
 
 
 def poly_product(exponents, rank):
@@ -190,7 +190,19 @@ def test_flat_counts(family, rank, count):
     uncached so that the rank-8 and rank-9 lattices are freed."""
     assert expected_flat_count(family, rank) == count
     G = GroupDescriptor(family, rank)
+    assert flat_count(G) == count
     assert len(build_lattice(G).flats) == count
+
+
+@pytest.mark.parametrize(
+    "family,rank,count",
+    [("B", 9, 1_832_224), ("B", 10, 16_430_176), ("D", 10, 10_335_766),
+     ("A", 12, 27_644_437)],
+)
+def test_flat_count_of_lattices_too_large_to_build(family, rank, count):
+    """The count that refuses an over-budget lattice, past rank 8."""
+    assert expected_flat_count(family, rank) == count
+    assert flat_count(GroupDescriptor(family, rank)) == count
 
 
 ORACLE_GROUPS = (

@@ -1,21 +1,19 @@
 import pytest
 
 from conftest import mulclose
-from coxchar.groups import GroupDescriptor, group_elements, signed_cycle_type
+from coxchar.groups import GroupDescriptor, signed_cycle_type
 from coxchar.centralizers import w_mu
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import (
     Shape,
     class_rep,
     cuspidal_labels,
-    is_cuspidal,
-    parabolic_generators,
     parse_shape,
-    shape_fix_space,
     shape_rank,
     shapes,
 )
 from coxchar.signedperm import SignedPermutation
+from oracles import group_elements, is_cuspidal, parabolic_generators, shape_fix_space
 
 
 @pytest.mark.parametrize(

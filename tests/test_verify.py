@@ -188,6 +188,24 @@ def test_cli_a9_check_all_with_default_budget():
     assert main(["--family", "A", "--rank", "9", "--check", "all"]) == 0
 
 
+def test_cli_b9_is_refused_before_any_flat_is_built(capsys, monkeypatch):
+    """The budget is checked against the exact flat count, so the refusal
+    is the same line and never reaches the enumeration."""
+    from coxchar import lattice
+
+    def enumerate_flats(G):
+        raise AssertionError(f"{G} flats enumerated")
+
+    monkeypatch.setattr(lattice, "_points", enumerate_flats)
+    assert main(["--family", "B", "--rank", "9", "--check", "poincare"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget error: flat budget 300000 exceeded while building B9 lattice"
+        " (raise --budget-flats)\n"
+    )
+
+
 def test_cli_b9_lattice_exceeds_default_budget(capsys):
     """B9 has 1 832 224 flats: refused by the default budget."""
     assert main(["--family", "B", "--rank", "9", "--check", "poincare"]) == 2
@@ -412,3 +430,39 @@ def test_checks_build_no_cyc():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
                 assert "Cyc" not in names, path.name
+
+
+def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
+    """`import coxchar.cli` loads only what a run uses: the value types are
+    namedtuples, Fraction is imported by inner_product alone, and linalg
+    serves the test oracles."""
+    probe = (
+        "import sys; before = set(sys.modules); import coxchar.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    loaded = ast.literal_eval(out)
+    for name in ("dataclasses", "fractions", "coxchar.linalg"):
+        assert name not in loaded
+
+
+def test_no_module_imports_dataclasses_or_linalg():
+    """Only linalg itself, kept for the oracles, may use either."""
+    for path in Path(coxchar.__file__).parent.glob("*.py"):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "dataclasses", path.name
+                assert module.rsplit(".", 1)[-1] != "linalg", path.name
