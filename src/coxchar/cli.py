@@ -21,8 +21,7 @@ import json
 import os
 import sys
 
-from .groups import BudgetError, GroupDescriptor
-from .lattice import DEFAULT_FLAT_BUDGET, get_lattice
+from .groups import DEFAULT_FLAT_BUDGET, BudgetError, GroupDescriptor
 from .shapes import parse_shape
 from .verify import (
     VerificationReport,
@@ -96,6 +95,8 @@ def run(args) -> tuple[list[VerificationReport], int]:
     )
     budget = args.budget_flats
     if any(c in LATTICE_CHECKS for c in checks):
+        from .lattice import get_lattice  # only lattice checks load it
+
         get_lattice(G, budget)  # a budget error comes before any check runs
     reports: list[VerificationReport] = []
     for check in checks:

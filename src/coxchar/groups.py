@@ -19,6 +19,7 @@ from .signedperm import SignedPermutation
 
 __all__ = [
     "BudgetError",
+    "DEFAULT_FLAT_BUDGET",
     "GroupDescriptor",
     "ConjClass",
     "signed_cycle_type",
@@ -30,12 +31,15 @@ __all__ = [
     "sign_character",
     "Hyperplane",
     "hyperplane_set",
-    "hyperplane_action",
 ]
 
 
 class BudgetError(RuntimeError):
     """An enumeration or lattice build would exceed the configured budget."""
+
+
+# The largest intersection lattice built (lattice.build_lattice).
+DEFAULT_FLAT_BUDGET = 300_000
 
 
 class GroupDescriptor(namedtuple("GroupDescriptor", "family rank")):
@@ -246,26 +250,4 @@ def hyperplane_set(G: GroupDescriptor) -> tuple[Hyperplane, ...]:
             out.append(Hyperplane(i, j, 1))
             if G.family != "A":
                 out.append(Hyperplane(i, j, -1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _hyperplane_index(G: GroupDescriptor) -> dict:
-    return {h: k for k, h in enumerate(hyperplane_set(G))}
-
-
-def hyperplane_action(G: GroupDescriptor, w: SignedPermutation) -> tuple[int, ...]:
-    """Permutation of hyperplane indices induced by w."""
-    index = _hyperplane_index(G)
-    out = []
-    for h in hyperplane_set(G):
-        a = w(h.i)
-        if not h.j:
-            image = Hyperplane(abs(a), 0, 0)
-        else:
-            b = w(h.j)
-            rel = h.rel if (a > 0) == (b > 0) else -h.rel
-            ai, bi = abs(a), abs(b)
-            image = Hyperplane(min(ai, bi), max(ai, bi), rel)
-        out.append(index[image])
     return tuple(out)

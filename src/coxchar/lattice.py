@@ -29,7 +29,13 @@ function mu_w recurses top-down; its generating function
     P_w(t) = sum over stable X of mu_w(X) (-t)^(codim X)
 
 has the trace of w on the degree-p cohomology of the arrangement
-complement as its t^p coefficient.
+complement as its t^p coefficient.  The stable flats are not found by
+testing every flat: w permutes the blocks of a stable flat, so they are
+built from the cycles of w, each cycle going into the zero block or
+running through an orbit of blocks (_stable_points; these are the
+fixed-point partition lattices of Hanlon, Pacific J. Math. 1981, and
+their signed analogues).  A point -> index table per lattice turns each
+point into its flat.
 
 mu_w(V, X) is computed once per interval type.  For a flat X with zero
 block Z and other blocks B_1..B_m, the flats containing X are those of
@@ -41,7 +47,8 @@ factors; the fixed points of an orbit of k factors are those of
 Pi(B)^rho, rho = w^k on one block, acting through its underlying
 permutation.  Mu is multiplicative over products, so mu_w(V, X) depends
 only on the signed cycle type of w|Z and the multiset of (k, cycle type
-of rho) over the block orbits (_interval_type).  Conjugate actions give
+of rho) over the block orbits: the interval type, which the cycle-by-cycle
+enumeration knows for each flat it builds.  Conjugate actions give
 isomorphic fixed posets, so one subset scan per type suffices.
 
 Orbits of flats are labelled by shapes, read off the point: the block
@@ -56,17 +63,18 @@ the per-shape character reads one entry per class.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 from math import comb
 
 from .classfunctions import ClassFunction
 from .groups import (
+    DEFAULT_FLAT_BUDGET,
     BudgetError,
     GroupDescriptor,
     Hyperplane,
     conjugacy_classes,
     class_index,
     class_key,
-    hyperplane_action,
     hyperplane_set,
 )
 from .shapes import Shape, shape_rank
@@ -83,8 +91,6 @@ __all__ = [
     "reflection_exponents",
     "DEFAULT_FLAT_BUDGET",
 ]
-
-DEFAULT_FLAT_BUDGET = 300_000
 
 
 class Flat(namedtuple("Flat", "index point bits dim")):
@@ -103,6 +109,7 @@ class Lattice:
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
         self.shape_labels = shape_labels
+        self.index = {f.point: f.index for f in flats}
         self._shape_mu: dict[int, dict[Shape, int]] = {}
 
     @property
@@ -111,39 +118,28 @@ class Lattice:
 
     # -- fixed subposets and their Moebius functions -------------------------
 
-    def fixed_subposet(self, w: SignedPermutation):
-        """Indices of the w-stable flats.  w permutes the hyperplanes, so a
-        flat is stable once the image of each of its hyperplanes is again
-        one of them; the test stops at the first that is not."""
-        action = hyperplane_action(self.G, w)
-        out = []
-        for f in self.flats:
-            bits = rest = f.bits
-            while rest:
-                low = rest & -rest
-                if not bits >> action[low.bit_length() - 1] & 1:
-                    break
-                rest ^= low
-            else:
-                out.append(f.index)
-        return out
+    def fixed_subposet(self, w: SignedPermutation) -> dict[int, tuple]:
+        """Index -> interval type of every w-stable flat, in flat order
+        (by codimension, the ambient space first)."""
+        index = self.index
+        found = {index[point]: key for point, key in _stable_points(self.G, w)}
+        return {k: found[k] for k in sorted(found)}
 
-    def moebius(self, subposet, w: SignedPermutation) -> dict[int, int]:
+    def moebius(self, subposet: dict[int, tuple]) -> dict[int, int]:
         """mu_w on subposet = fixed_subposet(w), ordered by reverse inclusion
         from the bottom V.
 
-        mu_w(V, X) depends only on _interval_type(X, w): the first flat of
-        each type sums mu over the stable flats below it, and every later
-        flat of that type reuses the value.
+        mu_w(V, X) depends only on the interval type that subposet maps X
+        to: the first flat of each type sums mu over the stable flats below
+        it, and every later flat of that type reuses the value.
         """
-        flats = sorted((self.flats[k] for k in subposet), key=lambda f: f.codim)
-        if not flats or flats[0].codim != 0:
+        if next(iter(subposet), None) != 0:
             raise ValueError("subposet must contain the ambient space")
         mu: dict[int, int] = {}
         by_type: dict = {}
         done: list[Flat] = []
-        for f in flats:
-            key = _interval_type(f.point, w)
+        for idx, key in subposet.items():
+            f = self.flats[idx]
             value = by_type.get(key)
             if value is None:
                 total = 0
@@ -152,7 +148,7 @@ class Lattice:
                     if g.bits & bx == g.bits:
                         total += mu[g.index]
                 value = by_type[key] = 1 if not done else -total
-            mu[f.index] = value
+            mu[idx] = value
             done.append(f)
         return mu
 
@@ -167,7 +163,7 @@ class Lattice:
         if cached and k in self._shape_mu:
             return self._shape_mu[k]
         sub = self.fixed_subposet(w)
-        mu = self.moebius(sub, w)
+        mu = self.moebius(sub)
         table: dict[Shape, int] = {}
         for idx in sub:
             shape = self.shape_labels[idx]
@@ -191,41 +187,130 @@ class Lattice:
         return tuple(coeffs)
 
 
-def _interval_type(point, w: SignedPermutation):
-    """The key that fixes mu_w(V, X) for a w-stable flat X with this point.
+def _stable_points(G: GroupDescriptor, w: SignedPermutation):
+    """(point, interval type) of every w-stable flat, each once.
 
-    The signed cycle type of w on the zero block, and the sorted multiset,
-    over w-orbits of the other blocks, of (orbit length k, cycle type of
-    w^k on one block of the orbit).  A cycle of |w| off the zero block
-    meets every block of its orbit equally often, so k is the number of
-    labels it meets and it leaves one cycle of length len/k in w^k on a
-    block.  Cycles are grouped by the orbit's smallest label; grouping them
-    by the label a walk starts in would split an orbit and merge types.
+    The flats are built cycle by cycle.  A cycle c_0 -> c_1 -> ... of |w|,
+    of length L and sign sigma (the product of its signs), goes into the
+    zero block (types B and D), opens an orbit of k blocks for a k dividing
+    L, or joins an open orbit of the same k at one of its k offsets o, with
+    either sign a in types B and D (a = 1 when it opens one, o = 0).  Then
+    c_j lies in block (o + j) mod k of the orbit with sign
+    a * (eps_0 ... eps_(j-1)) * lam^((o + j) // k), eps_j the sign of w at
+    c_j and lam = +-1 the scalar by which w^k acts on the orbit's first
+    block; the cycle closes up iff sigma * lam^(L / k) = 1.  Type D drops
+    the flats whose zero block has one coordinate.
+
+    The interval type, the key of mu_w(V, X), is the sorted (sigma, L) of
+    the zero cycles and the sorted (k, sorted L / k) of the orbits: w^k
+    leaves one cycle of length L / k on a block for each cycle of the
+    orbit.  It depends on which cycles go where, not on offsets or signs,
+    so it is computed once per such structure.
+
+    Cycles are taken in the order of their smallest coordinates, each
+    starting there, so an orbit's first block holds the smallest
+    coordinate of the orbit with sign +, and its number is already its
+    label in the canonical point.  The other blocks of an orbit of k > 1
+    blocks get numbers above n, relabelled by their smallest coordinate
+    once the flat is complete.
     """
+    n = G.degree
+    family = G.family
+    signs = (1,) if family == "A" else (1, -1)
     images = w.images
-    seen = [False] * len(point)
-    zero = []
-    orbits: dict[int, tuple[int, list[int]]] = {}
-    for start in range(len(point)):
+    cycles = []  # (coordinates, prefix sign products, sigma)
+    seen = [False] * n
+    for start in range(n):
         if seen[start]:
             continue
-        labels = set()
-        length, sign, v = 0, 1, start
+        coords, prefix, sign, v = [], [], 1, start
         while not seen[v]:
             seen[v] = True
-            labels.add(abs(point[v]))
-            length += 1
-            image = images[v]
-            if image < 0:
+            coords.append(v)
+            prefix.append(sign)
+            if images[v] < 0:
                 sign = -sign
-            v = abs(image) - 1
-        if point[start] == 0:
-            zero.append((sign, length))
-        else:
-            k = len(labels)
-            orbits.setdefault(min(labels), (k, []))[1].append(length // k)
-    blocks = sorted((k, tuple(sorted(rho))) for k, rho in orbits.values())
-    return tuple(sorted(zero)), tuple(blocks)
+            v = abs(images[v]) - 1
+        cycles.append((coords, prefix, sign))
+
+    def codes(cycle, numbers, lam, offset, a):
+        """(coordinate, +-block number) of a cycle placed at an offset of
+        the orbit whose blocks have these numbers."""
+        coords, prefix, _ = cycle
+        k = len(numbers)
+        return tuple(
+            (c, a * prefix[j] * lam ** ((offset + j) // k) * numbers[(offset + j) % k])
+            for j, c in enumerate(coords)
+        )
+
+    zero: list[tuple[int, int]] = []  # (sigma, L) of the zero cycles
+    orbits: list[tuple] = []  # (k, lam, block numbers, [L // k of each cycle])
+    choices: list[tuple] = []  # per cycle, the codes of each placement
+    types: dict = {}  # one shared object per interval type
+
+    def structures(i, zero_size, top):
+        """(interval type, placements of each cycle, relabel?) of every
+        way to place cycles i, i + 1, ... after the ones already placed;
+        top is the largest block number in use, n if none is above n."""
+        if i == len(cycles):
+            if family == "D" and zero_size == 1:
+                return
+            key = (
+                tuple(sorted(zero)),
+                tuple(sorted((k, tuple(sorted(rho))) for k, _, _, rho in orbits)),
+            )
+            yield types.setdefault(key, key), tuple(choices), top > n
+            return
+        cycle = cycles[i]
+        length, sigma = len(cycle[0]), cycle[2]
+        if family != "A":
+            zero.append((sigma, length))
+            choices.append(((),))
+            yield from structures(i + 1, zero_size + length, top)
+            choices.pop()
+            zero.pop()
+        for k, lam, numbers, rho in orbits:
+            if length % k or sigma * lam ** (length // k) != 1:
+                continue
+            rho.append(length // k)
+            choices.append(tuple(
+                codes(cycle, numbers, lam, o, a) for o in range(k) for a in signs
+            ))
+            yield from structures(i + 1, zero_size, top)
+            choices.pop()
+            rho.pop()
+        for k in range(1, length + 1):
+            if length % k:
+                continue
+            for lam in signs:
+                if sigma * lam ** (length // k) != 1:
+                    continue
+                numbers = (cycle[0][0] + 1,) + tuple(range(top + 1, top + k))
+                orbits.append((k, lam, numbers, [length // k]))
+                choices.append((codes(cycle, numbers, lam, 0, 1),))
+                yield from structures(i + 1, zero_size, top + k - 1)
+                choices.pop()
+                orbits.pop()
+
+    for key, placements, relabel in structures(0, 0, n):
+        code = [0] * n
+        for pick in product(*placements):
+            for placed in pick:
+                for c, v in placed:
+                    code[c] = v
+            if not relabel:
+                yield tuple(code), key
+                continue
+            label: dict[int, int] = {}
+            point = []
+            for c, v in enumerate(code):
+                if v > n or v < -n:
+                    f = label.get(abs(v))
+                    if f is None:
+                        f = label[abs(v)] = c + 1 if v > 0 else -c - 1
+                    v = f if v > 0 else -f
+                point.append(v)
+            yield tuple(point), key
 
 
 def _points(G: GroupDescriptor):

@@ -11,6 +11,9 @@ classes (or degrees) where they differ:
   reflection length p inducing chi_w = alpha_w epsilon phi_w;
 * shape: the per-shape summand of the cohomology character against the
   cuspidal classes of that shape.
+
+The lattice checks import `lattice` when they run, so a regular check
+never loads it.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from .classfunctions import (
     trivial_character,
     zero_function,
 )
-from .groups import GroupDescriptor, conjugacy_classes, reflection_length
-from .lattice import (
+from .groups import (
     DEFAULT_FLAT_BUDGET,
-    get_lattice,
-    graded_os_character,
-    shape_os_character,
+    GroupDescriptor,
+    conjugacy_classes,
+    reflection_length,
 )
 from .shapes import Shape, cuspidal_labels, shapes
 
@@ -140,6 +142,8 @@ def verify_os(
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
     """Total cohomology character against epsilon * sum Ind(alpha_w phi_w)."""
+    from .lattice import get_lattice, graded_os_character
+
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     expected = sum(graded_os_character(lattice), zero_function(G))
@@ -158,6 +162,8 @@ def verify_graded(
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
     """Degree by degree: H^p against classes of reflection length p."""
+    from .lattice import get_lattice, graded_os_character
+
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     by_length: dict[int, list] = {}
@@ -179,6 +185,8 @@ def verify_shape(
 ) -> VerificationReport:
     """The per-shape refinement: the shape's orbit summand of the
     cohomology character against its cuspidal classes."""
+    from .lattice import get_lattice, shape_os_character
+
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     expected = shape_os_character(lattice, shape)
@@ -196,6 +204,8 @@ def poincare_table(
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
     """P_w(t) for every class in canonical order, ascending coefficients."""
+    from .lattice import get_lattice
+
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     table = [

@@ -4,7 +4,10 @@ Each computes what a production path computes, the slow way, so that a
 test can compare the two: exact sums of roots of unity (`Cyc`), induction
 by the definition over the whole group (`induce_direct`), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
-the intersection lattice closed under hyperplane meets (`closure_by_meets`).
+the intersection lattice closed under hyperplane meets (`closure_by_meets`),
+and the w-stable flats by testing each flat's hyperplanes
+(`stable_flats_by_bits`) with the interval type of each read off its point
+(`interval_type`).
 Beside them live the element-level objects no check uses: every group
 element (`group_elements`), fixed spaces as rational subspaces
 (`fixed_space`, `shape_fix_space`), standard parabolics
@@ -651,3 +654,80 @@ def closure_by_meets(G: GroupDescriptor):
                 next_frontier.append(flat)
         frontier = next_frontier
     return [(point, bits, dim, shape_of_point(G, point)) for point, bits, dim in flats]
+
+
+# -- stable flats by testing every flat ----------------------------------------
+
+
+def hyperplane_action(G: GroupDescriptor, w: SignedPermutation) -> tuple[int, ...]:
+    """Permutation of hyperplane indices induced by w."""
+    index = {h: k for k, h in enumerate(hyperplane_set(G))}
+    out = []
+    for h in hyperplane_set(G):
+        a = w(h.i)
+        if not h.j:
+            image = Hyperplane(abs(a), 0, 0)
+        else:
+            b = w(h.j)
+            rel = h.rel if (a > 0) == (b > 0) else -h.rel
+            ai, bi = abs(a), abs(b)
+            image = Hyperplane(min(ai, bi), max(ai, bi), rel)
+        out.append(index[image])
+    return tuple(out)
+
+
+def stable_flats_by_bits(lattice, w: SignedPermutation) -> list[int]:
+    """Indices of the w-stable flats, testing every flat: w permutes the
+    hyperplanes, so a flat is stable once the image of each of its
+    hyperplanes is again one of them; the test stops at the first that is
+    not."""
+    action = hyperplane_action(lattice.G, w)
+    out = []
+    for f in lattice.flats:
+        bits = rest = f.bits
+        while rest:
+            low = rest & -rest
+            if not bits >> action[low.bit_length() - 1] & 1:
+                break
+            rest ^= low
+        else:
+            out.append(f.index)
+    return out
+
+
+def interval_type(point, w: SignedPermutation):
+    """The key that fixes mu_w(V, X) for a w-stable flat X with this point,
+    read off the point.
+
+    The signed cycle type of w on the zero block, and the sorted multiset,
+    over w-orbits of the other blocks, of (orbit length k, cycle type of
+    w^k on one block of the orbit).  A cycle of |w| off the zero block
+    meets every block of its orbit equally often, so k is the number of
+    labels it meets and it leaves one cycle of length len/k in w^k on a
+    block.  Cycles are grouped by the orbit's smallest label; grouping them
+    by the label a walk starts in would split an orbit and merge types.
+    """
+    images = w.images
+    seen = [False] * len(point)
+    zero = []
+    orbits: dict[int, tuple[int, list[int]]] = {}
+    for start in range(len(point)):
+        if seen[start]:
+            continue
+        labels = set()
+        length, sign, v = 0, 1, start
+        while not seen[v]:
+            seen[v] = True
+            labels.add(abs(point[v]))
+            length += 1
+            image = images[v]
+            if image < 0:
+                sign = -sign
+            v = abs(image) - 1
+        if point[start] == 0:
+            zero.append((sign, length))
+        else:
+            k = len(labels)
+            orbits.setdefault(min(labels), (k, []))[1].append(length // k)
+    blocks = sorted((k, tuple(sorted(rho))) for k, rho in orbits.values())
+    return tuple(sorted(zero)), tuple(blocks)

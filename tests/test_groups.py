@@ -9,7 +9,6 @@ from coxchar.groups import (
     class_key,
     conjugacy_classes,
     d_split_side,
-    hyperplane_action,
     hyperplane_set,
     reflection_length,
     sign_character,
@@ -18,7 +17,12 @@ from coxchar.groups import (
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import class_rep
 from coxchar.signedperm import SignedPermutation
-from oracles import fixed_space, fixed_space_ambient, group_elements
+from oracles import (
+    fixed_space,
+    fixed_space_ambient,
+    group_elements,
+    hyperplane_action,
+)
 
 
 def test_descriptor_validation():

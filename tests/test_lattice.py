@@ -5,14 +5,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from coxchar.groups import (
-    GroupDescriptor,
-    conjugacy_classes,
-    hyperplane_action,
-    hyperplane_set,
-)
+from conftest import stretch_enabled
+from coxchar.groups import GroupDescriptor, conjugacy_classes, hyperplane_set
 from coxchar.lattice import (
-    _interval_type,
     build_lattice,
     flat_count,
     get_lattice,
@@ -24,7 +19,14 @@ from coxchar.groups import BudgetError
 from coxchar.linalg import Subspace
 from coxchar.shapes import shape_rank, shapes
 from coxchar.signedperm import SignedPermutation
-from oracles import closure_by_meets, group_elements, shape_fix_space
+from oracles import (
+    closure_by_meets,
+    group_elements,
+    hyperplane_action,
+    interval_type,
+    shape_fix_space,
+    stable_flats_by_bits,
+)
 
 
 def poly_product(exponents, rank):
@@ -41,7 +43,7 @@ def poly_product(exponents, rank):
 def whitney_point_count(lattice, q):
     """sum mu(X) q^dim X over the full lattice."""
     identity = SignedPermutation.identity(lattice.G.degree)
-    mu = lattice.moebius([f.index for f in lattice.flats], identity)
+    mu = lattice.moebius(lattice.fixed_subposet(identity))
     return sum(mu[f.index] * q**f.dim for f in lattice.flats)
 
 
@@ -240,9 +242,7 @@ def test_codim_one_flats_are_hyperplanes(family, rank):
 def test_b2_moebius_hand_values():
     G = GroupDescriptor("B", 2)
     lattice = get_lattice(G)
-    full = lattice.moebius(
-        [f.index for f in lattice.flats], SignedPermutation.identity(2)
-    )
+    full = lattice.moebius(lattice.fixed_subposet(SignedPermutation.identity(2)))
     by_codim = {}
     for f in lattice.flats:
         by_codim.setdefault(f.codim, []).append(full[f.index])
@@ -251,7 +251,7 @@ def test_b2_moebius_hand_values():
     assert by_codim[2] == [3]
     sub = lattice.fixed_subposet(SignedPermutation.flip(2))
     assert len(sub) == 4
-    mu = lattice.moebius(sub, SignedPermutation.flip(2))
+    mu = lattice.moebius(sub)
     values = sorted(mu[k] for k in sub if lattice.flats[k].codim == 1)
     assert values == [-1, -1]
     origin = [k for k in sub if lattice.flats[k].codim == 2]
@@ -455,7 +455,7 @@ def test_pairing_shortcut_matches_direct_computation(family, rank):
     for cls in conjugacy_classes(G):
         shared = lattice.poincare_polynomial(cls.rep)
         sub = lattice.fixed_subposet(cls.rep)
-        mu = lattice.moebius(sub, cls.rep)
+        mu = lattice.moebius(sub)
         direct = [0] * (G.rank + 1)
         for idx in sub:
             c = lattice.flats[idx].codim
@@ -502,17 +502,25 @@ SMALL_GROUPS = (
 
 @pytest.mark.parametrize("family,rank", SMALL_GROUPS)
 def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
-    """Per-flat mu_w by interval type equals the full subset scan, and the
-    early-exit stability test finds the flats whose hyperplane set w maps
-    onto itself."""
+    """Per-flat mu_w by interval type equals the full subset scan, the
+    flats built from the cycles of w are those whose hyperplane set w maps
+    onto itself (by the early-exit test and by permuting the whole set),
+    and each carries the interval type read off its point."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     for cls in conjugacy_classes(G):
-        sub = lattice.fixed_subposet(cls.rep)
-        assert sub == stable_by_permuting(lattice, cls.rep)
-        scan = moebius_by_scan(lattice, sub)
-        assert lattice.moebius(sub, cls.rep) == scan
-        assert lattice.shape_mu(cls.rep) == sums_by_shape(lattice, scan)
+        assert_stable_flats_match_oracles(lattice, cls.rep)
+
+
+def assert_stable_flats_match_oracles(lattice, w):
+    sub = lattice.fixed_subposet(w)
+    assert list(sub) == stable_flats_by_bits(lattice, w)
+    assert list(sub) == stable_by_permuting(lattice, w)
+    for idx, key in sub.items():
+        assert key == interval_type(lattice.flats[idx].point, w)
+    scan = moebius_by_scan(lattice, sub)
+    assert lattice.moebius(sub) == scan
+    assert lattice.shape_mu(w) == sums_by_shape(lattice, scan)
 
 
 @pytest.mark.parametrize(
@@ -522,17 +530,14 @@ def test_moebius_and_stable_flats_match_oracles_off_representatives(family, rank
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     for w in random_elements(G, 20, seed=rank):
-        sub = lattice.fixed_subposet(w)
-        assert sub == stable_by_permuting(lattice, w)
-        scan = moebius_by_scan(lattice, sub)
-        assert lattice.moebius(sub, w) == scan
-        assert lattice.shape_mu(w) == sums_by_shape(lattice, scan)
+        assert_stable_flats_match_oracles(lattice, w)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("A", 4)])
 def test_interval_type_is_conjugation_invariant(family, rank):
-    """_interval_type(g X, g w g^-1) == _interval_type(X, w) for every
-    Coxeter generator g, every class representative w and every w-stable X."""
+    """interval_type(g X, g w g^-1) == interval_type(X, w) for every
+    Coxeter generator g, every class representative w and every w-stable X,
+    and the types fixed_subposet builds agree."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     by_bits = {f.bits: f for f in lattice.flats}
@@ -540,12 +545,14 @@ def test_interval_type_is_conjugation_invariant(family, rank):
         action = hyperplane_action(G, g)
         for cls in conjugacy_classes(G):
             w = cls.rep
-            for idx in lattice.fixed_subposet(w):
+            conjugate = lattice.fixed_subposet(w.conjugate(g))
+            for idx, key in lattice.fixed_subposet(w).items():
                 x = lattice.flats[idx]
                 gx = by_bits[permute_bits(x.bits, action)]
-                assert _interval_type(gx.point, w.conjugate(g)) == _interval_type(
+                assert interval_type(gx.point, w.conjugate(g)) == interval_type(
                     x.point, w
                 )
+                assert conjugate[gx.index] == key
 
 
 @pytest.mark.parametrize(
@@ -558,7 +565,8 @@ def test_identity_runs_one_scan_per_block_shape(family, rank, types):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G, budget=30_000)
     identity = SignedPermutation.identity(G.degree)
-    keys = {_interval_type(f.point, identity) for f in lattice.flats}
+    keys = {interval_type(f.point, identity) for f in lattice.flats}
+    assert set(lattice.fixed_subposet(identity).values()) == keys
     pairs = {
         (
             f.point.count(0),
@@ -575,3 +583,58 @@ def test_identity_poincare_is_exponent_product_rank_7_and_8(family, rank):
     lattice = get_lattice(G, budget=30_000)
     got = lattice.poincare_polynomial(SignedPermutation.identity(G.degree))
     assert got == poly_product(reflection_exponents(G), G.rank)
+
+
+GATE_GROUPS = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 8)]
+    + [("D", r) for r in range(4, 8)]
+)
+STRETCH_GATE_GROUPS = [
+    pytest.param(
+        family, 8,
+        marks=pytest.mark.skipif(
+            not stretch_enabled(), reason="rank-8 gates need COXCHAR_STRETCH=1"
+        ),
+    )
+    for family in "BD"
+]
+
+
+@pytest.mark.parametrize("family,rank", GATE_GROUPS + STRETCH_GATE_GROUPS)
+def test_stable_flat_counts_satisfy_burnside(family, rank):
+    """Averaged over W, the number of w-stable flats is the number of flat
+    orbits, one per shape: sum over classes of |C| |L^w| = |W| #shapes."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    total = sum(
+        cls.size * len(lattice.fixed_subposet(cls.rep))
+        for cls in conjugacy_classes(G)
+    )
+    assert total == G.order * len(shapes(G))
+
+
+def quotient_poincare(family, rank):
+    """The Poincare polynomial of M/W, ascending, length rank + 1."""
+    coeffs = [0] * (rank + 1)
+    if family == "B":
+        coeffs = [1] + [2] * (rank - 1) + [1]
+    else:
+        coeffs[:2] = [1, 1]
+        if family == "D" and rank % 2 == 0:
+            coeffs[rank - 1:] = [1, 1]
+    return coeffs
+
+
+@pytest.mark.parametrize("family,rank", GATE_GROUPS + STRETCH_GATE_GROUPS)
+def test_class_average_of_poincare_rows_is_quotient_poincare(family, rank):
+    """The W-average of P_w is the Poincare polynomial of the orbit space
+    M/W: 1 + t in type A (Arnold 1970), 1 + 2t + ... + 2t^(n-1) + t^n in
+    B_n, and in D_n 1 + t for n odd, 1 + t + t^(n-1) + t^n for n even."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    totals = [0] * (G.rank + 1)
+    for cls in conjugacy_classes(G):
+        for p, c in enumerate(lattice.poincare_polynomial(cls.rep)):
+            totals[p] += cls.size * c
+    assert totals == [G.order * c for c in quotient_poincare(family, rank)]

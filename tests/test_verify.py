@@ -450,6 +450,22 @@ def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
         assert name not in loaded
 
 
+def test_regular_run_loads_no_lattice():
+    """`--check regular` never imports the intersection lattice: the CLI
+    and the lattice checks import it when a lattice check runs."""
+    probe = (
+        "import sys; from coxchar.cli import main; "
+        "code = main(['--family', 'B', '--rank', '4', '--check', 'regular']); "
+        "print(code, 'coxchar.lattice' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_no_module_imports_dataclasses_or_linalg():
     """Only linalg itself, kept for the oracles, may use either."""
     for path in Path(coxchar.__file__).parent.glob("*.py"):
