@@ -9,15 +9,13 @@ Its centralizer splits one cycle length at a time,
 
 with a_i negative and b_j positive cycles of length i and j: an element
 permutes equal blocks, twists each block by a power of its cycle, and may
-negate positive blocks outright.  The coordinates of an element in this
-decomposition drive linear-character evaluation.  Induction needs only
-weighted class tallies of the wreath-product factors, computed per block
-cycle without enumerating elements.
+negate positive blocks outright.  Induction needs only weighted class
+tallies of the wreath-product factors, computed per block cycle without
+enumerating or decomposing elements.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -25,11 +23,9 @@ from .partitions import SignedPartition, partitions
 from .signedperm import SignedPermutation
 
 __all__ = [
-    "CentralizerCoordinates",
     "w_mu",
     "centralizer_order",
     "symmetric_centralizer_order",
-    "coordinates",
     "centralizer_tallies",
     "convolve_tallies",
 ]
@@ -263,75 +259,3 @@ def symmetric_centralizer_order(mu: SignedPartition) -> int:
     for length, count in _runs(mu.pos):
         order *= length**count * factorial(count)
     return order
-
-
-# -- coordinates --------------------------------------------------------------
-
-
-class CentralizerCoordinates(namedtuple("CentralizerCoordinates", "n mu neg pos")):
-    """Coordinates of a centralizer element in the block decomposition.
-
-    neg entries: (length, perm, exps) with perm the induced permutation of
-    the equal-length blocks and exps[s] in [0, 2*length) the twist of block
-    s relative to its target cycle.  pos entries additionally carry flips[s]
-    in {0, 1} marking whole-block negation.
-    """
-
-    __slots__ = ()
-
-
-def coordinates(g: SignedPermutation, mu: SignedPartition) -> CentralizerCoordinates:
-    """Decompose g in C(w_mu); raises ValueError if g does not centralize."""
-    n = g.n
-    if mu.n != n:
-        raise ValueError(f"{mu} is not a signed partition of {n}")
-    neg_fams, pos_fams = _layout(mu)
-    neg_out = []
-    for length, offsets in neg_fams:
-        block_of = {
-            c: p for p, off in enumerate(offsets) for c in range(off, off + length)
-        }
-        perm = [None] * len(offsets)
-        exps = [0] * len(offsets)
-        for s, u in enumerate(offsets):
-            t = g(u + 1)
-            p = block_of.get(abs(t) - 1)
-            if p is None:
-                raise ValueError(f"{g} does not centralize w_{mu}")
-            orbit = _neg_orbit(offsets[p], length)
-            k = orbit.index(t)
-            for q in range(length):
-                if g(u + 1 + q) != orbit[(k + q) % (2 * length)]:
-                    raise ValueError(f"{g} does not centralize w_{mu}")
-            perm[s] = p
-            exps[s] = k
-        if sorted(perm) != list(range(len(offsets))):
-            raise ValueError(f"{g} does not centralize w_{mu}")
-        neg_out.append((length, tuple(perm), tuple(exps)))
-    pos_out = []
-    for length, offsets in pos_fams:
-        block_of = {
-            c: p for p, off in enumerate(offsets) for c in range(off, off + length)
-        }
-        perm = [None] * len(offsets)
-        exps = [0] * len(offsets)
-        flips = [0] * len(offsets)
-        for s, u in enumerate(offsets):
-            t = g(u + 1)
-            p = block_of.get(abs(t) - 1)
-            if p is None:
-                raise ValueError(f"{g} does not centralize w_{mu}")
-            eps = 1 if t < 0 else 0
-            k = abs(t) - (offsets[p] + 1)
-            sgn = -1 if eps else 1
-            for q in range(length):
-                expected = sgn * (offsets[p] + 1 + (k + q) % length)
-                if g(u + 1 + q) != expected:
-                    raise ValueError(f"{g} does not centralize w_{mu}")
-            perm[s] = p
-            exps[s] = k
-            flips[s] = eps
-        if sorted(perm) != list(range(len(offsets))):
-            raise ValueError(f"{g} does not centralize w_{mu}")
-        pos_out.append((length, tuple(perm), tuple(exps), tuple(flips)))
-    return CentralizerCoordinates(n, mu, tuple(neg_out), tuple(pos_out))

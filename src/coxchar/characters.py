@@ -5,8 +5,9 @@ C(w_mu), one value per distinct cycle length: roots of unity on the cycles
 c/d, signs on the block swaps x/y and the block negations r.  Subject to
 the order conditions (a 2i-th root on a negative i-cycle, an i-th root on
 a positive i-cycle, signs elsewhere) such an assignment extends uniquely
-to a linear character; evaluation reads off the coordinates of an element
-in the block decomposition.
+to a linear character.  Induction never evaluates it at an element: it
+reads the character off per-length summaries of the wreath-product
+factors (evaluate_summaries).
 
 The stock characters:
 
@@ -25,16 +26,12 @@ The stock characters:
 
 from __future__ import annotations
 
-from . import centralizers
 from .cyclotomic import MINUS_ONE, ONE, Root, root, root_mul, root_pow
 from .groups import GroupDescriptor
 from .partitions import SignedPartition
-from .shapes import class_rep
-from .signedperm import SignedPermutation
 
 __all__ = [
     "LinearCharacterSpec",
-    "evaluate",
     "phi_A",
     "phi_B",
     "psi_mu",
@@ -84,9 +81,6 @@ class LinearCharacterSpec:
             if self.rval.get(j, ONE) not in (ONE, MINUS_ONE):
                 raise ValueError("negation values must be signs")
 
-    def base_rep(self) -> SignedPermutation:
-        return class_rep(self.group, self.label, self.tag)
-
     def evaluate_summaries(self, neg_summary, pos_summary) -> Root:
         """Character value from per-length (twist, sign[, flips]) data."""
         value = ONE
@@ -105,35 +99,6 @@ class LinearCharacterSpec:
     def __str__(self) -> str:
         tag = f"^{self.tag}" if self.tag else ""
         return f"{self.name}[{self.label}{tag}]"
-
-
-def _summaries(coords: centralizers.CentralizerCoordinates):
-    def perm_sign(perm):
-        m = len(perm)
-        inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
-        return -1 if inv % 2 else 1
-
-    neg = tuple(
-        (length, sum(exps) % (2 * length), perm_sign(perm))
-        for length, perm, exps in coords.neg
-    )
-    pos = tuple(
-        (length, sum(exps) % length, perm_sign(perm), sum(flips) % 2)
-        for length, perm, exps, flips in coords.pos
-    )
-    return neg, pos
-
-
-def evaluate(spec: LinearCharacterSpec, g: SignedPermutation) -> Root:
-    """Value of the character at g; rejects elements outside the centralizer."""
-    if spec.group.family == "A" and not g.is_positive():
-        raise ValueError(f"{g} is not in {spec.group}")
-    if spec.group.family == "D" and not g.is_even_signed():
-        raise ValueError(f"{g} is not in {spec.group}")
-    if spec.tag == "-":
-        g = g.conjugate(SignedPermutation.flip(g.n))
-    coords = centralizers.coordinates(g, spec.label)
-    return spec.evaluate_summaries(*_summaries(coords))
 
 
 # -- stock characters ----------------------------------------------------------

@@ -15,8 +15,9 @@ polynomial of the roots' common order, to its integer value; a value
 that is irrational or not an integer is an internal error
 (AssertionError).
 
-No element of H is built: H is a direct product of wreath products, one
-per family of equal blocks, and the weighted class tallies of the families
+No element of H is built, not even for a central w, where H = G: H is a
+direct product of wreath products, one per family of equal blocks, and
+the weighted class tallies of the families
 (centralizers.centralizer_tallies) are convolved, fusion key by
 concatenation, character value by product, D parity and split side by
 sum mod 2.
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 
 from .centralizers import centralizer_tallies, convolve_tallies
-from .characters import LinearCharacterSpec, evaluate
+from .characters import LinearCharacterSpec
 from .cyclotomic import ONE, Root, _power_table, root_mul
 from .groups import (
     GroupDescriptor,
@@ -46,7 +47,6 @@ __all__ = [
     "regular_character",
     "trivial_character",
     "sign_class_function",
-    "class_function_of_spec",
     "induce_from_centralizer",
     "inner_product",
 ]
@@ -152,21 +152,6 @@ def _integer_value(bucket: dict[Root, int], num: int, den: int) -> int:
     return value
 
 
-def class_function_of_spec(G, spec: LinearCharacterSpec) -> ClassFunction:
-    """Values of a centralizer character at the class representatives.
-
-    Only valid when the centralizer is the whole group (central base
-    element); this is the induced character in that degenerate case.
-    """
-    return ClassFunction(
-        G,
-        tuple(
-            _integer_value({evaluate(spec, cls.rep): 1}, 1, 1)
-            for cls in conjugacy_classes(G)
-        ),
-    )
-
-
 def _combine(a, b):
     """Join (cycles, value, negatives, side) keys of disjoint families."""
     return (
@@ -198,8 +183,6 @@ def induce_from_centralizer(
     index = class_index(G)
     base = classes[index[(chi.label, chi.tag)]]
     order_h = base.centralizer_order
-    if order_h == G.order:
-        return class_function_of_spec(G, chi)
 
     in_d = G.family == "D"
     tally = {((), ONE, 0, 0): 1}

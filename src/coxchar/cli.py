@@ -10,7 +10,9 @@ Exit codes: 0 all requested checks pass (or are skipped), 1 a verification
 failed, 2 usage or budget error, 3 internal error (an invariant of the
 program failed; the message is one `internal error:` line on stderr).
 A reader that closes stdout early (`| head -1`) stops the printing but
-changes neither the exit code nor the `--json` report.
+changes neither the exit code nor the `--json` report.  The report is
+opened only once the checks have run, so a run that exits 2 or 3 leaves
+the file at that path as it was.
 """
 
 from __future__ import annotations
@@ -119,23 +121,26 @@ def run(args) -> tuple[list[VerificationReport], int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.rank < 1:
+        parser.error(f"argument --rank: rank must be at least 1, got {args.rank}")
+    try:
+        reports, code = run(args)
+    except BudgetError as err:
+        print(f"budget error: {err} (raise --budget-flats)", file=sys.stderr)
+        return 2
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except AssertionError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
+    # opened only now, so a run that fails leaves a report already there
     try:
         output = open(args.json, "w") if args.json else contextlib.nullcontext()
     except OSError as err:
         print(f"error: cannot write {args.json}: {err.strerror}", file=sys.stderr)
         return 2
     with output as handle:
-        try:
-            reports, code = run(args)
-        except BudgetError as err:
-            print(f"budget error: {err} (raise --budget-flats)", file=sys.stderr)
-            return 2
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        except AssertionError as err:
-            print(f"internal error: {err}", file=sys.stderr)
-            return 3
         try:
             for report in reports:
                 print(report.summary())

@@ -111,6 +111,7 @@ class Lattice:
         self.shape_labels = shape_labels
         self.index = {f.point: f.index for f in flats}
         self._shape_mu: dict[int, dict[Shape, int]] = {}
+        self._rep_index = {c.rep: k for k, c in enumerate(conjugacy_classes(G))}
 
     @property
     def rank(self) -> int:
@@ -158,9 +159,8 @@ class Lattice:
         Cached for class representatives and shared with the class of -w,
         which acts on every flat as w does; any other w is computed afresh.
         """
-        k = class_index(self.G).get(class_key(w, self.G.family))
-        cached = k is not None and conjugacy_classes(self.G)[k].rep == w
-        if cached and k in self._shape_mu:
+        k = self._rep_index.get(w)
+        if k in self._shape_mu:
             return self._shape_mu[k]
         sub = self.fixed_subposet(w)
         mu = self.moebius(sub)
@@ -168,7 +168,7 @@ class Lattice:
         for idx in sub:
             shape = self.shape_labels[idx]
             table[shape] = table.get(shape, 0) + mu[idx]
-        if cached:
+        if k is not None:
             self._shape_mu[k] = table
             n = self.G.degree
             if self.G.family == "B" or (self.G.family == "D" and n % 2 == 0):

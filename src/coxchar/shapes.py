@@ -24,17 +24,14 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from . import centralizers
 from .groups import GroupDescriptor
 from .partitions import SignedPartition, format_partition, parse_partition, partitions
-from .signedperm import SignedPermutation
 
 __all__ = [
     "Shape",
     "shapes",
     "shape_rank",
     "cuspidal_labels",
-    "class_rep",
     "parse_shape",
 ]
 
@@ -118,21 +115,3 @@ def cuspidal_labels(G: GroupDescriptor, shape: Shape):
             continue
         out.append((SignedPartition(tuple(reversed(nu)), shape.lam), None))
     return tuple(out)
-
-
-def class_rep(G: GroupDescriptor, label: SignedPartition, tag: str | None = None):
-    """The class representative w_mu (or its t-conjugate for tag '-')."""
-    n = G.degree
-    if label.n != n:
-        raise ValueError(f"{label} is not a label for {G}")
-    if G.family == "A" and label.neg:
-        raise ValueError("type A labels have no negative parts")
-    if G.family == "D" and len(label.neg) % 2:
-        raise ValueError("type D labels need an even number of negative parts")
-    split = G.family == "D" and not label.neg and all(p % 2 == 0 for p in label.pos)
-    if (tag is not None) != split:
-        raise ValueError(f"tag {tag!r} invalid for label {label} in {G}")
-    rep = centralizers.w_mu(n, label)
-    if tag == "-":
-        rep = rep.conjugate(SignedPermutation.flip(n))
-    return rep

@@ -11,9 +11,13 @@ and the w-stable flats by testing each flat's hyperplanes
 Beside them live the element-level objects no check uses: every group
 element (`group_elements`), fixed spaces as rational subspaces
 (`fixed_space`, `shape_fix_space`), standard parabolics
-(`parabolic_generators`, `is_cuspidal`), and the named generators and the
-element stream of a centralizer (`centralizer_generators`,
-`centralizer_elements`, `reassemble`).
+(`parabolic_generators`, `is_cuspidal`), class representatives
+(`class_rep`), the named generators and the element stream of a
+centralizer (`centralizer_generators`, `centralizer_elements`), the
+coordinates of a centralizer element (`coordinates`, `reassemble`), and
+a linear character evaluated element by element (`evaluate`), also at
+every class representative when the base is central
+(`class_function_of_spec`), which induction computes from class tallies.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 from coxchar.centralizers import (
-    CentralizerCoordinates,
     _fill_neg_cycle,
     _fill_pos_cycle,
     _layout,
     _neg_orbit,
+    w_mu,
 )
-from coxchar.characters import LinearCharacterSpec, evaluate
-from coxchar.classfunctions import ClassFunction
+from coxchar.characters import LinearCharacterSpec
+from coxchar.classfunctions import ClassFunction, _integer_value
 from coxchar.cyclotomic import ONE, Root, _power_table, root_conj, root_mul
 from coxchar.groups import (
     BudgetError,
@@ -308,6 +312,24 @@ def is_cuspidal(G: GroupDescriptor, w: SignedPermutation, shape: Shape) -> bool:
     return fixed_space_ambient(w).dim == len(shape.lam)
 
 
+def class_rep(G: GroupDescriptor, label: SignedPartition, tag: str | None = None):
+    """The class representative w_mu (or its t-conjugate for tag '-')."""
+    n = G.degree
+    if label.n != n:
+        raise ValueError(f"{label} is not a label for {G}")
+    if G.family == "A" and label.neg:
+        raise ValueError("type A labels have no negative parts")
+    if G.family == "D" and len(label.neg) % 2:
+        raise ValueError("type D labels need an even number of negative parts")
+    split = G.family == "D" and not label.neg and all(p % 2 == 0 for p in label.pos)
+    if (tag is not None) != split:
+        raise ValueError(f"tag {tag!r} invalid for label {label} in {G}")
+    rep = w_mu(n, label)
+    if tag == "-":
+        rep = rep.conjugate(SignedPermutation.flip(n))
+    return rep
+
+
 # -- centralizer generators and the element stream -------------------------------
 
 
@@ -392,6 +414,79 @@ def centralizer_generators(n: int, mu: SignedPartition) -> CentralizerGenSet:
         tuple(pos_swaps),
         tuple(flips),
     )
+
+
+@dataclass(frozen=True)
+class CentralizerCoordinates:
+    """Coordinates of a centralizer element in the block decomposition.
+
+    neg entries: (length, perm, exps) with perm the induced permutation of
+    the equal-length blocks and exps[s] in [0, 2*length) the twist of block
+    s relative to its target cycle.  pos entries additionally carry flips[s]
+    in {0, 1} marking whole-block negation.
+    """
+
+    n: int
+    mu: SignedPartition
+    neg: tuple
+    pos: tuple
+
+
+def coordinates(g: SignedPermutation, mu: SignedPartition) -> CentralizerCoordinates:
+    """Decompose g in C(w_mu); raises ValueError if g does not centralize."""
+    n = g.n
+    if mu.n != n:
+        raise ValueError(f"{mu} is not a signed partition of {n}")
+    neg_fams, pos_fams = _layout(mu)
+    neg_out = []
+    for length, offsets in neg_fams:
+        block_of = {
+            c: p for p, off in enumerate(offsets) for c in range(off, off + length)
+        }
+        perm = [None] * len(offsets)
+        exps = [0] * len(offsets)
+        for s, u in enumerate(offsets):
+            t = g(u + 1)
+            p = block_of.get(abs(t) - 1)
+            if p is None:
+                raise ValueError(f"{g} does not centralize w_{mu}")
+            orbit = _neg_orbit(offsets[p], length)
+            k = orbit.index(t)
+            for q in range(length):
+                if g(u + 1 + q) != orbit[(k + q) % (2 * length)]:
+                    raise ValueError(f"{g} does not centralize w_{mu}")
+            perm[s] = p
+            exps[s] = k
+        if sorted(perm) != list(range(len(offsets))):
+            raise ValueError(f"{g} does not centralize w_{mu}")
+        neg_out.append((length, tuple(perm), tuple(exps)))
+    pos_out = []
+    for length, offsets in pos_fams:
+        block_of = {
+            c: p for p, off in enumerate(offsets) for c in range(off, off + length)
+        }
+        perm = [None] * len(offsets)
+        exps = [0] * len(offsets)
+        flips = [0] * len(offsets)
+        for s, u in enumerate(offsets):
+            t = g(u + 1)
+            p = block_of.get(abs(t) - 1)
+            if p is None:
+                raise ValueError(f"{g} does not centralize w_{mu}")
+            eps = 1 if t < 0 else 0
+            k = abs(t) - (offsets[p] + 1)
+            sgn = -1 if eps else 1
+            for q in range(length):
+                expected = sgn * (offsets[p] + 1 + (k + q) % length)
+                if g(u + 1 + q) != expected:
+                    raise ValueError(f"{g} does not centralize w_{mu}")
+            perm[s] = p
+            exps[s] = k
+            flips[s] = eps
+        if sorted(perm) != list(range(len(offsets))):
+            raise ValueError(f"{g} does not centralize w_{mu}")
+        pos_out.append((length, tuple(perm), tuple(exps), tuple(flips)))
+    return CentralizerCoordinates(n, mu, tuple(neg_out), tuple(pos_out))
 
 
 def reassemble(coords: CentralizerCoordinates) -> SignedPermutation:
@@ -510,6 +605,60 @@ def conjugate_by_first_flip(images):
     return tuple(out)
 
 
+# -- character values element by element ------------------------------------------
+
+
+def _summaries(coords: CentralizerCoordinates):
+    """The per-length (twist, sign[, flips]) data that
+    LinearCharacterSpec.evaluate_summaries reads, from coordinates."""
+    def perm_sign(perm):
+        m = len(perm)
+        inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
+        return -1 if inv % 2 else 1
+
+    neg = tuple(
+        (length, sum(exps) % (2 * length), perm_sign(perm))
+        for length, perm, exps in coords.neg
+    )
+    pos = tuple(
+        (length, sum(exps) % length, perm_sign(perm), sum(flips) % 2)
+        for length, perm, exps, flips in coords.pos
+    )
+    return neg, pos
+
+
+def base_rep(spec: LinearCharacterSpec) -> SignedPermutation:
+    """The element whose centralizer the character lives on."""
+    return class_rep(spec.group, spec.label, spec.tag)
+
+
+def evaluate(spec: LinearCharacterSpec, g: SignedPermutation) -> Root:
+    """Value of the character at g; rejects elements outside the centralizer."""
+    if spec.group.family == "A" and not g.is_positive():
+        raise ValueError(f"{g} is not in {spec.group}")
+    if spec.group.family == "D" and not g.is_even_signed():
+        raise ValueError(f"{g} is not in {spec.group}")
+    if spec.tag == "-":
+        g = g.conjugate(SignedPermutation.flip(g.n))
+    coords = coordinates(g, spec.label)
+    return spec.evaluate_summaries(*_summaries(coords))
+
+
+def class_function_of_spec(G: GroupDescriptor, spec: LinearCharacterSpec):
+    """Values of a centralizer character at the class representatives.
+
+    Only valid when the centralizer is the whole group (central base
+    element); this is the induced character in that degenerate case.
+    """
+    return ClassFunction(
+        G,
+        tuple(
+            _integer_value({evaluate(spec, cls.rep): 1}, 1, 1)
+            for cls in conjugacy_classes(G)
+        ),
+    )
+
+
 # -- induction and the alpha character by definition -----------------------------
 
 
@@ -538,7 +687,7 @@ def induce_direct(G: GroupDescriptor, chi: LinearCharacterSpec, budget=5000):
     membership in H = C_G(w) decided by commutation, no fusion keys."""
     if budget is not None and G.order > budget:
         raise BudgetError(f"|{G}| = {G.order} exceeds the oracle budget {budget}")
-    w = chi.base_rep()
+    w = base_rep(chi)
     order_h = sum(
         1 for x in group_elements(G) if x.compose(w) == w.compose(x)
     )

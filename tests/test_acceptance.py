@@ -27,7 +27,7 @@ from coxchar.verify import (
     verify_os,
     verify_regular,
 )
-from oracles import centralizer_elements, group_elements, induce_direct
+from oracles import centralizer_elements, evaluate, group_elements, induce_direct
 from test_lattice import brute_point_count, poly_product, whitney_point_count
 
 
@@ -174,8 +174,6 @@ def test_criterion_6_homomorphism_oracle():
             for _ in range(100):
                 g, h = rng.choice(elements), rng.choice(elements)
                 for spec in specs:
-                    from coxchar.characters import evaluate
-
                     if evaluate(spec, g.compose(h)) != root_mul(
                         evaluate(spec, g), evaluate(spec, h)
                     ):

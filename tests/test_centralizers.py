@@ -3,7 +3,6 @@ import pytest
 from conftest import mulclose
 from coxchar.centralizers import (
     centralizer_order,
-    coordinates,
     symmetric_centralizer_order,
     w_mu,
 )
@@ -11,9 +10,11 @@ from coxchar.groups import GroupDescriptor
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.signedperm import SignedPermutation
 from oracles import (
+    _summaries,
     centralizer_elements,
     centralizer_generators,
     conjugate_by_first_flip,
+    coordinates,
     group_elements,
     reassemble,
 )
@@ -146,8 +147,6 @@ def test_stream_options():
 
 
 def test_stream_summaries_match_coordinates():
-    from coxchar.characters import _summaries
-
     mu = SignedPartition((1, 1), (2,))
     for images, neg_sum, pos_sum in centralizer_elements(4, mu):
         coords = coordinates(SignedPermutation(images), mu)

@@ -7,7 +7,6 @@ from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
     epsilon_char,
-    evaluate,
     phi_A,
     phi_B,
     phi_D,
@@ -17,12 +16,15 @@ from coxchar.characters import (
 from coxchar.cyclotomic import MINUS_ONE, ONE, root, root_mul
 from coxchar.groups import GroupDescriptor, sign_character
 from coxchar.partitions import SignedPartition, signed_partitions
-from coxchar.shapes import Shape, class_rep
+from coxchar.shapes import Shape
 from coxchar.signedperm import SignedPermutation
 from oracles import (
     alpha_on_centralizer,
+    base_rep,
     centralizer_elements,
     centralizer_generators,
+    class_rep,
+    evaluate,
     group_elements,
 )
 
@@ -267,7 +269,7 @@ def test_spec_product_and_transport():
         phi_D(mu, "-"),
     )
     w_minus = class_rep(GroupDescriptor("D", 4), mu, "-")
-    assert chi.base_rep() == w_minus
+    assert base_rep(chi) == w_minus
     # product evaluates to the product of the factors
     g = w_minus
     parts = [

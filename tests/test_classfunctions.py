@@ -8,12 +8,12 @@ from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
     chi_char,
+    epsilon_char,
     phi_for_class,
     spec_product,
 )
 from coxchar.classfunctions import (
     ClassFunction,
-    class_function_of_spec,
     induce_from_centralizer,
     inner_product,
     regular_character,
@@ -35,6 +35,7 @@ from coxchar.signedperm import SignedPermutation
 from oracles import (
     Cyc,
     centralizer_elements,
+    class_function_of_spec,
     conjugate_by_first_flip,
     group_elements,
     induce_direct,
@@ -194,6 +195,33 @@ def test_tallies_match_streaming(G):
             assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls} {name}"
 
 
+CENTRAL_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 11)]
+    + [GroupDescriptor("B", r) for r in range(1, 13)]
+    + [GroupDescriptor("D", r) for r in range(4, 13)]
+)
+
+
+def test_central_classes_match_direct_evaluation():
+    """On a central class (w = 1, and w = -1 where it lies in the group)
+    the centralizer is the whole group, and induction by class tallies
+    equals the character evaluated at every class representative, for
+    phi, alpha.phi, chi and epsilon."""
+    inductions = 0
+    for G in CENTRAL_GROUPS:
+        for cls in conjugacy_classes(G):
+            if cls.centralizer_order != G.order:
+                continue
+            specs = _induction_specs(G, cls)
+            specs["epsilon"] = epsilon_char(G, cls.label, cls.tag)
+            for name, spec in specs.items():
+                direct = class_function_of_spec(G, spec)
+                tallied = induce_from_centralizer(G, spec)
+                assert tallied.equals(direct), f"{G} {cls.label} {name}"
+                inductions += 1
+    assert inductions == 196
+
+
 def test_induction_enumerates_no_element():
     """No centralizer element is streamed, under whatever name it is called."""
     streamed = []
@@ -305,22 +333,21 @@ def test_integer_value_reduces_and_scales():
         value({ONE: 3}, 1, 2)
 
 
-def _cube_root_at_identity(monkeypatch):
-    """chi(1) becomes a primitive cube root: in the central case the
-    identity class's bucket is that root with weight 1."""
-    real = classfunctions.evaluate
-
-    def evaluate(spec, g):
-        return root(1, 3) if g == SignedPermutation.identity(g.n) else real(spec, g)
-
-    monkeypatch.setattr(classfunctions, "evaluate", evaluate)
-
-
 def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
+    """Every value of a character based at the identity times a cube root:
+    the central base goes through the class tallies, and the bucket of the
+    identity class is that root with weight 1."""
     G = GroupDescriptor("B", 3)
-    _cube_root_at_identity(monkeypatch)
+    identity = SignedPartition((), (1, 1, 1))
+    real = LinearCharacterSpec.evaluate_summaries
+
+    def skewed(self, neg_summary, pos_summary):
+        value = real(self, neg_summary, pos_summary)
+        return root_mul(value, root(1, 3)) if self.label == identity else value
+
+    monkeypatch.setattr(LinearCharacterSpec, "evaluate_summaries", skewed)
     with pytest.raises(AssertionError, match="irrational"):
-        induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (1, 1, 1))))
+        induce_from_centralizer(G, phi_for_class(G, identity))
     assert main(["--family", "B", "--rank", "3", "--check", "regular"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -15,9 +15,9 @@ from coxchar.groups import (
     signed_cycle_type,
 )
 from coxchar.partitions import SignedPartition
-from coxchar.shapes import class_rep
 from coxchar.signedperm import SignedPermutation
 from oracles import (
+    class_rep,
     fixed_space,
     fixed_space_ambient,
     group_elements,

@@ -6,14 +6,19 @@ from coxchar.centralizers import w_mu
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import (
     Shape,
-    class_rep,
     cuspidal_labels,
     parse_shape,
     shape_rank,
     shapes,
 )
 from coxchar.signedperm import SignedPermutation
-from oracles import group_elements, is_cuspidal, parabolic_generators, shape_fix_space
+from oracles import (
+    class_rep,
+    group_elements,
+    is_cuspidal,
+    parabolic_generators,
+    shape_fix_space,
+)
 
 
 @pytest.mark.parametrize(
