@@ -40,7 +40,10 @@ LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
 
 
 def _budget(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in the message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"budget must be non-negative, got {value}")
     return value

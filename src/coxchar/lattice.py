@@ -12,19 +12,12 @@ coordinates are placed in turn, each opening a block, joining an open
 block with either sign (only + in type A) or joining the zero block (B
 and D), and type D drops the points whose zero block has one coordinate.
 
-Each flat also carries an incidence bitset over the hyperplane list.  A
-hyperplane contains a flat exactly when it relates two coordinates of
-one block with the block's relative sign (x_j = s_j s_i x_i), or lies on
-the zero block (x_i = 0 in type B, x_j = +-x_i), so the bits of a point
-are ORed in coordinate by coordinate from its block-mates.  The bitset
-determines the flat, and shared bits decide containment (X <= Y in the
-lattice, i.e. X is a subspace of Y, iff bits(Y) is a subset of bits(X)).
 The ambient space is Q^n for every family; in type A all flats contain
 the diagonal, and codimension (n - dim) equals the degree in the
 reflection representation, so nothing else changes.
 
-Per element w the w-stable flats form the subposet on which the Moebius
-function mu_w recurses top-down; its generating function
+Per element w the w-stable flats form a subposet with Moebius function
+mu_w, taken from the ambient space V; its generating function
 
     P_w(t) = sum over stable X of mu_w(X) (-t)^(codim X)
 
@@ -37,19 +30,25 @@ fixed-point partition lattices of Hanlon, Pacific J. Math. 1981, and
 their signed analogues).  A point -> index table per lattice turns each
 point into its flat.
 
-mu_w(V, X) is computed once per interval type.  For a flat X with zero
-block Z and other blocks B_1..B_m, the flats containing X are those of
-the hyperplanes through X, so [V, X] is L(Z) x Pi(B_1) x ... x Pi(B_m):
-L(Z) the lattice of the B_Z arrangement (D_Z in type D; nothing in type
-A), Pi(B) the partition lattice of a block, its signs inherited from X.
-A w stabilizing X acts on L(Z) through w|Z and permutes the Pi(B)
-factors; the fixed points of an orbit of k factors are those of
-Pi(B)^rho, rho = w^k on one block, acting through its underlying
-permutation.  Mu is multiplicative over products, so mu_w(V, X) depends
-only on the signed cycle type of w|Z and the multiset of (k, cycle type
-of rho) over the block orbits: the interval type, which the cycle-by-cycle
-enumeration knows for each flat it builds.  Conjugate actions give
-isomorphic fixed posets, so one subset scan per type suffices.
+mu_w(V, X) is a product over the interval type.  For a flat X with zero
+block Z and other blocks B_1..B_m, [V, X] is L(Z) x Pi(B_1) x ... x
+Pi(B_m): L(Z) the lattice of the B_Z arrangement (D_Z in type D; nothing
+in type A), Pi(B) the partition lattice of a block.  w acts on L(Z)
+through w|Z and permutes the Pi(B) factors; the fixed points of an orbit
+of k factors are those of Pi(B)^rho, rho = w^k on one block.  So
+mu_w(V, X) depends only on the interval type: the signed cycle type of
+w|Z and the multiset of (k, cycle type of rho) over the block orbits.  It
+has one factor per orbit and one for Z, mu(.) being number-theoretic:
+- orbit: mu(L) prod_{j=1}^{m-1} (-j L) if rho has m cycles, all of
+  length L, else 0 (Hanlon, Pacific J. Math. 1981);
+- Z in type B: the product, over each (sigma, L) shared by m cycles of
+  w|Z, sigma the product of a cycle's signs, of prod_{j<m} (b - 2 L j),
+  b = -1 for L = 1, sigma for L a power of 2 above 1, and 0 otherwise;
+- Z in type D: the B value plus, for each sign s, m^s_1 times the B
+  value with one (s, 1) cycle fewer, m^s_1 the number of (s, 1) cycles.
+These are the constant (Z) and linear (orbit) terms of the
+Frobenius-twisted point counts of the B_Z or D_Z and the type A
+complements (Lehrer, J. London Math. Soc. 1987).
 
 Orbits of flats are labelled by shapes, read off the point: the block
 sizes, and in type D with no zero block and all sizes even the parity of
@@ -62,16 +61,15 @@ the per-shape character reads one entry per class.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .classfunctions import ClassFunction
 from .groups import (
     DEFAULT_FLAT_BUDGET,
     BudgetError,
     GroupDescriptor,
-    Hyperplane,
     conjugacy_classes,
     class_index,
     class_key,
@@ -93,8 +91,8 @@ __all__ = [
 ]
 
 
-class Flat(namedtuple("Flat", "index point bits dim")):
-    """index into Lattice.flats, canonical point, incidence bits, dim."""
+class Flat(namedtuple("Flat", "index point dim")):
+    """index into Lattice.flats, canonical point, dim."""
 
     __slots__ = ()
 
@@ -120,38 +118,17 @@ class Lattice:
     # -- fixed subposets and their Moebius functions -------------------------
 
     def fixed_subposet(self, w: SignedPermutation) -> dict[int, tuple]:
-        """Index -> interval type of every w-stable flat, in flat order
-        (by codimension, the ambient space first)."""
+        """Index -> interval type of every w-stable flat."""
         index = self.index
-        found = {index[point]: key for point, key in _stable_points(self.G, w)}
-        return {k: found[k] for k in sorted(found)}
+        return {index[point]: key for point, key in _stable_points(self.G, w)}
 
     def moebius(self, subposet: dict[int, tuple]) -> dict[int, int]:
-        """mu_w on subposet = fixed_subposet(w), ordered by reverse inclusion
-        from the bottom V.
-
-        mu_w(V, X) depends only on the interval type that subposet maps X
-        to: the first flat of each type sums mu over the stable flats below
-        it, and every later flat of that type reuses the value.
-        """
-        if next(iter(subposet), None) != 0:
-            raise ValueError("subposet must contain the ambient space")
-        mu: dict[int, int] = {}
-        by_type: dict = {}
-        done: list[Flat] = []
-        for idx, key in subposet.items():
-            f = self.flats[idx]
-            value = by_type.get(key)
-            if value is None:
-                total = 0
-                bx = f.bits
-                for g in done:
-                    if g.bits & bx == g.bits:
-                        total += mu[g.index]
-                value = by_type[key] = 1 if not done else -total
-            mu[idx] = value
-            done.append(f)
-        return mu
+        """mu_w(V, X) for every X of subposet = fixed_subposet(w), from the
+        closed form of the interval type that subposet maps X to, computed
+        once per type (module docstring)."""
+        family = self.G.family
+        values = {key: _interval_mu(family, *key) for key in set(subposet.values())}
+        return {idx: values[key] for idx, key in subposet.items()}
 
     def shape_mu(self, w: SignedPermutation) -> dict[Shape, int]:
         """Shape -> sum of mu_w(X) over the w-stable flats X of that shape.
@@ -185,6 +162,43 @@ class Lattice:
             c = shape_rank(self.G, shape)
             coeffs[c] += total * (-1) ** c
         return tuple(coeffs)
+
+
+def _number_mu(n: int) -> int:
+    """The number-theoretic Moebius function."""
+    primes = [
+        p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
+    ]
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
+def _zero_mu(counts: Counter) -> int:
+    """mu_top of the type B zero block whose cycles have these (sigma, L)
+    counts."""
+    value = 1
+    for (sigma, length), m in counts.items():
+        b = -1 if length == 1 else sigma if length & (length - 1) == 0 else 0
+        value *= prod(b - 2 * length * j for j in range(m))
+    return value
+
+
+def _interval_mu(family: str, zero: tuple, orbits: tuple) -> int:
+    """mu_w(V, X) of the interval type (zero, orbits) that _stable_points
+    gives X, by the products of the module docstring."""
+    value = 1
+    for _, rho in orbits:
+        length = rho[0]
+        if any(r != length for r in rho):
+            return 0
+        value *= _number_mu(length) * prod(-j * length for j in range(1, len(rho)))
+    if family == "A":
+        return value
+    counts = Counter(zero)
+    total = _zero_mu(counts)
+    if family == "D":
+        for one in ((1, 1), (-1, 1)):
+            total += counts[one] * _zero_mu(counts - Counter([one]))
+    return value * total
 
 
 def _stable_points(G: GroupDescriptor, w: SignedPermutation):
@@ -314,32 +328,22 @@ def _stable_points(G: GroupDescriptor, w: SignedPermutation):
 
 
 def _points(G: GroupDescriptor):
-    """(point, bits, shape) of every flat, in buckets by dimension.
+    """(point, shape) of every flat, in buckets by dimension.
 
     Coordinate i opens a block (label i + 1, sign +), joins an open block
     with either sign (only + in type A) or, in types B and D, joins the
-    zero block.  Its incidence bits come from its block-mates: x_j = s x_i
-    for an earlier j of its block, s the product of their signs; x_i = 0
-    in type B; x_j = +-x_i for an earlier j of the zero block.  Type D
-    drops the points whose zero block has one coordinate.
+    zero block.  Type D drops the points whose zero block has one
+    coordinate.
     """
     n = G.degree
     family = G.family
-    bit = {h: 1 << k for k, h in enumerate(hyperplane_set(G))}
-    # pair[j][i]: the bits of x_j = x_i and of x_j = -x_i, for j < i
-    pair = [
-        [(bit.get(Hyperplane(j, i, 1), 0), bit.get(Hyperplane(j, i, -1), 0))
-         for i in range(1, n + 1)]
-        for j in range(1, n + 1)
-    ]
-    axis = [bit.get(Hyperplane(i + 1, 0, 0), 0) for i in range(n)]
     buckets: list[list] = [[] for _ in range(n + 1)]
     point = [0] * n
     blocks: list[list[int]] = []
     zero: list[int] = []
     shapes: dict = {}
 
-    def place(i, bits):
+    def place(i):
         if i == n:
             if family == "D" and len(zero) == 1:
                 return
@@ -350,39 +354,28 @@ def _points(G: GroupDescriptor):
             shape = shapes.get((lam, tag))
             if shape is None:
                 shape = shapes[lam, tag] = Shape(lam, tag)
-            buckets[len(blocks)].append((tuple(point), bits, shape))
+            buckets[len(blocks)].append((tuple(point), shape))
             return
         point[i] = i + 1
         blocks.append([i])
-        place(i + 1, bits)
+        place(i + 1)
         blocks.pop()
         for members in blocks:
-            plus = minus = 0
-            for j in members:
-                same, opposite = pair[j][i]
-                if point[j] < 0:
-                    same, opposite = opposite, same
-                plus |= same
-                minus |= opposite
             label = point[members[0]]
             members.append(i)
             point[i] = label
-            place(i + 1, bits | plus)
+            place(i + 1)
             if family != "A":
                 point[i] = -label
-                place(i + 1, bits | minus)
+                place(i + 1)
             members.pop()
         if family != "A":
-            add = axis[i]
-            for j in zero:
-                same, opposite = pair[j][i]
-                add |= same | opposite
             point[i] = 0
             zero.append(i)
-            place(i + 1, bits | add)
+            place(i + 1)
             zero.pop()
 
-    place(0, 0)
+    place(0)
     return buckets
 
 
@@ -417,8 +410,8 @@ def build_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
     buckets = _points(G)
     flats, labels = [], []
     for dim in range(G.degree, -1, -1):
-        for point, bits, shape in buckets[dim]:
-            flats.append(Flat(len(flats), point, bits, dim))
+        for point, shape in buckets[dim]:
+            flats.append(Flat(len(flats), point, dim))
             labels.append(shape)
         buckets[dim] = None
     if len(flats) != count:

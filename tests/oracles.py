@@ -6,8 +6,8 @@ by the definition over the whole group (`induce_direct`), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
 the intersection lattice closed under hyperplane meets (`closure_by_meets`),
 and the w-stable flats by testing each flat's hyperplanes
-(`stable_flats_by_bits`) with the interval type of each read off its point
-(`interval_type`).
+(`stable_flats_by_bits`, on the incidence bits `flat_bits` reads off each
+point) with the interval type of each read off its point (`interval_type`).
 Beside them live the element-level objects no check uses: every group
 element (`group_elements`), fixed spaces as rational subspaces
 (`fixed_space`, `shape_fix_space`), standard parabolics
@@ -758,7 +758,9 @@ def _meet(point, a: int, b: int) -> tuple[int, ...]:
     return tuple([x // old * keep if abs(x) == top else x for x in point])
 
 
-def _incidence(point, hyperplanes) -> int:
+def incidence(point, hyperplanes) -> int:
+    """Bitset of the hyperplanes, by position, that contain the flat of a
+    generic point."""
     bits = 0
     for k, h in enumerate(hyperplanes):
         a, b = _sides(point, h)
@@ -798,7 +800,7 @@ def closure_by_meets(G: GroupDescriptor):
                     continue
                 seen.add(new)
                 dim = len({abs(x) for x in new if x})
-                flat = (new, _incidence(new, hyperplanes), dim)
+                flat = (new, incidence(new, hyperplanes), dim)
                 flats.append(flat)
                 next_frontier.append(flat)
         frontier = next_frontier
@@ -825,6 +827,13 @@ def hyperplane_action(G: GroupDescriptor, w: SignedPermutation) -> tuple[int, ..
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def flat_bits(lattice) -> tuple[int, ...]:
+    """Incidence bits over hyperplane_set of every flat, by flat index."""
+    hyperplanes = hyperplane_set(lattice.G)
+    return tuple(incidence(f.point, hyperplanes) for f in lattice.flats)
+
+
 def stable_flats_by_bits(lattice, w: SignedPermutation) -> list[int]:
     """Indices of the w-stable flats, testing every flat: w permutes the
     hyperplanes, so a flat is stable once the image of each of its
@@ -832,15 +841,15 @@ def stable_flats_by_bits(lattice, w: SignedPermutation) -> list[int]:
     not."""
     action = hyperplane_action(lattice.G, w)
     out = []
-    for f in lattice.flats:
-        bits = rest = f.bits
+    for index, bits in enumerate(flat_bits(lattice)):
+        rest = bits
         while rest:
             low = rest & -rest
             if not bits >> action[low.bit_length() - 1] & 1:
                 break
             rest ^= low
         else:
-            out.append(f.index)
+            out.append(index)
     return out
 
 

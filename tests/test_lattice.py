@@ -21,6 +21,7 @@ from coxchar.shapes import shape_rank, shapes
 from coxchar.signedperm import SignedPermutation
 from oracles import (
     closure_by_meets,
+    flat_bits,
     group_elements,
     hyperplane_action,
     interval_type,
@@ -88,19 +89,25 @@ def permute_bits(bits, action):
 def stable_by_permuting(lattice, w):
     """Indices of the flats whose hyperplane set w maps onto itself."""
     action = hyperplane_action(lattice.G, w)
-    return [f.index for f in lattice.flats if permute_bits(f.bits, action) == f.bits]
+    return [
+        index
+        for index, bits in enumerate(flat_bits(lattice))
+        if permute_bits(bits, action) == bits
+    ]
 
 
 def moebius_by_scan(lattice, subposet):
     """mu of the subposet by the plain scan: every flat sums mu over all
     the subposet's flats below it, O(F^2) subset tests."""
+    bits = flat_bits(lattice)
     flats = sorted((lattice.flats[k] for k in subposet), key=lambda f: f.codim)
     mu = {}
     done = []
     for f in flats:
-        below = sum(mu[g.index] for g in done if g.bits & f.bits == g.bits)
+        bx = bits[f.index]
+        below = sum(mu[g] for g in done if bits[g] & bx == bits[g])
         mu[f.index] = 1 if not done else -below
-        done.append(f)
+        done.append(f.index)
     return mu
 
 
@@ -222,11 +229,12 @@ def test_build_matches_closure_by_meets(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = build_lattice(G)
     flats = lattice.flats
+    bits = flat_bits(lattice)
     assert [f.index for f in flats] == list(range(len(flats)))
-    assert flats[0].codim == 0 and flats[0].bits == 0
+    assert flats[0].codim == 0 and bits[0] == 0
     assert all(f.codim <= g.codim for f, g in zip(flats, flats[1:]))
     got = Counter(
-        (f.point, f.bits, f.dim, lattice.shape_labels[f.index]) for f in flats
+        (f.point, bits[f.index], f.dim, lattice.shape_labels[f.index]) for f in flats
     )
     assert got == Counter(closure_by_meets(G))
 
@@ -275,13 +283,14 @@ def test_bitset_containment_matches_subspaces(family, rank):
     flat's subspace spanned by the blocks of its generic point."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
+    bits = flat_bits(lattice)
     spaces = [point_subspace(f.point) for f in lattice.flats]
     for f, space in zip(lattice.flats, spaces):
         assert space.dim == f.dim
-        assert incidence(G, space) == f.bits
+        assert incidence(G, space) == bits[f.index]
     for f in lattice.flats:
         for g in lattice.flats:
-            bits_contain = f.bits & g.bits == g.bits
+            bits_contain = bits[f.index] & bits[g.index] == bits[g.index]
             spaces_contain = all(
                 spaces[g.index].contains(row) for row in spaces[f.index].basis
             )
@@ -300,7 +309,8 @@ def test_flats_match_rref_closure(family, rank):
     lattice = get_lattice(G)
     expected = rref_closure(G)
     assert len(lattice.flats) == len(expected)
-    assert {(f.bits, f.dim) for f in lattice.flats} == expected
+    bits = flat_bits(lattice)
+    assert {(bits[f.index], f.dim) for f in lattice.flats} == expected
 
 
 @pytest.mark.parametrize(
@@ -315,12 +325,14 @@ def test_shape_labels_are_orbit_labels(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     labels = lattice.shape_labels
-    by_bits = {f.bits: f.index for f in lattice.flats}
+    bits = flat_bits(lattice)
+    by_bits = {b: index for index, b in enumerate(bits)}
     assert set(labels) <= set(shapes(G))
     for g in G.coxeter_generators():
         action = hyperplane_action(G, g)
         for f in lattice.flats:
-            assert labels[by_bits[permute_bits(f.bits, action)]] == labels[f.index]
+            image = by_bits[permute_bits(bits[f.index], action)]
+            assert labels[image] == labels[f.index]
     for shape in shapes(G):
         assert labels[by_bits[incidence(G, shape_fix_space(G, shape))]] == shape
 
@@ -514,8 +526,8 @@ def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
 
 def assert_stable_flats_match_oracles(lattice, w):
     sub = lattice.fixed_subposet(w)
-    assert list(sub) == stable_flats_by_bits(lattice, w)
-    assert list(sub) == stable_by_permuting(lattice, w)
+    assert sorted(sub) == stable_flats_by_bits(lattice, w)
+    assert sorted(sub) == stable_by_permuting(lattice, w)
     for idx, key in sub.items():
         assert key == interval_type(lattice.flats[idx].point, w)
     scan = moebius_by_scan(lattice, sub)
@@ -533,6 +545,67 @@ def test_moebius_and_stable_flats_match_oracles_off_representatives(family, rank
         assert_stable_flats_match_oracles(lattice, w)
 
 
+class Untouchable:
+    """Stands in for Lattice.flats: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"moebius read lattice.flats ({name})")
+
+    def __getitem__(self, key):
+        raise AssertionError("moebius read lattice.flats")
+
+    def __iter__(self):
+        raise AssertionError("moebius read lattice.flats")
+
+    def __len__(self):
+        raise AssertionError("moebius read lattice.flats")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("D", 5)])
+def test_moebius_reads_only_the_interval_types(family, rank, monkeypatch):
+    """Work guard: mu_w comes from the interval types alone, with no flat
+    (and so no containment test) in reach, and still equals the scan."""
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    for cls in conjugacy_classes(G):
+        sub = lattice.fixed_subposet(cls.rep)
+        scan = moebius_by_scan(lattice, sub)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "flats", Untouchable())
+            assert lattice.moebius(sub) == scan
+
+
+NUMBER_MOEBIUS = {2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0}
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("A", n) for n in range(2, 10)]
+    + [("B", n) for n in range(2, 8)]
+    + [
+        pytest.param(
+            "B", 8,
+            marks=pytest.mark.skipif(
+                not stretch_enabled(), reason="B8 needs COXCHAR_STRETCH=1"
+            ),
+        )
+    ],
+)
+def test_coxeter_element_top_coefficient(family, n):
+    """Hand values of the top coefficient of P_w for a Coxeter element:
+    (-1)^(n-1) mu(n) for the n-cycle of A_(n-1) (Hanlon), and for the
+    negative n-cycle of B_n, -1 when n is a power of 2 and 0 otherwise."""
+    if family == "A":
+        G = GroupDescriptor("A", n - 1)
+        w = SignedPermutation(tuple(range(2, n + 1)) + (1,))
+        expected = (-1) ** (n - 1) * NUMBER_MOEBIUS[n]
+    else:
+        G = GroupDescriptor("B", n)
+        w = SignedPermutation(tuple(range(2, n + 1)) + (-1,))
+        expected = -1 if n & (n - 1) == 0 else 0
+    assert get_lattice(G).poincare_polynomial(w)[-1] == expected
+
+
 @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("A", 4)])
 def test_interval_type_is_conjugation_invariant(family, rank):
     """interval_type(g X, g w g^-1) == interval_type(X, w) for every
@@ -540,7 +613,8 @@ def test_interval_type_is_conjugation_invariant(family, rank):
     and the types fixed_subposet builds agree."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    by_bits = {f.bits: f for f in lattice.flats}
+    bits = flat_bits(lattice)
+    by_bits = {bits[f.index]: f for f in lattice.flats}
     for g in G.coxeter_generators():
         action = hyperplane_action(G, g)
         for cls in conjugacy_classes(G):
@@ -548,7 +622,7 @@ def test_interval_type_is_conjugation_invariant(family, rank):
             conjugate = lattice.fixed_subposet(w.conjugate(g))
             for idx, key in lattice.fixed_subposet(w).items():
                 x = lattice.flats[idx]
-                gx = by_bits[permute_bits(x.bits, action)]
+                gx = by_bits[permute_bits(bits[idx], action)]
                 assert interval_type(gx.point, w.conjugate(g)) == interval_type(
                     x.point, w
                 )
@@ -560,8 +634,8 @@ def test_interval_type_is_conjugation_invariant(family, rank):
     [("A", 6, 15), ("B", 6, 30), ("D", 6, 23), ("B", 7, 45), ("D", 7, 34)],
 )
 def test_identity_runs_one_scan_per_block_shape(family, rank, types):
-    """Work guard: for the identity the interval types, one subset scan
-    each, are the (zero-block size, block-size partition) pairs."""
+    """Work guard: for the identity the interval types, one closed-form
+    value each, are the (zero-block size, block-size partition) pairs."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G, budget=30_000)
     identity = SignedPermutation.identity(G.degree)

@@ -301,6 +301,29 @@ def test_cli_negative_budget_is_usage_error(flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--budget-elements", "--budget-flats"])
+@pytest.mark.parametrize("value", ["x", "1.5"])
+def test_cli_non_integer_budget_reads_like_rank(flag, value, capsys):
+    """A budget that is not an integer is refused in the words argparse
+    uses for --rank, and a negative one keeps its own message."""
+
+    def usage_error(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--family", "B", "--check", "regular", *argv])
+        assert exc.value.code == 2
+        return capsys.readouterr().err.splitlines()[-1]
+
+    assert usage_error("--rank", value).endswith(
+        f"argument --rank: invalid int value: '{value}'"
+    )
+    assert usage_error("--rank", "3", flag, value).endswith(
+        f"argument {flag}: invalid int value: '{value}'"
+    )
+    assert usage_error("--rank", "3", flag, "-1").endswith(
+        f"argument {flag}: budget must be non-negative, got -1"
+    )
+
+
 @pytest.mark.parametrize("rank", ["0", "-2"])
 @pytest.mark.parametrize("family", ["B", "E"])
 def test_cli_rank_below_one_is_usage_error(family, rank, capsys):
