@@ -3,6 +3,7 @@
     coxchar --family B --rank 4 --check regular
     coxchar --family D --rank 5 --check all --json report.json
     coxchar --family B --rank 3 --check shape --shape "1"
+    coxchar --family A --rank 3 --check shape --shape "4"   # the full group
     coxchar --family B --rank 10 --check regular
     coxchar --family B --rank 4 --check os --budget-flats 10000
 
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shape",
         default=None,
-        help='shape label, e.g. "2+1", "" for the full group, "2+2^-" in type D',
+        help='shape label, e.g. "2+1" or "2+2^-" in type D; the full group is '
+        '"" in types B and D and the degree n in type A ("4" for A3)',
     )
     parser.add_argument("--json", default=None, metavar="PATH")
     parser.add_argument(

@@ -22,13 +22,18 @@ mu_w, taken from the ambient space V; its generating function
     P_w(t) = sum over stable X of mu_w(X) (-t)^(codim X)
 
 has the trace of w on the degree-p cohomology of the arrangement
-complement as its t^p coefficient.  The stable flats are not found by
-testing every flat: w permutes the blocks of a stable flat, so they are
-built from the cycles of w, each cycle going into the zero block or
-running through an orbit of blocks (_stable_points; these are the
-fixed-point partition lattices of Hanlon, Pacific J. Math. 1981, and
-their signed analogues).  A point -> index table per lattice turns each
-point into its flat.
+complement as its t^p coefficient.  The stable flats are neither tested
+nor built but counted: w permutes the blocks of a stable flat, so each
+cycle of w goes into the zero block or runs through an orbit of blocks.
+Such a structure (which cycles go where) fixes the interval type, the
+shape and the number of flats it stands for (_stable_structures; these
+are the fixed-point partition lattices of Hanlon, Pacific J. Math. 1981,
+and their signed analogues, used as a counting argument).  In type D a
+shape with no zero block and only even blocks splits by the parity of
+the negative entries of its points.  That is the parity of the entries
+each cycle's placement writes, since making a point canonical flips
+whole blocks and flipping an even block keeps its parity; so type D also
+counts each partial structure by that parity.
 
 mu_w(V, X) is a product over the interval type.  For a flat X with zero
 block Z and other blocks B_1..B_m, [V, X] is L(Z) x Pi(B_1) x ... x
@@ -50,19 +55,21 @@ These are the constant (Z) and linear (orbit) terms of the
 Frobenius-twisted point counts of the B_Z or D_Z and the type A
 complements (Lehrer, J. London Math. Soc. 1987).
 
-Orbits of flats are labelled by shapes, read off the point: the block
-sizes, and in type D with no zero block and all sizes even the parity of
-its negative entries.  A shape fixes the codimension of its flats
-(shape_rank), so one table per class, shape -> sum of mu_w over the
-w-stable flats of that shape (Lattice.shape_mu), serves every check: P_w
+Orbits of flats are labelled by shapes: the block sizes, and in type D
+with no zero block and all sizes even the parity of the point's negative
+entries.  A shape fixes the codimension of its flats (shape_rank), so
+one table per class, shape -> sum of count * mu_w over the stable
+structures of that shape (Lattice.shape_mu), serves every check: P_w
 sums it by rank, the graded and os characters read P_w of each class, and
-the per-shape character reads one entry per class.
+the per-shape character reads one entry per class.  None of them reads a
+flat; the flats are still built, each labelled by its shape, and the
+flat budget still refuses a lattice larger than it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import product
+from functools import lru_cache
 from math import comb, prod
 
 from .classfunctions import ClassFunction
@@ -107,7 +114,6 @@ class Lattice:
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
         self.shape_labels = shape_labels
-        self.index = {f.point: f.index for f in flats}
         self._shape_mu: dict[int, dict[Shape, int]] = {}
         self._rep_index = {c.rep: k for k, c in enumerate(conjugacy_classes(G))}
 
@@ -117,18 +123,19 @@ class Lattice:
 
     # -- fixed subposets and their Moebius functions -------------------------
 
-    def fixed_subposet(self, w: SignedPermutation) -> dict[int, tuple]:
-        """Index -> interval type of every w-stable flat."""
-        index = self.index
-        return {index[point]: key for point, key in _stable_points(self.G, w)}
+    def fixed_subposet(self, w: SignedPermutation) -> dict[tuple, int]:
+        """(interval type, shape) -> number of w-stable flats."""
+        return _stable_structures(self.G, w)
 
-    def moebius(self, subposet: dict[int, tuple]) -> dict[int, int]:
-        """mu_w(V, X) for every X of subposet = fixed_subposet(w), from the
-        closed form of the interval type that subposet maps X to, computed
-        once per type (module docstring)."""
+    def moebius(self, subposet: dict[tuple, int]) -> dict[Shape, int]:
+        """Shape -> sum of mu_w(V, X) over the flats X that subposet =
+        fixed_subposet(w) counts, from the closed form of each interval
+        type (module docstring)."""
         family = self.G.family
-        values = {key: _interval_mu(family, *key) for key in set(subposet.values())}
-        return {idx: values[key] for idx, key in subposet.items()}
+        table: dict[Shape, int] = {}
+        for (key, shape), count in subposet.items():
+            table[shape] = table.get(shape, 0) + count * _interval_mu(family, *key)
+        return table
 
     def shape_mu(self, w: SignedPermutation) -> dict[Shape, int]:
         """Shape -> sum of mu_w(X) over the w-stable flats X of that shape.
@@ -139,12 +146,7 @@ class Lattice:
         k = self._rep_index.get(w)
         if k in self._shape_mu:
             return self._shape_mu[k]
-        sub = self.fixed_subposet(w)
-        mu = self.moebius(sub)
-        table: dict[Shape, int] = {}
-        for idx in sub:
-            shape = self.shape_labels[idx]
-            table[shape] = table.get(shape, 0) + mu[idx]
+        table = self.moebius(self.fixed_subposet(w))
         if k is not None:
             self._shape_mu[k] = table
             n = self.G.degree
@@ -164,6 +166,7 @@ class Lattice:
         return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
 def _number_mu(n: int) -> int:
     """The number-theoretic Moebius function."""
     primes = [
@@ -183,8 +186,8 @@ def _zero_mu(counts: Counter) -> int:
 
 
 def _interval_mu(family: str, zero: tuple, orbits: tuple) -> int:
-    """mu_w(V, X) of the interval type (zero, orbits) that _stable_points
-    gives X, by the products of the module docstring."""
+    """mu_w(V, X) of the interval type (zero, orbits) that
+    _stable_structures gives X, by the products of the module docstring."""
     value = 1
     for _, rho in orbits:
         length = rho[0]
@@ -201,130 +204,119 @@ def _interval_mu(family: str, zero: tuple, orbits: tuple) -> int:
     return value * total
 
 
-def _stable_points(G: GroupDescriptor, w: SignedPermutation):
-    """(point, interval type) of every w-stable flat, each once.
+def _stable_structures(G: GroupDescriptor, w: SignedPermutation) -> dict:
+    """(interval type, shape) -> number of w-stable flats, counted from the
+    structures of the cycles of w; no flat is built.
 
-    The flats are built cycle by cycle.  A cycle c_0 -> c_1 -> ... of |w|,
-    of length L and sign sigma (the product of its signs), goes into the
-    zero block (types B and D), opens an orbit of k blocks for a k dividing
-    L, or joins an open orbit of the same k at one of its k offsets o, with
-    either sign a in types B and D (a = 1 when it opens one, o = 0).  Then
-    c_j lies in block (o + j) mod k of the orbit with sign
-    a * (eps_0 ... eps_(j-1)) * lam^((o + j) // k), eps_j the sign of w at
-    c_j and lam = +-1 the scalar by which w^k acts on the orbit's first
-    block; the cycle closes up iff sigma * lam^(L / k) = 1.  Type D drops
-    the flats whose zero block has one coordinate.
+    A cycle c_0 -> c_1 -> ... of |w|, of length L and sign sigma (the
+    product of its signs), goes into the zero block (types B and D), opens
+    an orbit of k blocks for a k dividing L, or joins an open orbit of the
+    same k, where lam = +-1 is the scalar by which w^k acts on each block of
+    the orbit: the cycle closes up iff sigma * lam^(L / k) = 1.  A structure
+    says which cycles go where.  It fixes the interval type, the key of
+    mu_w(V, X): the sorted (sigma, L) of the zero cycles and the sorted
+    (k, sorted L / k) of the orbits, w^k leaving one cycle of length L / k
+    on a block for each cycle of the orbit.  It fixes the shape: an orbit
+    is k blocks of size sum(L / k), and type D drops a zero block of one
+    coordinate.  And it fixes how many flats it stands for: the orbit's
+    first cycle puts c_0 in its first block with sign +, and every cycle
+    that joins it picks the block of its c_0 and, in types B and D, a sign,
+    k * |signs| flats each.
 
-    The interval type, the key of mu_w(V, X), is the sorted (sigma, L) of
-    the zero cycles and the sorted (k, sorted L / k) of the orbits: w^k
-    leaves one cycle of length L / k on a block for each cycle of the
-    orbit.  It depends on which cycles go where, not on offsets or signs,
-    so it is computed once per such structure.
+    Only the D shapes with no zero block and all blocks even split, by the
+    parity of the negative entries of the canonical point.  A cycle placed
+    at block offset o with sign a writes a * (eps_0 ... eps_(j-1)) *
+    lam^((o + j) // k) at c_j, eps_j the sign of w at c_j, and making the
+    point canonical flips whole blocks, which keeps the parity of an even
+    block's negatives.  So in type D each placement also carries the
+    parity of the negatives it writes, and a partial structure is kept
+    apart by that parity too.
 
-    Cycles are taken in the order of their smallest coordinates, each
-    starting there, so an orbit's first block holds the smallest
-    coordinate of the orbit with sign +, and its number is already its
-    label in the canonical point.  The other blocks of an orbit of k > 1
-    blocks get numbers above n, relabelled by their smallest coordinate
-    once the flat is complete.
+    The cycles are placed in (L, sigma, signs) order, and the count of every
+    partial structure is kept by its canonical state: the sorted zero
+    cycles, the sorted open orbits (k, lam, L / k of each cycle) and the
+    parity.  Partial structures with equal states have equal futures, so
+    each state is extended once.
     """
-    n = G.degree
     family = G.family
     signs = (1,) if family == "A" else (1, -1)
     images = w.images
-    cycles = []  # (coordinates, prefix sign products, sigma)
-    seen = [False] * n
-    for start in range(n):
+    cycles = []  # (L, sigma, sign products eps_0 ... eps_(j-1) at each c_j)
+    seen = [False] * len(images)
+    for start in range(len(images)):
         if seen[start]:
             continue
-        coords, prefix, sign, v = [], [], 1, start
+        prefix, sign, v = [], 1, start
         while not seen[v]:
             seen[v] = True
-            coords.append(v)
             prefix.append(sign)
             if images[v] < 0:
                 sign = -sign
             v = abs(images[v]) - 1
-        cycles.append((coords, prefix, sign))
+        cycles.append((len(prefix), sign, tuple(prefix)))
+    cycles.sort()
 
-    def codes(cycle, numbers, lam, offset, a):
-        """(coordinate, +-block number) of a cycle placed at an offset of
-        the orbit whose blocks have these numbers."""
-        coords, prefix, _ = cycle
-        k = len(numbers)
-        return tuple(
-            (c, a * prefix[j] * lam ** ((offset + j) // k) * numbers[(offset + j) % k])
-            for j, c in enumerate(coords)
-        )
+    def placements(prefix, k, lam, offsets, flips):
+        """(parity of the negatives written, how many placements) over the
+        given offsets and signs; in types A and B the parity is not kept."""
+        if family != "D":
+            return ((0, len(offsets) * len(flips)),)
+        counts = [0, 0]
+        for o in offsets:
+            odd = sum(p * lam ** ((o + j) // k) < 0 for j, p in enumerate(prefix))
+            for a in flips:
+                counts[(odd if a == 1 else len(prefix) - odd) % 2] += 1
+        return tuple((bit, m) for bit, m in enumerate(counts) if m)
 
-    zero: list[tuple[int, int]] = []  # (sigma, L) of the zero cycles
-    orbits: list[tuple] = []  # (k, lam, block numbers, [L // k of each cycle])
-    choices: list[tuple] = []  # per cycle, the codes of each placement
-    types: dict = {}  # one shared object per interval type
-
-    def structures(i, zero_size, top):
-        """(interval type, placements of each cycle, relabel?) of every
-        way to place cycles i, i + 1, ... after the ones already placed;
-        top is the largest block number in use, n if none is above n."""
-        if i == len(cycles):
-            if family == "D" and zero_size == 1:
-                return
-            key = (
-                tuple(sorted(zero)),
-                tuple(sorted((k, tuple(sorted(rho))) for k, _, _, rho in orbits)),
-            )
-            yield types.setdefault(key, key), tuple(choices), top > n
-            return
-        cycle = cycles[i]
-        length, sigma = len(cycle[0]), cycle[2]
-        if family != "A":
-            zero.append((sigma, length))
-            choices.append(((),))
-            yield from structures(i + 1, zero_size + length, top)
-            choices.pop()
-            zero.pop()
-        for k, lam, numbers, rho in orbits:
-            if length % k or sigma * lam ** (length // k) != 1:
-                continue
-            rho.append(length // k)
-            choices.append(tuple(
-                codes(cycle, numbers, lam, o, a) for o in range(k) for a in signs
-            ))
-            yield from structures(i + 1, zero_size, top)
-            choices.pop()
-            rho.pop()
-        for k in range(1, length + 1):
-            if length % k:
-                continue
-            for lam in signs:
-                if sigma * lam ** (length // k) != 1:
+    states = {((), (), 0): 1}  # (zero (L, sigma), orbits (k, lam, rho), parity)
+    for length, sigma, prefix in cycles:
+        fits = [
+            (k, lam)
+            for k in range(1, length + 1)
+            if length % k == 0
+            for lam in signs
+            if sigma * lam ** (length // k) == 1
+        ]
+        opens = {f: placements(prefix, *f, (0,), (1,)) for f in fits}
+        joins = {f: placements(prefix, *f, range(f[0]), signs) for f in fits}
+        grown: dict = {}
+        for (zero, orbits, parity), count in states.items():
+            if family != "A":
+                state = (zero + ((length, sigma),), orbits, parity)
+                grown[state] = grown.get(state, 0) + count
+            for i, (k, lam, rho) in enumerate(orbits):
+                if (k, lam) not in joins:
                     continue
-                numbers = (cycle[0][0] + 1,) + tuple(range(top + 1, top + k))
-                orbits.append((k, lam, numbers, [length // k]))
-                choices.append((codes(cycle, numbers, lam, 0, 1),))
-                yield from structures(i + 1, zero_size, top + k - 1)
-                choices.pop()
-                orbits.pop()
+                joined = (k, lam, rho + (length // k,))
+                rest = tuple(sorted(orbits[:i] + (joined,) + orbits[i + 1:]))
+                for bit, m in joins[k, lam]:
+                    state = (zero, rest, parity ^ bit)
+                    grown[state] = grown.get(state, 0) + count * m
+            for (k, lam), ways in opens.items():
+                rest = tuple(sorted(orbits + ((k, lam, (length // k,)),)))
+                for bit, m in ways:
+                    state = (zero, rest, parity ^ bit)
+                    grown[state] = grown.get(state, 0) + count * m
+        states = grown
 
-    for key, placements, relabel in structures(0, 0, n):
-        code = [0] * n
-        for pick in product(*placements):
-            for placed in pick:
-                for c, v in placed:
-                    code[c] = v
-            if not relabel:
-                yield tuple(code), key
-                continue
-            label: dict[int, int] = {}
-            point = []
-            for c, v in enumerate(code):
-                if v > n or v < -n:
-                    f = label.get(abs(v))
-                    if f is None:
-                        f = label[abs(v)] = c + 1 if v > 0 else -c - 1
-                    v = f if v > 0 else -f
-                point.append(v)
-            yield tuple(point), key
+    out: dict = {}
+    for (zero, orbits, parity), count in states.items():
+        zero_size = sum(length for length, _ in zero)
+        if family == "D" and zero_size == 1:
+            continue
+        sizes = tuple(sorted(
+            (sum(rho) for k, _, rho in orbits for _ in range(k)), reverse=True
+        ))
+        tag = None
+        if family == "D" and not zero_size and all(p % 2 == 0 for p in sizes):
+            tag = "-" if parity else "+"
+        key = (
+            tuple(sorted((sigma, length) for length, sigma in zero)),
+            tuple(sorted((k, rho) for k, _, rho in orbits)),
+        )
+        entry = (key, Shape(sizes, tag))
+        out[entry] = out.get(entry, 0) + count
+    return out
 
 
 def _points(G: GroupDescriptor):
@@ -432,10 +424,8 @@ def get_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
     if lattice is None:
         lattice = build_lattice(G, budget)
         _LATTICES[G] = lattice
-    elif budget is not None and len(lattice.flats) > budget:
-        raise BudgetError(
-            f"lattice of {G} has {len(lattice.flats)} flats > budget {budget}"
-        )
+    elif budget is not None and flat_count(G) > budget:
+        raise BudgetError(f"lattice of {G} has {flat_count(G)} flats > budget {budget}")
     return lattice
 
 

@@ -5,9 +5,11 @@ test can compare the two: exact sums of roots of unity (`Cyc`), induction
 by the definition over the whole group (`induce_direct`), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
 the intersection lattice closed under hyperplane meets (`closure_by_meets`),
-and the w-stable flats by testing each flat's hyperplanes
+the w-stable flats by testing each flat's hyperplanes
 (`stable_flats_by_bits`, on the incidence bits `flat_bits` reads off each
-point) with the interval type of each read off its point (`interval_type`).
+point) with the interval type of each read off its point (`interval_type`),
+and the same flats built one by one from the cycles of w, each with its
+interval type (`stable_points`), which the library only counts.
 Beside them live the element-level objects no check uses: every group
 element (`group_elements`), fixed spaces as rational subspaces
 (`fixed_space`, `shape_fix_space`), standard parabolics
@@ -805,6 +807,135 @@ def closure_by_meets(G: GroupDescriptor):
                 next_frontier.append(flat)
         frontier = next_frontier
     return [(point, bits, dim, shape_of_point(G, point)) for point, bits, dim in flats]
+
+
+# -- stable flats built one by one -------------------------------------------
+
+
+def stable_points(G: GroupDescriptor, w: SignedPermutation):
+    """(point, interval type) of every w-stable flat, each once.
+
+    The flats are built cycle by cycle.  A cycle c_0 -> c_1 -> ... of |w|,
+    of length L and sign sigma (the product of its signs), goes into the
+    zero block (types B and D), opens an orbit of k blocks for a k dividing
+    L, or joins an open orbit of the same k at one of its k offsets o, with
+    either sign a in types B and D (a = 1 when it opens one, o = 0).  Then
+    c_j lies in block (o + j) mod k of the orbit with sign
+    a * (eps_0 ... eps_(j-1)) * lam^((o + j) // k), eps_j the sign of w at
+    c_j and lam = +-1 the scalar by which w^k acts on the orbit's first
+    block; the cycle closes up iff sigma * lam^(L / k) = 1.  Type D drops
+    the flats whose zero block has one coordinate.
+
+    The interval type, the key of mu_w(V, X), is the sorted (sigma, L) of
+    the zero cycles and the sorted (k, sorted L / k) of the orbits: w^k
+    leaves one cycle of length L / k on a block for each cycle of the
+    orbit.  It depends on which cycles go where, not on offsets or signs,
+    so it is computed once per such structure.
+
+    Cycles are taken in the order of their smallest coordinates, each
+    starting there, so an orbit's first block holds the smallest
+    coordinate of the orbit with sign +, and its number is already its
+    label in the canonical point.  The other blocks of an orbit of k > 1
+    blocks get numbers above n, relabelled by their smallest coordinate
+    once the flat is complete.
+    """
+    n = G.degree
+    family = G.family
+    signs = (1,) if family == "A" else (1, -1)
+    images = w.images
+    cycles = []  # (coordinates, prefix sign products, sigma)
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        coords, prefix, sign, v = [], [], 1, start
+        while not seen[v]:
+            seen[v] = True
+            coords.append(v)
+            prefix.append(sign)
+            if images[v] < 0:
+                sign = -sign
+            v = abs(images[v]) - 1
+        cycles.append((coords, prefix, sign))
+
+    def codes(cycle, numbers, lam, offset, a):
+        """(coordinate, +-block number) of a cycle placed at an offset of
+        the orbit whose blocks have these numbers."""
+        coords, prefix, _ = cycle
+        k = len(numbers)
+        return tuple(
+            (c, a * prefix[j] * lam ** ((offset + j) // k) * numbers[(offset + j) % k])
+            for j, c in enumerate(coords)
+        )
+
+    zero: list[tuple[int, int]] = []  # (sigma, L) of the zero cycles
+    orbits: list[tuple] = []  # (k, lam, block numbers, [L // k of each cycle])
+    choices: list[tuple] = []  # per cycle, the codes of each placement
+    types: dict = {}  # one shared object per interval type
+
+    def structures(i, zero_size, top):
+        """(interval type, placements of each cycle, relabel?) of every
+        way to place cycles i, i + 1, ... after the ones already placed;
+        top is the largest block number in use, n if none is above n."""
+        if i == len(cycles):
+            if family == "D" and zero_size == 1:
+                return
+            key = (
+                tuple(sorted(zero)),
+                tuple(sorted((k, tuple(sorted(rho))) for k, _, _, rho in orbits)),
+            )
+            yield types.setdefault(key, key), tuple(choices), top > n
+            return
+        cycle = cycles[i]
+        length, sigma = len(cycle[0]), cycle[2]
+        if family != "A":
+            zero.append((sigma, length))
+            choices.append(((),))
+            yield from structures(i + 1, zero_size + length, top)
+            choices.pop()
+            zero.pop()
+        for k, lam, numbers, rho in orbits:
+            if length % k or sigma * lam ** (length // k) != 1:
+                continue
+            rho.append(length // k)
+            choices.append(tuple(
+                codes(cycle, numbers, lam, o, a) for o in range(k) for a in signs
+            ))
+            yield from structures(i + 1, zero_size, top)
+            choices.pop()
+            rho.pop()
+        for k in range(1, length + 1):
+            if length % k:
+                continue
+            for lam in signs:
+                if sigma * lam ** (length // k) != 1:
+                    continue
+                numbers = (cycle[0][0] + 1,) + tuple(range(top + 1, top + k))
+                orbits.append((k, lam, numbers, [length // k]))
+                choices.append((codes(cycle, numbers, lam, 0, 1),))
+                yield from structures(i + 1, zero_size, top + k - 1)
+                choices.pop()
+                orbits.pop()
+
+    for key, placements, relabel in structures(0, 0, n):
+        code = [0] * n
+        for pick in product(*placements):
+            for placed in pick:
+                for c, v in placed:
+                    code[c] = v
+            if not relabel:
+                yield tuple(code), key
+                continue
+            label: dict[int, int] = {}
+            point = []
+            for c, v in enumerate(code):
+                if v > n or v < -n:
+                    f = label.get(abs(v))
+                    if f is None:
+                        f = label[abs(v)] = c + 1 if v > 0 else -c - 1
+                    v = f if v > 0 else -f
+                point.append(v)
+            yield tuple(point), key
 
 
 # -- stable flats by testing every flat ----------------------------------------

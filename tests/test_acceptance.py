@@ -28,7 +28,13 @@ from coxchar.verify import (
     verify_regular,
 )
 from oracles import centralizer_elements, evaluate, group_elements, induce_direct
-from test_lattice import brute_point_count, poly_product, whitney_point_count
+from test_lattice import (
+    brute_point_count,
+    flat_moebius,
+    poly_product,
+    stable_subposet,
+    whitney_point_count,
+)
 
 
 def _report(criterion, ok, detail=""):
@@ -122,12 +128,13 @@ def test_criterion_5_b2_moebius_hand_values():
     """The frozen B_2 Moebius values: full lattice -1/-1/-1/-1/3,
     flip subposet -1/-1/1."""
     lattice = get_lattice(GroupDescriptor("B", 2))
-    full = lattice.moebius(lattice.fixed_subposet(SignedPermutation.identity(2)))
+    identity = SignedPermutation.identity(2)
+    full = flat_moebius(lattice, stable_subposet(lattice, identity))
     lines = sorted(full[f.index] for f in lattice.flats if f.codim == 1)
     origin = [full[f.index] for f in lattice.flats if f.codim == 2]
     ok = lines == [-1, -1, -1, -1] and origin == [3]
-    sub = lattice.fixed_subposet(SignedPermutation.flip(2))
-    mu = lattice.moebius(sub)
+    sub = stable_subposet(lattice, SignedPermutation.flip(2))
+    mu = flat_moebius(lattice, sub)
     sub_lines = sorted(
         mu[k] for k in sub if lattice.flats[k].codim == 1
     )

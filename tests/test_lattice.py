@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from conftest import stretch_enabled
 from coxchar.groups import GroupDescriptor, conjugacy_classes, hyperplane_set
 from coxchar.lattice import (
+    _interval_mu,
+    _stable_structures,
     build_lattice,
     flat_count,
     get_lattice,
@@ -26,7 +29,9 @@ from oracles import (
     hyperplane_action,
     interval_type,
     shape_fix_space,
+    shape_of_point,
     stable_flats_by_bits,
+    stable_points,
 )
 
 
@@ -42,10 +47,30 @@ def poly_product(exponents, rank):
 
 
 def whitney_point_count(lattice, q):
-    """sum mu(X) q^dim X over the full lattice."""
+    """sum mu(X) q^dim X over the full lattice, from the identity's shape
+    table: a flat's dimension is its number of blocks."""
     identity = SignedPermutation.identity(lattice.G.degree)
-    mu = lattice.moebius(lattice.fixed_subposet(identity))
-    return sum(mu[f.index] * q**f.dim for f in lattice.flats)
+    table = lattice.shape_mu(identity)
+    return sum(total * q ** len(shape.lam) for shape, total in table.items())
+
+
+@lru_cache(maxsize=None)
+def point_index(lattice):
+    """Canonical point -> index of every flat."""
+    return {f.point: f.index for f in lattice.flats}
+
+
+def stable_subposet(lattice, w):
+    """Index -> interval type of every w-stable flat, built flat by flat."""
+    index = point_index(lattice)
+    return {index[point]: key for point, key in stable_points(lattice.G, w)}
+
+
+def flat_moebius(lattice, subposet):
+    """mu_w(V, X) of every X of a stable_subposet, from the closed form of
+    its interval type."""
+    family = lattice.G.family
+    return {idx: _interval_mu(family, *key) for idx, key in subposet.items()}
 
 
 def incidence(G, space):
@@ -206,12 +231,16 @@ def test_flat_counts(family, rank, count):
 @pytest.mark.parametrize(
     "family,rank,count",
     [("B", 9, 1_832_224), ("B", 10, 16_430_176), ("D", 10, 10_335_766),
-     ("A", 12, 27_644_437)],
+     ("A", 12, 27_644_437), ("B", 12, 1_606_879_040)],
 )
 def test_flat_count_of_lattices_too_large_to_build(family, rank, count):
-    """The count that refuses an over-budget lattice, past rank 8."""
+    """The count that refuses an over-budget lattice, past rank 8, and with
+    no lattice the identity's stable structures stand for every flat once."""
     assert expected_flat_count(family, rank) == count
-    assert flat_count(GroupDescriptor(family, rank)) == count
+    G = GroupDescriptor(family, rank)
+    assert flat_count(G) == count
+    identity = SignedPermutation.identity(G.degree)
+    assert sum(_stable_structures(G, identity).values()) == count
 
 
 ORACLE_GROUPS = (
@@ -250,16 +279,17 @@ def test_codim_one_flats_are_hyperplanes(family, rank):
 def test_b2_moebius_hand_values():
     G = GroupDescriptor("B", 2)
     lattice = get_lattice(G)
-    full = lattice.moebius(lattice.fixed_subposet(SignedPermutation.identity(2)))
+    identity = SignedPermutation.identity(2)
+    full = flat_moebius(lattice, stable_subposet(lattice, identity))
     by_codim = {}
     for f in lattice.flats:
         by_codim.setdefault(f.codim, []).append(full[f.index])
     assert by_codim[0] == [1]
     assert sorted(by_codim[1]) == [-1, -1, -1, -1]
     assert by_codim[2] == [3]
-    sub = lattice.fixed_subposet(SignedPermutation.flip(2))
+    sub = stable_subposet(lattice, SignedPermutation.flip(2))
     assert len(sub) == 4
-    mu = lattice.moebius(sub)
+    mu = flat_moebius(lattice, sub)
     values = sorted(mu[k] for k in sub if lattice.flats[k].codim == 1)
     assert values == [-1, -1]
     origin = [k for k in sub if lattice.flats[k].codim == 2]
@@ -386,12 +416,13 @@ def test_central_element_fixes_everything():
     G = GroupDescriptor("B", 3)
     lattice = get_lattice(G)
     w0 = SignedPermutation.minus_identity(3)
-    assert len(lattice.fixed_subposet(w0)) == len(lattice.flats)
+    assert len(stable_subposet(lattice, w0)) == len(lattice.flats)
+    assert sum(lattice.fixed_subposet(w0).values()) == len(lattice.flats)
     # L^w = L^(w0 w)
     for cls in conjugacy_classes(G):
         w = cls.rep
-        assert set(lattice.fixed_subposet(w)) == set(
-            lattice.fixed_subposet(w.compose(w0))
+        assert set(stable_subposet(lattice, w)) == set(
+            stable_subposet(lattice, w.compose(w0))
         )
 
 
@@ -466,8 +497,8 @@ def test_pairing_shortcut_matches_direct_computation(family, rank):
     lattice = get_lattice(G)
     for cls in conjugacy_classes(G):
         shared = lattice.poincare_polynomial(cls.rep)
-        sub = lattice.fixed_subposet(cls.rep)
-        mu = lattice.moebius(sub)
+        sub = stable_subposet(lattice, cls.rep)
+        mu = flat_moebius(lattice, sub)
         direct = [0] * (G.rank + 1)
         for idx in sub:
             c = lattice.flats[idx].codim
@@ -517,7 +548,8 @@ def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
     """Per-flat mu_w by interval type equals the full subset scan, the
     flats built from the cycles of w are those whose hyperplane set w maps
     onto itself (by the early-exit test and by permuting the whole set),
-    and each carries the interval type read off its point."""
+    each carries the interval type read off its point, and the class's
+    shape table sums the scan by shape."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     for cls in conjugacy_classes(G):
@@ -525,13 +557,13 @@ def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
 
 
 def assert_stable_flats_match_oracles(lattice, w):
-    sub = lattice.fixed_subposet(w)
+    sub = stable_subposet(lattice, w)
     assert sorted(sub) == stable_flats_by_bits(lattice, w)
     assert sorted(sub) == stable_by_permuting(lattice, w)
     for idx, key in sub.items():
         assert key == interval_type(lattice.flats[idx].point, w)
     scan = moebius_by_scan(lattice, sub)
-    assert lattice.moebius(sub) == scan
+    assert flat_moebius(lattice, sub) == scan
     assert lattice.shape_mu(w) == sums_by_shape(lattice, scan)
 
 
@@ -563,16 +595,17 @@ class Untouchable:
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("D", 5)])
 def test_moebius_reads_only_the_interval_types(family, rank, monkeypatch):
-    """Work guard: mu_w comes from the interval types alone, with no flat
-    (and so no containment test) in reach, and still equals the scan."""
+    """Work guard: the stable structures and their mu_w come from the
+    cycles of w and the interval types alone, with no flat (and so no
+    containment test) in reach, and still sum the scan by shape."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     for cls in conjugacy_classes(G):
-        sub = lattice.fixed_subposet(cls.rep)
-        scan = moebius_by_scan(lattice, sub)
+        scan = moebius_by_scan(lattice, stable_subposet(lattice, cls.rep))
+        expected = sums_by_shape(lattice, scan)
         with monkeypatch.context() as patch:
             patch.setattr(lattice, "flats", Untouchable())
-            assert lattice.moebius(sub) == scan
+            assert lattice.moebius(lattice.fixed_subposet(cls.rep)) == expected
 
 
 NUMBER_MOEBIUS = {2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0}
@@ -610,7 +643,7 @@ def test_coxeter_element_top_coefficient(family, n):
 def test_interval_type_is_conjugation_invariant(family, rank):
     """interval_type(g X, g w g^-1) == interval_type(X, w) for every
     Coxeter generator g, every class representative w and every w-stable X,
-    and the types fixed_subposet builds agree."""
+    and the types the flat-by-flat enumeration builds agree."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     bits = flat_bits(lattice)
@@ -619,8 +652,8 @@ def test_interval_type_is_conjugation_invariant(family, rank):
         action = hyperplane_action(G, g)
         for cls in conjugacy_classes(G):
             w = cls.rep
-            conjugate = lattice.fixed_subposet(w.conjugate(g))
-            for idx, key in lattice.fixed_subposet(w).items():
+            conjugate = stable_subposet(lattice, w.conjugate(g))
+            for idx, key in stable_subposet(lattice, w).items():
                 x = lattice.flats[idx]
                 gx = by_bits[permute_bits(bits[idx], action)]
                 assert interval_type(gx.point, w.conjugate(g)) == interval_type(
@@ -640,7 +673,8 @@ def test_identity_runs_one_scan_per_block_shape(family, rank, types):
     lattice = get_lattice(G, budget=30_000)
     identity = SignedPermutation.identity(G.degree)
     keys = {interval_type(f.point, identity) for f in lattice.flats}
-    assert set(lattice.fixed_subposet(identity).values()) == keys
+    assert set(stable_subposet(lattice, identity).values()) == keys
+    assert {key for key, _ in lattice.fixed_subposet(identity)} == keys
     pairs = {
         (
             f.point.count(0),
@@ -675,14 +709,17 @@ STRETCH_GATE_GROUPS = [
 ]
 
 
-@pytest.mark.parametrize("family,rank", GATE_GROUPS + STRETCH_GATE_GROUPS)
+@pytest.mark.parametrize(
+    "family,rank",
+    GATE_GROUPS + STRETCH_GATE_GROUPS + [("A", 10), ("D", 9), ("B", 9)],
+)
 def test_stable_flat_counts_satisfy_burnside(family, rank):
     """Averaged over W, the number of w-stable flats is the number of flat
-    orbits, one per shape: sum over classes of |C| |L^w| = |W| #shapes."""
+    orbits, one per shape: sum over classes of |C| |L^w| = |W| #shapes.
+    The counts need no lattice, so the gate runs past the flat budget."""
     G = GroupDescriptor(family, rank)
-    lattice = get_lattice(G)
     total = sum(
-        cls.size * len(lattice.fixed_subposet(cls.rep))
+        cls.size * sum(_stable_structures(G, cls.rep).values())
         for cls in conjugacy_classes(G)
     )
     assert total == G.order * len(shapes(G))
@@ -712,3 +749,34 @@ def test_class_average_of_poincare_rows_is_quotient_poincare(family, rank):
         for p, c in enumerate(lattice.poincare_polynomial(cls.rep)):
             totals[p] += cls.size * c
     assert totals == [G.order * c for c in quotient_poincare(family, rank)]
+
+
+STRUCTURE_GROUPS = (
+    [("A", r) for r in range(1, 8)]
+    + [("B", r) for r in range(1, 8)]
+    + [("D", r) for r in range(4, 8)]
+)
+STRETCH_STRUCTURE_GROUPS = [
+    pytest.param(
+        family, rank,
+        marks=pytest.mark.skipif(
+            not stretch_enabled(), reason="rank-8 oracle needs COXCHAR_STRETCH=1"
+        ),
+    )
+    for family, rank in [("A", 8), ("B", 8), ("D", 8)]
+]
+
+
+@pytest.mark.parametrize("family,rank", STRUCTURE_GROUPS + STRETCH_STRUCTURE_GROUPS)
+def test_structure_counts_match_stable_flats(family, rank):
+    """The counted structures of every class equal its stable flats built
+    one by one, summed by interval type and by shape, the type D tag read
+    off each canonical point."""
+    G = GroupDescriptor(family, rank)
+    for cls in conjugacy_classes(G):
+        flats = Counter(
+            (key, shape_of_point(G, point))
+            for point, key in stable_points(G, cls.rep)
+        )
+        assert _stable_structures(G, cls.rep) == dict(flats)
+

@@ -111,6 +111,21 @@ def test_cli_single_shape():
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "family,rank,label,shown",
+    [("A", 3, "4", "4"), ("B", 3, "", "()"), ("D", 4, "", "()")],
+)
+def test_cli_full_group_shape(family, rank, label, shown, capsys):
+    """The full group's shape as the --shape help gives it: all n
+    coordinates in one block in type A, no block outside the zero block in
+    types B and D."""
+    code = main([
+        "--family", family, "--rank", str(rank), "--check", "shape", "--shape", label,
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == f"{family}{rank} shape {shown}: pass\n"
+
+
 def test_cli_exceptional_family_skipped(tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -242,23 +257,30 @@ def test_cli_closed_stdout_is_not_an_error(tmp_path, lines, unbuffered):
 
 
 class Unreadable:
-    """Stands in for Lattice.shape_labels: any read is a failure."""
+    """Stands in for Lattice.flats or Lattice.shape_labels: any read is a
+    failure."""
 
     def _refuse(self, *args):
-        raise AssertionError("shape labels read after every class table was built")
+        raise AssertionError("a flat or a shape label was read")
 
     __getitem__ = __iter__ = __len__ = _refuse
 
 
-@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4)])
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("D", 4), ("D", 5)])
 def test_shape_checks_read_the_class_tables(family, rank, monkeypatch):
-    """Once the Poincare table has built every class's shape -> mu table,
-    the shape checks read those tables, not the per-flat shape labels."""
+    """The checks read one shape -> mu table per class, and each table is
+    counted from the cycles of its representative: with no flat and no
+    shape label readable and no table cached, the Poincare table is
+    unchanged and os, graded and every shape check pass."""
     G = GroupDescriptor(family, rank)
-    poincare_table(G)
-    monkeypatch.setattr(get_lattice(G), "shape_labels", Unreadable())
-    reports = verify_all_shapes(G)
-    assert len(reports) == len(shapes(G))
+    table = poincare_table(G).table
+    lattice = get_lattice(G)
+    monkeypatch.setattr(lattice, "flats", Unreadable())
+    monkeypatch.setattr(lattice, "shape_labels", Unreadable())
+    monkeypatch.setattr(lattice, "_shape_mu", {})
+    assert poincare_table(G).table == table
+    reports = [verify_os(G), verify_graded(G), *verify_all_shapes(G)]
+    assert len(reports) == 2 + len(shapes(G))
     assert all(r.status == "pass" for r in reports)
 
 
