@@ -10,14 +10,21 @@ Its centralizer splits one cycle length at a time,
 with a_i negative and b_j positive cycles of length i and j: an element
 permutes equal blocks, twists each block by a power of its cycle, and may
 negate positive blocks outright.  Induction needs only weighted class
-tallies of the wreath-product factors, computed per block cycle without
-enumerating or decomposing elements.
+tallies of the wreath-product factors, read off in closed form per cycle
+of the block permutation, with no element built.
+
+Tallies are keyed by integers.  The cycle type of an element of W_n is
+its cycle-type code (cycle_code): one base-(n+1) digit per signed cycle
+length counts the cycles of that length and sign, positive length L at
+digit L-1 and negative L at digit n+L-1.  No count exceeds n, so the code
+determines the type, and the code of a product of elements on disjoint
+coordinates is the sum of their codes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .partitions import SignedPartition, partitions
 from .signedperm import SignedPermutation
@@ -26,12 +33,9 @@ __all__ = [
     "w_mu",
     "centralizer_order",
     "symmetric_centralizer_order",
+    "cycle_code",
     "centralizer_tallies",
-    "convolve_tallies",
 ]
-
-
-# -- block layout ------------------------------------------------------------
 
 
 def _runs(parts):
@@ -45,27 +49,19 @@ def _runs(parts):
     return [(v, c) for v, c in runs]
 
 
-@lru_cache(maxsize=None)
-def _layout(mu: SignedPartition):
-    """Per-length families of block offsets: (neg, pos) tuples of
-    (length, offsets)."""
-    neg, pos = [], []
-    u = 0
-    for length, count in _runs(mu.neg):
-        offsets = tuple(u + k * length for k in range(count))
-        neg.append((length, offsets))
-        u += count * length
-    for length, count in _runs(mu.pos):
-        offsets = tuple(u + k * length for k in range(count))
-        pos.append((length, offsets))
-        u += count * length
-    return tuple(neg), tuple(pos)
+def _unit(n, signed_length):
+    """The code of one cycle of W_n of this signed length (< 0: negative)."""
+    if signed_length > 0:
+        return (n + 1) ** (signed_length - 1)
+    return (n + 1) ** (n - signed_length - 1)
 
 
-def _neg_orbit(offset, length):
-    """Images of offset+1 under powers of the negative cycle on its block."""
-    ups = list(range(offset + 1, offset + length + 1))
-    return ups + [-v for v in ups]
+def cycle_code(mu: SignedPartition) -> int:
+    """The cycle-type code of the class mu of W_n, n = |mu|."""
+    n = mu.n
+    return sum(_unit(n, -length) for length in mu.neg) + sum(
+        _unit(n, length) for length in mu.pos
+    )
 
 
 # -- class tallies ------------------------------------------------------------
@@ -74,79 +70,71 @@ def _neg_orbit(offset, length):
 # part of C(w_mu) is a wreath product K wr S_m with block group
 # K = Z_2length (negative blocks) or Z_length x Z_2 (positive blocks, with
 # block negations; Z_length without), and it acts on its own coordinates.
-# A tally maps a key
-#
-#     (cycles, summary, negatives mod 2, side)
-#
-# to the number of family elements with that key: the signed cycle lengths
-# the family contributes (negative lengths for negative cycles, sorted),
-# the per-length data a linear character sees (the summaries that
-# LinearCharacterSpec.evaluate_summaries reads), the parity of negative
-# entries, and the D split-side parity of the cycles
-# (groups.cycle_side_parity, additive over cycles).
-
-
-def convolve_tallies(a: dict, b: dict, combine) -> dict:
-    """Tally of pairs: keys combined by combine, weights multiplied."""
-    out: dict = {}
-    for key_a, weight_a in a.items():
-        for key_b, weight_b in b.items():
-            key = combine(key_a, key_b)
-            out[key] = out.get(key, 0) + weight_a * weight_b
-    return out
-
-
-def _block_products(length, negative, flips):
-    """The block group as (twist, flip) pairs."""
-    if negative:
-        return [(k, 0) for k in range(2 * length)]
-    return [(k, e) for k in range(length) for e in ((0, 1) if flips else (0,))]
+# Its tally maps each summary, the per-length data a linear character sees
+# (what LinearCharacterSpec.evaluate_summaries reads), to rows (code, bits,
+# weight): the number of family elements with that cycle-type code and, in
+# type D only, bits = 2 * (negative entries mod 2) + side, the D split-side
+# parity of the cycles (groups.cycle_side_parity, additive over cycles).
+# Both bits add mod 2 over families.
 
 
 @lru_cache(maxsize=None)
 def _cycle_tally(length, c, negative, flips):
-    """Tally of one c-cycle of the block permutation, as
-    (cycles, twist, flip, negatives, side) -> weight.
+    """One c-cycle of the block permutation, as rows
+    (signed cycle length, cycles, twist, flip, negatives, side, weight).
 
     Conjugating by the block group inside these c blocks reaches every
-    choice of twists (and flips) with the same product around the cycle,
+    choice of twists (and flips) with the same product b around the cycle,
     and keeps the signed cycles, twist sum, flip sum and negative parity.
     So each product stands for |K|^(c-1) elements, represented by the one
-    that puts the whole product on the last block.  The D split side moves
-    by the parity of the conjugator.  When K has odd elements and c is
-    even, the conjugators that fix a tuple (the diagonal ones) are even,
-    so the tuples split evenly between the sides; when c is odd, an odd
-    diagonal element centralizes, the class does not split and the side is
-    moot.  Otherwise every conjugator is even and the representative's
-    side holds throughout.
-    """
-    from .groups import cycle_side_parity  # groups imports this module
+    that puts all of b on the last block; its c-th power is b on every
+    block, so each signed l-cycle of b makes one signed (c*l)-cycle.
 
-    products = _block_products(length, negative, flips)
+    On a negative block, b turns the 2L signed points by the twist k: its
+    g = gcd(k, 2L) orbits are g negative (L/g)-cycles when g divides L (x
+    and -x share an orbit), else g/2 positive cycles of odd length 2L/g;
+    b has k mod 2 negative entries.  On a positive block b = +-d^k has
+    gcd(k, L) cycles of length l = L/gcd(k, L), negative when b is negated
+    and l is odd; a negation negates L entries.
+
+    The D split side matters only for positive cycles of even length, and
+    moves by the parity of the conjugator.  When K has odd elements and c
+    is even, the conjugators that fix a tuple (the diagonal ones) are even,
+    so the tuples split evenly between the sides.  Otherwise such cycles
+    come from an all-even K, and the representative's side holds: walking
+    a (c*l)-cycle, the sign flips at each pass through a negated b, so c*l/2
+    of its values are negative, c*L/2 over its L/l cycles.
+    """
+    if negative:
+        products = [(k, 0) for k in range(2 * length)]
+    else:
+        products = [(k, e) for k in range(length) for e in ((0, 1) if flips else (0,))]
     weight = len(products) ** (c - 1)
     has_odd = negative or (flips and length % 2)
-    n = c * length
-    out: dict = {}
+    rows = []
     for twist, flip in products:
-        images = list(range(length + 1, n + 1))
         if negative:
-            orbit = _neg_orbit(0, length)
-            images += [orbit[(twist + q) % (2 * length)] for q in range(length)]
+            g = gcd(twist, 2 * length)
+            if length % g == 0:
+                cycle, count = -c * length // g, g
+            else:
+                cycle, count = 2 * c * length // g, g // 2
+            negatives = twist % 2
         else:
-            sgn = -1 if flip else 1
-            images += [sgn * (1 + (twist + q) % length) for q in range(length)]
-        w = SignedPermutation(tuple(images))
-        cycles = w.signed_cycles()
-        signed = tuple(sorted(sign * len(support) for support, sign in cycles))
-        negatives = w.neg_count() % 2
-        if has_odd and c % 2 == 0:
+            g = gcd(twist, length)
+            cycle = c * length // g
+            if flip and (length // g) % 2:
+                cycle = -cycle
+            count, negatives = g, flip * length % 2
+        if cycle < 0 or cycle % 2:
+            sides = ((0, weight),)
+        elif has_odd and c % 2 == 0:
             sides = ((0, weight // 2), (1, weight // 2))
         else:
-            side = sum(cycle_side_parity(w, support[0]) for support, _ in cycles)
-            sides = ((side % 2, weight),)
-        for side, count in sides:
-            out[(signed, twist, flip, negatives, side)] = count
-    return out
+            sides = ((flip * c * length // 2 % 2, weight),)
+        for side, share in sides:
+            rows.append((cycle, count, twist, flip, negatives, side, share))
+    return tuple(rows)
 
 
 def _z(lam):
@@ -158,8 +146,9 @@ def _z(lam):
 
 
 @lru_cache(maxsize=None)
-def _family_tally(length, m, negative, flips):
-    """Tally of the family K wr S_m.
+def _family_tally(n, length, m, negative, family):
+    """Tally of the family K wr S_m of a centralizer in the group of this
+    family letter acting on n coordinates.
 
     Conjugating by a block permutation changes no key, so one block
     permutation per cycle type lam of S_m stands for its m!/z_lam
@@ -167,47 +156,46 @@ def _family_tally(length, m, negative, flips):
     convolution of their _cycle_tally.
     """
     modulus = 2 * length if negative else length
-
-    def combine(a, b):
-        return (
-            tuple(sorted(a[0] + b[0])),
-            (a[1] + b[1]) % modulus,
-            a[2] ^ b[2],
-            a[3] ^ b[3],
-            a[4] ^ b[4],
-        )
-
+    in_d = family == "D"
     out: dict = {}
     for lam in partitions(m):
-        tally = {((), 0, 0, 0, 0): 1}
+        tally = {(0, 0, 0, 0, 0): 1}
         for c in lam:
-            cycle = _cycle_tally(length, c, negative, flips)
-            tally = convolve_tallies(tally, cycle, combine)
+            step: dict = {}
+            for cycle, count, twist, flip, neg, side, weight in _cycle_tally(
+                length, c, negative, family != "A"
+            ):
+                units = count * _unit(n, cycle)
+                for (code, t, f, ng, sd), w in tally.items():
+                    key = (
+                        code + units, (t + twist) % modulus, f ^ flip, ng ^ neg,
+                        sd ^ side,
+                    )
+                    step[key] = step.get(key, 0) + w * weight
+            tally = step
         conjugates = factorial(m) // _z(lam)
         sign = -1 if (m - len(lam)) % 2 else 1
-        for (cycles, twist, flip, negatives, side), weight in tally.items():
-            if negative:
-                summary = (length, twist, sign)
-            else:
-                summary = (length, twist, sign, flip)
-            key = (cycles, summary, negatives, side)
-            out[key] = out.get(key, 0) + conjugates * weight
-    return out
+        for (code, twist, flip, neg, side), weight in tally.items():
+            summary = (length, twist, sign) if negative else (length, twist, sign, flip)
+            key = (code, 2 * neg + side if in_d else 0)
+            rows = out.setdefault(summary, {})
+            rows[key] = rows.get(key, 0) + conjugates * weight
+    return {
+        summary: tuple((code, bits, w) for (code, bits), w in rows.items())
+        for summary, rows in out.items()
+    }
 
 
-def centralizer_tallies(mu: SignedPartition, *, flips=True):
-    """Per family of C(w_mu): (negative, tally), negative families first.
-
-    With flips=False the positive blocks are never negated (the
-    centralizer inside S_n).
-    """
-    neg_fams, pos_fams = _layout(mu)
+def centralizer_tallies(mu: SignedPartition, family: str):
+    """Per family of C(w_mu) in the group of type family: (negative,
+    tally), negative families first.  In type A the positive blocks are
+    never negated (the centralizer inside S_n)."""
     return [
-        (True, _family_tally(length, len(offsets), True, flips))
-        for length, offsets in neg_fams
+        (True, _family_tally(mu.n, length, count, True, family))
+        for length, count in _runs(mu.neg)
     ] + [
-        (False, _family_tally(length, len(offsets), False, flips))
-        for length, offsets in pos_fams
+        (False, _family_tally(mu.n, length, count, False, family))
+        for length, count in _runs(mu.pos)
     ]
 
 

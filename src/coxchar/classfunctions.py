@@ -5,41 +5,41 @@ the canonical class order.  Every class function built here is a
 (virtual) character of a Weyl group, so its values are rational
 integers, and a value is a Python int.  Induction of a linear centralizer
 character to the whole group buckets character values, roots of unity,
-by the class each element of H = C_G(w) fuses into (signed cycle type,
-plus the split tag in type D):
+by the class each element of H = C_G(w) fuses into:
 
     Ind(g) = |C_G(g)| / |H| * sum of chi(h) over h in H with h ~_G g.
-
-Each bucket (root -> count) is reduced once, modulo the cyclotomic
-polynomial of the roots' common order, to its integer value; a value
-that is irrational or not an integer is an internal error
-(AssertionError).
 
 No element of H is built, not even for a central w, where H = G: H is a
 direct product of wreath products, one per family of equal blocks, and
 the weighted class tallies of the families
-(centralizers.centralizer_tallies) are convolved, fusion key by
-concatenation, character value by product, D parity and split side by
-sum mod 2.
+(centralizers.centralizer_tallies) are convolved on keys of two ints.
+The cycle-type code adds over families and leads, with the D split side,
+straight to a class (groups.code_index).  The phase is 4e + bits: the
+value zeta_M^e, M the lcm of the orders of chi's values on this call's
+summaries, so values multiply as e adds mod M; in type D the low bits
+hold the parity of the negative entries and the split side, which add
+mod 2.  Each class's bucket (e -> count) is reduced once, modulo the
+cyclotomic polynomial of its exponents' common order, to its integer
+value; one that is irrational or not an integer is an internal error
+(AssertionError).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd
 
-from .centralizers import centralizer_tallies, convolve_tallies
+from .centralizers import centralizer_tallies
 from .characters import LinearCharacterSpec
-from .cyclotomic import ONE, Root, _power_table, root_mul
+from .cyclotomic import _power_table
 from .groups import (
     GroupDescriptor,
     class_index,
+    code_index,
     conjugacy_classes,
     sign_character,
     signed_cycle_type,
 )
-from .partitions import SignedPartition
 from .signedperm import SignedPermutation
 
 __all__ = [
@@ -125,47 +125,33 @@ def sign_class_function(G) -> ClassFunction:
     )
 
 
-def _integer_value(bucket: dict[Root, int], num: int, den: int) -> int:
-    """num/den * sum of count * root over the bucket, which must be an
-    integer.
+def _integer_value(bucket: dict[int, int], m: int, num: int, den: int) -> int:
+    """num/den * sum of count * zeta_m^e over the bucket (e -> count),
+    which must be an integer.
 
-    The roots are written in the power basis of Q(zeta_m), m the lcm of
-    their orders: the sum is rational iff only the constant coefficient
-    is left.
+    The exponents are written in the power basis of Q(zeta_k), k the
+    common order of their roots: the sum is rational iff only the constant
+    coefficient is left.
     """
-    m = 1
-    for _, order in bucket:
-        m = m * order // gcd(m, order)
-    table = _power_table(m)
+    g = m
+    for e in bucket:
+        g = gcd(g, e)
+    table = _power_table(m // g)
     coeffs = [0] * len(table[0])
-    for (k, order), count in bucket.items():
-        for i, v in enumerate(table[k * (m // order)]):
+    for e, count in bucket.items():
+        for i, v in enumerate(table[e // g]):
             if v:
                 coeffs[i] += count * v
     if any(coeffs[1:]):
-        raise AssertionError(f"irrational class function value {bucket}")
+        raise AssertionError(
+            f"irrational class function value {bucket} (exponents mod {m})"
+        )
     value, rest = divmod(coeffs[0] * num, den)
     if rest:
         raise AssertionError(
             f"non-integral class function value {coeffs[0] * num}/{den}"
         )
     return value
-
-
-def _combine(a, b):
-    """Join (cycles, value, negatives, side) keys of disjoint families."""
-    return (
-        tuple(sorted(a[0] + b[0])), root_mul(a[1], b[1]), a[2] ^ b[2], a[3] ^ b[3]
-    )
-
-
-@lru_cache(maxsize=None)
-def _label(cycles) -> SignedPartition:
-    """Signed cycle type from sorted signed cycle lengths."""
-    return SignedPartition(
-        tuple(-c for c in reversed(cycles) if c < 0),
-        tuple(c for c in reversed(cycles) if c > 0),
-    )
 
 
 def induce_from_centralizer(
@@ -180,51 +166,59 @@ def induce_from_centralizer(
     if chi.group != G:
         raise ValueError(f"character lives on {chi.group}, not {G}")
     classes = conjugacy_classes(G)
-    index = class_index(G)
-    base = classes[index[(chi.label, chi.tag)]]
-    order_h = base.centralizer_order
+    order_h = classes[class_index(G)[(chi.label, chi.tag)]].centralizer_order
 
-    in_d = G.family == "D"
-    tally = {((), ONE, 0, 0): 1}
-    for negative, family in centralizer_tallies(chi.label, flips=G.family != "A"):
-        valued: dict = {}
-        for (cycles, summary, negatives, side), weight in family.items():
+    families = centralizer_tallies(chi.label, G.family)
+    roots = {}
+    for negative, family in families:
+        for summary in family:
             if negative:
-                value = chi.evaluate_summaries((summary,), ())
+                roots[summary] = chi.evaluate_summaries((summary,), ())
             else:
-                value = chi.evaluate_summaries((), (summary,))
-            # only D drops odd elements and splits classes, and only the
-            # all-even positive types split: clear the bits elsewhere
-            if not in_d:
-                negatives = 0
-            if not in_d or any(c < 0 or c % 2 for c in cycles):
-                side = 0
-            key = (cycles, value, negatives, side)
-            valued[key] = valued.get(key, 0) + weight
-        tally = convolve_tallies(tally, valued, _combine)
+                roots[summary] = chi.evaluate_summaries((), (summary,))
+    m = 1
+    for _, order in roots.values():
+        m = m * order // gcd(m, order)
+    m4 = 4 * m
 
+    tally = {(0, 0): 1}
+    for _, family in families:
+        valued: dict = {}
+        for summary, rows in family.items():
+            k, order = roots[summary]
+            shift = 4 * k * (m // order)
+            for code, bits, weight in rows:
+                key = (code, shift + bits)
+                valued[key] = valued.get(key, 0) + weight
+        # phases add as 4e mod 4M, the two low bits as an XOR
+        split = [(code, phase & ~3, phase & 3, w) for (code, phase), w in tally.items()]
+        tally = {}
+        for (code_b, phase_b), weight_b in valued.items():
+            for code_a, high, low, weight_a in split:
+                key = (code_a + code_b, (high + phase_b) % m4 ^ low)
+                tally[key] = tally.get(key, 0) + weight_a * weight_b
+
+    # the '-' base class of a split pair is t w_mu t, and Ind of chi^t is
+    # Ind of chi conjugated by the odd t: the sides swap
+    index = code_index(G)
+    swap = chi.tag == "-"
     buckets: dict = {}
     count = 0
-    for (cycles, value, negatives, side), weight in tally.items():
-        if negatives:
+    for (code, phase), weight in tally.items():
+        if phase & 2:
             continue
         count += weight
-        key = (_label(cycles), None)
-        if key not in index:
-            # a split class; the '-' base class is t w_mu t, and Ind of
-            # chi^t is Ind of chi conjugated by the odd t: sides swap
-            key = (key[0], "-" if side ^ (chi.tag == "-") else "+")
-        bucket = buckets.setdefault(key, {})
-        bucket[value] = bucket.get(value, 0) + weight
+        bucket = buckets.setdefault(index[2 * code + ((phase ^ swap) & 1)], {})
+        e = phase >> 2
+        bucket[e] = bucket.get(e, 0) + weight
     if count != order_h:
         raise AssertionError(
             f"tallied {count} elements, expected centralizer order {order_h}"
         )
 
     values = [0] * len(classes)
-    for key, bucket in buckets.items():
-        k = index[key]
-        values[k] = _integer_value(bucket, classes[k].centralizer_order, order_h)
+    for k, bucket in buckets.items():
+        values[k] = _integer_value(bucket, m, classes[k].centralizer_order, order_h)
     return ClassFunction(G, tuple(values))
 
 

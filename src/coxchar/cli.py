@@ -25,7 +25,6 @@ import os
 import sys
 
 from .groups import DEFAULT_FLAT_BUDGET, BudgetError, GroupDescriptor
-from .shapes import parse_shape
 from .verify import (
     VerificationReport,
     format_poincare_table,
@@ -114,6 +113,8 @@ def run(args) -> tuple[list[VerificationReport], int]:
         elif check == "graded":
             reports.append(verify_graded(G, budget))
         elif check == "shape" and args.shape is not None:
+            from .shapes import parse_shape  # only shape checks load it
+
             reports.append(verify_shape(G, parse_shape(args.shape), budget))
         elif check == "shape":
             reports.extend(verify_all_shapes(G, budget))

@@ -27,6 +27,7 @@ __all__ = [
     "d_split_side",
     "cycle_side_parity",
     "class_key",
+    "code_index",
     "reflection_length",
     "sign_character",
     "Hyperplane",
@@ -201,6 +202,18 @@ def conjugacy_classes(G: GroupDescriptor, budget=None):
 @lru_cache(maxsize=None)
 def class_index(G: GroupDescriptor) -> dict:
     return {cls.key: k for k, cls in enumerate(_classes(G))}
+
+
+@lru_cache(maxsize=None)
+def code_index(G: GroupDescriptor) -> dict:
+    """2 * cycle-type code + D split side (1 for '-') -> class index; both
+    sides lead to a class that does not split."""
+    out = {}
+    for k, cls in enumerate(_classes(G)):
+        key = 2 * centralizers.cycle_code(cls.label)
+        for side in (0, 1) if cls.tag is None else (cls.tag == "-",):
+            out[key + side] = k
+    return out
 
 
 def reflection_length(G: GroupDescriptor, w: SignedPermutation) -> int:

@@ -12,8 +12,8 @@ classes (or degrees) where they differ:
 * shape: the per-shape summand of the cohomology character against the
   cuspidal classes of that shape.
 
-The lattice checks import `lattice` when they run, so a regular check
-never loads it.
+The lattice checks import `lattice`, and the shape checks `shapes`, when
+they run, so a regular check loads neither.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .groups import (
     conjugacy_classes,
     reflection_length,
 )
-from .shapes import Shape, cuspidal_labels, shapes
 
 __all__ = [
     "VerificationReport",
@@ -180,12 +179,13 @@ def verify_graded(
 
 def verify_shape(
     G: GroupDescriptor,
-    shape: Shape,
+    shape,
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
-    """The per-shape refinement: the shape's orbit summand of the
-    cohomology character against its cuspidal classes."""
+    """The per-shape refinement: the shape's (a shapes.Shape) orbit summand
+    of the cohomology character against its cuspidal classes."""
     from .lattice import get_lattice, shape_os_character
+    from .shapes import cuspidal_labels
 
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
@@ -196,6 +196,8 @@ def verify_shape(
 
 
 def verify_all_shapes(G, budget_flats=DEFAULT_FLAT_BUDGET):
+    from .shapes import shapes
+
     return [verify_shape(G, shape, budget_flats) for shape in shapes(G)]
 
 

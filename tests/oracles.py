@@ -2,7 +2,9 @@
 
 Each computes what a production path computes, the slow way, so that a
 test can compare the two: exact sums of roots of unity (`Cyc`), induction
-by the definition over the whole group (`induce_direct`), the alpha
+by the definition over the whole group (`induce_direct`) and on the
+root-keyed class tallies the library used before its keys were integers
+(`induce_by_root_tallies`), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
 the intersection lattice closed under hyperplane meets (`closure_by_meets`),
 the w-stable flats by testing each flat's hyperplanes
@@ -31,13 +33,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd
 
-from coxchar.centralizers import (
-    _fill_neg_cycle,
-    _fill_pos_cycle,
-    _layout,
-    _neg_orbit,
-    w_mu,
-)
+from coxchar.centralizers import _fill_neg_cycle, _fill_pos_cycle, _runs, _z, w_mu
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction, _integer_value
 from coxchar.cyclotomic import ONE, Root, _power_table, root_conj, root_mul
@@ -46,10 +42,11 @@ from coxchar.groups import (
     GroupDescriptor,
     Hyperplane,
     conjugacy_classes,
+    cycle_side_parity,
     hyperplane_set,
 )
 from coxchar.linalg import Subspace, det, kernel
-from coxchar.partitions import SignedPartition
+from coxchar.partitions import SignedPartition, partitions
 from coxchar.shapes import Shape, _check_shape
 from coxchar.signedperm import SignedPermutation
 
@@ -418,6 +415,27 @@ def centralizer_generators(n: int, mu: SignedPartition) -> CentralizerGenSet:
     )
 
 
+@lru_cache(maxsize=None)
+def _layout(mu: SignedPartition):
+    """Per-length families of block offsets: (neg, pos) tuples of
+    (length, offsets)."""
+    neg, pos = [], []
+    u = 0
+    for length, count in _runs(mu.neg):
+        neg.append((length, tuple(u + k * length for k in range(count))))
+        u += count * length
+    for length, count in _runs(mu.pos):
+        pos.append((length, tuple(u + k * length for k in range(count))))
+        u += count * length
+    return tuple(neg), tuple(pos)
+
+
+def _neg_orbit(offset, length):
+    """Images of offset+1 under powers of the negative cycle on its block."""
+    ups = list(range(offset + 1, offset + length + 1))
+    return ups + [-v for v in ups]
+
+
 @dataclass(frozen=True)
 class CentralizerCoordinates:
     """Coordinates of a centralizer element in the block decomposition.
@@ -655,8 +673,8 @@ def class_function_of_spec(G: GroupDescriptor, spec: LinearCharacterSpec):
     return ClassFunction(
         G,
         tuple(
-            _integer_value({evaluate(spec, cls.rep): 1}, 1, 1)
-            for cls in conjugacy_classes(G)
+            _integer_value({root[0]: 1}, root[1], 1, 1)
+            for root in (evaluate(spec, cls.rep) for cls in conjugacy_classes(G))
         ),
     )
 
@@ -704,6 +722,144 @@ def induce_direct(G: GroupDescriptor, chi: LinearCharacterSpec, budget=5000):
         if value is None or value.denominator != 1:
             raise AssertionError(f"non-integral induced value {total}")
         values.append(value.numerator)
+    return ClassFunction(G, tuple(values))
+
+
+# -- induction on root-keyed class tallies ----------------------------------------
+#
+# The library's induction before its tallies were keyed by integers: a key
+# is (sorted signed cycle lengths, Root, negatives mod 2, side), families are
+# joined by sorting the concatenated lengths and multiplying roots, and each
+# family's cycle tally is read off one built signed permutation per product.
+
+
+def _root_cycle_tally(length, c, negative, flips):
+    """(cycles, twist, flip, negatives, side) -> weight for one c-cycle of
+    the block permutation, each product represented by the element that
+    puts it on the last block (see centralizers._cycle_tally)."""
+    if negative:
+        products = [(k, 0) for k in range(2 * length)]
+    else:
+        products = [(k, e) for k in range(length) for e in ((0, 1) if flips else (0,))]
+    weight = len(products) ** (c - 1)
+    has_odd = negative or (flips and length % 2)
+    n = c * length
+    out: dict = {}
+    for twist, flip in products:
+        images = list(range(length + 1, n + 1))
+        if negative:
+            orbit = _neg_orbit(0, length)
+            images += [orbit[(twist + q) % (2 * length)] for q in range(length)]
+        else:
+            sgn = -1 if flip else 1
+            images += [sgn * (1 + (twist + q) % length) for q in range(length)]
+        w = SignedPermutation(tuple(images))
+        cycles = w.signed_cycles()
+        signed = tuple(sorted(sign * len(support) for support, sign in cycles))
+        negatives = w.neg_count() % 2
+        if has_odd and c % 2 == 0:
+            sides = ((0, weight // 2), (1, weight // 2))
+        else:
+            side = sum(cycle_side_parity(w, support[0]) for support, _ in cycles)
+            sides = ((side % 2, weight),)
+        for side, count in sides:
+            out[(signed, twist, flip, negatives, side)] = count
+    return out
+
+
+def _convolve(a: dict, b: dict, combine) -> dict:
+    out: dict = {}
+    for key_a, weight_a in a.items():
+        for key_b, weight_b in b.items():
+            key = combine(key_a, key_b)
+            out[key] = out.get(key, 0) + weight_a * weight_b
+    return out
+
+
+@lru_cache(maxsize=None)
+def _root_family_tally(length, m, negative, flips):
+    """(cycles, summary, negatives, side) -> weight for the family K wr S_m."""
+    modulus = 2 * length if negative else length
+
+    def combine(a, b):
+        return (
+            tuple(sorted(a[0] + b[0])), (a[1] + b[1]) % modulus,
+            a[2] ^ b[2], a[3] ^ b[3], a[4] ^ b[4],
+        )
+
+    out: dict = {}
+    for lam in partitions(m):
+        tally = {((), 0, 0, 0, 0): 1}
+        for c in lam:
+            cycle = _root_cycle_tally(length, c, negative, flips)
+            tally = _convolve(tally, cycle, combine)
+        conjugates = factorial(m) // _z(lam)
+        sign = -1 if (m - len(lam)) % 2 else 1
+        for (cycles, twist, flip, negatives, side), weight in tally.items():
+            summary = (length, twist, sign) if negative else (length, twist, sign, flip)
+            key = (cycles, summary, negatives, side)
+            out[key] = out.get(key, 0) + conjugates * weight
+    return out
+
+
+def induce_by_root_tallies(G: GroupDescriptor, chi: LinearCharacterSpec):
+    """Induction by convolving root-keyed family tallies, each class's
+    bucket of roots reduced in the power basis of their common order: the
+    oracle of the integer-keyed kernel."""
+    classes = conjugacy_classes(G)
+    keys = {cls.key: k for k, cls in enumerate(classes)}
+    order_h = classes[keys[(chi.label, chi.tag)]].centralizer_order
+    in_d = G.family == "D"
+    neg_fams, pos_fams = _layout(chi.label)
+    families = [(True, length, len(offsets)) for length, offsets in neg_fams]
+    families += [(False, length, len(offsets)) for length, offsets in pos_fams]
+    tally = {((), ONE, 0, 0): 1}
+    for negative, length, m in families:
+        valued: dict = {}
+        family = _root_family_tally(length, m, negative, G.family != "A")
+        for (cycles, summary, negatives, side), weight in family.items():
+            if negative:
+                value = chi.evaluate_summaries((summary,), ())
+            else:
+                value = chi.evaluate_summaries((), (summary,))
+            if not in_d:
+                negatives = 0
+            if not in_d or any(c < 0 or c % 2 for c in cycles):
+                side = 0
+            key = (cycles, value, negatives, side)
+            valued[key] = valued.get(key, 0) + weight
+        tally = _convolve(tally, valued, lambda a, b: (
+            tuple(sorted(a[0] + b[0])), root_mul(a[1], b[1]), a[2] ^ b[2], a[3] ^ b[3],
+        ))
+    buckets: dict = {}
+    for (cycles, value, negatives, side), weight in tally.items():
+        if negatives:
+            continue
+        label = SignedPartition(
+            tuple(-c for c in reversed(cycles) if c < 0),
+            tuple(c for c in reversed(cycles) if c > 0),
+        )
+        key = (label, None)
+        if key not in keys:
+            key = (label, "-" if side ^ (chi.tag == "-") else "+")
+        bucket = buckets.setdefault(keys[key], {})
+        bucket[value] = bucket.get(value, 0) + weight
+    assert sum(
+        weight for key, weight in tally.items() if not key[2]
+    ) == order_h, f"{G} {chi}: element count"
+    values = [0] * len(classes)
+    for k, bucket in buckets.items():
+        m = 1
+        for _, order in bucket:
+            m = m * order // gcd(m, order)
+        table = _power_table(m)
+        coeffs = [0] * len(table[0])
+        for (e, order), count in bucket.items():
+            for i, v in enumerate(table[e * (m // order)]):
+                coeffs[i] += count * v
+        value, rest = divmod(coeffs[0] * classes[k].centralizer_order, order_h)
+        assert not any(coeffs[1:]) and not rest, f"{G} {classes[k]}: {bucket}"
+        values[k] = value
     return ClassFunction(G, tuple(values))
 
 

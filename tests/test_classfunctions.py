@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import stretch_enabled
 from coxchar import classfunctions
+from coxchar.centralizers import cycle_code
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
@@ -22,11 +24,12 @@ from coxchar.classfunctions import (
     zero_function,
 )
 from coxchar.cli import main
-from coxchar.cyclotomic import ONE, root, root_mul
+from coxchar.cyclotomic import root, root_mul
 from coxchar.groups import (
     GroupDescriptor,
     class_index,
     class_key,
+    code_index,
     conjugacy_classes,
     reflection_length,
 )
@@ -38,6 +41,7 @@ from oracles import (
     class_function_of_spec,
     conjugate_by_first_flip,
     group_elements,
+    induce_by_root_tallies,
     induce_direct,
 )
 
@@ -195,6 +199,77 @@ def test_tallies_match_streaming(G):
             assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls} {name}"
 
 
+def _stretch(family, rank):
+    return pytest.param(
+        GroupDescriptor(family, rank),
+        marks=pytest.mark.skipif(
+            not stretch_enabled(), reason="rank 9 and 10 need COXCHAR_STRETCH=1"
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "G",
+    [GroupDescriptor("A", 8), GroupDescriptor("B", 8), GroupDescriptor("D", 8),
+     _stretch("B", 9), _stretch("D", 9), _stretch("A", 10)],
+    ids=str,
+)
+def test_integer_keys_match_root_keyed_tallies(G):
+    """Induction on (cycle code, phase) keys equals the root-keyed kernel
+    it replaced, for every class and the phi, alpha.phi, chi and epsilon
+    specs, at ranks element streaming does not reach."""
+    for cls in conjugacy_classes(G):
+        specs = _induction_specs(G, cls)
+        specs["epsilon"] = epsilon_char(G, cls.label, cls.tag)
+        for name, spec in specs.items():
+            got = induce_from_centralizer(G, spec)
+            assert got.equals(induce_by_root_tallies(G, spec)), f"{G} {cls} {name}"
+
+
+def _decode(n, code):
+    """The signed partition read back off a cycle-type code, digit by digit."""
+    digits = []
+    for _ in range(2 * n):
+        code, digit = divmod(code, n + 1)
+        digits.append(digit)
+    assert code == 0
+    neg = tuple(L for L in range(1, n + 1) for _ in range(digits[n + L - 1]))
+    pos = tuple(L for L in range(n, 0, -1) for _ in range(digits[L - 1]))
+    return SignedPartition(neg, pos)
+
+
+CODE_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 16)]
+    + [GroupDescriptor("B", r) for r in range(1, 15)]
+    + [GroupDescriptor("D", r) for r in range(4, 15)]
+)
+
+
+def test_cycle_codes_name_their_classes():
+    """Every class of A1-A15, B1-B14 and D4-D14 has its own code (the two
+    sides of a split class share one), the code reads back to the class's
+    label, and code_index leads from code and side to the class itself."""
+    for G in CODE_GROUPS:
+        n = G.degree
+        labels = {}
+        index = code_index(G)
+        for k, cls in enumerate(conjugacy_classes(G)):
+            code = cycle_code(cls.label)
+            assert labels.setdefault(code, cls.label) == cls.label, f"{G} {cls}"
+            assert _decode(n, code) == cls.label, f"{G} {cls}"
+            sides = (0, 1) if cls.tag is None else (int(cls.tag == "-"),)
+            for side in sides:
+                assert conjugacy_classes(G)[index[2 * code + side]].key == cls.key
+        assert len(index) == 2 * len(labels)
+    # full digits: n positive and n negative 1-cycles
+    for n in (1, 7, 14):
+        identity = SignedPartition((), (1,) * n)
+        minus = SignedPartition((1,) * n, ())
+        assert cycle_code(identity) == n
+        assert cycle_code(minus) == n * (n + 1) ** n
+        assert _decode(n, cycle_code(minus)) == minus
+
+
 CENTRAL_GROUPS = (
     [GroupDescriptor("A", r) for r in range(1, 11)]
     + [GroupDescriptor("B", r) for r in range(1, 13)]
@@ -323,14 +398,17 @@ def test_b2_os_trivial_multiplicity():
 
 
 def test_integer_value_reduces_and_scales():
+    """A bucket maps exponents e of zeta_m to counts: zeta_3 + zeta_3^2;
+    zeta_12 + zeta_12^5 + zeta_4^3 (= zeta_12^9) twice, plus 1; 3 - 1; i;
+    and 3/2."""
     value = classfunctions._integer_value
-    assert value({root(1, 3): 1, root(2, 3): 1}, 1, 1) == -1
-    assert value({root(1, 12): 2, root(5, 12): 2, root(3, 4): 2, ONE: 1}, 4, 2) == 2
-    assert value({ONE: 3, root(1, 2): 1}, 4, 2) == 4
+    assert value({1: 1, 2: 1}, 3, 1, 1) == -1
+    assert value({1: 2, 5: 2, 9: 2, 0: 1}, 12, 4, 2) == 2
+    assert value({0: 3, 1: 1}, 2, 4, 2) == 4
     with pytest.raises(AssertionError, match="irrational"):
-        value({root(1, 4): 1}, 1, 1)
+        value({1: 1}, 4, 1, 1)
     with pytest.raises(AssertionError, match="non-integral"):
-        value({ONE: 3}, 1, 2)
+        value({0: 3}, 1, 1, 2)
 
 
 def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):

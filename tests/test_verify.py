@@ -531,19 +531,28 @@ def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
 
 
 def test_regular_run_loads_no_lattice():
-    """`--check regular` never imports the intersection lattice: the CLI
-    and the lattice checks import it when a lattice check runs."""
+    """`--check regular` loads exactly the modules induction needs: the
+    CLI and the checks import `lattice` and `shapes` only when a lattice or
+    shape check runs, and every imported module is compiled at start-up
+    where no bytecode is cached."""
     probe = (
         "import sys; from coxchar.cli import main; "
         "code = main(['--family', 'B', '--rank', '4', '--check', 'regular']); "
-        "print(code, 'coxchar.lattice' in sys.modules)"
+        "print(code, sorted(m for m in sys.modules if m.startswith('coxchar')))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    assert out.splitlines()[-1] == "0 False"
+    code, loaded = out.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert ast.literal_eval(loaded) == [
+        "coxchar", "coxchar.centralizers", "coxchar.characters",
+        "coxchar.classfunctions", "coxchar.cli", "coxchar.cyclotomic",
+        "coxchar.groups", "coxchar.partitions", "coxchar.signedperm",
+        "coxchar.verify",
+    ]
 
 
 # Element-by-element character evaluation, which lives with the test
