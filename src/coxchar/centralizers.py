@@ -1,9 +1,10 @@
 """Centralizers of class representatives in hyperoctahedral groups.
 
-The representative w_mu of the class labelled by a signed partition mu is
-a product of disjoint signed cycles on consecutive blocks: negative cycles
-c_1..c_a on the first |mu.neg| coordinates, then positive cycles d_1..d_b.
-Its centralizer splits one cycle length at a time,
+The class labelled by a signed partition mu stands for w_mu, a product of
+disjoint signed cycles on consecutive blocks: negative cycles c_1..c_a on
+the first |mu.neg| coordinates, then positive cycles d_1..d_b.  Every
+datum here is read off mu: w_mu itself is never built.  Its centralizer
+splits one cycle length at a time,
 
     C(w_mu)  =  prod_i (Z_2i)^a_i : S_a_i  x  prod_j (Z_j)^b_j : W_b_j,
 
@@ -27,10 +28,8 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from .partitions import SignedPartition, partitions
-from .signedperm import SignedPermutation
 
 __all__ = [
-    "w_mu",
     "centralizer_order",
     "symmetric_centralizer_order",
     "cycle_code",
@@ -74,7 +73,8 @@ def cycle_code(mu: SignedPartition) -> int:
 # (what LinearCharacterSpec.evaluate_summaries reads), to rows (code, bits,
 # weight): the number of family elements with that cycle-type code and, in
 # type D only, bits = 2 * (negative entries mod 2) + side, the D split-side
-# parity of the cycles (groups.cycle_side_parity, additive over cycles).
+# parity of the cycles (the parity of the negative values met walking each
+# cycle from its smallest entry, additive over cycles).
 # Both bits add mod 2 over families.
 
 
@@ -197,36 +197,6 @@ def centralizer_tallies(mu: SignedPartition, family: str):
         (False, _family_tally(mu.n, length, count, False, family))
         for length, count in _runs(mu.pos)
     ]
-
-
-# -- class representatives ----------------------------------------------------
-
-
-def _fill_neg_cycle(images, offset, length):
-    for v in range(offset + 1, offset + length):
-        images[v - 1] = v + 1
-    images[offset + length - 1] = -(offset + 1)
-
-
-def _fill_pos_cycle(images, offset, length):
-    for v in range(offset + 1, offset + length):
-        images[v - 1] = v + 1
-    images[offset + length - 1] = offset + 1
-
-
-def w_mu(n: int, mu: SignedPartition) -> SignedPermutation:
-    """The class representative c_1...c_a d_1...d_b for mu."""
-    if mu.n != n:
-        raise ValueError(f"{mu} is not a signed partition of {n}")
-    images = list(range(1, n + 1))
-    u = 0
-    for length in mu.neg:
-        _fill_neg_cycle(images, u, length)
-        u += length
-    for length in mu.pos:
-        _fill_pos_cycle(images, u, length)
-        u += length
-    return SignedPermutation(tuple(images))
 
 
 def centralizer_order(mu: SignedPartition) -> int:

@@ -38,9 +38,8 @@ from .groups import (
     code_index,
     conjugacy_classes,
     sign_character,
-    signed_cycle_type,
 )
-from .signedperm import SignedPermutation
+from .partitions import SignedPartition
 
 __all__ = [
     "ClassFunction",
@@ -110,7 +109,7 @@ def zero_function(G) -> ClassFunction:
 
 def regular_character(G) -> ClassFunction:
     values = [0] * len(conjugacy_classes(G))
-    identity = signed_cycle_type(SignedPermutation.identity(G.degree))
+    identity = SignedPartition((), (1,) * G.degree)
     values[class_index(G)[(identity, None)]] = G.order
     return ClassFunction(G, tuple(values))
 
@@ -121,7 +120,7 @@ def trivial_character(G) -> ClassFunction:
 
 def sign_class_function(G) -> ClassFunction:
     return ClassFunction(
-        G, tuple(sign_character(G, cls.rep) for cls in conjugacy_classes(G))
+        G, tuple(sign_character(G, cls.label) for cls in conjugacy_classes(G))
     )
 
 

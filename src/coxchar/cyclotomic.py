@@ -18,7 +18,6 @@ __all__ = [
     "root",
     "root_mul",
     "root_pow",
-    "root_conj",
     "cyclotomic_polynomial",
 ]
 
@@ -44,10 +43,6 @@ def root_mul(a: Root, b: Root) -> Root:
 
 def root_pow(a: Root, k: int) -> Root:
     return root(a[0] * k, a[1])
-
-
-def root_conj(a: Root) -> Root:
-    return root(-a[0], a[1])
 
 
 def _poly_divide(num: list[int], den: list[int]) -> list[int]:

@@ -2,9 +2,13 @@
 
 All three families act on Q^n by signed permutation matrices: type A
 elements are the all-positive ones (with the reflection representation the
-sum-zero subspace), type D the even-signed ones.  Conjugacy classes are
-labelled by (signed) partitions; in type D a class with all cycles positive
-of even length splits in two, distinguished by a +/- tag.
+sum-zero subspace), type D the even-signed ones.  A conjugacy class is its
+label, a (signed) partition: the lengths of the negative and the positive
+cycles of its elements.  In type D a class with all cycles positive of even
+length splits in two, distinguished by a +/- tag: '+' holds the product of
+signed cycles on consecutive coordinates, '-' its conjugate by the sign
+change t of the first coordinate.  No element is built: every class datum
+used here is read off the label.
 """
 
 from __future__ import annotations
@@ -15,18 +19,13 @@ from math import factorial
 
 from . import centralizers
 from .partitions import SignedPartition, partitions, signed_partitions
-from .signedperm import SignedPermutation
 
 __all__ = [
     "BudgetError",
     "DEFAULT_FLAT_BUDGET",
     "GroupDescriptor",
     "ConjClass",
-    "signed_cycle_type",
     "conjugacy_classes",
-    "d_split_side",
-    "cycle_side_parity",
-    "class_key",
     "code_index",
     "reflection_length",
     "sign_character",
@@ -69,30 +68,12 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "family rank")):
             return 2**n * factorial(n)
         return 2 ** (n - 1) * factorial(n)
 
-    def contains(self, w: SignedPermutation) -> bool:
-        if w.n != self.degree:
-            return False
-        if self.family == "A":
-            return w.is_positive()
-        if self.family == "D":
-            return w.is_even_signed()
-        return True
-
-    def coxeter_generators(self) -> tuple[SignedPermutation, ...]:
-        n = self.degree
-        trans = [SignedPermutation.transposition(n, i) for i in range(1, n)]
-        if self.family == "A":
-            return tuple(trans)
-        if self.family == "B":
-            return (SignedPermutation.flip(n),) + tuple(trans)
-        return (SignedPermutation.neg_transposition(n),) + tuple(trans)
-
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-class ConjClass(namedtuple("ConjClass", "rep label tag size centralizer_order")):
-    """rep: SignedPermutation, label: SignedPartition, tag: str | None."""
+class ConjClass(namedtuple("ConjClass", "label tag size centralizer_order")):
+    """label: SignedPartition, tag: str | None (the D split side)."""
 
     __slots__ = ()
 
@@ -105,58 +86,8 @@ class ConjClass(namedtuple("ConjClass", "rep label tag size centralizer_order"))
         return f"{self.label}{tag}"
 
 
-def signed_cycle_type(w: SignedPermutation) -> SignedPartition:
-    neg, pos = [], []
-    for support, sign in w.signed_cycles():
-        (neg if sign < 0 else pos).append(len(support))
-    return SignedPartition(tuple(sorted(neg)), tuple(sorted(pos, reverse=True)))
-
-
 def _splits_in_d(mu: SignedPartition) -> bool:
     return not mu.neg and all(p % 2 == 0 for p in mu.pos)
-
-
-def cycle_side_parity(w: SignedPermutation, start: int) -> int:
-    """Parity of the negative values met walking the cycle of w from start.
-
-    For a positive cycle of even length the parity does not depend on the
-    starting point (negating the start swaps the count with its complement
-    in the even length), so summed over cycles it is a property of w.
-    """
-    v, negatives = start, 0
-    while True:
-        negatives += v < 0
-        v = w(v)
-        if abs(v) == abs(start):
-            return negatives % 2
-
-
-def d_split_side(w: SignedPermutation) -> str:
-    """Which of the two D-classes of an all-even positive type w lies in.
-
-    Returns '+' when w is conjugate to w_mu inside the even-signed group,
-    '-' when it is conjugate to t w_mu t.  Any conjugator x with
-    x w x^{-1} = w_mu has well-defined sign parity because C(w_mu) is
-    even-signed for these types.  One conjugator sends each cycle, walked
-    from its smallest entry, onto consecutive coordinates of a block of
-    w_mu; its negative entries are the negative values met on those walks,
-    so the side is the sum of the cycles' cycle_side_parity.
-    """
-    mu = signed_cycle_type(w)
-    if not _splits_in_d(mu):
-        raise ValueError(f"class {mu} does not split")
-    if not w.is_even_signed():
-        raise ValueError("element is not even-signed")
-    side = sum(cycle_side_parity(w, support[0]) for support, _ in w.signed_cycles())
-    return "-" if side % 2 else "+"
-
-
-def class_key(w: SignedPermutation, family: str):
-    """Fusion key (label, tag) of the class of w in its group."""
-    mu = signed_cycle_type(w)
-    if family == "D" and _splits_in_d(mu):
-        return (mu, d_split_side(w))
-    return (mu, None)
 
 
 @lru_cache(maxsize=None)
@@ -167,25 +98,23 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
         for lam in partitions(n):
             mu = SignedPartition((), lam)
             c = centralizers.symmetric_centralizer_order(mu)
-            out.append(ConjClass(centralizers.w_mu(n, mu), mu, None, G.order // c, c))
+            out.append(ConjClass(mu, None, G.order // c, c))
         out.sort(key=lambda cls: (cls.label.neg, cls.label.pos))
         return tuple(out)
     if G.family == "B":
         for mu in signed_partitions(n):
             c = centralizers.centralizer_order(mu)
-            out.append(ConjClass(centralizers.w_mu(n, mu), mu, None, G.order // c, c))
+            out.append(ConjClass(mu, None, G.order // c, c))
         return tuple(out)
-    t = SignedPermutation.flip(n)
     for mu in signed_partitions(n):
         if len(mu.neg) % 2:
             continue
         cb = centralizers.centralizer_order(mu)
-        rep = centralizers.w_mu(n, mu)
         if _splits_in_d(mu):
-            out.append(ConjClass(rep, mu, "+", G.order // cb, cb))
-            out.append(ConjClass(rep.conjugate(t), mu, "-", G.order // cb, cb))
+            out.append(ConjClass(mu, "+", G.order // cb, cb))
+            out.append(ConjClass(mu, "-", G.order // cb, cb))
         else:
-            out.append(ConjClass(rep, mu, None, 2 * G.order // cb, cb // 2))
+            out.append(ConjClass(mu, None, 2 * G.order // cb, cb // 2))
     return tuple(out)
 
 
@@ -216,19 +145,16 @@ def code_index(G: GroupDescriptor) -> dict:
     return out
 
 
-def reflection_length(G: GroupDescriptor, w: SignedPermutation) -> int:
-    """Codimension of the fixed space in the reflection representation."""
-    positive = sum(1 for _, sign in w.signed_cycles() if sign > 0)
-    return G.degree - positive
+def reflection_length(G: GroupDescriptor, mu: SignedPartition) -> int:
+    """Codimension of the fixed space in the reflection representation of
+    the class mu: the positive cycles span the fixed space of Q^n."""
+    return G.degree - len(mu.pos)
 
 
-def sign_character(G: GroupDescriptor, w: SignedPermutation) -> int:
-    """Determinant of w on the reflection representation."""
-    cycles = w.signed_cycles()
-    perm_sign = -1 if (w.n - len(cycles)) % 2 else 1
-    if G.family == "A":
-        return perm_sign
-    return perm_sign * (-1 if w.neg_count() % 2 else 1)
+def sign_character(G: GroupDescriptor, mu: SignedPartition) -> int:
+    """Determinant on the reflection representation of the class mu, which
+    is -1 to the reflection length (a product of that many reflections)."""
+    return -1 if reflection_length(G, mu) % 2 else 1
 
 
 # -- the reflection arrangement ------------------------------------------------

@@ -16,8 +16,9 @@ The ambient space is Q^n for every family; in type A all flats contain
 the diagonal, and codimension (n - dim) equals the degree in the
 reflection representation, so nothing else changes.
 
-Per element w the w-stable flats form a subposet with Moebius function
-mu_w, taken from the ambient space V; its generating function
+Per class, the flats stable under an element w of it form a subposet
+with Moebius function mu_w, taken from the ambient space V; its
+generating function
 
     P_w(t) = sum over stable X of mu_w(X) (-t)^(codim X)
 
@@ -61,9 +62,11 @@ entries.  A shape fixes the codimension of its flats (shape_rank), so
 one table per class, shape -> sum of count * mu_w over the stable
 structures of that shape (Lattice.shape_mu), serves every check: P_w
 sums it by rank, the graded and os characters read P_w of each class, and
-the per-shape character reads one entry per class.  None of them reads a
-flat; the flats are still built, each labelled by its shape, and the
-flat budget still refuses a lattice larger than it.
+the per-shape character reads one entry per class.  Each class is named
+by its index in conjugacy_classes and counted from its label, with no
+element built, and the class of -w shares the table of w.  None of them
+reads a flat; the flats are still built, each labelled by its shape, and
+the flat budget still refuses a lattice larger than it.
 """
 
 from __future__ import annotations
@@ -79,11 +82,10 @@ from .groups import (
     GroupDescriptor,
     conjugacy_classes,
     class_index,
-    class_key,
     hyperplane_set,
 )
+from .partitions import SignedPartition
 from .shapes import Shape, shape_rank
-from .signedperm import SignedPermutation
 
 __all__ = [
     "Flat",
@@ -93,7 +95,6 @@ __all__ = [
     "get_lattice",
     "graded_os_character",
     "shape_os_character",
-    "reflection_exponents",
     "DEFAULT_FLAT_BUDGET",
 ]
 
@@ -114,8 +115,8 @@ class Lattice:
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
         self.shape_labels = shape_labels
+        self.classes = conjugacy_classes(G)
         self._shape_mu: dict[int, dict[Shape, int]] = {}
-        self._rep_index = {c.rep: k for k, c in enumerate(conjugacy_classes(G))}
 
     @property
     def rank(self) -> int:
@@ -123,13 +124,14 @@ class Lattice:
 
     # -- fixed subposets and their Moebius functions -------------------------
 
-    def fixed_subposet(self, w: SignedPermutation) -> dict[tuple, int]:
-        """(interval type, shape) -> number of w-stable flats."""
-        return _stable_structures(self.G, w)
+    def fixed_subposet(self, k: int) -> dict[tuple, int]:
+        """(interval type, shape) -> number of flats stable under class k."""
+        cls = self.classes[k]
+        return _stable_structures(self.G, cls.label, cls.tag)
 
     def moebius(self, subposet: dict[tuple, int]) -> dict[Shape, int]:
         """Shape -> sum of mu_w(V, X) over the flats X that subposet =
-        fixed_subposet(w) counts, from the closed form of each interval
+        fixed_subposet(k) counts, from the closed form of each interval
         type (module docstring)."""
         family = self.G.family
         table: dict[Shape, int] = {}
@@ -137,33 +139,55 @@ class Lattice:
             table[shape] = table.get(shape, 0) + count * _interval_mu(family, *key)
         return table
 
-    def shape_mu(self, w: SignedPermutation) -> dict[Shape, int]:
-        """Shape -> sum of mu_w(X) over the w-stable flats X of that shape.
+    def shape_mu(self, k: int) -> dict[Shape, int]:
+        """Shape -> sum of mu_w(X) over the flats X of that shape stable
+        under an element w of class k.
 
-        Cached for class representatives and shared with the class of -w,
-        which acts on every flat as w does; any other w is computed afresh.
+        Cached, and shared with the class of -w, which acts on every flat
+        as w does.
         """
-        k = self._rep_index.get(w)
         if k in self._shape_mu:
             return self._shape_mu[k]
-        table = self.moebius(self.fixed_subposet(w))
-        if k is not None:
-            self._shape_mu[k] = table
-            n = self.G.degree
-            if self.G.family == "B" or (self.G.family == "D" and n % 2 == 0):
-                partner = w.compose(SignedPermutation.minus_identity(n))
-                pk = class_index(self.G)[class_key(partner, self.G.family)]
-                self._shape_mu.setdefault(pk, table)
+        table = self.moebius(self.fixed_subposet(k))
+        self._shape_mu[k] = table
+        partner = _negated(self.G, self.classes[k])
+        if partner is not None:
+            self._shape_mu.setdefault(class_index(self.G)[partner], table)
         return table
 
-    def poincare_polynomial(self, w: SignedPermutation):
-        """Coefficients of P_w(t), ascending, length rank + 1: a shape fixes
-        the codimension of its flats, so t^c collects the shapes of rank c."""
+    def poincare_polynomial(self, k: int):
+        """Coefficients of P_w(t) for w in class k, ascending, length
+        rank + 1: a shape fixes the codimension of its flats, so t^c
+        collects the shapes of rank c."""
         coeffs = [0] * (self.rank + 1)
-        for shape, total in self.shape_mu(w).items():
+        for shape, total in self.shape_mu(k).items():
             c = shape_rank(self.G, shape)
             coeffs[c] += total * (-1) ** c
         return tuple(coeffs)
+
+
+def _negated(G: GroupDescriptor, cls):
+    """The key (label, tag) of the class of -w for w in cls, or None when
+    -1 is not in G (type A, type D of odd degree).
+
+    -w has the cycles of w, the sign of an L-cycle times (-1)^L: odd
+    cycles change sign and even ones keep it.  In type D the split side
+    is the parity of the negative values met walking each cycle from its
+    smallest entry; -1 adds L/2 of them on every (even) L-cycle, n/2 in
+    all, so the tag swaps iff n = 2 mod 4.
+    """
+    n = G.degree
+    if G.family == "A" or (G.family == "D" and n % 2):
+        return None
+    mu = cls.label
+    neg = sorted([p for p in mu.neg if p % 2 == 0] + [p for p in mu.pos if p % 2])
+    pos = sorted(
+        [p for p in mu.pos if p % 2 == 0] + [p for p in mu.neg if p % 2], reverse=True
+    )
+    tag = cls.tag
+    if tag is not None and n % 4 == 2:
+        tag = "-" if tag == "+" else "+"
+    return (SignedPartition(tuple(neg), tuple(pos)), tag)
 
 
 @lru_cache(maxsize=None)
@@ -204,16 +228,19 @@ def _interval_mu(family: str, zero: tuple, orbits: tuple) -> int:
     return value * total
 
 
-def _stable_structures(G: GroupDescriptor, w: SignedPermutation) -> dict:
-    """(interval type, shape) -> number of w-stable flats, counted from the
-    structures of the cycles of w; no flat is built.
+def _stable_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dict:
+    """(interval type, shape) -> number of flats stable under an element w
+    of the class (mu, tag), counted from the structures of its cycles; no
+    flat is built.
 
-    A cycle c_0 -> c_1 -> ... of |w|, of length L and sign sigma (the
-    product of its signs), goes into the zero block (types B and D), opens
-    an orbit of k blocks for a k dividing L, or joins an open orbit of the
-    same k, where lam = +-1 is the scalar by which w^k acts on each block of
-    the orbit: the cycle closes up iff sigma * lam^(L / k) = 1.  A structure
-    says which cycles go where.  It fixes the interval type, the key of
+    For tag None or '+', w is w_mu, whose cycles run c_0 -> c_1 -> ... over
+    consecutive coordinates from the smallest, every step positive except
+    the last one of a negative cycle.  A cycle of length L and sign sigma
+    (a part L of mu.pos or mu.neg) goes into the zero block (types B and
+    D), opens an orbit of k blocks for a k dividing L, or joins an open
+    orbit of the same k, where lam = +-1 is the scalar by which w^k acts on
+    each block of the orbit: the cycle closes up iff
+    sigma * lam^(L / k) = 1.  A structure says which cycles go where.  It fixes the interval type, the key of
     mu_w(V, X): the sorted (sigma, L) of the zero cycles and the sorted
     (k, sorted L / k) of the orbits, w^k leaving one cycle of length L / k
     on a block for each cycle of the orbit.  It fixes the shape: an orbit
@@ -225,14 +252,16 @@ def _stable_structures(G: GroupDescriptor, w: SignedPermutation) -> dict:
 
     Only the D shapes with no zero block and all blocks even split, by the
     parity of the negative entries of the canonical point.  A cycle placed
-    at block offset o with sign a writes a * (eps_0 ... eps_(j-1)) *
-    lam^((o + j) // k) at c_j, eps_j the sign of w at c_j, and making the
-    point canonical flips whole blocks, which keeps the parity of an even
-    block's negatives.  So in type D each placement also carries the
-    parity of the negatives it writes, and a partial structure is kept
-    apart by that parity too.
+    at block offset o with sign a writes a * lam^((o + j) // k) at c_j, and
+    making the point canonical flips whole blocks, which keeps the parity
+    of an even block's negatives.  So in type D each placement also carries
+    the parity of the negatives it writes, and a partial structure is kept
+    apart by that parity too.  The '-' class is t w_mu t, t the sign change
+    of the first coordinate: t maps the flats stable under w_mu onto those
+    stable under t w_mu t, keeping interval types and block sizes and
+    flipping one entry of each point, so the split tags swap.
 
-    The cycles are placed in (L, sigma, signs) order, and the count of every
+    The cycles are placed in (L, sigma) order, and the count of every
     partial structure is kept by its canonical state: the sorted zero
     cycles, the sorted open orbits (k, lam, L / k of each cycle) and the
     parity.  Partial structures with equal states have equal futures, so
@@ -240,36 +269,24 @@ def _stable_structures(G: GroupDescriptor, w: SignedPermutation) -> dict:
     """
     family = G.family
     signs = (1,) if family == "A" else (1, -1)
-    images = w.images
-    cycles = []  # (L, sigma, sign products eps_0 ... eps_(j-1) at each c_j)
-    seen = [False] * len(images)
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        prefix, sign, v = [], 1, start
-        while not seen[v]:
-            seen[v] = True
-            prefix.append(sign)
-            if images[v] < 0:
-                sign = -sign
-            v = abs(images[v]) - 1
-        cycles.append((len(prefix), sign, tuple(prefix)))
-    cycles.sort()
+    cycles = sorted(
+        [(length, -1) for length in mu.neg] + [(length, 1) for length in mu.pos]
+    )
 
-    def placements(prefix, k, lam, offsets, flips):
+    def placements(length, k, lam, offsets, flips):
         """(parity of the negatives written, how many placements) over the
         given offsets and signs; in types A and B the parity is not kept."""
         if family != "D":
             return ((0, len(offsets) * len(flips)),)
         counts = [0, 0]
         for o in offsets:
-            odd = sum(p * lam ** ((o + j) // k) < 0 for j, p in enumerate(prefix))
+            odd = sum(lam ** ((o + j) // k) < 0 for j in range(length))
             for a in flips:
-                counts[(odd if a == 1 else len(prefix) - odd) % 2] += 1
+                counts[(odd if a == 1 else length - odd) % 2] += 1
         return tuple((bit, m) for bit, m in enumerate(counts) if m)
 
     states = {((), (), 0): 1}  # (zero (L, sigma), orbits (k, lam, rho), parity)
-    for length, sigma, prefix in cycles:
+    for length, sigma in cycles:
         fits = [
             (k, lam)
             for k in range(1, length + 1)
@@ -277,8 +294,8 @@ def _stable_structures(G: GroupDescriptor, w: SignedPermutation) -> dict:
             for lam in signs
             if sigma * lam ** (length // k) == 1
         ]
-        opens = {f: placements(prefix, *f, (0,), (1,)) for f in fits}
-        joins = {f: placements(prefix, *f, range(f[0]), signs) for f in fits}
+        opens = {f: placements(length, *f, (0,), (1,)) for f in fits}
+        joins = {f: placements(length, *f, range(f[0]), signs) for f in fits}
         grown: dict = {}
         for (zero, orbits, parity), count in states.items():
             if family != "A":
@@ -307,14 +324,14 @@ def _stable_structures(G: GroupDescriptor, w: SignedPermutation) -> dict:
         sizes = tuple(sorted(
             (sum(rho) for k, _, rho in orbits for _ in range(k)), reverse=True
         ))
-        tag = None
+        side = None
         if family == "D" and not zero_size and all(p % 2 == 0 for p in sizes):
-            tag = "-" if parity else "+"
+            side = "-" if parity ^ (tag == "-") else "+"
         key = (
             tuple(sorted((sigma, length) for length, sigma in zero)),
             tuple(sorted((k, rho) for k, _, rho in orbits)),
         )
-        entry = (key, Shape(sizes, tag))
+        entry = (key, Shape(sizes, side))
         out[entry] = out.get(entry, 0) + count
     return out
 
@@ -433,7 +450,7 @@ def graded_os_character(lattice: Lattice):
     """ClassFunctions of the cohomology of the complement, degrees 0..rank."""
     G = lattice.G
     classes = conjugacy_classes(G)
-    rows = [lattice.poincare_polynomial(cls.rep) for cls in classes]
+    rows = [lattice.poincare_polynomial(k) for k in range(len(classes))]
     return [
         ClassFunction(G, tuple(row[p] for row in rows))
         for p in range(lattice.rank + 1)
@@ -446,16 +463,6 @@ def shape_os_character(lattice: Lattice, shape: Shape) -> ClassFunction:
     G = lattice.G
     sign = (-1) ** shape_rank(G, shape)
     return ClassFunction(G, tuple(
-        sign * lattice.shape_mu(cls.rep).get(shape, 0)
-        for cls in conjugacy_classes(G)
+        sign * lattice.shape_mu(k).get(shape, 0)
+        for k in range(len(conjugacy_classes(G)))
     ))
-
-
-def reflection_exponents(G: GroupDescriptor):
-    """Exponents m_i with P_1(t) = prod (1 + m_i t)."""
-    n = G.degree
-    if G.family == "A":
-        return tuple(range(1, n))
-    if G.family == "B":
-        return tuple(2 * i - 1 for i in range(1, n + 1))
-    return tuple(2 * i - 1 for i in range(1, n)) + (n - 1,)

@@ -18,9 +18,7 @@ __all__ = [
     "SignedPartition",
     "partitions",
     "signed_partitions",
-    "mu_bar",
     "parse_partition",
-    "parse_signed_partition",
     "format_partition",
 ]
 
@@ -95,12 +93,6 @@ def signed_partitions(n: int) -> tuple[SignedPartition, ...]:
     return tuple(result)
 
 
-def mu_bar(mu: SignedPartition) -> SignedPartition:
-    """Collapse the negative parts to the single part |neg| (dropped if 0)."""
-    total = sum(mu.neg)
-    return SignedPartition((total,) if total else (), mu.pos)
-
-
 # -- text syntax ------------------------------------------------------------
 #
 # Partitions print as "3+1"; signed partitions as "-1-2+3+1" with negative
@@ -139,16 +131,6 @@ def parse_partition(text: str) -> Partition:
     if not _is_decreasing(parts):
         raise ValueError(f"parts not descending in {text!r}")
     return parts
-
-
-def parse_signed_partition(text: str) -> SignedPartition:
-    """Parse "-1-2+3+1" into SignedPartition(neg=(1, 2), pos=(3, 1))."""
-    parts = _tokenize(text)
-    neg = tuple(-p for p in parts if p < 0)
-    pos = tuple(p for p in parts if p > 0)
-    if any(p < 0 for p in parts[len(neg):]):
-        raise ValueError(f"negative parts must precede positive in {text!r}")
-    return SignedPartition(neg, pos)
 
 
 def format_partition(parts: Partition) -> str:

@@ -125,7 +125,9 @@ def _compare(G, expected: ClassFunction, got: ClassFunction, degree=None):
 
 
 def _induced(G, specs) -> ClassFunction:
-    return sum((induce_from_centralizer(G, spec) for spec in specs), zero_function(G))
+    """Sum of Ind(spec) over specs, one induction each, added per class."""
+    columns = zip(*(induce_from_centralizer(G, spec).values for spec in specs))
+    return ClassFunction(G, tuple(map(sum, columns))) if specs else zero_function(G)
 
 
 def verify_regular(G: GroupDescriptor) -> VerificationReport:
@@ -167,7 +169,7 @@ def verify_graded(
     lattice = get_lattice(G, budget_flats)
     by_length: dict[int, list] = {}
     for cls in conjugacy_classes(G):
-        by_length.setdefault(reflection_length(G, cls.rep), []).append(
+        by_length.setdefault(reflection_length(G, cls.label), []).append(
             chi_char(G, cls.label, cls.tag)
         )
     disc = []
@@ -211,8 +213,8 @@ def poincare_table(
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     table = [
-        [str(cls), list(lattice.poincare_polynomial(cls.rep))]
-        for cls in conjugacy_classes(G)
+        [str(cls), list(lattice.poincare_polynomial(k))]
+        for k, cls in enumerate(conjugacy_classes(G))
     ]
     return _report(G, "poincare", started, [], budget_flats, table)
 

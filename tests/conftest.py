@@ -2,7 +2,7 @@
 
 import os
 
-from coxchar.signedperm import SignedPermutation
+from signedperm import SignedPermutation
 
 
 def mulclose(generators, limit=None):

@@ -12,16 +12,23 @@ the w-stable flats by testing each flat's hyperplanes
 point) with the interval type of each read off its point (`interval_type`),
 and the same flats built one by one from the cycles of w, each with its
 interval type (`stable_points`), which the library only counts.
-Beside them live the element-level objects no check uses: every group
-element (`group_elements`), fixed spaces as rational subspaces
+Beside them live the element-level objects no check uses, since the
+library works on class labels alone: every group element
+(`group_elements`, `contains`, `coxeter_generators`), the class of an
+element (`signed_cycle_type`, `d_split_side`, `class_key`, `class_of`)
+and its sign and reflection length (`element_sign`,
+`element_reflection_length`), which the label formulas of `groups`
+replace, fixed spaces as rational subspaces
 (`fixed_space`, `shape_fix_space`), standard parabolics
 (`parabolic_generators`, `is_cuspidal`), class representatives
-(`class_rep`), the named generators and the element stream of a
+(`w_mu`, `class_rep`), the named generators and the element stream of a
 centralizer (`centralizer_generators`, `centralizer_elements`), the
 coordinates of a centralizer element (`coordinates`, `reassemble`), and
 a linear character evaluated element by element (`evaluate`), also at
 every class representative when the base is central
 (`class_function_of_spec`), which induction computes from class tallies.
+Last come the label helpers only tests use (`mu_bar`,
+`parse_signed_partition`, `root_conj`, `reflection_exponents`).
 """
 
 from __future__ import annotations
@@ -33,22 +40,23 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, gcd
 
-from coxchar.centralizers import _fill_neg_cycle, _fill_pos_cycle, _runs, _z, w_mu
+from coxchar.centralizers import _runs, _z
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction, _integer_value
-from coxchar.cyclotomic import ONE, Root, _power_table, root_conj, root_mul
+from coxchar.cyclotomic import ONE, Root, _power_table, root, root_mul
 from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
     Hyperplane,
+    _splits_in_d,
+    class_index,
     conjugacy_classes,
-    cycle_side_parity,
     hyperplane_set,
 )
 from coxchar.linalg import Subspace, det, kernel
-from coxchar.partitions import SignedPartition, partitions
+from coxchar.partitions import SignedPartition, _tokenize, partitions
 from coxchar.shapes import Shape, _check_shape
-from coxchar.signedperm import SignedPermutation
+from signedperm import SignedPermutation
 
 
 class Cyc:
@@ -204,8 +212,103 @@ def group_elements(G: GroupDescriptor, budget=DEFAULT_ELEMENT_BUDGET):
     if budget is not None and G.order > budget:
         raise BudgetError(f"|{G}| = {G.order} exceeds the element budget {budget}")
     for w in all_signed_permutations(G.degree):
-        if G.contains(w):
+        if contains(G, w):
             yield w
+
+
+def contains(G: GroupDescriptor, w: SignedPermutation) -> bool:
+    if w.n != G.degree:
+        return False
+    if G.family == "A":
+        return w.is_positive()
+    if G.family == "D":
+        return w.is_even_signed()
+    return True
+
+
+def coxeter_generators(G: GroupDescriptor) -> tuple[SignedPermutation, ...]:
+    n = G.degree
+    trans = [SignedPermutation.transposition(n, i) for i in range(1, n)]
+    if G.family == "A":
+        return tuple(trans)
+    if G.family == "B":
+        return (SignedPermutation.flip(n),) + tuple(trans)
+    return (SignedPermutation.neg_transposition(n),) + tuple(trans)
+
+
+# -- the class of an element ----------------------------------------------------
+
+
+def signed_cycle_type(w: SignedPermutation) -> SignedPartition:
+    neg, pos = [], []
+    for support, sign in w.signed_cycles():
+        (neg if sign < 0 else pos).append(len(support))
+    return SignedPartition(tuple(sorted(neg)), tuple(sorted(pos, reverse=True)))
+
+
+def cycle_side_parity(w: SignedPermutation, start: int) -> int:
+    """Parity of the negative values met walking the cycle of w from start.
+
+    For a positive cycle of even length the parity does not depend on the
+    starting point (negating the start swaps the count with its complement
+    in the even length), so summed over cycles it is a property of w.
+    """
+    v, negatives = start, 0
+    while True:
+        negatives += v < 0
+        v = w(v)
+        if abs(v) == abs(start):
+            return negatives % 2
+
+
+def d_split_side(w: SignedPermutation) -> str:
+    """Which of the two D-classes of an all-even positive type w lies in.
+
+    Returns '+' when w is conjugate to w_mu inside the even-signed group,
+    '-' when it is conjugate to t w_mu t.  Any conjugator x with
+    x w x^{-1} = w_mu has well-defined sign parity because C(w_mu) is
+    even-signed for these types.  One conjugator sends each cycle, walked
+    from its smallest entry, onto consecutive coordinates of a block of
+    w_mu; its negative entries are the negative values met on those walks,
+    so the side is the sum of the cycles' cycle_side_parity.
+    """
+    mu = signed_cycle_type(w)
+    if not _splits_in_d(mu):
+        raise ValueError(f"class {mu} does not split")
+    if not w.is_even_signed():
+        raise ValueError("element is not even-signed")
+    side = sum(cycle_side_parity(w, support[0]) for support, _ in w.signed_cycles())
+    return "-" if side % 2 else "+"
+
+
+def class_key(w: SignedPermutation, family: str):
+    """Fusion key (label, tag) of the class of w in its group."""
+    mu = signed_cycle_type(w)
+    if family == "D" and _splits_in_d(mu):
+        return (mu, d_split_side(w))
+    return (mu, None)
+
+
+def class_of(G: GroupDescriptor, w: SignedPermutation) -> int:
+    """Index of the class of w in conjugacy_classes(G)."""
+    return class_index(G)[class_key(w, G.family)]
+
+
+def element_reflection_length(G: GroupDescriptor, w: SignedPermutation) -> int:
+    """Codimension of the fixed space of w in the reflection representation,
+    from its positive cycles."""
+    positive = sum(1 for _, sign in w.signed_cycles() if sign > 0)
+    return G.degree - positive
+
+
+def element_sign(G: GroupDescriptor, w: SignedPermutation) -> int:
+    """Determinant of w on the reflection representation: the sign of |w|
+    as a permutation, times the sign of its entries outside type A."""
+    cycles = w.signed_cycles()
+    perm_sign = -1 if (w.n - len(cycles)) % 2 else 1
+    if G.family == "A":
+        return perm_sign
+    return perm_sign * (-1 if w.neg_count() % 2 else 1)
 
 
 def matrix_rows(w: SignedPermutation) -> list[list[int]]:
@@ -309,6 +412,34 @@ def is_cuspidal(G: GroupDescriptor, w: SignedPermutation, shape: Shape) -> bool:
     if not _member_of_parabolic(G, w, shape):
         raise ValueError(f"{w} is not in the parabolic of shape {shape}")
     return fixed_space_ambient(w).dim == len(shape.lam)
+
+
+def _fill_neg_cycle(images, offset, length):
+    for v in range(offset + 1, offset + length):
+        images[v - 1] = v + 1
+    images[offset + length - 1] = -(offset + 1)
+
+
+def _fill_pos_cycle(images, offset, length):
+    for v in range(offset + 1, offset + length):
+        images[v - 1] = v + 1
+    images[offset + length - 1] = offset + 1
+
+
+def w_mu(n: int, mu: SignedPartition) -> SignedPermutation:
+    """The class representative c_1...c_a d_1...d_b for mu: negative cycles,
+    then positive ones, on consecutive coordinates."""
+    if mu.n != n:
+        raise ValueError(f"{mu} is not a signed partition of {n}")
+    images = list(range(1, n + 1))
+    u = 0
+    for length in mu.neg:
+        _fill_neg_cycle(images, u, length)
+        u += length
+    for length in mu.pos:
+        _fill_pos_cycle(images, u, length)
+        u += length
+    return SignedPermutation(tuple(images))
 
 
 def class_rep(G: GroupDescriptor, label: SignedPartition, tag: str | None = None):
@@ -674,7 +805,10 @@ def class_function_of_spec(G: GroupDescriptor, spec: LinearCharacterSpec):
         G,
         tuple(
             _integer_value({root[0]: 1}, root[1], 1, 1)
-            for root in (evaluate(spec, cls.rep) for cls in conjugacy_classes(G))
+            for root in (
+                evaluate(spec, class_rep(G, cls.label, cls.tag))
+                for cls in conjugacy_classes(G)
+            )
         ),
     )
 
@@ -689,7 +823,7 @@ def _conjugate_multiset(G: GroupDescriptor):
     elements = list(group_elements(G))
     tables = []
     for cls in conjugacy_classes(G):
-        g = cls.rep
+        g = class_rep(G, cls.label, cls.tag)
         counts: dict[tuple, int] = {}
         for x in elements:
             y = g.conjugate(x.inverse())
@@ -1176,3 +1310,36 @@ def interval_type(point, w: SignedPermutation):
             orbits.setdefault(min(labels), (k, []))[1].append(length // k)
     blocks = sorted((k, tuple(sorted(rho))) for k, rho in orbits.values())
     return tuple(sorted(zero)), tuple(blocks)
+
+
+# -- label helpers only tests use ------------------------------------------------
+
+
+def mu_bar(mu: SignedPartition) -> SignedPartition:
+    """Collapse the negative parts to the single part |neg| (dropped if 0)."""
+    total = sum(mu.neg)
+    return SignedPartition((total,) if total else (), mu.pos)
+
+
+def parse_signed_partition(text: str) -> SignedPartition:
+    """Parse "-1-2+3+1" into SignedPartition(neg=(1, 2), pos=(3, 1))."""
+    parts = _tokenize(text)
+    neg = tuple(-p for p in parts if p < 0)
+    pos = tuple(p for p in parts if p > 0)
+    if any(p < 0 for p in parts[len(neg):]):
+        raise ValueError(f"negative parts must precede positive in {text!r}")
+    return SignedPartition(neg, pos)
+
+
+def root_conj(a: Root) -> Root:
+    return root(-a[0], a[1])
+
+
+def reflection_exponents(G: GroupDescriptor):
+    """Exponents m_i with P_1(t) = prod (1 + m_i t)."""
+    n = G.degree
+    if G.family == "A":
+        return tuple(range(1, n))
+    if G.family == "B":
+        return tuple(2 * i - 1 for i in range(1, n + 1))
+    return tuple(2 * i - 1 for i in range(1, n)) + (n - 1,)

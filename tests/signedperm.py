@@ -1,10 +1,11 @@
-"""Signed permutations.
+"""Signed permutations, the elements of the groups.
 
-An element w of the hyperoctahedral group on n letters is stored by its
-image tuple: images[i-1] = w(i) in {±1, ..., ±n}, and w(-i) = -w(i) is
-implicit.  Elements of the symmetric group are the all-positive signed
-permutations; type-D elements are those with an even number of negative
-entries.
+The library works on class labels alone; the tests build elements to check
+it against the definitions.  An element w of the hyperoctahedral group on
+n letters is stored by its image tuple: images[i-1] = w(i) in
+{±1, ..., ±n}, and w(-i) = -w(i) is implicit.  Elements of the symmetric
+group are the all-positive signed permutations; type-D elements are those
+with an even number of negative entries.
 """
 
 from __future__ import annotations

@@ -9,25 +9,30 @@ import math
 import random
 
 from conftest import stretch_enabled
-from coxchar.centralizers import centralizer_order, w_mu
+from coxchar.centralizers import centralizer_order
 from coxchar.characters import phi_B, phi_for_class, psi_mu
 from coxchar.classfunctions import induce_from_centralizer
 from coxchar.cyclotomic import root_mul
-from coxchar.groups import (
-    GroupDescriptor,
-    conjugacy_classes,
-    signed_cycle_type,
-)
-from coxchar.lattice import get_lattice, reflection_exponents
+from coxchar.groups import GroupDescriptor, conjugacy_classes
+from coxchar.lattice import get_lattice
 from coxchar.partitions import signed_partitions
-from coxchar.signedperm import SignedPermutation
 from coxchar.verify import (
     verify_all_shapes,
     verify_graded,
     verify_os,
     verify_regular,
 )
-from oracles import centralizer_elements, evaluate, group_elements, induce_direct
+from oracles import (
+    centralizer_elements,
+    class_of,
+    evaluate,
+    group_elements,
+    induce_direct,
+    reflection_exponents,
+    signed_cycle_type,
+    w_mu,
+)
+from signedperm import SignedPermutation
 from test_lattice import (
     brute_point_count,
     flat_moebius,
@@ -112,7 +117,7 @@ def test_criterion_4_poincare_identities():
     failures = []
     for G in POINCARE_GROUPS:
         lattice = get_lattice(G, budget=10_000)
-        identity = SignedPermutation.identity(G.degree)
+        identity = class_of(G, SignedPermutation.identity(G.degree))
         if lattice.poincare_polynomial(identity) != poly_product(
             reflection_exponents(G), G.rank
         ):

@@ -1,14 +1,9 @@
 import pytest
 
 from conftest import mulclose
-from coxchar.centralizers import (
-    centralizer_order,
-    symmetric_centralizer_order,
-    w_mu,
-)
+from coxchar.centralizers import centralizer_order, symmetric_centralizer_order
 from coxchar.groups import GroupDescriptor
 from coxchar.partitions import SignedPartition, signed_partitions
-from coxchar.signedperm import SignedPermutation
 from oracles import (
     _summaries,
     centralizer_elements,
@@ -17,7 +12,9 @@ from oracles import (
     coordinates,
     group_elements,
     reassemble,
+    w_mu,
 )
+from signedperm import SignedPermutation
 
 
 def test_generator_examples():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from coxchar.centralizers import w_mu
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
@@ -14,19 +13,20 @@ from coxchar.characters import (
     spec_product,
 )
 from coxchar.cyclotomic import MINUS_ONE, ONE, root, root_mul
-from coxchar.groups import GroupDescriptor, sign_character
+from coxchar.groups import GroupDescriptor
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import Shape
-from coxchar.signedperm import SignedPermutation
 from oracles import (
     alpha_on_centralizer,
     base_rep,
     centralizer_elements,
     centralizer_generators,
     class_rep,
+    element_sign,
     evaluate,
     group_elements,
 )
+from signedperm import SignedPermutation
 
 
 def test_lemma_order_conditions_enforced():
@@ -204,10 +204,9 @@ def test_epsilon_spec_matches_sign_character():
     for n, mu in [(3, SignedPartition((1,), (2,))), (4, SignedPartition((2,), (2,)))]:
         G = GroupDescriptor("B", n)
         spec = epsilon_char(G, mu)
-        w = w_mu(n, mu)
         for images, neg_sum, pos_sum in centralizer_elements(n, mu):
             got = spec.evaluate_summaries(neg_sum, pos_sum)
-            expected = sign_character(G, SignedPermutation(images))
+            expected = element_sign(G, SignedPermutation(images))
             assert got == (ONE if expected == 1 else MINUS_ONE)
 
 

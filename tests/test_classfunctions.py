@@ -28,22 +28,25 @@ from coxchar.cyclotomic import root, root_mul
 from coxchar.groups import (
     GroupDescriptor,
     class_index,
-    class_key,
     code_index,
     conjugacy_classes,
     reflection_length,
 )
 from coxchar.partitions import SignedPartition
-from coxchar.signedperm import SignedPermutation
 from oracles import (
     Cyc,
     centralizer_elements,
     class_function_of_spec,
+    class_key,
+    class_of,
+    class_rep,
     conjugate_by_first_flip,
+    element_sign,
     group_elements,
     induce_by_root_tallies,
     induce_direct,
 )
+from signedperm import SignedPermutation
 
 SMALL_GROUPS = [
     GroupDescriptor("A", 1),
@@ -113,13 +116,13 @@ def test_b2_hand_example():
     mu = SignedPartition((2,), ())
     cls = conjugacy_classes(G)[class_index(G)[(mu, None)]]
     assert cls.centralizer_order == 4
-    w = cls.rep
+    w = class_rep(G, mu)
     assert w.order() == 4
     ind = induce_from_centralizer(G, phi_for_class(G, mu))
     assert ind[class_index(G)[(SignedPartition((), (1, 1)), None)]] == 2
     total = 0
     for c in conjugacy_classes(G):
-        if reflection_length(G, c.rep) == 2:
+        if reflection_length(G, c.label) == 2:
             ind_c = induce_from_centralizer(G, phi_for_class(G, c.label, c.tag))
             total += ind_c[0]
     assert total == 3
@@ -324,14 +327,12 @@ def test_induction_enumerates_no_element():
 )
 def test_frobenius_reciprocity(G):
     """<Ind chi, theta>_G = <chi, Res theta>_C for theta in {triv, sign}."""
-    from coxchar.groups import sign_character
-
     for cls in conjugacy_classes(G):
         chi = phi_for_class(G, cls.label, cls.tag)
         ind = induce_from_centralizer(G, chi)
         for theta, theta_fn in [
             (trivial_character(G), lambda g: 1),
-            (sign_class_function(G), lambda g: sign_character(G, g)),
+            (sign_class_function(G), lambda g: element_sign(G, g)),
         ]:
             lhs = inner_product(ind, theta)
             total = Cyc.zero()
@@ -392,7 +393,7 @@ def test_b2_os_trivial_multiplicity():
     value = inner_product(total, trivial_character(G))
     assert value == 4 == len(shapes(G))
     brute = sum(
-        sum(lattice.poincare_polynomial(w)) for w in group_elements(G)
+        sum(lattice.poincare_polynomial(class_of(G, w))) for w in group_elements(G)
     )
     assert Fraction(brute, G.order) == value
 

@@ -5,11 +5,10 @@ from coxchar.cyclotomic import (
     ONE,
     cyclotomic_polynomial,
     root,
-    root_conj,
     root_mul,
     root_pow,
 )
-from oracles import Cyc
+from oracles import Cyc, root_conj
 
 
 def test_root_normalization():

@@ -3,26 +3,32 @@ import random
 import pytest
 
 from conftest import mulclose
+from coxchar.classfunctions import regular_character
 from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
-    class_key,
+    class_index,
     conjugacy_classes,
-    d_split_side,
     hyperplane_set,
     reflection_length,
     sign_character,
-    signed_cycle_type,
 )
+from coxchar.lattice import _negated
 from coxchar.partitions import SignedPartition
-from coxchar.signedperm import SignedPermutation
 from oracles import (
+    class_key,
     class_rep,
+    coxeter_generators,
+    d_split_side,
+    element_reflection_length,
+    element_sign,
     fixed_space,
     fixed_space_ambient,
     group_elements,
     hyperplane_action,
+    signed_cycle_type,
 )
+from signedperm import SignedPermutation
 
 
 def test_descriptor_validation():
@@ -38,7 +44,7 @@ def test_descriptor_validation():
 
 def test_coxeter_generators_generate():
     for G in [GroupDescriptor("A", 3), GroupDescriptor("B", 3), GroupDescriptor("D", 4)]:
-        assert len(mulclose(list(G.coxeter_generators()))) == G.order
+        assert len(mulclose(list(coxeter_generators(G)))) == G.order
 
 
 @pytest.mark.parametrize(
@@ -58,8 +64,9 @@ def test_class_partition(family, rank):
     classes = conjugacy_classes(G)
     assert sum(c.size for c in classes) == G.order
     for c in classes:
+        assert c._fields == ("label", "tag", "size", "centralizer_order")
         assert c.size * c.centralizer_order == G.order
-        assert class_key(c.rep, G.family) == c.key
+        assert class_key(class_rep(G, c.label, c.tag), G.family) == c.key
 
 
 def test_signed_cycle_type_examples():
@@ -99,7 +106,8 @@ def test_classes_against_brute_force_orbits(family, rank):
         assert seen[c.key] == c.size
     # and distinct keys really are distinct orbits
     for c in classes:
-        orbit = {c.rep.conjugate(x).images for x in elements}
+        rep = class_rep(G, c.label, c.tag)
+        orbit = {rep.conjugate(x).images for x in elements}
         assert len(orbit) == c.size
         assert all(class_key(SignedPermutation(y), G.family) == c.key for y in orbit)
 
@@ -127,15 +135,18 @@ def test_d_split_side_rejects():
 
 def test_reflection_length():
     G = GroupDescriptor("B", 3)
-    assert reflection_length(G, SignedPermutation.identity(3)) == 0
-    assert reflection_length(G, SignedPermutation.flip(3)) == 1
+    assert element_reflection_length(G, SignedPermutation.identity(3)) == 0
+    assert element_reflection_length(G, SignedPermutation.flip(3)) == 1
     w = SignedPermutation((-1, 3, -2))
-    assert reflection_length(G, w) == 3
+    assert element_reflection_length(G, w) == 3
+    assert reflection_length(G, signed_cycle_type(w)) == 3
     assert fixed_space_ambient(w).dim == 0
     for cls in conjugacy_classes(G):
-        assert 0 <= reflection_length(G, cls.rep) <= G.rank
-        assert (reflection_length(G, cls.rep) == 0) == (
-            cls.rep == SignedPermutation.identity(3)
+        rep = class_rep(G, cls.label, cls.tag)
+        assert 0 <= reflection_length(G, cls.label) <= G.rank
+        assert reflection_length(G, cls.label) == G.rank - fixed_space(G, rep).dim
+        assert (reflection_length(G, cls.label) == 0) == (
+            rep == SignedPermutation.identity(3)
         )
 
 
@@ -144,24 +155,62 @@ def test_fixed_space_type_a():
     s1 = SignedPermutation.transposition(3, 1)
     space = fixed_space(G, s1)
     assert space.dim == 1  # inside the sum-zero plane
-    assert reflection_length(G, s1) == 1
+    assert element_reflection_length(G, s1) == 1
+    assert reflection_length(G, signed_cycle_type(s1)) == 1
     assert fixed_space(G, SignedPermutation.identity(3)).dim == 2
 
 
 def test_sign_character():
     G = GroupDescriptor("B", 2)
-    assert sign_character(G, SignedPermutation.identity(2)) == 1
-    assert sign_character(G, SignedPermutation.flip(2)) == -1
-    assert sign_character(G, SignedPermutation.minus_identity(2)) == 1
+    assert element_sign(G, SignedPermutation.identity(2)) == 1
+    assert element_sign(G, SignedPermutation.flip(2)) == -1
+    assert element_sign(G, SignedPermutation.minus_identity(2)) == 1
+    assert sign_character(G, SignedPartition((), (1, 1))) == 1
+    assert sign_character(G, SignedPartition((1,), (1,))) == -1
+    assert sign_character(G, SignedPartition((1, 1), ())) == 1
     rng = random.Random(11)
     for family, rank in [("A", 3), ("B", 3), ("D", 4)]:
         H = GroupDescriptor(family, rank)
         elements = list(group_elements(H))
         for _ in range(1000):
             p, q = rng.choice(elements), rng.choice(elements)
-            assert sign_character(H, p.compose(q)) == sign_character(
+            assert element_sign(H, p.compose(q)) == element_sign(
                 H, p
-            ) * sign_character(H, q)
+            ) * element_sign(H, q)
+            assert element_sign(H, p) == sign_character(H, signed_cycle_type(p))
+
+
+LABEL_GROUPS = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 8)]
+    + [("D", r) for r in range(4, 11)]
+)
+
+
+@pytest.mark.parametrize("family,rank", LABEL_GROUPS)
+def test_label_formulas_match_element_oracles(family, rank):
+    """Every class datum read off a label agrees with the element the
+    label stands for: the sign and the reflection length of the class
+    representative, the identity's label, and the class of -w, whose
+    split tag in type D swaps when n = 2 mod 4 (D6, D10) and stays
+    otherwise (D4, D8)."""
+    G = GroupDescriptor(family, rank)
+    n = G.degree
+    identity = SignedPermutation.identity(n)
+    regular = regular_character(G)
+    assert regular[class_index(G)[class_key(identity, family)]] == G.order
+    assert sum(1 for v in regular.values if v) == 1
+    minus = SignedPermutation.minus_identity(n)
+    central = family != "A" and not (family == "D" and n % 2)
+    for cls in conjugacy_classes(G):
+        rep = class_rep(G, cls.label, cls.tag)
+        assert reflection_length(G, cls.label) == element_reflection_length(G, rep)
+        assert sign_character(G, cls.label) == element_sign(G, rep)
+        partner = _negated(G, cls)
+        if central:
+            assert partner == class_key(rep.compose(minus), family), cls
+        else:
+            assert partner is None
 
 
 @pytest.mark.parametrize(

@@ -15,24 +15,29 @@ from coxchar.lattice import (
     flat_count,
     get_lattice,
     graded_os_character,
-    reflection_exponents,
     shape_os_character,
 )
 from coxchar.groups import BudgetError
 from coxchar.linalg import Subspace
-from coxchar.shapes import shape_rank, shapes
-from coxchar.signedperm import SignedPermutation
+from coxchar.partitions import SignedPartition
+from coxchar.shapes import Shape, shape_rank, shapes
 from oracles import (
+    class_of,
+    class_rep,
     closure_by_meets,
+    contains,
+    coxeter_generators,
     flat_bits,
     group_elements,
     hyperplane_action,
     interval_type,
+    reflection_exponents,
     shape_fix_space,
     shape_of_point,
     stable_flats_by_bits,
     stable_points,
 )
+from signedperm import SignedPermutation
 
 
 def poly_product(exponents, rank):
@@ -49,7 +54,7 @@ def poly_product(exponents, rank):
 def whitney_point_count(lattice, q):
     """sum mu(X) q^dim X over the full lattice, from the identity's shape
     table: a flat's dimension is its number of blocks."""
-    identity = SignedPermutation.identity(lattice.G.degree)
+    identity = class_of(lattice.G, SignedPermutation.identity(lattice.G.degree))
     table = lattice.shape_mu(identity)
     return sum(total * q ** len(shape.lam) for shape, total in table.items())
 
@@ -148,14 +153,14 @@ def random_elements(G, count, seed):
     """count seeded random elements of G, none a class representative."""
     rng = random.Random(seed)
     n = G.degree
-    reps = {cls.rep for cls in conjugacy_classes(G)}
+    reps = {class_rep(G, cls.label, cls.tag) for cls in conjugacy_classes(G)}
     out = []
     while len(out) < count:
         images = rng.sample(range(1, n + 1), n)
         if G.family != "A":
             images = [v * rng.choice((1, -1)) for v in images]
         w = SignedPermutation(tuple(images))
-        if G.contains(w) and w not in reps:
+        if contains(G, w) and w not in reps:
             out.append(w)
     return out
 
@@ -239,7 +244,7 @@ def test_flat_count_of_lattices_too_large_to_build(family, rank, count):
     assert expected_flat_count(family, rank) == count
     G = GroupDescriptor(family, rank)
     assert flat_count(G) == count
-    identity = SignedPermutation.identity(G.degree)
+    identity = SignedPartition((), (1,) * G.degree)
     assert sum(_stable_structures(G, identity).values()) == count
 
 
@@ -301,8 +306,10 @@ def test_b2_moebius_hand_values():
 def test_poincare_hand_values():
     G = GroupDescriptor("B", 2)
     lattice = get_lattice(G)
-    assert lattice.poincare_polynomial(SignedPermutation.identity(2)) == (1, 4, 3)
-    assert lattice.poincare_polynomial(SignedPermutation.flip(2)) == (1, 2, 1)
+    identity = class_of(G, SignedPermutation.identity(2))
+    assert lattice.poincare_polynomial(identity) == (1, 4, 3)
+    flip = class_of(G, SignedPermutation.flip(2))
+    assert lattice.poincare_polynomial(flip) == (1, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -358,7 +365,7 @@ def test_shape_labels_are_orbit_labels(family, rank):
     bits = flat_bits(lattice)
     by_bits = {b: index for index, b in enumerate(bits)}
     assert set(labels) <= set(shapes(G))
-    for g in G.coxeter_generators():
+    for g in coxeter_generators(G):
         action = hyperplane_action(G, g)
         for f in lattice.flats:
             image = by_bits[permute_bits(bits[f.index], action)]
@@ -417,10 +424,10 @@ def test_central_element_fixes_everything():
     lattice = get_lattice(G)
     w0 = SignedPermutation.minus_identity(3)
     assert len(stable_subposet(lattice, w0)) == len(lattice.flats)
-    assert sum(lattice.fixed_subposet(w0).values()) == len(lattice.flats)
+    assert sum(lattice.fixed_subposet(class_of(G, w0)).values()) == len(lattice.flats)
     # L^w = L^(w0 w)
     for cls in conjugacy_classes(G):
-        w = cls.rep
+        w = class_rep(G, cls.label, cls.tag)
         assert set(stable_subposet(lattice, w)) == set(
             stable_subposet(lattice, w.compose(w0))
         )
@@ -434,7 +441,8 @@ def test_identity_poincare_is_exponent_product(family, ranks):
     for rank in ranks:
         G = GroupDescriptor(family, rank)
         lattice = get_lattice(G, budget=10_000)
-        got = lattice.poincare_polynomial(SignedPermutation.identity(G.degree))
+        identity = class_of(G, SignedPermutation.identity(G.degree))
+        got = lattice.poincare_polynomial(identity)
         assert got == poly_product(reflection_exponents(G), G.rank)
 
 
@@ -495,9 +503,9 @@ def test_pairing_shortcut_matches_direct_computation(family, rank):
     polynomials as recursing per representative."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    for cls in conjugacy_classes(G):
-        shared = lattice.poincare_polynomial(cls.rep)
-        sub = stable_subposet(lattice, cls.rep)
+    for k, cls in enumerate(conjugacy_classes(G)):
+        shared = lattice.poincare_polynomial(k)
+        sub = stable_subposet(lattice, class_rep(G, cls.label, cls.tag))
         mu = flat_moebius(lattice, sub)
         direct = [0] * (G.rank + 1)
         for idx in sub:
@@ -508,8 +516,6 @@ def test_pairing_shortcut_matches_direct_computation(family, rank):
 
 def test_trivial_parabolic_shape_orbit_is_ambient():
     # the rank-0 shape (lambda = (1,...,1), L = {}) has orbit {V}
-    from coxchar.shapes import Shape
-
     G = GroupDescriptor("B", 3)
     lattice = get_lattice(G)
     piece = shape_os_character(lattice, Shape((1, 1, 1)))
@@ -553,7 +559,7 @@ def test_moebius_and_stable_flats_match_oracles_on_every_class(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     for cls in conjugacy_classes(G):
-        assert_stable_flats_match_oracles(lattice, cls.rep)
+        assert_stable_flats_match_oracles(lattice, class_rep(G, cls.label, cls.tag))
 
 
 def assert_stable_flats_match_oracles(lattice, w):
@@ -564,7 +570,7 @@ def assert_stable_flats_match_oracles(lattice, w):
         assert key == interval_type(lattice.flats[idx].point, w)
     scan = moebius_by_scan(lattice, sub)
     assert flat_moebius(lattice, sub) == scan
-    assert lattice.shape_mu(w) == sums_by_shape(lattice, scan)
+    assert lattice.shape_mu(class_of(lattice.G, w)) == sums_by_shape(lattice, scan)
 
 
 @pytest.mark.parametrize(
@@ -600,12 +606,13 @@ def test_moebius_reads_only_the_interval_types(family, rank, monkeypatch):
     containment test) in reach, and still sum the scan by shape."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    for cls in conjugacy_classes(G):
-        scan = moebius_by_scan(lattice, stable_subposet(lattice, cls.rep))
+    for k, cls in enumerate(conjugacy_classes(G)):
+        w = class_rep(G, cls.label, cls.tag)
+        scan = moebius_by_scan(lattice, stable_subposet(lattice, w))
         expected = sums_by_shape(lattice, scan)
         with monkeypatch.context() as patch:
             patch.setattr(lattice, "flats", Untouchable())
-            assert lattice.moebius(lattice.fixed_subposet(cls.rep)) == expected
+            assert lattice.moebius(lattice.fixed_subposet(k)) == expected
 
 
 NUMBER_MOEBIUS = {2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0}
@@ -636,7 +643,7 @@ def test_coxeter_element_top_coefficient(family, n):
         G = GroupDescriptor("B", n)
         w = SignedPermutation(tuple(range(2, n + 1)) + (-1,))
         expected = -1 if n & (n - 1) == 0 else 0
-    assert get_lattice(G).poincare_polynomial(w)[-1] == expected
+    assert get_lattice(G).poincare_polynomial(class_of(G, w))[-1] == expected
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4), ("A", 4)])
@@ -648,10 +655,10 @@ def test_interval_type_is_conjugation_invariant(family, rank):
     lattice = get_lattice(G)
     bits = flat_bits(lattice)
     by_bits = {bits[f.index]: f for f in lattice.flats}
-    for g in G.coxeter_generators():
+    for g in coxeter_generators(G):
         action = hyperplane_action(G, g)
         for cls in conjugacy_classes(G):
-            w = cls.rep
+            w = class_rep(G, cls.label, cls.tag)
             conjugate = stable_subposet(lattice, w.conjugate(g))
             for idx, key in stable_subposet(lattice, w).items():
                 x = lattice.flats[idx]
@@ -674,7 +681,7 @@ def test_identity_runs_one_scan_per_block_shape(family, rank, types):
     identity = SignedPermutation.identity(G.degree)
     keys = {interval_type(f.point, identity) for f in lattice.flats}
     assert set(stable_subposet(lattice, identity).values()) == keys
-    assert {key for key, _ in lattice.fixed_subposet(identity)} == keys
+    assert {key for key, _ in lattice.fixed_subposet(class_of(G, identity))} == keys
     pairs = {
         (
             f.point.count(0),
@@ -689,7 +696,7 @@ def test_identity_runs_one_scan_per_block_shape(family, rank, types):
 def test_identity_poincare_is_exponent_product_rank_7_and_8(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G, budget=30_000)
-    got = lattice.poincare_polynomial(SignedPermutation.identity(G.degree))
+    got = lattice.poincare_polynomial(class_of(G, SignedPermutation.identity(G.degree)))
     assert got == poly_product(reflection_exponents(G), G.rank)
 
 
@@ -719,7 +726,7 @@ def test_stable_flat_counts_satisfy_burnside(family, rank):
     The counts need no lattice, so the gate runs past the flat budget."""
     G = GroupDescriptor(family, rank)
     total = sum(
-        cls.size * sum(_stable_structures(G, cls.rep).values())
+        cls.size * sum(_stable_structures(G, cls.label, cls.tag).values())
         for cls in conjugacy_classes(G)
     )
     assert total == G.order * len(shapes(G))
@@ -745,8 +752,8 @@ def test_class_average_of_poincare_rows_is_quotient_poincare(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     totals = [0] * (G.rank + 1)
-    for cls in conjugacy_classes(G):
-        for p, c in enumerate(lattice.poincare_polynomial(cls.rep)):
+    for k, cls in enumerate(conjugacy_classes(G)):
+        for p, c in enumerate(lattice.poincare_polynomial(k)):
             totals[p] += cls.size * c
     assert totals == [G.order * c for c in quotient_poincare(family, rank)]
 
@@ -776,7 +783,36 @@ def test_structure_counts_match_stable_flats(family, rank):
     for cls in conjugacy_classes(G):
         flats = Counter(
             (key, shape_of_point(G, point))
-            for point, key in stable_points(G, cls.rep)
+            for point, key in stable_points(G, class_rep(G, cls.label, cls.tag))
         )
-        assert _stable_structures(G, cls.rep) == dict(flats)
+        assert _stable_structures(G, cls.label, cls.tag) == dict(flats)
 
+
+
+def swap_tags(structures):
+    """The structures with the type D split tags of their shapes swapped."""
+    swap = {"+": "-", "-": "+", None: None}
+    return {
+        (key, Shape(shape.lam, swap[shape.tag])): count
+        for (key, shape), count in structures.items()
+    }
+
+
+@pytest.mark.parametrize("rank", range(4, 11))
+def test_minus_class_structures_are_plus_with_tags_swapped(rank):
+    """The '-' class t w_mu t is counted as the '+' class with the split
+    tags swapped: t flips one entry of every point.  Both sides are built
+    flat by flat from the representatives' cycles."""
+    G = GroupDescriptor("D", rank)
+    for cls in conjugacy_classes(G):
+        if cls.tag != "-":
+            continue
+        built = {
+            tag: dict(Counter(
+                (key, shape_of_point(G, point))
+                for point, key in stable_points(G, class_rep(G, cls.label, tag))
+            ))
+            for tag in "+-"
+        }
+        assert built["-"] == swap_tags(built["+"]), cls
+        assert _stable_structures(G, cls.label, "-") == built["-"], cls

@@ -5,12 +5,11 @@ from coxchar.partitions import (
     SignedPartition,
     format_partition,
     format_signed_partition,
-    mu_bar,
     parse_partition,
-    parse_signed_partition,
     partitions,
     signed_partitions,
 )
+from oracles import mu_bar, parse_signed_partition
 
 
 def test_partitions_of_zero():

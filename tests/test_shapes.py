@@ -1,8 +1,7 @@
 import pytest
 
 from conftest import mulclose
-from coxchar.groups import GroupDescriptor, signed_cycle_type
-from coxchar.centralizers import w_mu
+from coxchar.groups import GroupDescriptor
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import (
     Shape,
@@ -11,14 +10,17 @@ from coxchar.shapes import (
     shape_rank,
     shapes,
 )
-from coxchar.signedperm import SignedPermutation
 from oracles import (
     class_rep,
+    coxeter_generators,
     group_elements,
     is_cuspidal,
     parabolic_generators,
     shape_fix_space,
+    signed_cycle_type,
+    w_mu,
 )
+from signedperm import SignedPermutation
 
 
 @pytest.mark.parametrize(
@@ -162,7 +164,7 @@ def test_cuspidal_labels_are_cuspidal(family, ranks):
 def _parabolic_conjugacy_classes(G):
     """Brute force: closures of all subsets of the Coxeter generators,
     grouped by exhaustive conjugacy search."""
-    gens = G.coxeter_generators()
+    gens = coxeter_generators(G)
     elements = list(group_elements(G))
     subgroups = []
     for mask in range(1 << len(gens)):

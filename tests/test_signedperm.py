@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coxchar.signedperm import SignedPermutation
+from signedperm import SignedPermutation
 from oracles import all_signed_permutations, matrix_rows
 
 

@@ -9,7 +9,7 @@ from coxchar.groups import GroupDescriptor, Hyperplane, conjugacy_classes
 from coxchar.lattice import Flat
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import Shape, shapes
-from coxchar.signedperm import SignedPermutation
+from signedperm import SignedPermutation
 
 B2 = GroupDescriptor("B", 2)
 

@@ -530,14 +530,11 @@ def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
         assert name not in loaded
 
 
-def test_regular_run_loads_no_lattice():
-    """`--check regular` loads exactly the modules induction needs: the
-    CLI and the checks import `lattice` and `shapes` only when a lattice or
-    shape check runs, and every imported module is compiled at start-up
-    where no bytecode is cached."""
+def _modules_loaded_by(check):
+    """Exit code and sorted coxchar modules of a B4 run of this check."""
     probe = (
         "import sys; from coxchar.cli import main; "
-        "code = main(['--family', 'B', '--rank', '4', '--check', 'regular']); "
+        f"code = main(['--family', 'B', '--rank', '4', '--check', {check!r}]); "
         "print(code, sorted(m for m in sys.modules if m.startswith('coxchar')))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -546,20 +543,34 @@ def test_regular_run_loads_no_lattice():
         check=True,
     ).stdout
     code, loaded = out.splitlines()[-1].split(" ", 1)
-    assert code == "0"
-    assert ast.literal_eval(loaded) == [
+    return code, ast.literal_eval(loaded)
+
+
+def test_regular_run_loads_no_lattice():
+    """`--check regular` loads exactly the modules induction needs: the
+    CLI and the checks import `lattice` and `shapes` only when a lattice or
+    shape check runs, and every imported module is compiled at start-up
+    where no bytecode is cached.  No run builds an element: a class is its
+    label, and even `--check all` loads no signed permutations."""
+    assert _modules_loaded_by("regular") == ("0", [
         "coxchar", "coxchar.centralizers", "coxchar.characters",
         "coxchar.classfunctions", "coxchar.cli", "coxchar.cyclotomic",
-        "coxchar.groups", "coxchar.partitions", "coxchar.signedperm",
-        "coxchar.verify",
-    ]
+        "coxchar.groups", "coxchar.partitions", "coxchar.verify",
+    ])
+    code, loaded = _modules_loaded_by("all")
+    assert code == "0" and "coxchar.lattice" in loaded
+    assert "coxchar.signedperm" not in loaded
 
 
 # Element-by-element character evaluation, which lives with the test
-# oracles: induction has one path, through the class tallies.
+# oracles: induction has one path, through the class tallies.  Elements and
+# the class of an element live there too: a class is its label.
 ORACLE_ONLY = {
     "evaluate", "coordinates", "class_function_of_spec", "class_rep",
-    "base_rep", "CentralizerCoordinates",
+    "base_rep", "CentralizerCoordinates", "SignedPermutation", "w_mu",
+    "signed_cycle_type", "cycle_side_parity", "d_split_side", "class_key",
+    "coxeter_generators", "mu_bar", "parse_signed_partition", "root_conj",
+    "reflection_exponents",
 }
 
 
