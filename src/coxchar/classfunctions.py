@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .centralizers import centralizer_tallies
-from .characters import LinearCharacterSpec
 from .cyclotomic import _power_table
 from .groups import (
     GroupDescriptor,
@@ -40,6 +40,9 @@ from .groups import (
     sign_character,
 )
 from .partitions import SignedPartition
+
+if TYPE_CHECKING:  # for the annotation only: characters is not loaded here
+    from .characters import LinearCharacterSpec
 
 __all__ = [
     "ClassFunction",
@@ -128,27 +131,33 @@ def _integer_value(bucket: dict[int, int], m: int, num: int, den: int) -> int:
     """num/den * sum of count * zeta_m^e over the bucket (e -> count),
     which must be an integer.
 
-    The exponents are written in the power basis of Q(zeta_k), k the
-    common order of their roots: the sum is rational iff only the constant
-    coefficient is left.
+    Let k be the common order of the bucket's roots.  For k <= 2 the roots
+    are +-1 (e = 0 or m/2) and the sum is c_0 - c_{m/2}.  Otherwise it is
+    written in the power basis of Q(zeta_k): the sum is rational iff only
+    the constant coefficient is left.
     """
     g = m
     for e in bucket:
         g = gcd(g, e)
-    table = _power_table(m // g)
-    coeffs = [0] * len(table[0])
-    for e, count in bucket.items():
-        for i, v in enumerate(table[e // g]):
-            if v:
-                coeffs[i] += count * v
-    if any(coeffs[1:]):
-        raise AssertionError(
-            f"irrational class function value {bucket} (exponents mod {m})"
-        )
-    value, rest = divmod(coeffs[0] * num, den)
+    k = m // g
+    if k <= 2:  # the roots 1 and -1, zeta_m^g = -1 when k = 2
+        total = bucket.get(0, 0) - (bucket.get(g, 0) if k == 2 else 0)
+    else:
+        table = _power_table(k)
+        coeffs = [0] * len(table[0])
+        for e, count in bucket.items():
+            for i, v in enumerate(table[e // g]):
+                if v:
+                    coeffs[i] += count * v
+        if any(coeffs[1:]):
+            raise AssertionError(
+                f"irrational class function value {bucket} (exponents mod {m})"
+            )
+        total = coeffs[0]
+    value, rest = divmod(total * num, den)
     if rest:
         raise AssertionError(
-            f"non-integral class function value {coeffs[0] * num}/{den}"
+            f"non-integral class function value {total * num}/{den}"
         )
     return value
 

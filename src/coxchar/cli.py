@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shape",
         default=None,
         help='shape label, e.g. "2+1" or "2+2^-" in type D; the full group is '
-        '"" in types B and D and the degree n in type A ("4" for A3)',
+        '"" in types B and D and the degree n in type A ("4" for A3); only '
+        "with --check shape or all",
     )
     parser.add_argument("--json", default=None, metavar="PATH")
     parser.add_argument(
@@ -129,6 +130,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rank < 1:
         parser.error(f"argument --rank: rank must be at least 1, got {args.rank}")
+    if args.shape is not None and args.check not in ("shape", "all"):
+        parser.error(f"argument --shape: not allowed with --check {args.check}")
     try:
         reports, code = run(args)
     except BudgetError as err:
@@ -152,8 +155,9 @@ def main(argv=None) -> int:
                 print(report.summary())
                 if report.table is not None:
                     print(format_poincare_table(report))
-                for entry in report.discrepancies:
-                    print(f"  {entry}")
+                if report.status != "skipped":
+                    for entry in report.discrepancies:
+                        print(f"  {entry}")
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader has gone (`| head`): print no more, but still write

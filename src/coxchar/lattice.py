@@ -23,50 +23,54 @@ generating function
     P_w(t) = sum over stable X of mu_w(X) (-t)^(codim X)
 
 has the trace of w on the degree-p cohomology of the arrangement
-complement as its t^p coefficient.  The stable flats are neither tested
-nor built but counted: w permutes the blocks of a stable flat, so each
-cycle of w goes into the zero block or runs through an orbit of blocks.
-Such a structure (which cycles go where) fixes the interval type, the
-shape and the number of flats it stands for (_stable_structures; these
-are the fixed-point partition lattices of Hanlon, Pacific J. Math. 1981,
-and their signed analogues, used as a counting argument).  In type D a
-shape with no zero block and only even blocks splits by the parity of
-the negative entries of its points.  That is the parity of the entries
-each cycle's placement writes, since making a point canonical flips
-whole blocks and flipping an even block keeps its parity; so type D also
-counts each partial structure by that parity.
+complement as its t^p coefficient.  Orbits of flats are labelled by
+shapes: the block sizes, and in type D with no zero block and all sizes
+even the parity of the point's negative entries.  A shape fixes the
+codimension of its flats (shape_rank), so one table per class, shape ->
+sum of mu_w over the stable flats of that shape (Lattice.shape_mu),
+serves every check: P_w sums it by rank, the graded and os characters
+read P_w of each class, and the per-shape character reads one entry per
+class.  Each class is named by its index in conjugacy_classes and counted
+from its label, with no element built, and the class of -w shares the
+table of w.
 
-mu_w(V, X) is a product over the interval type.  For a flat X with zero
-block Z and other blocks B_1..B_m, [V, X] is L(Z) x Pi(B_1) x ... x
-Pi(B_m): L(Z) the lattice of the B_Z arrangement (D_Z in type D; nothing
-in type A), Pi(B) the partition lattice of a block.  w acts on L(Z)
-through w|Z and permutes the Pi(B) factors; the fixed points of an orbit
-of k factors are those of Pi(B)^rho, rho = w^k on one block.  So
-mu_w(V, X) depends only on the interval type: the signed cycle type of
-w|Z and the multiset of (k, cycle type of rho) over the block orbits.  It
-has one factor per orbit and one for Z, mu(.) being number-theoretic:
-- orbit: mu(L) prod_{j=1}^{m-1} (-j L) if rho has m cycles, all of
-  length L, else 0 (Hanlon, Pacific J. Math. 1981);
+The stable flats are neither tested nor built but counted: w permutes
+the blocks of a stable flat, so each cycle of w goes into the zero block
+(types B and D) or runs through an orbit of k blocks, k dividing its
+length L, w^k acting on each block of the orbit by a scalar lam = +-1
+with sigma * lam^(L/k) = 1, sigma the cycle's sign.  Such a structure
+(which cycles go where) stands for a number of flats and fixes their
+shape and their interval [V, X] = L(Z) x Pi(B_1) x ... x Pi(B_m): L(Z)
+the lattice of the B_Z arrangement on the zero block Z (D_Z in type D;
+nothing in type A), Pi(B) the partition lattice of a block.  These are
+the fixed-point partition lattices of Hanlon (Pacific J. Math. 1981) and
+their signed analogues, and mu_w(V, X) is a product of number-theoretic
+factors, one per orbit and one for Z, the linear (orbit) and constant (Z)
+terms of the Frobenius-twisted point counts of the type A and the B_Z or
+D_Z complements (Lehrer, J. London Math. Soc. 1987):
+- orbit of m cycles: mu(r) prod_{j=1}^{m-1} (-j r) if all have length
+  L = k r, else 0;
 - Z in type B: the product, over each (sigma, L) shared by m cycles of
-  w|Z, sigma the product of a cycle's signs, of prod_{j<m} (b - 2 L j),
-  b = -1 for L = 1, sigma for L a power of 2 above 1, and 0 otherwise;
-- Z in type D: the B value plus, for each sign s, m^s_1 times the B
-  value with one (s, 1) cycle fewer, m^s_1 the number of (s, 1) cycles.
-These are the constant (Z) and linear (orbit) terms of the
-Frobenius-twisted point counts of the B_Z or D_Z and the type A
-complements (Lehrer, J. London Math. Soc. 1987).
+  w|Z, of prod_{j<m} (b - 2 L j), b = -1 for L = 1, sigma for L a power
+  of 2 above 1, and 0 otherwise;
+- Z in type D: the B value with F(m+) F(m-), the factor of the zero
+  1-cycles, replaced by F(m+) F(m-) + m+ F(m+ - 1) F(m-)
+  + m- F(m+) F(m- - 1); F(m) = prod_{j<m} (-1 - 2j), m+ and m- the
+  numbers of positive and negative 1-cycles.
 
-Orbits of flats are labelled by shapes: the block sizes, and in type D
-with no zero block and all sizes even the parity of the point's negative
-entries.  A shape fixes the codimension of its flats (shape_rank), so
-one table per class, shape -> sum of count * mu_w over the stable
-structures of that shape (Lattice.shape_mu), serves every check: P_w
-sums it by rank, the graded and os characters read P_w of each class, and
-the per-shape character reads one entry per class.  Each class is named
-by its index in conjugacy_classes and counted from its label, with no
-element built, and the class of -w shares the table of w.  None of them
-reads a flat; the flats are still built, each labelled by its shape, and
-the flat budget still refuses a lattice larger than it.
+So the structures are counted with their mu_w folded in
+(_weighted_structures): each partial structure carries count times the
+factors decided so far, and one whose factor is 0 is never made: no
+orbit opens with mu(r) = 0, no cycle joins an orbit of another length,
+and no cycle of length L > 1 other than a power of 2 goes into Z.  The
+cycles are placed in ascending (L, sigma); an orbit holds cycles of one
+(L, sigma), since lam and r fix sigma, so when (L, sigma) moves on its
+open orbits close into block sizes and partial structures merge.  The
+zero 1-cycle counts m+ and m- stay in the state, and their factor is
+taken once per (shape, m-, m+) when the weights are summed by shape
+(_shape_sums).  None of this reads a flat; the flats are still built,
+each labelled by its shape, and the flat budget still refuses a lattice
+larger than it.
 """
 
 from __future__ import annotations
@@ -75,7 +79,6 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, prod
 
-from .classfunctions import ClassFunction
 from .groups import (
     DEFAULT_FLAT_BUDGET,
     BudgetError,
@@ -125,19 +128,16 @@ class Lattice:
     # -- fixed subposets and their Moebius functions -------------------------
 
     def fixed_subposet(self, k: int) -> dict[tuple, int]:
-        """(interval type, shape) -> number of flats stable under class k."""
+        """(shape, zero 1-cycles) -> the flats stable under class k, each
+        weighted by its mu_w factors but that of its zero 1-cycles
+        (_weighted_structures)."""
         cls = self.classes[k]
-        return _stable_structures(self.G, cls.label, cls.tag)
+        return _weighted_structures(self.G, cls.label, cls.tag)
 
     def moebius(self, subposet: dict[tuple, int]) -> dict[Shape, int]:
         """Shape -> sum of mu_w(V, X) over the flats X that subposet =
-        fixed_subposet(k) counts, from the closed form of each interval
-        type (module docstring)."""
-        family = self.G.family
-        table: dict[Shape, int] = {}
-        for (key, shape), count in subposet.items():
-            table[shape] = table.get(shape, 0) + count * _interval_mu(family, *key)
-        return table
+        fixed_subposet(k) weighs, zero sums dropped (_shape_sums)."""
+        return _shape_sums(self.G.family, subposet)
 
     def shape_mu(self, k: int) -> dict[Shape, int]:
         """Shape -> sum of mu_w(X) over the flats X of that shape stable
@@ -199,77 +199,59 @@ def _number_mu(n: int) -> int:
     return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
-def _zero_mu(counts: Counter) -> int:
-    """mu_top of the type B zero block whose cycles have these (sigma, L)
-    counts."""
-    value = 1
-    for (sigma, length), m in counts.items():
-        b = -1 if length == 1 else sigma if length & (length - 1) == 0 else 0
-        value *= prod(b - 2 * length * j for j in range(m))
-    return value
+@lru_cache(maxsize=None)
+def _ones_mu(m: int) -> int:
+    """F(m) = prod_{j<m} (-1 - 2j), the type B factor of m zero 1-cycles
+    of one sign."""
+    return prod(-1 - 2 * j for j in range(m))
 
 
-def _interval_mu(family: str, zero: tuple, orbits: tuple) -> int:
-    """mu_w(V, X) of the interval type (zero, orbits) that
-    _stable_structures gives X, by the products of the module docstring."""
-    value = 1
-    for _, rho in orbits:
-        length = rho[0]
-        if any(r != length for r in rho):
-            return 0
-        value *= _number_mu(length) * prod(-j * length for j in range(1, len(rho)))
-    if family == "A":
-        return value
-    counts = Counter(zero)
-    total = _zero_mu(counts)
-    if family == "D":
-        for one in ((1, 1), (-1, 1)):
-            total += counts[one] * _zero_mu(counts - Counter([one]))
-    return value * total
+def _shape_sums(family: str, weighted: dict) -> dict[Shape, int]:
+    """Shape -> sum of mu_w(V, X) from _weighted_structures: each weight
+    times the factor of its zero 1-cycles, summed by shape, zero sums
+    dropped."""
+    table: dict[Shape, int] = {}
+    for (shape, (neg, pos)), weight in weighted.items():
+        ones = _ones_mu(neg) * _ones_mu(pos)
+        if family == "D":
+            ones += pos * _ones_mu(pos - 1) * _ones_mu(neg)
+            ones += neg * _ones_mu(pos) * _ones_mu(neg - 1)
+        table[shape] = table.get(shape, 0) + weight * ones
+    return {shape: total for shape, total in table.items() if total}
 
 
-def _stable_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dict:
-    """(interval type, shape) -> number of flats stable under an element w
-    of the class (mu, tag), counted from the structures of its cycles; no
-    flat is built.
+def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dict:
+    """(shape, (m-_1, m+_1)) -> sum of count * weight over the stable
+    structures of the class (mu, tag) whose zero block holds m-_1 negative
+    and m+_1 positive 1-cycles; no flat is built.
 
     For tag None or '+', w is w_mu, whose cycles run c_0 -> c_1 -> ... over
     consecutive coordinates from the smallest, every step positive except
-    the last one of a negative cycle.  A cycle of length L and sign sigma
-    (a part L of mu.pos or mu.neg) goes into the zero block (types B and
-    D), opens an orbit of k blocks for a k dividing L, or joins an open
-    orbit of the same k, where lam = +-1 is the scalar by which w^k acts on
-    each block of the orbit: the cycle closes up iff
-    sigma * lam^(L / k) = 1.  A structure says which cycles go where.  It fixes the interval type, the key of
-    mu_w(V, X): the sorted (sigma, L) of the zero cycles and the sorted
-    (k, sorted L / k) of the orbits, w^k leaving one cycle of length L / k
-    on a block for each cycle of the orbit.  It fixes the shape: an orbit
-    is k blocks of size sum(L / k), and type D drops a zero block of one
-    coordinate.  And it fixes how many flats it stands for: the orbit's
-    first cycle puts c_0 in its first block with sign +, and every cycle
-    that joins it picks the block of its c_0 and, in types B and D, a sign,
-    k * |signs| flats each.
+    the last one of a negative cycle.  A structure's count is the number of
+    flats it stands for: the orbit's first cycle puts c_0 in its first
+    block with sign +, and every cycle that joins it picks the block of its
+    c_0 and, in types B and D, a sign, k * |signs| flats each.  Its weight
+    is the product of the mu_w factors of its orbits and of its zero cycles
+    longer than 1 (module docstring), taken as each cycle is placed.
+
+    The cycles are placed one run of equal (L, sigma) at a time.  The
+    state is the block sizes of the closed orbits, the zero 1-cycles, the
+    run's open orbits (k, lam, cycles) and zero cycles, and in type D the
+    parity; equal states have equal futures, so each is extended once.
 
     Only the D shapes with no zero block and all blocks even split, by the
     parity of the negative entries of the canonical point.  A cycle placed
     at block offset o with sign a writes a * lam^((o + j) // k) at c_j, and
     making the point canonical flips whole blocks, which keeps the parity
     of an even block's negatives.  So in type D each placement also carries
-    the parity of the negatives it writes, and a partial structure is kept
-    apart by that parity too.  The '-' class is t w_mu t, t the sign change
-    of the first coordinate: t maps the flats stable under w_mu onto those
-    stable under t w_mu t, keeping interval types and block sizes and
-    flipping one entry of each point, so the split tags swap.
-
-    The cycles are placed in (L, sigma) order, and the count of every
-    partial structure is kept by its canonical state: the sorted zero
-    cycles, the sorted open orbits (k, lam, L / k of each cycle) and the
-    parity.  Partial structures with equal states have equal futures, so
-    each state is extended once.
+    the parity of the negatives it writes.  The '-' class is t w_mu t, t
+    the sign change of the first coordinate: t maps the flats stable under
+    w_mu onto those stable under t w_mu t, keeping interval types and block
+    sizes and flipping one entry of each point, so the split tags swap.
     """
     family = G.family
     signs = (1,) if family == "A" else (1, -1)
-    cycles = sorted(
+    cycles = Counter(
         [(length, -1) for length in mu.neg] + [(length, 1) for length in mu.pos]
     )
 
@@ -285,53 +267,67 @@ def _stable_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dic
                 counts[(odd if a == 1 else length - odd) % 2] += 1
         return tuple((bit, m) for bit, m in enumerate(counts) if m)
 
-    states = {((), (), 0): 1}  # (zero (L, sigma), orbits (k, lam, rho), parity)
-    for length, sigma in cycles:
+    states = {((), (0, 0), 0): 1}  # (block sizes, zero 1-cycles, parity)
+    for (length, sigma), run in sorted(cycles.items()):
         fits = [
             (k, lam)
             for k in range(1, length + 1)
-            if length % k == 0
+            if length % k == 0 and _number_mu(length // k)
             for lam in signs
             if sigma * lam ** (length // k) == 1
         ]
-        opens = {f: placements(length, *f, (0,), (1,)) for f in fits}
+        opens = {
+            f: tuple((bit, m * _number_mu(length // f[0]))
+                     for bit, m in placements(length, *f, (0,), (1,)))
+            for f in fits
+        }
         joins = {f: placements(length, *f, range(f[0]), signs) for f in fits}
-        grown: dict = {}
-        for (zero, orbits, parity), count in states.items():
-            if family != "A":
-                state = (zero + ((length, sigma),), orbits, parity)
-                grown[state] = grown.get(state, 0) + count
-            for i, (k, lam, rho) in enumerate(orbits):
-                if (k, lam) not in joins:
-                    continue
-                joined = (k, lam, rho + (length // k,))
-                rest = tuple(sorted(orbits[:i] + (joined,) + orbits[i + 1:]))
-                for bit, m in joins[k, lam]:
-                    state = (zero, rest, parity ^ bit)
-                    grown[state] = grown.get(state, 0) + count * m
-            for (k, lam), ways in opens.items():
-                rest = tuple(sorted(orbits + ((k, lam, (length // k,)),)))
-                for bit, m in ways:
-                    state = (zero, rest, parity ^ bit)
-                    grown[state] = grown.get(state, 0) + count * m
-        states = grown
+        # a zero L-cycle has factor 0 unless L is a power of 2 (b = 0)
+        zeroable = family != "A" and length & (length - 1) == 0
+        grown = {
+            (sizes, ones, (), 0, parity): count
+            for (sizes, ones, parity), count in states.items()
+        }
+        for _ in range(run):
+            part, grown = grown, {}
+            for (sizes, ones, orbits, zero, parity), count in part.items():
+                if zeroable:
+                    weight = 1 if length == 1 else sigma - 2 * length * zero
+                    state = (sizes, ones, orbits, zero + 1, parity)
+                    grown[state] = grown.get(state, 0) + count * weight
+                for i, (k, lam, j) in enumerate(orbits):
+                    if (k, lam) not in joins:
+                        continue
+                    rest = orbits[:i] + ((k, lam, j + 1),) + orbits[i + 1:]
+                    rest = tuple(sorted(rest))
+                    weight = count * -j * (length // k)
+                    for bit, m in joins[k, lam]:
+                        state = (sizes, ones, rest, zero, parity ^ bit)
+                        grown[state] = grown.get(state, 0) + weight * m
+                for (k, lam), ways in opens.items():
+                    rest = tuple(sorted(orbits + ((k, lam, 1),)))
+                    for bit, m in ways:
+                        state = (sizes, ones, rest, zero, parity ^ bit)
+                        grown[state] = grown.get(state, 0) + count * m
+        states = {}
+        for (sizes, ones, orbits, zero, parity), count in grown.items():
+            if length == 1:
+                ones = (zero, ones[1]) if sigma < 0 else (ones[0], zero)
+            if orbits:
+                blocks = [j * (length // k) for k, _, j in orbits for _ in range(k)]
+                sizes = tuple(sorted(sizes + tuple(blocks)))
+            state = (sizes, ones, parity)
+            states[state] = states.get(state, 0) + count
 
     out: dict = {}
-    for (zero, orbits, parity), count in states.items():
-        zero_size = sum(length for length, _ in zero)
+    for (sizes, ones, parity), count in states.items():
+        zero_size = G.degree - sum(sizes)
         if family == "D" and zero_size == 1:
             continue
-        sizes = tuple(sorted(
-            (sum(rho) for k, _, rho in orbits for _ in range(k)), reverse=True
-        ))
         side = None
         if family == "D" and not zero_size and all(p % 2 == 0 for p in sizes):
             side = "-" if parity ^ (tag == "-") else "+"
-        key = (
-            tuple(sorted((sigma, length) for length, sigma in zero)),
-            tuple(sorted((k, rho) for k, _, rho in orbits)),
-        )
-        entry = (key, Shape(sizes, side))
+        entry = (Shape(sizes[::-1], side), ones)
         out[entry] = out.get(entry, 0) + count
     return out
 
@@ -448,6 +444,8 @@ def get_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
 
 def graded_os_character(lattice: Lattice):
     """ClassFunctions of the cohomology of the complement, degrees 0..rank."""
+    from .classfunctions import ClassFunction  # induction code stays unloaded
+
     G = lattice.G
     classes = conjugacy_classes(G)
     rows = [lattice.poincare_polynomial(k) for k in range(len(classes))]
@@ -460,6 +458,8 @@ def graded_os_character(lattice: Lattice):
 def shape_os_character(lattice: Lattice, shape: Shape) -> ClassFunction:
     """Per-shape refinement: the trace on the degree-shape_rank cohomology
     carried by the shape's orbit of flats."""
+    from .classfunctions import ClassFunction
+
     G = lattice.G
     sign = (-1) ** shape_rank(G, shape)
     return ClassFunction(G, tuple(

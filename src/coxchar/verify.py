@@ -12,24 +12,16 @@ classes (or degrees) where they differ:
 * shape: the per-shape summand of the cohomology character against the
   cuspidal classes of that shape.
 
-The lattice checks import `lattice`, and the shape checks `shapes`, when
-they run, so a regular check loads neither.
+Each check imports what it runs when it runs: the checks that induce
+`characters` and `classfunctions`, the lattice checks `lattice`, and the
+shape checks `shapes`.  So a regular check loads no lattice code and a
+Poincare table no induction code.
 """
 
 from __future__ import annotations
 
 import time
 
-from .characters import alpha_char, chi_char, phi_for_class, spec_product
-from .classfunctions import (
-    ClassFunction,
-    induce_from_centralizer,
-    inner_product,
-    regular_character,
-    sign_class_function,
-    trivial_character,
-    zero_function,
-)
 from .groups import (
     DEFAULT_FLAT_BUDGET,
     GroupDescriptor,
@@ -85,8 +77,13 @@ class VerificationReport:
         return out
 
     def summary(self) -> str:
+        """One line; a skipped report gives its reason, which its one
+        entry carries as "skipped: <reason>" for the JSON."""
         text = f"{self.group} {self.check}: {self.status}"
-        if self.discrepancies:
+        if self.status == "skipped":
+            reasons = (e["got"].removeprefix("skipped: ") for e in self.discrepancies)
+            text += f" ({'; '.join(reasons)})"
+        elif self.discrepancies:
             text += f" ({len(self.discrepancies)} discrepancies)"
         return text
 
@@ -104,7 +101,7 @@ def _report(G, check, started, discrepancies, budget_flats=None, table=None):
     )
 
 
-def _compare(G, expected: ClassFunction, got: ClassFunction, degree=None):
+def _compare(G, expected, got, degree=None):
     """One entry per class where got differs from expected; on failure, the
     inner products of the difference against triv and sign as triage."""
     classes = conjugacy_classes(G)
@@ -114,6 +111,12 @@ def _compare(G, expected: ClassFunction, got: ClassFunction, degree=None):
         for k, a, b in expected.discrepancies(got)
     ]
     if out:
+        from .classfunctions import (
+            inner_product,
+            sign_class_function,
+            trivial_character,
+        )
+
         diff = expected - got
         out.append({
             "class": "<inner products of difference>",
@@ -124,14 +127,20 @@ def _compare(G, expected: ClassFunction, got: ClassFunction, degree=None):
     return out
 
 
-def _induced(G, specs) -> ClassFunction:
-    """Sum of Ind(spec) over specs, one induction each, added per class."""
+def _induced(G, specs):
+    """Sum of Ind(spec) over specs, one induction each, added per class: a
+    ClassFunction."""
+    from .classfunctions import ClassFunction, induce_from_centralizer, zero_function
+
     columns = zip(*(induce_from_centralizer(G, spec).values for spec in specs))
     return ClassFunction(G, tuple(map(sum, columns))) if specs else zero_function(G)
 
 
 def verify_regular(G: GroupDescriptor) -> VerificationReport:
     """Sum of Ind(phi_w) over all classes against the regular character."""
+    from .characters import phi_for_class
+    from .classfunctions import regular_character
+
     started = time.perf_counter()
     specs = [phi_for_class(G, cls.label, cls.tag) for cls in conjugacy_classes(G)]
     got = _induced(G, specs)
@@ -143,6 +152,8 @@ def verify_os(
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
     """Total cohomology character against epsilon * sum Ind(alpha_w phi_w)."""
+    from .characters import alpha_char, phi_for_class, spec_product
+    from .classfunctions import sign_class_function, zero_function
     from .lattice import get_lattice, graded_os_character
 
     started = time.perf_counter()
@@ -163,6 +174,7 @@ def verify_graded(
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
     """Degree by degree: H^p against classes of reflection length p."""
+    from .characters import chi_char
     from .lattice import get_lattice, graded_os_character
 
     started = time.perf_counter()
@@ -186,6 +198,7 @@ def verify_shape(
 ) -> VerificationReport:
     """The per-shape refinement: the shape's (a shapes.Shape) orbit summand
     of the cohomology character against its cuspidal classes."""
+    from .characters import chi_char
     from .lattice import get_lattice, shape_os_character
     from .shapes import cuspidal_labels
 

@@ -11,7 +11,11 @@ the w-stable flats by testing each flat's hyperplanes
 (`stable_flats_by_bits`, on the incidence bits `flat_bits` reads off each
 point) with the interval type of each read off its point (`interval_type`),
 and the same flats built one by one from the cycles of w, each with its
-interval type (`stable_points`), which the library only counts.
+interval type (`stable_points`), which the library only counts.  The
+library counts them with mu_w folded into the placement; the count by
+interval type, each type valued on its own (`_stable_structures`,
+`_interval_mu`, summed by shape in `shape_sums_by_interval_type`), is
+its oracle.
 Beside them live the element-level objects no check uses, since the
 library works on class labels alone: every group element
 (`group_elements`, `contains`, `coxeter_generators`), the class of an
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from coxchar.centralizers import _runs, _z
 from coxchar.characters import LinearCharacterSpec
@@ -53,6 +57,7 @@ from coxchar.groups import (
     conjugacy_classes,
     hyperplane_set,
 )
+from coxchar.lattice import _number_mu
 from coxchar.linalg import Subspace, det, kernel
 from coxchar.partitions import SignedPartition, _tokenize, partitions
 from coxchar.shapes import Shape, _check_shape
@@ -1310,6 +1315,156 @@ def interval_type(point, w: SignedPermutation):
             orbits.setdefault(min(labels), (k, []))[1].append(length // k)
     blocks = sorted((k, tuple(sorted(rho))) for k, rho in orbits.values())
     return tuple(sorted(zero)), tuple(blocks)
+
+
+# -- stable structures counted by interval type ---------------------------------
+
+
+def _zero_mu(counts: Counter) -> int:
+    """mu_top of the type B zero block whose cycles have these (sigma, L)
+    counts."""
+    value = 1
+    for (sigma, length), m in counts.items():
+        b = -1 if length == 1 else sigma if length & (length - 1) == 0 else 0
+        value *= prod(b - 2 * length * j for j in range(m))
+    return value
+
+
+def _interval_mu(family: str, zero: tuple, orbits: tuple) -> int:
+    """mu_w(V, X) of the interval type (zero, orbits) that
+    _stable_structures gives X, by the products of the lattice module
+    docstring, factor by factor."""
+    value = 1
+    for _, rho in orbits:
+        length = rho[0]
+        if any(r != length for r in rho):
+            return 0
+        value *= _number_mu(length) * prod(-j * length for j in range(1, len(rho)))
+    if family == "A":
+        return value
+    counts = Counter(zero)
+    total = _zero_mu(counts)
+    if family == "D":
+        for one in ((1, 1), (-1, 1)):
+            total += counts[one] * _zero_mu(counts - Counter([one]))
+    return value * total
+
+
+def _stable_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dict:
+    """(interval type, shape) -> number of flats stable under an element w
+    of the class (mu, tag), counted from the structures of its cycles; no
+    flat is built.
+
+    For tag None or '+', w is w_mu, whose cycles run c_0 -> c_1 -> ... over
+    consecutive coordinates from the smallest, every step positive except
+    the last one of a negative cycle.  A cycle of length L and sign sigma
+    (a part L of mu.pos or mu.neg) goes into the zero block (types B and
+    D), opens an orbit of k blocks for a k dividing L, or joins an open
+    orbit of the same k, where lam = +-1 is the scalar by which w^k acts on
+    each block of the orbit: the cycle closes up iff
+    sigma * lam^(L / k) = 1.  A structure says which cycles go where.  It
+    fixes the interval type, the key of mu_w(V, X): the sorted (sigma, L) of the zero cycles and the sorted
+    (k, sorted L / k) of the orbits, w^k leaving one cycle of length L / k
+    on a block for each cycle of the orbit.  It fixes the shape: an orbit
+    is k blocks of size sum(L / k), and type D drops a zero block of one
+    coordinate.  And it fixes how many flats it stands for: the orbit's
+    first cycle puts c_0 in its first block with sign +, and every cycle
+    that joins it picks the block of its c_0 and, in types B and D, a sign,
+    k * |signs| flats each.
+
+    Only the D shapes with no zero block and all blocks even split, by the
+    parity of the negative entries of the canonical point.  A cycle placed
+    at block offset o with sign a writes a * lam^((o + j) // k) at c_j, and
+    making the point canonical flips whole blocks, which keeps the parity
+    of an even block's negatives.  So in type D each placement also carries
+    the parity of the negatives it writes, and a partial structure is kept
+    apart by that parity too.  The '-' class is t w_mu t, t the sign change
+    of the first coordinate: t maps the flats stable under w_mu onto those
+    stable under t w_mu t, keeping interval types and block sizes and
+    flipping one entry of each point, so the split tags swap.
+
+    The cycles are placed in (L, sigma) order, and the count of every
+    partial structure is kept by its canonical state: the sorted zero
+    cycles, the sorted open orbits (k, lam, L / k of each cycle) and the
+    parity.  Partial structures with equal states have equal futures, so
+    each state is extended once.
+    """
+    family = G.family
+    signs = (1,) if family == "A" else (1, -1)
+    cycles = sorted(
+        [(length, -1) for length in mu.neg] + [(length, 1) for length in mu.pos]
+    )
+
+    def placements(length, k, lam, offsets, flips):
+        """(parity of the negatives written, how many placements) over the
+        given offsets and signs; in types A and B the parity is not kept."""
+        if family != "D":
+            return ((0, len(offsets) * len(flips)),)
+        counts = [0, 0]
+        for o in offsets:
+            odd = sum(lam ** ((o + j) // k) < 0 for j in range(length))
+            for a in flips:
+                counts[(odd if a == 1 else length - odd) % 2] += 1
+        return tuple((bit, m) for bit, m in enumerate(counts) if m)
+
+    states = {((), (), 0): 1}  # (zero (L, sigma), orbits (k, lam, rho), parity)
+    for length, sigma in cycles:
+        fits = [
+            (k, lam)
+            for k in range(1, length + 1)
+            if length % k == 0
+            for lam in signs
+            if sigma * lam ** (length // k) == 1
+        ]
+        opens = {f: placements(length, *f, (0,), (1,)) for f in fits}
+        joins = {f: placements(length, *f, range(f[0]), signs) for f in fits}
+        grown: dict = {}
+        for (zero, orbits, parity), count in states.items():
+            if family != "A":
+                state = (zero + ((length, sigma),), orbits, parity)
+                grown[state] = grown.get(state, 0) + count
+            for i, (k, lam, rho) in enumerate(orbits):
+                if (k, lam) not in joins:
+                    continue
+                joined = (k, lam, rho + (length // k,))
+                rest = tuple(sorted(orbits[:i] + (joined,) + orbits[i + 1:]))
+                for bit, m in joins[k, lam]:
+                    state = (zero, rest, parity ^ bit)
+                    grown[state] = grown.get(state, 0) + count * m
+            for (k, lam), ways in opens.items():
+                rest = tuple(sorted(orbits + ((k, lam, (length // k,)),)))
+                for bit, m in ways:
+                    state = (zero, rest, parity ^ bit)
+                    grown[state] = grown.get(state, 0) + count * m
+        states = grown
+
+    out: dict = {}
+    for (zero, orbits, parity), count in states.items():
+        zero_size = sum(length for length, _ in zero)
+        if family == "D" and zero_size == 1:
+            continue
+        sizes = tuple(sorted(
+            (sum(rho) for k, _, rho in orbits for _ in range(k)), reverse=True
+        ))
+        side = None
+        if family == "D" and not zero_size and all(p % 2 == 0 for p in sizes):
+            side = "-" if parity ^ (tag == "-") else "+"
+        key = (
+            tuple(sorted((sigma, length) for length, sigma in zero)),
+            tuple(sorted((k, rho) for k, _, rho in orbits)),
+        )
+        entry = (key, Shape(sizes, side))
+        out[entry] = out.get(entry, 0) + count
+    return out
+
+
+def shape_sums_by_interval_type(G: GroupDescriptor, mu: SignedPartition, tag=None):
+    """Shape -> sum of count * mu_w over the stable structures of the class
+    (mu, tag), each interval type valued on its own; zero sums dropped."""
+    table = Counter()
+    for (key, shape), count in _stable_structures(G, mu, tag).items():
+        table[shape] += count * _interval_mu(G.family, *key)
+    return {shape: total for shape, total in table.items() if total}
 
 
 # -- label helpers only tests use ------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from conftest import stretch_enabled
 from coxchar.groups import GroupDescriptor, conjugacy_classes, hyperplane_set
 from coxchar.lattice import (
-    _interval_mu,
-    _stable_structures,
+    _shape_sums,
+    _weighted_structures,
     build_lattice,
     flat_count,
     get_lattice,
@@ -22,6 +22,8 @@ from coxchar.linalg import Subspace
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import Shape, shape_rank, shapes
 from oracles import (
+    _interval_mu,
+    _stable_structures,
     class_of,
     class_rep,
     closure_by_meets,
@@ -34,6 +36,7 @@ from oracles import (
     reflection_exponents,
     shape_fix_space,
     shape_of_point,
+    shape_sums_by_interval_type,
     stable_flats_by_bits,
     stable_points,
 )
@@ -142,11 +145,11 @@ def moebius_by_scan(lattice, subposet):
 
 
 def sums_by_shape(lattice, mu):
-    """Shape -> sum of mu over the flats of that shape."""
+    """Shape -> sum of mu over the flats of that shape, zero sums dropped."""
     table = Counter()
     for idx, value in mu.items():
         table[lattice.shape_labels[idx]] += value
-    return dict(table)
+    return {shape: total for shape, total in table.items() if total}
 
 
 def random_elements(G, count, seed):
@@ -424,7 +427,14 @@ def test_central_element_fixes_everything():
     lattice = get_lattice(G)
     w0 = SignedPermutation.minus_identity(3)
     assert len(stable_subposet(lattice, w0)) == len(lattice.flats)
-    assert sum(lattice.fixed_subposet(class_of(G, w0)).values()) == len(lattice.flats)
+    central = conjugacy_classes(G)[class_of(G, w0)]
+    assert sum(_stable_structures(G, central.label).values()) == len(lattice.flats)
+    # -1 acts on every flat as 1 does, uncached
+    tables = [
+        lattice.moebius(lattice.fixed_subposet(class_of(G, w)))
+        for w in (w0, SignedPermutation.identity(3))
+    ]
+    assert tables[0] == tables[1]
     # L^w = L^(w0 w)
     for cls in conjugacy_classes(G):
         w = class_rep(G, cls.label, cls.tag)
@@ -601,9 +611,9 @@ class Untouchable:
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("D", 5)])
 def test_moebius_reads_only_the_interval_types(family, rank, monkeypatch):
-    """Work guard: the stable structures and their mu_w come from the
-    cycles of w and the interval types alone, with no flat (and so no
-    containment test) in reach, and still sum the scan by shape."""
+    """Work guard: the weighted structures and their sums by shape come
+    from the cycles of w alone, with no flat (and so no containment test)
+    in reach, and still sum the scan by shape."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     for k, cls in enumerate(conjugacy_classes(G)):
@@ -681,7 +691,8 @@ def test_identity_runs_one_scan_per_block_shape(family, rank, types):
     identity = SignedPermutation.identity(G.degree)
     keys = {interval_type(f.point, identity) for f in lattice.flats}
     assert set(stable_subposet(lattice, identity).values()) == keys
-    assert {key for key, _ in lattice.fixed_subposet(class_of(G, identity))} == keys
+    label = conjugacy_classes(G)[class_of(G, identity)].label
+    assert {key for key, _ in _stable_structures(G, label)} == keys
     pairs = {
         (
             f.point.count(0),
@@ -787,6 +798,37 @@ def test_structure_counts_match_stable_flats(family, rank):
         )
         assert _stable_structures(G, cls.label, cls.tag) == dict(flats)
 
+
+
+FOLD_GROUPS = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 8)]
+    + [("D", r) for r in range(4, 8)]
+    + [
+        pytest.param(
+            family, 8,
+            marks=pytest.mark.skipif(
+                not stretch_enabled(), reason="rank-8 fold needs COXCHAR_STRETCH=1"
+            ),
+        )
+        for family in "BD"
+    ]
+    + [("B", 9), ("D", 9), ("A", 10)]
+)
+
+
+@pytest.mark.parametrize("family,rank", FOLD_GROUPS)
+def test_weighted_structures_fold_to_the_interval_types(family, rank):
+    """The shape table with mu_w folded into the placement equals the
+    structures counted by interval type, each type valued on its own
+    (_interval_mu) and summed by shape, on every class.  Neither side
+    needs a lattice, so the gate runs past the flat budget."""
+    G = GroupDescriptor(family, rank)
+    for cls in conjugacy_classes(G):
+        weighted = _weighted_structures(G, cls.label, cls.tag)
+        assert _shape_sums(family, weighted) == shape_sums_by_interval_type(
+            G, cls.label, cls.tag
+        ), cls
 
 
 def swap_tags(structures):

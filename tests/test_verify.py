@@ -10,7 +10,7 @@ import pytest
 
 import coxchar
 from conftest import stretch_enabled
-from coxchar import verify
+from coxchar import classfunctions
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor, conjugacy_classes
@@ -135,6 +135,26 @@ def test_cli_exceptional_family_skipped(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["reports"][0]["status"] == "skipped"
     assert "out of desk scale" in str(payload["reports"][0]["discrepancies"])
+
+
+def test_cli_skipped_report_prints_its_reason(capsys):
+    """A skipped check prints one line with its reason, and no entry."""
+    assert main(["--family", "E", "--rank", "6", "--check", "shape"]) == 0
+    assert capsys.readouterr().out == "E6 shape: skipped (out of desk scale)\n"
+
+
+@pytest.mark.parametrize("check", ["regular", "os", "graded", "poincare"])
+def test_cli_shape_outside_shape_checks_is_usage_error(check, capsys):
+    """--shape selects a shape check; with a check that runs none it is
+    refused rather than ignored.  It stays valid with shape and all."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "B", "--rank", "3", "--check", check, "--shape", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --shape: not allowed with --check {check}" in captured.err
+    assert main(["--family", "B", "--rank", "3", "--check", "all", "--shape", "1"]) == 0
+    assert "B3 shape 1: pass" in capsys.readouterr().out
 
 
 def test_cli_budget_exceeded_is_usage_error(capsys):
@@ -288,7 +308,7 @@ def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     def broken(G, spec):
         raise AssertionError("class tally weights do not sum to |C|")
 
-    monkeypatch.setattr(verify, "induce_from_centralizer", broken)
+    monkeypatch.setattr(classfunctions, "induce_from_centralizer", broken)
     code = main(["--family", "B", "--rank", "3", "--check", "regular"])
     assert code == 3
     captured = capsys.readouterr()
@@ -375,7 +395,7 @@ def test_cli_failed_run_leaves_an_existing_report(tmp_path, monkeypatch):
     def broken(G, spec):
         raise AssertionError("class tally weights do not sum to |C|")
 
-    monkeypatch.setattr(verify, "induce_from_centralizer", broken)
+    monkeypatch.setattr(classfunctions, "induce_from_centralizer", broken)
     argv = ["--family", "B", "--rank", "3", "--check", "regular", "--json", str(out)]
     assert main(argv) == 3
     assert out.read_text() == '{"reports": []}\n'
@@ -385,12 +405,12 @@ TRIAGE = "<inner products of difference>"
 
 
 def test_failing_graded_and_shape_carry_triage(monkeypatch):
-    real = verify.induce_from_centralizer
+    real = classfunctions.induce_from_centralizer
 
     def off_by_trivial(G, spec):
         return real(G, spec) + trivial_character(G)
 
-    monkeypatch.setattr(verify, "induce_from_centralizer", off_by_trivial)
+    monkeypatch.setattr(classfunctions, "induce_from_centralizer", off_by_trivial)
     G = GroupDescriptor("B", 2)
     graded = verify_graded(G)
     assert graded.status == "fail"
@@ -469,10 +489,10 @@ def test_failing_report_strings_are_frozen(
     """Every check fails with induction perturbed (off by the trivial
     character, or by 1 at the identity); the printed and JSON discrepancy
     and triage strings, inner-product fractions included, are unchanged."""
-    real = verify.induce_from_centralizer
+    real = classfunctions.induce_from_centralizer
     offset = trivial_character if perturbation == "trivial" else _at_identity
     monkeypatch.setattr(
-        verify, "induce_from_centralizer",
+        classfunctions, "induce_from_centralizer",
         lambda G, spec: real(G, spec) + offset(G),
     )
     target = tmp_path / "report.json"
@@ -562,6 +582,17 @@ def test_regular_run_loads_no_lattice():
     assert "coxchar.signedperm" not in loaded
 
 
+def test_poincare_run_loads_no_induction():
+    """`--check poincare` loads no induction code: the checks import
+    `characters` and `classfunctions` only when they induce, and `lattice`
+    imports `ClassFunction` only when it builds one."""
+    assert _modules_loaded_by("poincare") == ("0", [
+        "coxchar", "coxchar.centralizers", "coxchar.cli", "coxchar.groups",
+        "coxchar.lattice", "coxchar.partitions", "coxchar.shapes",
+        "coxchar.verify",
+    ])
+
+
 # Element-by-element character evaluation, which lives with the test
 # oracles: induction has one path, through the class tallies.  Elements and
 # the class of an element live there too: a class is its label.
@@ -570,7 +601,7 @@ ORACLE_ONLY = {
     "base_rep", "CentralizerCoordinates", "SignedPermutation", "w_mu",
     "signed_cycle_type", "cycle_side_parity", "d_split_side", "class_key",
     "coxeter_generators", "mu_bar", "parse_signed_partition", "root_conj",
-    "reflection_exponents",
+    "reflection_exponents", "_stable_structures", "_interval_mu", "_zero_mu",
 }
 
 
