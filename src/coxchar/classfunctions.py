@@ -18,10 +18,11 @@ straight to a class (groups.code_index).  The phase is 4e + bits: the
 value zeta_M^e, M the lcm of the orders of chi's values on this call's
 summaries, so values multiply as e adds mod M; in type D the low bits
 hold the parity of the negative entries and the split side, which add
-mod 2.  Each class's bucket (e -> count) is reduced once, modulo the
-cyclotomic polynomial of its exponents' common order, to its integer
-value; one that is irrational or not an integer is an internal error
-(AssertionError).
+mod 2.  Each class's bucket (e -> count) is a union of Galois orbits of
+roots, since Weyl group classes are rational, and is read once as the
+sum over its orbits of count * mu(order); a bucket that is not such a
+union (an irrational value) or a value that is not an integer is an
+internal error (AssertionError).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .centralizers import centralizer_tallies
-from .cyclotomic import _power_table
+from .cyclotomic import totient_moebius
 from .groups import (
     GroupDescriptor,
     class_index,
@@ -131,29 +132,29 @@ def _integer_value(bucket: dict[int, int], m: int, num: int, den: int) -> int:
     """num/den * sum of count * zeta_m^e over the bucket (e -> count),
     which must be an integer.
 
-    Let k be the common order of the bucket's roots.  For k <= 2 the roots
-    are +-1 (e = 0 or m/2) and the sum is c_0 - c_{m/2}.  Otherwise it is
-    written in the power basis of Q(zeta_k): the sum is rational iff only
-    the constant coefficient is left.
+    Weyl group classes are rational: g^a ~ g for every a prime to the
+    order of g.  So for a prime to |H| the power map h -> h^a permutes the
+    elements of H that fuse into one class, and it sends chi(h) = zeta_m^e
+    to zeta_m^(ae).  Every bucket is therefore a union of whole Galois
+    orbits: the exponents of each order d = m / gcd(e, m) all occur, with
+    one count c_d, and the primitive d-th roots sum to mu(d), so the sum
+    is the sum of c_d * mu(d).  The exponents are grouped by (d, count),
+    and each group must hold all phi(d) exponents of its order; a bucket
+    that is not a union of orbits is irrational, or not a value of any
+    induced linear character.
     """
-    g = m
-    for e in bucket:
-        g = gcd(g, e)
-    k = m // g
-    if k <= 2:  # the roots 1 and -1, zeta_m^g = -1 when k = 2
-        total = bucket.get(0, 0) - (bucket.get(g, 0) if k == 2 else 0)
-    else:
-        table = _power_table(k)
-        coeffs = [0] * len(table[0])
-        for e, count in bucket.items():
-            for i, v in enumerate(table[e // g]):
-                if v:
-                    coeffs[i] += count * v
-        if any(coeffs[1:]):
+    orbits: dict = {}
+    for e, count in bucket.items():
+        key = (m // gcd(e, m), count)
+        orbits[key] = orbits.get(key, 0) + 1
+    total = 0
+    for (d, count), size in orbits.items():
+        phi, mu = totient_moebius(d)
+        if size != phi:
             raise AssertionError(
                 f"irrational class function value {bucket} (exponents mod {m})"
             )
-        total = coeffs[0]
+        total += count * mu
     value, rest = divmod(total * num, den)
     if rest:
         raise AssertionError(

@@ -79,6 +79,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, prod
 
+from .cyclotomic import totient_moebius
 from .groups import (
     DEFAULT_FLAT_BUDGET,
     BudgetError,
@@ -191,15 +192,6 @@ def _negated(G: GroupDescriptor, cls):
 
 
 @lru_cache(maxsize=None)
-def _number_mu(n: int) -> int:
-    """The number-theoretic Moebius function."""
-    primes = [
-        p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
-    ]
-    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
-
-
-@lru_cache(maxsize=None)
 def _ones_mu(m: int) -> int:
     """F(m) = prod_{j<m} (-1 - 2j), the type B factor of m zero 1-cycles
     of one sign."""
@@ -272,12 +264,12 @@ def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> d
         fits = [
             (k, lam)
             for k in range(1, length + 1)
-            if length % k == 0 and _number_mu(length // k)
+            if length % k == 0 and totient_moebius(length // k)[1]
             for lam in signs
             if sigma * lam ** (length // k) == 1
         ]
         opens = {
-            f: tuple((bit, m * _number_mu(length // f[0]))
+            f: tuple((bit, m * totient_moebius(length // f[0])[1])
                      for bit, m in placements(length, *f, (0,), (1,)))
             for f in fits
         }

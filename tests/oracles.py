@@ -1,7 +1,10 @@
 """Brute-force oracles for the test suite.
 
 Each computes what a production path computes, the slow way, so that a
-test can compare the two: exact sums of roots of unity (`Cyc`), induction
+test can compare the two: exact sums of roots of unity (`Cyc`), reduced
+modulo the cyclotomic polynomial through the power table x^k mod Phi_m
+(`cyclotomic_polynomial`, `_power_table`) where the library sums Galois
+orbits, the Moebius function by trial division (`_number_mu`), induction
 by the definition over the whole group (`induce_direct`) and on the
 root-keyed class tallies the library used before its keys were integers
 (`induce_by_root_tallies`), the alpha
@@ -46,8 +49,8 @@ from math import factorial, gcd, prod
 
 from coxchar.centralizers import _runs, _z
 from coxchar.characters import LinearCharacterSpec
-from coxchar.classfunctions import ClassFunction, _integer_value
-from coxchar.cyclotomic import ONE, Root, _power_table, root, root_mul
+from coxchar.classfunctions import ClassFunction
+from coxchar.cyclotomic import ONE, Root, root, root_mul
 from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
@@ -57,11 +60,64 @@ from coxchar.groups import (
     conjugacy_classes,
     hyperplane_set,
 )
-from coxchar.lattice import _number_mu
 from coxchar.linalg import Subspace, det, kernel
 from coxchar.partitions import SignedPartition, _tokenize, partitions
 from coxchar.shapes import Shape, _check_shape
 from signedperm import SignedPermutation
+
+
+def _poly_divide(num: list[int], den: list[int]) -> list[int]:
+    """Exact division of integer polynomials (ascending coefficients)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = num[k + len(den) - 1] // den[-1]
+        out[k] = c
+        for i, d in enumerate(den):
+            num[k + i] -= c * d
+    if any(num[: len(den) - 1]):
+        raise ArithmeticError("non-exact polynomial division")
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m, ascending."""
+    if m == 1:
+        return (-1, 1)
+    poly = [0] * (m + 1)
+    poly[0], poly[m] = -1, 1
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _poly_divide(poly, list(cyclotomic_polynomial(d)))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_m for 0 <= k < m, as integer coefficient rows."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    rows = []
+    row = [0] * deg
+    row[0] = 1
+    rows.append(tuple(row))
+    for _ in range(1, m):
+        shifted = [0] + list(rows[-1])
+        lead = shifted.pop()
+        if lead:
+            shifted = [a - lead * b for a, b in zip(shifted, phi[:deg])]
+        rows.append(tuple(shifted))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _number_mu(n: int) -> int:
+    """The number-theoretic Moebius function, by trial division."""
+    primes = [
+        p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
+    ]
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
 
 class Cyc:
@@ -806,16 +862,13 @@ def class_function_of_spec(G: GroupDescriptor, spec: LinearCharacterSpec):
     Only valid when the centralizer is the whole group (central base
     element); this is the induced character in that degenerate case.
     """
-    return ClassFunction(
-        G,
-        tuple(
-            _integer_value({root[0]: 1}, root[1], 1, 1)
-            for root in (
-                evaluate(spec, class_rep(G, cls.label, cls.tag))
-                for cls in conjugacy_classes(G)
-            )
-        ),
-    )
+    values = []
+    for cls in conjugacy_classes(G):
+        value = Cyc.from_root(evaluate(spec, class_rep(G, cls.label, cls.tag)))
+        q = value.as_rational()
+        assert q is not None and q.denominator == 1, f"{spec} at {cls}: {value}"
+        values.append(int(q))
+    return ClassFunction(G, tuple(values))
 
 
 # -- induction and the alpha character by definition -----------------------------

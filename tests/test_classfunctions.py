@@ -400,13 +400,21 @@ def test_b2_os_trivial_multiplicity():
 
 def test_integer_value_reduces_and_scales():
     """A bucket maps exponents e of zeta_m to counts: zeta_3 + zeta_3^2;
-    zeta_12 + zeta_12^5 + zeta_4^3 (= zeta_12^9) twice, plus 1; 3 - 1;
-    5 - 3 with -1 = zeta_12^6; i; and 3/2."""
+    3 - 1; 5 - 3 with -1 = zeta_12^6; the four primitive 12th roots twice,
+    plus 1 and three times -1; i; and 3/2.  Only unions of whole Galois
+    orbits are values: zeta_12 + zeta_12^5 + zeta_4^3 (= zeta_12^9) twice,
+    plus 1, is rational (2(i - i) + 1 = 1) but not such a union, and no
+    induced linear character takes it; the primitive 12th roots with
+    unequal counts split their orbit."""
     value = classfunctions._integer_value
     assert value({1: 1, 2: 1}, 3, 1, 1) == -1
-    assert value({1: 2, 5: 2, 9: 2, 0: 1}, 12, 4, 2) == 2
     assert value({0: 3, 1: 1}, 2, 4, 2) == 4
     assert value({0: 5, 6: 3}, 12, 3, 2) == 3
+    assert value({1: 2, 5: 2, 7: 2, 11: 2, 0: 1, 6: 3}, 12, 4, 2) == -4
+    with pytest.raises(AssertionError, match="irrational"):
+        value({1: 2, 5: 2, 9: 2, 0: 1}, 12, 4, 2)
+    with pytest.raises(AssertionError, match="irrational"):
+        value({1: 1, 5: 1, 7: 1, 11: 2}, 12, 1, 1)
     with pytest.raises(AssertionError, match="irrational"):
         value({1: 1}, 4, 1, 1)
     with pytest.raises(AssertionError, match="non-integral"):

@@ -1,14 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
 from coxchar.cyclotomic import (
     MINUS_ONE,
     ONE,
-    cyclotomic_polynomial,
     root,
     root_mul,
     root_pow,
+    totient_moebius,
 )
-from oracles import Cyc, root_conj
+from oracles import Cyc, cyclotomic_polynomial, root_conj
 
 
 def test_root_normalization():
@@ -33,6 +34,29 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_totient_counts_coprime_residues_and_moebius_sums_to_delta():
+    """phi(d) is the number of e < d prime to d, and the sum of mu(k)
+    over the divisors k of d is 1 at d = 1 and 0 elsewhere."""
+    for d in range(1, 2001):
+        phi, _ = totient_moebius(d)
+        assert phi == sum(1 for e in range(d) if gcd(e, d) == 1), d
+        total = sum(totient_moebius(k)[1] for k in range(1, d + 1) if d % k == 0)
+        assert total == (d == 1), d
+
+
+def test_moebius_is_the_sum_of_the_primitive_roots():
+    """mu(d) is the sum of the primitive d-th roots of unity, one Galois
+    orbit of phi(d) roots, summed exactly."""
+    for d in range(1, 61):
+        phi, mu = totient_moebius(d)
+        orbit = [root(e, d) for e in range(d) if gcd(e, d) == 1]
+        assert len(orbit) == phi and all(r[1] == d for r in orbit)
+        total = Cyc.zero()
+        for r in orbit:
+            total = total + Cyc.from_root(r)
+        assert total.as_rational() == mu, d
 
 
 def test_vanishing_sums():

@@ -585,23 +585,27 @@ def test_regular_run_loads_no_lattice():
 def test_poincare_run_loads_no_induction():
     """`--check poincare` loads no induction code: the checks import
     `characters` and `classfunctions` only when they induce, and `lattice`
-    imports `ClassFunction` only when it builds one."""
+    imports `ClassFunction` only when it builds one.  It loads `cyclotomic`,
+    where `lattice` takes the Moebius function."""
     assert _modules_loaded_by("poincare") == ("0", [
-        "coxchar", "coxchar.centralizers", "coxchar.cli", "coxchar.groups",
-        "coxchar.lattice", "coxchar.partitions", "coxchar.shapes",
-        "coxchar.verify",
+        "coxchar", "coxchar.centralizers", "coxchar.cli", "coxchar.cyclotomic",
+        "coxchar.groups", "coxchar.lattice", "coxchar.partitions",
+        "coxchar.shapes", "coxchar.verify",
     ])
 
 
 # Element-by-element character evaluation, which lives with the test
 # oracles: induction has one path, through the class tallies.  Elements and
-# the class of an element live there too: a class is its label.
+# the class of an element live there too: a class is its label.  So does
+# the reduction modulo cyclotomic polynomials: a value is read off its
+# Galois orbits.
 ORACLE_ONLY = {
     "evaluate", "coordinates", "class_function_of_spec", "class_rep",
     "base_rep", "CentralizerCoordinates", "SignedPermutation", "w_mu",
     "signed_cycle_type", "cycle_side_parity", "d_split_side", "class_key",
     "coxeter_generators", "mu_bar", "parse_signed_partition", "root_conj",
     "reflection_exponents", "_stable_structures", "_interval_mu", "_zero_mu",
+    "cyclotomic_polynomial", "_poly_divide", "_power_table", "_number_mu",
 }
 
 
