@@ -38,7 +38,7 @@ class BudgetError(RuntimeError):
     """An enumeration or lattice build would exceed the configured budget."""
 
 
-# The largest intersection lattice built (lattice.build_lattice).
+# The largest intersection lattice built (lattice.get_lattice).
 DEFAULT_FLAT_BUDGET = 300_000
 
 

@@ -68,14 +68,14 @@ cycles are placed in ascending (L, sigma); an orbit holds cycles of one
 open orbits close into block sizes and partial structures merge.  The
 zero 1-cycle counts m+ and m- stay in the state, and their factor is
 taken once per (shape, m-, m+) when the weights are summed by shape
-(_shape_sums).  None of this reads a flat; the flats are still built,
-each labelled by its shape, and the flat budget still refuses a lattice
-larger than it.
+(_shape_sums).  None of this reads a flat.  The flats are still built,
+as bare points and only so that they are counted, and the flat budget
+refuses a lattice larger than it from its exact size (flat_count).
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import lru_cache
 from math import comb, prod
 
@@ -92,7 +92,6 @@ from .partitions import SignedPartition
 from .shapes import Shape, shape_rank
 
 __all__ = [
-    "Flat",
     "Lattice",
     "flat_count",
     "build_lattice",
@@ -103,22 +102,16 @@ __all__ = [
 ]
 
 
-class Flat(namedtuple("Flat", "index point dim")):
-    """index into Lattice.flats, canonical point, dim."""
-
-    __slots__ = ()
-
-    @property
-    def codim(self) -> int:
-        return len(self.point) - self.dim
-
-
 class Lattice:
-    def __init__(self, G: GroupDescriptor, flats, shape_labels):
+    """The intersection lattice of G: flats lists the canonical point of
+    every flat, the ambient space first and then by codimension.  A flat's
+    index is its position there, and its dimension the number of distinct
+    nonzero |entries| of its point."""
+
+    def __init__(self, G: GroupDescriptor, flats):
         self.G = G
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
-        self.shape_labels = shape_labels
         self.classes = conjugacy_classes(G)
         self._shape_mu: dict[int, dict[Shape, int]] = {}
 
@@ -325,7 +318,8 @@ def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> d
 
 
 def _points(G: GroupDescriptor):
-    """(point, shape) of every flat, in buckets by dimension.
+    """The canonical point of every flat, in buckets by dimension (the
+    number of nonzero blocks).
 
     Coordinate i opens a block (label i + 1, sign +), joins an open block
     with either sign (only + in type A) or, in types B and D, joins the
@@ -334,43 +328,33 @@ def _points(G: GroupDescriptor):
     """
     n = G.degree
     family = G.family
+    signed = family != "A"
     buckets: list[list] = [[] for _ in range(n + 1)]
     point = [0] * n
-    blocks: list[list[int]] = []
-    zero: list[int] = []
-    shapes: dict = {}
+    labels: list[int] = []  # of the open blocks
+    zeros = 0
 
     def place(i):
+        nonlocal zeros
         if i == n:
-            if family == "D" and len(zero) == 1:
-                return
-            lam = tuple(sorted(map(len, blocks), reverse=True))
-            tag = None
-            if family == "D" and not zero and all(p % 2 == 0 for p in lam):
-                tag = "-" if sum(x < 0 for x in point) % 2 else "+"
-            shape = shapes.get((lam, tag))
-            if shape is None:
-                shape = shapes[lam, tag] = Shape(lam, tag)
-            buckets[len(blocks)].append((tuple(point), shape))
+            if family != "D" or zeros != 1:
+                buckets[len(labels)].append(tuple(point))
             return
         point[i] = i + 1
-        blocks.append([i])
+        labels.append(i + 1)
         place(i + 1)
-        blocks.pop()
-        for members in blocks:
-            label = point[members[0]]
-            members.append(i)
+        labels.pop()
+        for label in labels:
             point[i] = label
             place(i + 1)
-            if family != "A":
+            if signed:
                 point[i] = -label
                 place(i + 1)
-            members.pop()
-        if family != "A":
+        if signed:
             point[i] = 0
-            zero.append(i)
+            zeros += 1
             place(i + 1)
-            zero.pop()
+            zeros -= 1
 
     place(0)
     return buckets
@@ -397,23 +381,14 @@ def flat_count(G: GroupDescriptor) -> int:
     )
 
 
-def build_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
-    """Every flat once, by codimension, the ambient space first.  An
-    over-budget lattice is refused from its exact size, before any flat
-    is built."""
+def build_lattice(G: GroupDescriptor) -> Lattice:
+    """Every flat once, as its canonical point, by codimension, the ambient
+    space first."""
+    flats = [point for bucket in reversed(_points(G)) for point in bucket]
     count = flat_count(G)
-    if budget is not None and count > budget:
-        raise BudgetError(f"flat budget {budget} exceeded while building {G} lattice")
-    buckets = _points(G)
-    flats, labels = [], []
-    for dim in range(G.degree, -1, -1):
-        for point, shape in buckets[dim]:
-            flats.append(Flat(len(flats), point, dim))
-            labels.append(shape)
-        buckets[dim] = None
     if len(flats) != count:
         raise AssertionError(f"{G} lattice has {len(flats)} flats, expected {count}")
-    return Lattice(G, flats, tuple(labels))
+    return Lattice(G, flats)
 
 
 _LATTICES: dict[GroupDescriptor, Lattice] = {}
@@ -422,15 +397,16 @@ _LATTICES: dict[GroupDescriptor, Lattice] = {}
 def get_lattice(G: GroupDescriptor, budget=DEFAULT_FLAT_BUDGET) -> Lattice:
     """Build-once cache; lattices are immutable after construction.
 
-    The budget binds even on a cache hit, so a caller's limit means the
-    same thing whether or not another caller built the lattice first.
+    The budget is compared with the exact flat count before the cache is
+    read, so an over-budget lattice is refused before any flat is built,
+    and a caller's limit means the same thing whether or not another
+    caller built the lattice first.
     """
+    if budget is not None and flat_count(G) > budget:
+        raise BudgetError(f"flat budget {budget} exceeded while building {G} lattice")
     lattice = _LATTICES.get(G)
     if lattice is None:
-        lattice = build_lattice(G, budget)
-        _LATTICES[G] = lattice
-    elif budget is not None and flat_count(G) > budget:
-        raise BudgetError(f"lattice of {G} has {flat_count(G)} flats > budget {budget}")
+        lattice = _LATTICES[G] = build_lattice(G)
     return lattice
 
 

@@ -1129,6 +1129,17 @@ def shape_of_point(G: GroupDescriptor, point) -> Shape:
     return Shape(lam)
 
 
+def flat_dim(point) -> int:
+    """The dimension of the flat of a generic point: its number of nonzero
+    blocks, the distinct nonzero |entries|."""
+    return len({abs(x) for x in point if x})
+
+
+def flat_codim(point) -> int:
+    """The codimension of the flat of a generic point, from flat_dim."""
+    return len(point) - flat_dim(point)
+
+
 def closure_by_meets(G: GroupDescriptor):
     """(point, bits, dim, shape) of every flat, by codimension from the
     ambient space: each flat of the frontier meets every hyperplane not
@@ -1149,8 +1160,7 @@ def closure_by_meets(G: GroupDescriptor):
                 if new in seen:
                     continue
                 seen.add(new)
-                dim = len({abs(x) for x in new if x})
-                flat = (new, incidence(new, hyperplanes), dim)
+                flat = (new, incidence(new, hyperplanes), flat_dim(new))
                 flats.append(flat)
                 next_frontier.append(flat)
         frontier = next_frontier
@@ -1310,7 +1320,7 @@ def hyperplane_action(G: GroupDescriptor, w: SignedPermutation) -> tuple[int, ..
 def flat_bits(lattice) -> tuple[int, ...]:
     """Incidence bits over hyperplane_set of every flat, by flat index."""
     hyperplanes = hyperplane_set(lattice.G)
-    return tuple(incidence(f.point, hyperplanes) for f in lattice.flats)
+    return tuple(incidence(point, hyperplanes) for point in lattice.flats)
 
 
 def stable_flats_by_bits(lattice, w: SignedPermutation) -> list[int]:

@@ -26,6 +26,7 @@ from oracles import (
     centralizer_elements,
     class_of,
     evaluate,
+    flat_codim,
     group_elements,
     induce_direct,
     reflection_exponents,
@@ -135,15 +136,14 @@ def test_criterion_5_b2_moebius_hand_values():
     lattice = get_lattice(GroupDescriptor("B", 2))
     identity = SignedPermutation.identity(2)
     full = flat_moebius(lattice, stable_subposet(lattice, identity))
-    lines = sorted(full[f.index] for f in lattice.flats if f.codim == 1)
-    origin = [full[f.index] for f in lattice.flats if f.codim == 2]
+    codims = [flat_codim(point) for point in lattice.flats]
+    lines = sorted(full[k] for k, c in enumerate(codims) if c == 1)
+    origin = [full[k] for k, c in enumerate(codims) if c == 2]
     ok = lines == [-1, -1, -1, -1] and origin == [3]
     sub = stable_subposet(lattice, SignedPermutation.flip(2))
     mu = flat_moebius(lattice, sub)
-    sub_lines = sorted(
-        mu[k] for k in sub if lattice.flats[k].codim == 1
-    )
-    sub_origin = [mu[k] for k in sub if lattice.flats[k].codim == 2]
+    sub_lines = sorted(mu[k] for k in sub if codims[k] == 1)
+    sub_origin = [mu[k] for k in sub if codims[k] == 2]
     ok = ok and sub_lines == [-1, -1] and sub_origin == [1]
     _report(5, ok)
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from functools import lru_cache
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import stretch_enabled
 from coxchar.groups import GroupDescriptor, conjugacy_classes, hyperplane_set
+from coxchar import lattice as lattice_module
 from coxchar.lattice import (
     _shape_sums,
     _weighted_structures,
@@ -30,6 +32,8 @@ from oracles import (
     contains,
     coxeter_generators,
     flat_bits,
+    flat_codim,
+    flat_dim,
     group_elements,
     hyperplane_action,
     interval_type,
@@ -65,7 +69,7 @@ def whitney_point_count(lattice, q):
 @lru_cache(maxsize=None)
 def point_index(lattice):
     """Canonical point -> index of every flat."""
-    return {f.point: f.index for f in lattice.flats}
+    return {point: index for index, point in enumerate(lattice.flats)}
 
 
 def stable_subposet(lattice, w):
@@ -133,14 +137,13 @@ def moebius_by_scan(lattice, subposet):
     """mu of the subposet by the plain scan: every flat sums mu over all
     the subposet's flats below it, O(F^2) subset tests."""
     bits = flat_bits(lattice)
-    flats = sorted((lattice.flats[k] for k in subposet), key=lambda f: f.codim)
     mu = {}
     done = []
-    for f in flats:
-        bx = bits[f.index]
+    for index in sorted(subposet, key=lambda k: flat_codim(lattice.flats[k])):
+        bx = bits[index]
         below = sum(mu[g] for g in done if bits[g] & bx == bits[g])
-        mu[f.index] = 1 if not done else -below
-        done.append(f.index)
+        mu[index] = 1 if not done else -below
+        done.append(index)
     return mu
 
 
@@ -148,7 +151,7 @@ def sums_by_shape(lattice, mu):
     """Shape -> sum of mu over the flats of that shape, zero sums dropped."""
     table = Counter()
     for idx, value in mu.items():
-        table[lattice.shape_labels[idx]] += value
+        table[shape_of_point(lattice.G, lattice.flats[idx])] += value
     return {shape: total for shape, total in table.items() if total}
 
 
@@ -267,20 +270,48 @@ def test_build_matches_closure_by_meets(family, rank):
     lattice = build_lattice(G)
     flats = lattice.flats
     bits = flat_bits(lattice)
-    assert [f.index for f in flats] == list(range(len(flats)))
-    assert flats[0].codim == 0 and bits[0] == 0
-    assert all(f.codim <= g.codim for f, g in zip(flats, flats[1:]))
+    assert flat_codim(flats[0]) == 0 and bits[0] == 0
+    assert all(flat_codim(f) <= flat_codim(g) for f, g in zip(flats, flats[1:]))
     got = Counter(
-        (f.point, bits[f.index], f.dim, lattice.shape_labels[f.index]) for f in flats
+        (point, bits[k], flat_dim(point), shape_of_point(G, point))
+        for k, point in enumerate(flats)
     )
     assert got == Counter(closure_by_meets(G))
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 8)]
+    + [("B", r) for r in range(1, 8)]
+    + [("D", r) for r in range(4, 8)],
+)
+def test_flats_are_bare_points(family, rank):
+    """Each flat is its canonical point, a tuple of n ints and nothing
+    else, and the build makes flat_count of them."""
+    G = GroupDescriptor(family, rank)
+    flats = build_lattice(G).flats
+    assert len(flats) == flat_count(G)
+    assert all(
+        type(point) is tuple
+        and len(point) == G.degree
+        and all(type(x) is int for x in point)
+        for point in flats
+    )
+
+
+def test_flats_leave_the_cyclic_collector():
+    """A tuple of ints is untracked by the collector once a collection
+    has seen it, so a built lattice adds nothing to later collections."""
+    flats = build_lattice(GroupDescriptor("B", 6)).flats
+    gc.collect()
+    assert not any(gc.is_tracked(point) for point in flats)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("A", 3), ("D", 4)])
 def test_codim_one_flats_are_hyperplanes(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    count = sum(1 for f in lattice.flats if f.codim == 1)
+    count = sum(1 for point in lattice.flats if flat_codim(point) == 1)
     assert count == len(hyperplane_set(G))
 
 
@@ -290,17 +321,17 @@ def test_b2_moebius_hand_values():
     identity = SignedPermutation.identity(2)
     full = flat_moebius(lattice, stable_subposet(lattice, identity))
     by_codim = {}
-    for f in lattice.flats:
-        by_codim.setdefault(f.codim, []).append(full[f.index])
+    for k, point in enumerate(lattice.flats):
+        by_codim.setdefault(flat_codim(point), []).append(full[k])
     assert by_codim[0] == [1]
     assert sorted(by_codim[1]) == [-1, -1, -1, -1]
     assert by_codim[2] == [3]
     sub = stable_subposet(lattice, SignedPermutation.flip(2))
     assert len(sub) == 4
     mu = flat_moebius(lattice, sub)
-    values = sorted(mu[k] for k in sub if lattice.flats[k].codim == 1)
+    values = sorted(mu[k] for k in sub if flat_codim(lattice.flats[k]) == 1)
     assert values == [-1, -1]
-    origin = [k for k in sub if lattice.flats[k].codim == 2]
+    origin = [k for k in sub if flat_codim(lattice.flats[k]) == 2]
     assert [mu[k] for k in origin] == [1]
     # the subposet Moebius value differs from the full-lattice restriction
     assert full[origin[0]] == 3
@@ -324,16 +355,14 @@ def test_bitset_containment_matches_subspaces(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     bits = flat_bits(lattice)
-    spaces = [point_subspace(f.point) for f in lattice.flats]
-    for f, space in zip(lattice.flats, spaces):
-        assert space.dim == f.dim
-        assert incidence(G, space) == bits[f.index]
-    for f in lattice.flats:
-        for g in lattice.flats:
-            bits_contain = bits[f.index] & bits[g.index] == bits[g.index]
-            spaces_contain = all(
-                spaces[g.index].contains(row) for row in spaces[f.index].basis
-            )
+    spaces = [point_subspace(point) for point in lattice.flats]
+    for k, (point, space) in enumerate(zip(lattice.flats, spaces)):
+        assert space.dim == flat_dim(point)
+        assert incidence(G, space) == bits[k]
+    for f, x in enumerate(spaces):
+        for g, y in enumerate(spaces):
+            bits_contain = bits[f] & bits[g] == bits[g]
+            spaces_contain = all(y.contains(row) for row in x.basis)
             assert bits_contain == spaces_contain
 
 
@@ -350,7 +379,8 @@ def test_flats_match_rref_closure(family, rank):
     expected = rref_closure(G)
     assert len(lattice.flats) == len(expected)
     bits = flat_bits(lattice)
-    assert {(bits[f.index], f.dim) for f in lattice.flats} == expected
+    got = {(bits[k], flat_dim(point)) for k, point in enumerate(lattice.flats)}
+    assert got == expected
 
 
 @pytest.mark.parametrize(
@@ -360,19 +390,18 @@ def test_flats_match_rref_closure(family, rank):
     + [("D", 4), ("D", 5), ("D", 6)],
 )
 def test_shape_labels_are_orbit_labels(family, rank):
-    """Labels are shapes of G, constant on W-orbits, and each shape's
-    standard fixed space carries its own label."""
+    """The shapes read off the points are shapes of G, constant on
+    W-orbits, and each shape's standard fixed space carries its own."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    labels = lattice.shape_labels
+    labels = [shape_of_point(G, point) for point in lattice.flats]
     bits = flat_bits(lattice)
     by_bits = {b: index for index, b in enumerate(bits)}
     assert set(labels) <= set(shapes(G))
     for g in coxeter_generators(G):
         action = hyperplane_action(G, g)
-        for f in lattice.flats:
-            image = by_bits[permute_bits(bits[f.index], action)]
-            assert labels[image] == labels[f.index]
+        for k, b in enumerate(bits):
+            assert labels[by_bits[permute_bits(b, action)]] == labels[k]
     for shape in shapes(G):
         assert labels[by_bits[incidence(G, shape_fix_space(G, shape))]] == shape
 
@@ -396,7 +425,7 @@ def test_orbit_sizes_equal_normalizer_index(family, rank):
     elements = list(group_elements(G))
     for shape in shapes(G):
         space = shape_fix_space(G, shape)
-        orbit = sum(1 for lab in lattice.shape_labels if lab == shape)
+        orbit = sum(shape_of_point(G, point) == shape for point in lattice.flats)
 
         def image(g, row):
             out = [0] * G.degree
@@ -418,8 +447,8 @@ def test_orbit_sizes_equal_normalizer_index(family, rank):
 def test_orbit_codims_match_shape_rank(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    for f in lattice.flats:
-        assert f.codim == shape_rank(G, lattice.shape_labels[f.index])
+    for point in lattice.flats:
+        assert flat_codim(point) == shape_rank(G, shape_of_point(G, point))
 
 
 def test_central_element_fixes_everything():
@@ -519,7 +548,7 @@ def test_pairing_shortcut_matches_direct_computation(family, rank):
         mu = flat_moebius(lattice, sub)
         direct = [0] * (G.rank + 1)
         for idx in sub:
-            c = lattice.flats[idx].codim
+            c = flat_codim(lattice.flats[idx])
             direct[c] += mu[idx] * (-1) ** c
         assert shared == tuple(direct)
 
@@ -534,22 +563,43 @@ def test_trivial_parabolic_shape_orbit_is_ambient():
     assert shape_rank(G, Shape((1, 1, 1))) == 0
 
 
-def test_flat_budget():
+def refuse_to_build(G):
+    raise AssertionError(f"{G} lattice built over budget")
+
+
+def test_flat_budget(monkeypatch):
+    """An over-budget lattice is refused from its count, before any flat
+    is built."""
+    monkeypatch.setattr(lattice_module, "_LATTICES", {})
+    monkeypatch.setattr(lattice_module, "build_lattice", refuse_to_build)
     with pytest.raises(BudgetError):
-        build_lattice(GroupDescriptor("B", 4), budget=10)
+        get_lattice(GroupDescriptor("B", 4), budget=10)
 
 
 @pytest.mark.parametrize(
     "family,rank,count", [("A", 4, 52), ("B", 4, 116), ("D", 4, 72)]
 )
-def test_flat_budget_boundary(family, rank, count):
+def test_flat_budget_boundary(family, rank, count, monkeypatch):
     """A budget of exactly the flat count builds; one less is refused."""
+    monkeypatch.setattr(lattice_module, "_LATTICES", {})
     G = GroupDescriptor(family, rank)
-    assert len(build_lattice(G, budget=count).flats) == count
     message = f"flat budget {count - 1} exceeded while building {family}{rank} lattice"
     with pytest.raises(BudgetError) as refused:
-        build_lattice(G, budget=count - 1)
+        get_lattice(G, budget=count - 1)
     assert str(refused.value) == message
+    assert len(get_lattice(G, budget=count).flats) == count
+
+
+def test_flat_budget_binds_on_a_cached_lattice(monkeypatch):
+    """A lattice already built under a larger budget is refused with the
+    message of a refused build, and nothing is rebuilt."""
+    G = GroupDescriptor("B", 4)
+    cached = get_lattice(G)
+    monkeypatch.setattr(lattice_module, "build_lattice", refuse_to_build)
+    with pytest.raises(BudgetError) as refused:
+        get_lattice(G, budget=115)
+    assert str(refused.value) == "flat budget 115 exceeded while building B4 lattice"
+    assert get_lattice(G, budget=116) is cached
 
 
 SMALL_GROUPS = (
@@ -577,7 +627,7 @@ def assert_stable_flats_match_oracles(lattice, w):
     assert sorted(sub) == stable_flats_by_bits(lattice, w)
     assert sorted(sub) == stable_by_permuting(lattice, w)
     for idx, key in sub.items():
-        assert key == interval_type(lattice.flats[idx].point, w)
+        assert key == interval_type(lattice.flats[idx], w)
     scan = moebius_by_scan(lattice, sub)
     assert flat_moebius(lattice, sub) == scan
     assert lattice.shape_mu(class_of(lattice.G, w)) == sums_by_shape(lattice, scan)
@@ -664,19 +714,17 @@ def test_interval_type_is_conjugation_invariant(family, rank):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
     bits = flat_bits(lattice)
-    by_bits = {bits[f.index]: f for f in lattice.flats}
+    by_bits = {b: index for index, b in enumerate(bits)}
     for g in coxeter_generators(G):
         action = hyperplane_action(G, g)
         for cls in conjugacy_classes(G):
             w = class_rep(G, cls.label, cls.tag)
             conjugate = stable_subposet(lattice, w.conjugate(g))
             for idx, key in stable_subposet(lattice, w).items():
-                x = lattice.flats[idx]
                 gx = by_bits[permute_bits(bits[idx], action)]
-                assert interval_type(gx.point, w.conjugate(g)) == interval_type(
-                    x.point, w
-                )
-                assert conjugate[gx.index] == key
+                x, image = lattice.flats[idx], lattice.flats[gx]
+                assert interval_type(image, w.conjugate(g)) == interval_type(x, w)
+                assert conjugate[gx] == key
 
 
 @pytest.mark.parametrize(
@@ -689,16 +737,16 @@ def test_identity_runs_one_scan_per_block_shape(family, rank, types):
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G, budget=30_000)
     identity = SignedPermutation.identity(G.degree)
-    keys = {interval_type(f.point, identity) for f in lattice.flats}
+    keys = {interval_type(point, identity) for point in lattice.flats}
     assert set(stable_subposet(lattice, identity).values()) == keys
     label = conjugacy_classes(G)[class_of(G, identity)].label
     assert {key for key, _ in _stable_structures(G, label)} == keys
     pairs = {
         (
-            f.point.count(0),
-            tuple(sorted(Counter(abs(x) for x in f.point if x).values())),
+            point.count(0),
+            tuple(sorted(Counter(abs(x) for x in point if x).values())),
         )
-        for f in lattice.flats
+        for point in lattice.flats
     }
     assert len(keys) == len(pairs) == types
 

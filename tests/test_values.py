@@ -6,7 +6,6 @@ import pytest
 
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.groups import GroupDescriptor, Hyperplane, conjugacy_classes
-from coxchar.lattice import Flat
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import Shape, shapes
 from signedperm import SignedPermutation
@@ -45,7 +44,6 @@ def test_values_are_immutable():
         (cf, "values"),
         (conjugacy_classes(B2)[0], "size"),
         (Hyperplane(1, 2, 1), "rel"),
-        (Flat(0, (1, 2), 2), "dim"),
     ]
     for value, field in values:
         with pytest.raises(AttributeError):
@@ -61,8 +59,6 @@ def test_hash_repr_and_fields():
     assert hash(shape) == hash(((2, 1), None))
     assert repr(B2) == "GroupDescriptor(family='B', rank=2)"
     assert str(B2) == "B2"
-    assert Flat(3, (1, 0), 1).codim == 1
-    assert Flat._fields == ("index", "point", "dim")
 
 
 @pytest.mark.parametrize("G", [GroupDescriptor("B", 5), GroupDescriptor("D", 6)],

@@ -277,11 +277,10 @@ def test_cli_closed_stdout_is_not_an_error(tmp_path, lines, unbuffered):
 
 
 class Unreadable:
-    """Stands in for Lattice.flats or Lattice.shape_labels: any read is a
-    failure."""
+    """Stands in for Lattice.flats: any read is a failure."""
 
     def _refuse(self, *args):
-        raise AssertionError("a flat or a shape label was read")
+        raise AssertionError("a flat was read")
 
     __getitem__ = __iter__ = __len__ = _refuse
 
@@ -289,14 +288,14 @@ class Unreadable:
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("D", 4), ("D", 5)])
 def test_shape_checks_read_the_class_tables(family, rank, monkeypatch):
     """The checks read one shape -> mu table per class, and each table is
-    counted from the cycles of its representative: with no flat and no
-    shape label readable and no table cached, the Poincare table is
+    counted from the cycles of its representative: with no flat readable,
+    no shape label kept and no table cached, the Poincare table is
     unchanged and os, graded and every shape check pass."""
     G = GroupDescriptor(family, rank)
     table = poincare_table(G).table
     lattice = get_lattice(G)
+    assert not hasattr(lattice, "shape_labels")
     monkeypatch.setattr(lattice, "flats", Unreadable())
-    monkeypatch.setattr(lattice, "shape_labels", Unreadable())
     monkeypatch.setattr(lattice, "_shape_mu", {})
     assert poincare_table(G).table == table
     reports = [verify_os(G), verify_graded(G), *verify_all_shapes(G)]
@@ -598,7 +597,7 @@ def test_poincare_run_loads_no_induction():
 # oracles: induction has one path, through the class tallies.  Elements and
 # the class of an element live there too: a class is its label.  So does
 # the reduction modulo cyclotomic polynomials: a value is read off its
-# Galois orbits.
+# Galois orbits.  So does the shape of a flat: a flat is its bare point.
 ORACLE_ONLY = {
     "evaluate", "coordinates", "class_function_of_spec", "class_rep",
     "base_rep", "CentralizerCoordinates", "SignedPermutation", "w_mu",
@@ -606,6 +605,7 @@ ORACLE_ONLY = {
     "coxeter_generators", "mu_bar", "parse_signed_partition", "root_conj",
     "reflection_exponents", "_stable_structures", "_interval_mu", "_zero_mu",
     "cyclotomic_polynomial", "_poly_divide", "_power_table", "_number_mu",
+    "Flat", "shape_of_point",
 }
 
 
