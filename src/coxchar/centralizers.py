@@ -70,7 +70,7 @@ def cycle_code(mu: SignedPartition) -> int:
 # K = Z_2length (negative blocks) or Z_length x Z_2 (positive blocks, with
 # block negations; Z_length without), and it acts on its own coordinates.
 # Its tally maps each summary, the per-length data a linear character sees
-# (what LinearCharacterSpec.evaluate_summaries reads), to rows (code, bits,
+# (what LinearCharacterSpec.exponent reads), to rows (code, bits,
 # weight): the number of family elements with that cycle-type code and, in
 # type D only, bits = 2 * (negative entries mod 2) + side, the D split-side
 # parity of the cycles (the parity of the negative values met walking each
@@ -187,14 +187,14 @@ def _family_tally(n, length, m, negative, family):
 
 
 def centralizer_tallies(mu: SignedPartition, family: str):
-    """Per family of C(w_mu) in the group of type family: (negative,
-    tally), negative families first.  In type A the positive blocks are
-    never negated (the centralizer inside S_n)."""
+    """The tally of each family of C(w_mu) in the group of type family,
+    negative families first.  In type A the positive blocks are never
+    negated (the centralizer inside S_n)."""
     return [
-        (True, _family_tally(mu.n, length, count, True, family))
+        _family_tally(mu.n, length, count, True, family)
         for length, count in _runs(mu.neg)
     ] + [
-        (False, _family_tally(mu.n, length, count, False, family))
+        _family_tally(mu.n, length, count, False, family)
         for length, count in _runs(mu.pos)
     ]
 

@@ -1,15 +1,24 @@
 """Linear characters of centralizers.
 
-A character is stored by its values on the distinguished generators of
-C(w_mu), one value per distinct cycle length: roots of unity on the cycles
-c/d, signs on the block swaps x/y and the block negations r.  Subject to
-the order conditions (a 2i-th root on a negative i-cycle, an i-th root on
-a positive i-cycle, signs elsewhere) such an assignment extends uniquely
-to a linear character.  Induction never evaluates it at an element: it
-reads the character off per-length summaries of the wreath-product
-factors (evaluate_summaries).
+C(w_mu) is a direct product of wreath products, one per family of equal
+signed cycles (centralizers), so a linear character of it is fixed by
+three numbers per family.  A spec stores them as values[key] = (a, s, r),
+the key L for the family of positive L-cycles and -L for the negative
+ones:
 
-The stock characters:
+* zeta_2L^a on the family's cycle generator: a negative L-cycle has order
+  2L, a positive one order L, so a is even on a positive family;
+* (-1)^s on the swaps of two blocks;
+* (-1)^r on the negation of a block, which only positive blocks have: r
+  is 0 on a negative family.
+
+Every such assignment extends uniquely to a linear character, and
+products of characters add exponents: a mod 2L, s and r mod 2.
+Induction never evaluates a character at an element: it reads the value
+at each per-family summary of the wreath-product factors as an exponent
+(exponent).
+
+The stock characters, each one rule per family:
 
 * phi_A: zeta_j on positive j-cycles, 1 on swaps (symmetric groups);
 * phi_B: zeta_{2k} on negative (2^l k)-cycles (k odd), zeta_j on positive
@@ -26,7 +35,6 @@ The stock characters:
 
 from __future__ import annotations
 
-from .cyclotomic import MINUS_ONE, ONE, Root, root, root_mul, root_pow
 from .groups import GroupDescriptor
 from .partitions import SignedPartition
 
@@ -44,57 +52,47 @@ __all__ = [
 ]
 
 
-def _distinct(parts):
-    return tuple(dict.fromkeys(parts))
-
-
 class LinearCharacterSpec:
-    """Generator values of a linear character of C(w), based at a class."""
+    """Per-family exponents (a, s, r) of a linear character of C(w), based
+    at a class."""
 
-    def __init__(self, group, label, tag, cval, xval, yval, dval, rval, name=""):
+    def __init__(self, group, label, tag, values, name=""):
+        if group.family == "A" and label.neg:
+            raise ValueError("type A base labels have no negative parts")
+        if group.family == "D" and len(label.neg) % 2:
+            raise ValueError("psi/phi_D need an even number of negative parts")
+        families = {-length for length in label.neg} | set(label.pos)
+        if set(values) != families:
+            raise ValueError(
+                f"need one (a, s, r) per family {sorted(families)}, "
+                f"got {sorted(values)}"
+            )
+        self.values = {}
+        for key, (a, s, r) in values.items():
+            if s not in (0, 1) or r not in (0, 1):
+                raise ValueError("swap and negation exponents must be 0 or 1")
+            if key > 0 and a % 2:
+                raise ValueError(f"value at a positive {key}-cycle must be a {key}-th root")
+            if key < 0 and r:
+                raise ValueError("negative blocks have no negation")
+            self.values[key] = (a % (2 * abs(key)), s, r)
         self.group = group
         self.label = label
         self.tag = tag
-        self.cval = dict(cval)
-        self.dval = dict(dval)
-        self.xval = dict(xval)
-        self.yval = dict(yval)
-        self.rval = dict(rval)
         self.name = name
-        self._validate()
 
-    def _validate(self):
-        if self.group.family == "A" and self.label.neg:
-            raise ValueError("type A base labels have no negative parts")
-        if self.group.family == "D" and len(self.label.neg) % 2:
-            raise ValueError("psi/phi_D need an even number of negative parts")
-        for i in _distinct(self.label.neg):
-            if root_pow(self.cval[i], 2 * i) != ONE:
-                raise ValueError(f"value at a negative {i}-cycle must be a {2*i}-th root")
-            if self.xval.get(i, ONE) not in (ONE, MINUS_ONE):
-                raise ValueError("swap values must be signs")
-        for j in _distinct(self.label.pos):
-            if root_pow(self.dval[j], j) != ONE:
-                raise ValueError(f"value at a positive {j}-cycle must be a {j}-th root")
-            if self.yval.get(j, ONE) not in (ONE, MINUS_ONE):
-                raise ValueError("swap values must be signs")
-            if self.rval.get(j, ONE) not in (ONE, MINUS_ONE):
-                raise ValueError("negation values must be signs")
-
-    def evaluate_summaries(self, neg_summary, pos_summary) -> Root:
-        """Character value from per-length (twist, sign[, flips]) data."""
-        value = ONE
-        for length, twist, sign in neg_summary:
-            value = root_mul(value, root_pow(self.cval[length], twist))
-            if sign < 0:
-                value = root_mul(value, self.xval[length])
-        for length, twist, sign, flips in pos_summary:
-            value = root_mul(value, root_pow(self.dval[length], twist))
-            if sign < 0:
-                value = root_mul(value, self.yval[length])
-            if flips:
-                value = root_mul(value, self.rval[length])
-        return value
+    def exponent(self, summary) -> tuple[int, int]:
+        """The value at the family elements with this summary, (e, 2L) for
+        zeta_2L^e.  The summary is (L, twist, sign) on a negative family and
+        (L, twist, sign, flips) on a positive one (centralizers)."""
+        if len(summary) == 4:
+            length, twist, sign, flips = summary
+            a, s, r = self.values[length]
+        else:
+            (length, twist, sign), flips = summary, 0
+            a, s, r = self.values[-length]
+        order = 2 * length
+        return (a * twist + length * (s * (sign < 0) + r * flips)) % order, order
 
     def __str__(self) -> str:
         tag = f"^{self.tag}" if self.tag else ""
@@ -104,44 +102,25 @@ class LinearCharacterSpec:
 # -- stock characters ----------------------------------------------------------
 
 
-def _odd_part(i: int) -> int:
-    while i % 2 == 0:
-        i //= 2
-    return i
+def _spec(G, label, tag, name, rule) -> LinearCharacterSpec:
+    """The character with the triple rule(L, negative) on each family."""
+    values = {-length: rule(length, True) for length in label.neg}
+    values |= {length: rule(length, False) for length in label.pos}
+    return LinearCharacterSpec(G, label, tag, values, name)
 
 
 def phi_A(lam: tuple[int, ...]) -> LinearCharacterSpec:
     """zeta_j on positive j-cycles, +1 on swaps, for the symmetric group."""
     mu = SignedPartition((), tuple(lam))
     G = GroupDescriptor("A", mu.n - 1)
-    parts = _distinct(mu.pos)
-    return LinearCharacterSpec(
-        G,
-        mu,
-        None,
-        cval={},
-        xval={},
-        dval={j: root(1, j) for j in parts},
-        yval={j: ONE for j in parts},
-        rval={j: ONE for j in parts},
-        name="phiA",
-    )
+    return _spec(G, mu, None, "phiA", lambda L, negative: (2, 0, 0))
 
 
 def phi_B(mu: SignedPartition) -> LinearCharacterSpec:
-    G = GroupDescriptor("B", mu.n)
-    negs = _distinct(mu.neg)
-    poss = _distinct(mu.pos)
-    return LinearCharacterSpec(
-        G,
-        mu,
-        None,
-        cval={i: root(1, 2 * _odd_part(i)) for i in negs},
-        xval={i: MINUS_ONE for i in negs},
-        dval={j: root(1, j) for j in poss},
-        yval={j: ONE for j in poss},
-        rval={j: MINUS_ONE if j % 2 == 0 else ONE for j in poss},
-        name="phiB",
+    # zeta_2k = zeta_2L^(2^l) for L = 2^l k, and 2^l = L & -L
+    return _spec(
+        GroupDescriptor("B", mu.n), mu, None, "phiB",
+        lambda L, negative: (L & -L, 1, 0) if negative else (2, 0, 1 - L % 2),
     )
 
 
@@ -149,63 +128,35 @@ def psi_mu(mu: SignedPartition) -> LinearCharacterSpec:
     """The character behind phi_D, on the full hyperoctahedral centralizer."""
     if len(mu.neg) % 2:
         raise ValueError("psi needs an even number of negative parts")
-    G = GroupDescriptor("B", mu.n)
-    negs = _distinct(mu.neg)
-    poss = _distinct(mu.pos)
-    return LinearCharacterSpec(
-        G,
-        mu,
-        None,
-        cval={i: root(1, 2 * i) for i in negs},
-        xval={i: MINUS_ONE for i in negs},
-        dval={j: root(1, j) for j in poss},
-        yval={j: ONE for j in poss},
-        rval={j: MINUS_ONE for j in poss},
-        name="psi",
+    return _spec(
+        GroupDescriptor("B", mu.n), mu, None, "psi",
+        lambda L, negative: (1, 1, 0) if negative else (2, 0, 1),
     )
 
 
 def phi_D(mu: SignedPartition, tag: str | None = None) -> LinearCharacterSpec:
-    base = psi_mu(mu)
     G = GroupDescriptor("D", mu.n)
-    return LinearCharacterSpec(
-        G, mu, tag, base.cval, base.xval, base.yval, base.dval, base.rval, name="phiD"
-    )
+    return LinearCharacterSpec(G, mu, tag, psi_mu(mu).values, name="phiD")
 
 
 def alpha_char(G, label, tag=None) -> LinearCharacterSpec:
     """Determinant on Fix(w): -1 on positive-block swaps and negations."""
-    negs = _distinct(label.neg)
-    poss = _distinct(label.pos)
-    return LinearCharacterSpec(
-        G,
-        label,
-        tag,
-        cval={i: ONE for i in negs},
-        xval={i: ONE for i in negs},
-        dval={j: ONE for j in poss},
-        yval={j: MINUS_ONE for j in poss},
-        rval={j: MINUS_ONE for j in poss},
-        name="alpha",
+    return _spec(
+        G, label, tag, "alpha",
+        lambda L, negative: (0, 0, 0) if negative else (0, 1, 1),
     )
+
+
+def _sign_rule(L, negative):
+    """The sign of a negative L-cycle, and of a swap or a negation of
+    L-blocks, is (-1)^L; that of a positive L-cycle is (-1)^(L-1)."""
+    odd = L % 2
+    return (L * odd, odd, 0) if negative else (L * (1 - odd), odd, odd)
 
 
 def epsilon_char(G, label, tag=None) -> LinearCharacterSpec:
     """The sign character of the group, restricted to the centralizer."""
-    negs = _distinct(label.neg)
-    poss = _distinct(label.pos)
-    sign = lambda k: MINUS_ONE if k % 2 else ONE
-    return LinearCharacterSpec(
-        G,
-        label,
-        tag,
-        cval={i: sign(i) for i in negs},
-        xval={i: sign(i) for i in negs},
-        dval={j: sign(j - 1) for j in poss},
-        yval={j: sign(j) for j in poss},
-        rval={j: sign(j) for j in poss},
-        name="epsilon",
-    )
+    return _spec(G, label, tag, "epsilon", _sign_rule)
 
 
 def spec_product(*specs: LinearCharacterSpec) -> LinearCharacterSpec:
@@ -213,23 +164,12 @@ def spec_product(*specs: LinearCharacterSpec) -> LinearCharacterSpec:
     for s in specs[1:]:
         if (s.group, s.label, s.tag) != (first.group, first.label, first.tag):
             raise ValueError("character product needs a common base class")
-
-    def merge(maps):
-        out = {}
-        for m in maps:
-            for k, v in m.items():
-                out[k] = root_mul(out.get(k, ONE), v)
-        return out
-
+    values = {}
+    for key in first.values:
+        a, s, r = (sum(column) for column in zip(*(spec.values[key] for spec in specs)))
+        values[key] = (a, s % 2, r % 2)
     return LinearCharacterSpec(
-        first.group,
-        first.label,
-        first.tag,
-        cval=merge([s.cval for s in specs]),
-        xval=merge([s.xval for s in specs]),
-        yval=merge([s.yval for s in specs]),
-        dval=merge([s.dval for s in specs]),
-        rval=merge([s.rval for s in specs]),
+        first.group, first.label, first.tag, values,
         name="*".join(s.name for s in specs),
     )
 

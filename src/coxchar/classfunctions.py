@@ -15,20 +15,21 @@ the weighted class tallies of the families
 (centralizers.centralizer_tallies) are convolved on keys of two ints.
 The cycle-type code adds over families and leads, with the D split side,
 straight to a class (groups.code_index).  The phase is 4e + bits: the
-value zeta_M^e, M the lcm of the orders of chi's values on this call's
-summaries, so values multiply as e adds mod M; in type D the low bits
-hold the parity of the negative entries and the split side, which add
-mod 2.  Each class's bucket (e -> count) is a union of Galois orbits of
-roots, since Weyl group classes are rational, and is read once as the
-sum over its orbits of count * mu(order); a bucket that is not such a
-union (an irrational value) or a value that is not an integer is an
-internal error (AssertionError).
+value zeta_M^e, M the lcm of 2L over the families of L-cycles of w (on
+a family element chi is a 2L-th root of unity, read as an exponent by
+LinearCharacterSpec.exponent), so values multiply as e adds mod M; in
+type D the low bits hold the parity of the negative entries and the
+split side, which add mod 2.  Each class's bucket (e -> count) is a
+union of Galois orbits of roots, since Weyl group classes are rational,
+and is read once as the sum over its orbits of count * mu(order); a
+bucket that is not such a union (an irrational value) or a value that is
+not an integer is an internal error (AssertionError).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .centralizers import centralizer_tallies
@@ -177,25 +178,14 @@ def induce_from_centralizer(
     classes = conjugacy_classes(G)
     order_h = classes[class_index(G)[(chi.label, chi.tag)]].centralizer_order
 
-    families = centralizer_tallies(chi.label, G.family)
-    roots = {}
-    for negative, family in families:
-        for summary in family:
-            if negative:
-                roots[summary] = chi.evaluate_summaries((summary,), ())
-            else:
-                roots[summary] = chi.evaluate_summaries((), (summary,))
-    m = 1
-    for _, order in roots.values():
-        m = m * order // gcd(m, order)
+    m = lcm(*(2 * length for length in chi.label.neg + chi.label.pos))
     m4 = 4 * m
-
     tally = {(0, 0): 1}
-    for _, family in families:
+    for family in centralizer_tallies(chi.label, G.family):
         valued: dict = {}
         for summary, rows in family.items():
-            k, order = roots[summary]
-            shift = 4 * k * (m // order)
+            e, order = chi.exponent(summary)
+            shift = 4 * e * (m // order)
             for code, bits, weight in rows:
                 key = (code, shift + bits)
                 valued[key] = valued.get(key, 0) + weight

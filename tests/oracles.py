@@ -31,9 +31,12 @@ replace, fixed spaces as rational subspaces
 (`w_mu`, `class_rep`), the named generators and the element stream of a
 centralizer (`centralizer_generators`, `centralizer_elements`), the
 coordinates of a centralizer element (`coordinates`, `reassemble`), and
-a linear character evaluated element by element (`evaluate`), also at
-every class representative when the base is central
-(`class_function_of_spec`), which induction computes from class tallies.
+a linear character evaluated element by element (`evaluate`, the
+product of its families' values in `evaluate_summaries`, on roots of
+unity as normalized pairs: `Root`, `root`, `root_mul`, `root_pow`), also
+at every class representative when the base is central
+(`class_function_of_spec`), which induction computes from class tallies
+and per-family exponents.
 Last come the label helpers only tests use (`mu_bar`,
 `parse_signed_partition`, `root_conj`, `reflection_exponents`).
 """
@@ -50,7 +53,6 @@ from math import factorial, gcd, prod
 from coxchar.centralizers import _runs, _z
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction
-from coxchar.cyclotomic import ONE, Root, root, root_mul
 from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
@@ -64,6 +66,37 @@ from coxchar.linalg import Subspace, det, kernel
 from coxchar.partitions import SignedPartition, _tokenize, partitions
 from coxchar.shapes import Shape, _check_shape
 from signedperm import SignedPermutation
+
+
+# -- roots of unity --------------------------------------------------------------
+#
+# A root of unity is a pair (k, m) standing for exp(2*pi*i*k/m), kept
+# normalized with gcd(k, m) = 1, so m is its true order.  The library reads
+# a character value as an exponent of the fixed order 2L of its family
+# (LinearCharacterSpec.exponent) and never multiplies two values.
+
+Root = tuple[int, int]
+
+ONE: Root = (0, 1)
+MINUS_ONE: Root = (1, 2)
+
+
+def root(k: int, m: int) -> Root:
+    """The root of unity exp(2*pi*i*k/m), normalized."""
+    if m <= 0:
+        raise ValueError("order must be positive")
+    k %= m
+    g = gcd(k, m)
+    return (k // g, m // g)
+
+
+def root_mul(a: Root, b: Root) -> Root:
+    m = a[1] * b[1] // gcd(a[1], b[1])
+    return root(a[0] * (m // a[1]) + b[0] * (m // b[1]), m)
+
+
+def root_pow(a: Root, k: int) -> Root:
+    return root(a[0] * k, a[1])
 
 
 def _poly_divide(num: list[int], den: list[int]) -> list[int]:
@@ -820,9 +853,18 @@ def conjugate_by_first_flip(images):
 # -- character values element by element ------------------------------------------
 
 
+def evaluate_summaries(spec: LinearCharacterSpec, neg_summary, pos_summary) -> Root:
+    """The value at an element with these per-family summaries: the product
+    of its families' values, each read off LinearCharacterSpec.exponent."""
+    value = ONE
+    for summary in neg_summary + pos_summary:
+        value = root_mul(value, root(*spec.exponent(summary)))
+    return value
+
+
 def _summaries(coords: CentralizerCoordinates):
-    """The per-length (twist, sign[, flips]) data that
-    LinearCharacterSpec.evaluate_summaries reads, from coordinates."""
+    """The per-family (length, twist, sign[, flips]) data that
+    evaluate_summaries reads, from coordinates."""
     def perm_sign(perm):
         m = len(perm)
         inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
@@ -853,7 +895,7 @@ def evaluate(spec: LinearCharacterSpec, g: SignedPermutation) -> Root:
     if spec.tag == "-":
         g = g.conjugate(SignedPermutation.flip(g.n))
     coords = coordinates(g, spec.label)
-    return spec.evaluate_summaries(*_summaries(coords))
+    return evaluate_summaries(spec, *_summaries(coords))
 
 
 def class_function_of_spec(G: GroupDescriptor, spec: LinearCharacterSpec):
@@ -1010,10 +1052,7 @@ def induce_by_root_tallies(G: GroupDescriptor, chi: LinearCharacterSpec):
         valued: dict = {}
         family = _root_family_tally(length, m, negative, G.family != "A")
         for (cycles, summary, negatives, side), weight in family.items():
-            if negative:
-                value = chi.evaluate_summaries((summary,), ())
-            else:
-                value = chi.evaluate_summaries((), (summary,))
+            value = root(*chi.exponent(summary))
             if not in_d:
                 negatives = 0
             if not in_d or any(c < 0 or c % 2 for c in cycles):

@@ -12,7 +12,6 @@ from conftest import stretch_enabled
 from coxchar.centralizers import centralizer_order
 from coxchar.characters import phi_B, phi_for_class, psi_mu
 from coxchar.classfunctions import induce_from_centralizer
-from coxchar.cyclotomic import root_mul
 from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.lattice import get_lattice
 from coxchar.partitions import signed_partitions
@@ -26,10 +25,12 @@ from oracles import (
     centralizer_elements,
     class_of,
     evaluate,
+    evaluate_summaries,
     flat_codim,
     group_elements,
     induce_direct,
     reflection_exponents,
+    root_mul,
     signed_cycle_type,
     w_mu,
 )
@@ -160,8 +161,8 @@ def test_criterion_6_homomorphism_oracle():
             for images, neg_sum, pos_sum in centralizer_elements(n, mu):
                 elements.append(SignedPermutation(images))
                 for spec in specs:
-                    table[spec.name][images] = spec.evaluate_summaries(
-                        neg_sum, pos_sum
+                    table[spec.name][images] = evaluate_summaries(
+                        spec, neg_sum, pos_sum
                     )
             for spec in specs:
                 values = table[spec.name]

@@ -5,58 +5,88 @@ import pytest
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
+    chi_char,
     epsilon_char,
     phi_A,
     phi_B,
     phi_D,
+    phi_for_class,
     psi_mu,
     spec_product,
 )
-from coxchar.cyclotomic import MINUS_ONE, ONE, root, root_mul
-from coxchar.groups import GroupDescriptor
+from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import Shape
 from oracles import (
+    MINUS_ONE,
+    ONE,
     alpha_on_centralizer,
     base_rep,
     centralizer_elements,
     centralizer_generators,
     class_rep,
+    coordinates,
     element_sign,
     evaluate,
+    evaluate_summaries,
     group_elements,
+    root,
+    root_mul,
+    _summaries,
 )
 from signedperm import SignedPermutation
 
 
 def test_lemma_order_conditions_enforced():
+    """A negative 2-cycle has order 4, so every exponent a gives a 4th root
+    and is kept mod 4; a positive 2-cycle has order 2, so an odd a (a 4th
+    root that is not a square root of 1) is refused."""
     mu = SignedPartition((2,), (2,))
     G = GroupDescriptor("B", 4)
+    spec = LinearCharacterSpec(G, mu, None, {-2: (5, 0, 0), 2: (2, 0, 0)})
+    assert spec.values == {-2: (1, 0, 0), 2: (2, 0, 0)}
+    assert spec.exponent((2, 1, 1)) == (1, 4)  # zeta_4 at c
+    assert spec.exponent((2, 1, 1, 0)) == (2, 4)  # -1 at d
+    with pytest.raises(ValueError, match="2-th root"):
+        LinearCharacterSpec(G, mu, None, {-2: (1, 0, 0), 2: (1, 0, 0)})
+
+
+FAMILIES_B3 = {-1: (1, 1, 0), 2: (2, 0, 1)}  # label -1+2 of B3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {},  # no family
+        {-1: (1, 1, 0)},  # the positive 2-cycles missing
+        {**FAMILIES_B3, 1: (0, 0, 0)},  # a family the label lacks
+        {**FAMILIES_B3, 2: (1, 0, 0)},  # odd a on a positive family
+        {**FAMILIES_B3, -1: (1, 2, 0)},  # s outside {0, 1}
+        {**FAMILIES_B3, 2: (2, 0, -1)},  # r outside {0, 1}
+        {**FAMILIES_B3, -1: (1, 1, 1)},  # r on a negative family
+        {**FAMILIES_B3, 2: (2, 0)},  # not a triple
+    ],
+    ids=["empty", "missing", "extra", "odd-a", "s", "r", "negated-neg", "pair"],
+)
+def test_spec_validation_at_construction(values):
+    mu = SignedPartition((1,), (2,))
+    G = GroupDescriptor("B", 3)
+    LinearCharacterSpec(G, mu, None, FAMILIES_B3)
     with pytest.raises(ValueError):
-        LinearCharacterSpec(
-            G, mu, None,
-            cval={2: root(1, 3)},  # not a 4th root
-            xval={}, yval={}, dval={2: ONE}, rval={2: ONE},
-        )
-    with pytest.raises(ValueError):
-        LinearCharacterSpec(
-            G, mu, None,
-            cval={2: root(1, 4)},
-            xval={}, yval={}, dval={2: root(1, 4)},  # not a 2nd root
-            rval={2: ONE},
-        )
+        LinearCharacterSpec(G, mu, None, values)
 
 
 def test_phi_b_generator_values():
-    # mu_i = 4 = 2^2: zeta_2 = -1 on the negative 4-cycle
+    # mu_i = 4 = 2^2: zeta_2 = zeta_8^4 = -1 on the negative 4-cycle
     mu = SignedPartition((4,), (3,))
     spec = phi_B(mu)
-    assert spec.cval[4] == MINUS_ONE
+    assert spec.values[-4][0] == 4
+    assert root(*spec.exponent((4, 1, 1))) == MINUS_ONE
     # r_j value (-1)^(j-1): +1 for odd parts
-    assert spec.rval[3] == ONE
-    assert phi_B(SignedPartition((), (2,))).rval[2] == MINUS_ONE
-    assert phi_B(SignedPartition((1, 1), ())).xval[1] == MINUS_ONE
-    assert phi_B(SignedPartition((), (2, 2))).yval[2] == ONE
+    assert spec.values[3][2] == 0
+    assert phi_B(SignedPartition((), (2,))).values[2][2] == 1
+    assert phi_B(SignedPartition((1, 1), ())).values[-1][1] == 1
+    assert phi_B(SignedPartition((), (2, 2))).values[2][1] == 0
     mu = SignedPartition((1, 1), ())
     gens = centralizer_generators(2, mu)
     x1 = gens.neg_swaps[0][1]
@@ -67,8 +97,9 @@ def test_psi_values():
     mu = SignedPartition((2, 2), (3, 1))
     spec = psi_mu(mu)
     # a negative i-cycle has order 2i, psi sends it to zeta_2i
-    assert spec.cval[2] == root(1, 4)
-    assert spec.rval[3] == MINUS_ONE and spec.rval[1] == MINUS_ONE
+    assert spec.values[-2][0] == 1
+    assert root(*spec.exponent((2, 1, 1))) == root(1, 4)
+    assert spec.values[3][2] == 1 and spec.values[1][2] == 1
     gens = centralizer_generators(8, mu)
     c1 = gens.neg_cycles[0]
     assert c1.order() == 4
@@ -169,7 +200,7 @@ def test_homomorphism_exhaustive(n):
             g = SignedPermutation(images)
             elements.append(g)
             for spec in specs:
-                values[spec.name][images] = spec.evaluate_summaries(neg_sum, pos_sum)
+                values[spec.name][images] = evaluate_summaries(spec, neg_sum, pos_sum)
         for spec in specs:
             table = values[spec.name]
             for g in elements:
@@ -205,7 +236,7 @@ def test_epsilon_spec_matches_sign_character():
         G = GroupDescriptor("B", n)
         spec = epsilon_char(G, mu)
         for images, neg_sum, pos_sum in centralizer_elements(n, mu):
-            got = spec.evaluate_summaries(neg_sum, pos_sum)
+            got = evaluate_summaries(spec, neg_sum, pos_sum)
             expected = element_sign(G, SignedPermutation(images))
             assert got == (ONE if expected == 1 else MINUS_ONE)
 
@@ -282,3 +313,91 @@ def test_spec_product_and_transport():
     assert evaluate(chi, g) == expected
     with pytest.raises(ValueError):
         spec_product(phi_B(mu), phi_D(mu, "+"))
+
+
+def _sign(k):
+    return MINUS_ONE if k % 2 else ONE
+
+
+def _stock_values(family, negative, length):
+    """The (cycle, swap, negation) values of phi, alpha and epsilon on a
+    family of length-cycles, as roots, read off the module docstring of
+    characters; a negative family has no negation, valued 1."""
+    if family == "A":
+        phi = (root(1, length), ONE, ONE)
+    elif family == "B" and negative:
+        odd = length
+        while odd % 2 == 0:
+            odd //= 2
+        phi = (root(1, 2 * odd), MINUS_ONE, ONE)
+    elif family == "B":
+        phi = (root(1, length), ONE, _sign(length - 1))
+    elif negative:  # phi_D is psi
+        phi = (root(1, 2 * length), MINUS_ONE, ONE)
+    else:
+        phi = (root(1, length), ONE, MINUS_ONE)
+    if negative:
+        alpha = (ONE, ONE, ONE)
+        epsilon = (_sign(length), _sign(length), ONE)
+    else:
+        alpha = (ONE, MINUS_ONE, MINUS_ONE)
+        epsilon = (_sign(length - 1), _sign(length), _sign(length))
+    alpha_phi = tuple(map(root_mul, alpha, phi))
+    return {"phi": phi, "alpha*phi": alpha_phi,
+            "chi": tuple(map(root_mul, epsilon, alpha_phi))}
+
+
+def _generators(G, mu):
+    """(family key, kind, generator) over the named generators of
+    C_{B_n}(w_mu); kind 0, 1, 2 is a cycle, a block swap, a negation.
+    Type A has no negations."""
+    gens = centralizer_generators(G.degree, mu)
+    for length, g in zip(mu.neg, gens.neg_cycles):
+        yield -length, 0, g
+    for length, g in zip(mu.pos, gens.pos_cycles):
+        yield length, 0, g
+    for i, g in gens.neg_swaps:
+        yield -mu.neg[i], 1, g
+    for j, g in gens.pos_swaps:
+        yield mu.pos[j], 1, g
+    if G.family != "A":
+        for length, g in zip(mu.pos, gens.flips):
+            yield length, 2, g
+
+
+DIFFERENTIAL_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 7)]
+    + [GroupDescriptor("B", r) for r in range(1, 7)]
+    + [GroupDescriptor("D", r) for r in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("G", DIFFERENTIAL_GROUPS, ids=str)
+def test_stock_triples_at_the_centralizer_generators(G):
+    """For phi, alpha.phi and chi on every class: the element-by-element
+    value at each named generator of C(w_mu) (the oracle's coordinates,
+    summaries and evaluate_summaries) equals the value the spec's triple
+    (a, s, r) documents there, zeta_2L^a, (-1)^s or (-1)^r, and the stock
+    rule's value written out as a root.  In type D the generators are taken
+    in C_{B_n}(w_mu), whose restriction the character is, and on the base
+    w_mu itself (a '-' tag is transported by conjugation only when
+    evaluating at a group element)."""
+    checked = 0
+    for cls in conjugacy_classes(G):
+        mu, tag = cls.label, cls.tag
+        specs = {
+            "phi": phi_for_class(G, mu, tag),
+            "alpha*phi": spec_product(alpha_char(G, mu, tag), phi_for_class(G, mu, tag)),
+            "chi": chi_char(G, mu, tag),
+        }
+        for key, kind, g in _generators(G, mu):
+            length = abs(key)
+            stock = _stock_values(G.family, key < 0, length)
+            summaries = _summaries(coordinates(g, mu))
+            for name, spec in specs.items():
+                a, s, r = spec.values[key]
+                documented = (root(a, 2 * length), root(s, 2), root(r, 2))[kind]
+                got = evaluate_summaries(spec, *summaries)
+                assert got == documented == stock[name][kind], (G, mu, tag, name, key, kind)
+                checked += 1
+    assert checked

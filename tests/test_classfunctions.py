@@ -24,7 +24,6 @@ from coxchar.classfunctions import (
     zero_function,
 )
 from coxchar.cli import main
-from coxchar.cyclotomic import root, root_mul
 from coxchar.groups import (
     GroupDescriptor,
     class_index,
@@ -42,6 +41,7 @@ from oracles import (
     class_rep,
     conjugate_by_first_flip,
     element_sign,
+    evaluate_summaries,
     group_elements,
     induce_by_root_tallies,
     induce_direct,
@@ -157,7 +157,7 @@ def induce_by_streaming(G, chi):
         parity=0 if G.family == "D" else None,
     ):
         count += 1
-        value = chi.evaluate_summaries(neg_summary, pos_summary)
+        value = evaluate_summaries(chi, neg_summary, pos_summary)
         if chi.tag == "-":
             images = conjugate_by_first_flip(images)
         key = class_key(SignedPermutation(images), G.family)
@@ -346,7 +346,7 @@ def test_frobenius_reciprocity(G):
                 g = SignedPermutation(images)
                 if chi.tag == "-":
                     g = g.conjugate(SignedPermutation.flip(G.degree))
-                value = chi.evaluate_summaries(neg_sum, pos_sum)
+                value = evaluate_summaries(chi, neg_sum, pos_sum)
                 total = total + Cyc.from_root(value).scale(theta_fn(g))
                 count += 1
             rhs = total.scale(Fraction(1, count))
@@ -422,21 +422,22 @@ def test_integer_value_reduces_and_scales():
 
 
 def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
-    """Every value of a character based at the identity times a cube root:
-    the central base goes through the class tallies, and the bucket of the
-    identity class is that root with weight 1."""
-    G = GroupDescriptor("B", 3)
-    identity = SignedPartition((), (1, 1, 1))
-    real = LinearCharacterSpec.evaluate_summaries
+    """Every value of a character based at the transposition of A1 = S_2,
+    a central base with one family of 2-cycles, times zeta_4: the central
+    base goes through the class tallies, and the bucket of the identity
+    class is zeta_4 with weight 1."""
+    G = GroupDescriptor("A", 1)
+    transposition = SignedPartition((), (2,))
+    real = LinearCharacterSpec.exponent
 
-    def skewed(self, neg_summary, pos_summary):
-        value = real(self, neg_summary, pos_summary)
-        return root_mul(value, root(1, 3)) if self.label == identity else value
+    def skewed(self, summary):
+        e, order = real(self, summary)
+        return (e + (self.label == transposition)) % order, order
 
-    monkeypatch.setattr(LinearCharacterSpec, "evaluate_summaries", skewed)
+    monkeypatch.setattr(LinearCharacterSpec, "exponent", skewed)
     with pytest.raises(AssertionError, match="irrational"):
-        induce_from_centralizer(G, phi_for_class(G, identity))
-    assert main(["--family", "B", "--rank", "3", "--check", "regular"]) == 3
+        induce_from_centralizer(G, phi_for_class(G, transposition))
+    assert main(["--family", "A", "--rank", "1", "--check", "regular"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -444,14 +445,16 @@ def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_irrational_tallied_value_is_an_internal_error(monkeypatch):
-    """Every tallied value times a cube root: the reduction of a bucket with
-    a nonzero sum is irrational."""
-    real = LinearCharacterSpec.evaluate_summaries
+    """Every family's value times zeta_2L, so every tallied value of the
+    base +2+1 of B3 times zeta_4 * zeta_2: the reduction of a bucket with a
+    nonzero sum is irrational."""
+    real = LinearCharacterSpec.exponent
 
-    def skewed(self, neg_summary, pos_summary):
-        return root_mul(real(self, neg_summary, pos_summary), root(1, 3))
+    def skewed(self, summary):
+        e, order = real(self, summary)
+        return (e + 1) % order, order
 
-    monkeypatch.setattr(LinearCharacterSpec, "evaluate_summaries", skewed)
+    monkeypatch.setattr(LinearCharacterSpec, "exponent", skewed)
     G = GroupDescriptor("B", 3)
     with pytest.raises(AssertionError, match="irrational"):
         induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (2, 1))))

@@ -1,15 +1,17 @@
 from fractions import Fraction
 from math import gcd
 
-from coxchar.cyclotomic import (
+from coxchar.cyclotomic import totient_moebius
+from oracles import (
     MINUS_ONE,
     ONE,
+    Cyc,
+    cyclotomic_polynomial,
     root,
+    root_conj,
     root_mul,
     root_pow,
-    totient_moebius,
 )
-from oracles import Cyc, cyclotomic_polynomial, root_conj
 
 
 def test_root_normalization():
