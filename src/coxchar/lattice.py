@@ -53,31 +53,29 @@ D_Z complements (Lehrer, J. London Math. Soc. 1987):
 - Z in type B: the product, over each (sigma, L) shared by m cycles of
   w|Z, of prod_{j<m} (b - 2 L j), b = -1 for L = 1, sigma for L a power
   of 2 above 1, and 0 otherwise;
-- Z in type D: the B value with F(m+) F(m-), the factor of the zero
-  1-cycles, replaced by F(m+) F(m-) + m+ F(m+ - 1) F(m-)
-  + m- F(m+) F(m- - 1); F(m) = prod_{j<m} (-1 - 2j), m+ and m- the
-  numbers of positive and negative 1-cycles.
+- Z in type D: the B value, or any one zero 1-cycle spared with factor
+  1 and the rest valued as in B: F(m+) F(m-) + m+ F(m+ - 1) F(m-)
+  + m- F(m+) F(m- - 1), F(m) = prod_{j<m} (-1 - 2j), m+ and m- the
+  numbers of positive and negative zero 1-cycles.
 
-So the structures are counted with their mu_w folded in
-(_weighted_structures): each partial structure carries count times the
-factors decided so far, and one whose factor is 0 is never made: no
-orbit opens with mu(r) = 0, no cycle joins an orbit of another length,
-and no cycle of length L > 1 other than a power of 2 goes into Z.  The
-cycles are placed in ascending (L, sigma); an orbit holds cycles of one
-(L, sigma), since lam and r fix sigma, so when (L, sigma) moves on its
-open orbits close into block sizes and partial structures merge.  The
-zero 1-cycle counts m+ and m- stay in the state, and their factor is
-taken once per (shape, m-, m+) when the weights are summed by shape
-(_shape_sums).  None of this reads a flat.  The flats are still built,
-as bare points and only so that they are counted, and the flat budget
-refuses a lattice larger than it from its exact size (flat_count).
+An orbit holds the cycles of one run of equal (L, sigma), since lam and r
+fix sigma, so mu_w is a product of one factor per run, bar the one spare.
+Each run's structures are counted once, with their factors folded in
+(_run_table): a partial structure carries count times the factors decided
+so far, and one whose factor is 0 is never made: no orbit opens with
+mu(r) = 0, no cycle joins an orbit of another length, and no cycle of
+length L > 1 other than a power of 2 goes into Z.  A class's table is the
+product of its runs' tables (_weighted_structures).  None of this reads a
+flat.  The flats are still built, as bare points and only so that they
+are counted, and the flat budget refuses a lattice larger than it from
+its exact size (flat_count).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 from .cyclotomic import totient_moebius
 from .groups import (
@@ -121,17 +119,15 @@ class Lattice:
 
     # -- fixed subposets and their Moebius functions -------------------------
 
-    def fixed_subposet(self, k: int) -> dict[tuple, int]:
-        """(shape, zero 1-cycles) -> the flats stable under class k, each
-        weighted by its mu_w factors but that of its zero 1-cycles
-        (_weighted_structures)."""
+    def fixed_subposet(self, k: int) -> dict[Shape, int]:
+        """Shape -> sum of mu_w(V, X) over the flats X of that shape stable
+        under class k, zero sums kept (_weighted_structures)."""
         cls = self.classes[k]
         return _weighted_structures(self.G, cls.label, cls.tag)
 
-    def moebius(self, subposet: dict[tuple, int]) -> dict[Shape, int]:
-        """Shape -> sum of mu_w(V, X) over the flats X that subposet =
-        fixed_subposet(k) weighs, zero sums dropped (_shape_sums)."""
-        return _shape_sums(self.G.family, subposet)
+    def moebius(self, subposet: dict[Shape, int]) -> dict[Shape, int]:
+        """subposet = fixed_subposet(k) with its zero sums dropped."""
+        return {shape: total for shape, total in subposet.items() if total}
 
     def shape_mu(self, k: int) -> dict[Shape, int]:
         """Shape -> sum of mu_w(X) over the flats X of that shape stable
@@ -185,44 +181,90 @@ def _negated(G: GroupDescriptor, cls):
 
 
 @lru_cache(maxsize=None)
-def _ones_mu(m: int) -> int:
-    """F(m) = prod_{j<m} (-1 - 2j), the type B factor of m zero 1-cycles
-    of one sign."""
-    return prod(-1 - 2 * j for j in range(m))
+def _run_table(family: str, length: int, sigma: int, run: int) -> tuple:
+    """((block sizes, spared, parity), weight) over the structures of run
+    cycles of length L and sign sigma, count * weight summed by key; a
+    cached tuple, so no caller can change it.
 
+    A structure's count is the number of flats it stands for: the orbit's
+    first cycle puts c_0 in its first block with sign +, and every cycle
+    that joins it picks the block of its c_0 and, in types B and D, a
+    sign, k * |signs| flats each.  Its weight, the product of its mu_w
+    factors, is taken as each cycle is placed: mu(r) when an orbit opens,
+    -j r on its j-th join, b - 2 L j for the j-th zero cycle, and in type
+    D 1 for a spared zero 1-cycle if none is spared yet.  The partial
+    structures are kept by their open orbits (k, lam, cycles), zero
+    cycles, spared bit and parity; each state is extended once.
+    """
+    signs = (1,) if family == "A" else (1, -1)
 
-def _shape_sums(family: str, weighted: dict) -> dict[Shape, int]:
-    """Shape -> sum of mu_w(V, X) from _weighted_structures: each weight
-    times the factor of its zero 1-cycles, summed by shape, zero sums
-    dropped."""
-    table: dict[Shape, int] = {}
-    for (shape, (neg, pos)), weight in weighted.items():
-        ones = _ones_mu(neg) * _ones_mu(pos)
-        if family == "D":
-            ones += pos * _ones_mu(pos - 1) * _ones_mu(neg)
-            ones += neg * _ones_mu(pos) * _ones_mu(neg - 1)
-        table[shape] = table.get(shape, 0) + weight * ones
-    return {shape: total for shape, total in table.items() if total}
+    def placements(k, lam, offsets, flips):
+        """(parity of the negatives written, how many placements) over the
+        given offsets and signs; in types A and B the parity is not kept."""
+        if family != "D":
+            return ((0, len(offsets) * len(flips)),)
+        counts = [0, 0]
+        for o in offsets:
+            odd = sum(lam ** ((o + j) // k) < 0 for j in range(length))
+            for a in flips:
+                counts[(odd if a == 1 else length - odd) % 2] += 1
+        return tuple((bit, m) for bit, m in enumerate(counts) if m)
+
+    fits = [
+        (k, lam)
+        for k in range(1, length + 1)
+        if length % k == 0 and totient_moebius(length // k)[1]
+        for lam in signs
+        if sigma * lam ** (length // k) == 1
+    ]
+    opens = {
+        f: tuple((bit, m * totient_moebius(length // f[0])[1])
+                 for bit, m in placements(*f, (0,), (1,)))
+        for f in fits
+    }
+    joins = {f: placements(*f, range(f[0]), signs) for f in fits}
+    # a zero L-cycle has factor 0 unless L is a power of 2
+    zeroable = family != "A" and length & (length - 1) == 0
+    b = -1 if length == 1 else sigma
+    states = {((), 0, 0, 0): 1}  # (open orbits, zero cycles, spared, parity)
+
+    def add(state, weight):
+        states[state] = states.get(state, 0) + weight
+
+    for _ in range(run):
+        part, states = states, {}
+        for (orbits, zero, spared, parity), count in part.items():
+            if zeroable:
+                add((orbits, zero + 1, spared, parity), count * (b - 2 * length * zero))
+                if family == "D" and length == 1 and not spared:
+                    add((orbits, zero, 1, parity), count)
+            for i, (k, lam, j) in enumerate(orbits):
+                if (k, lam) not in joins:
+                    continue
+                rest = tuple(sorted(orbits[:i] + ((k, lam, j + 1),) + orbits[i + 1:]))
+                weight = count * -j * (length // k)
+                for bit, m in joins[k, lam]:
+                    add((rest, zero, spared, parity ^ bit), weight * m)
+            for (k, lam), ways in opens.items():
+                rest = tuple(sorted(orbits + ((k, lam, 1),)))
+                for bit, m in ways:
+                    add((rest, zero, spared, parity ^ bit), count * m)
+    table: dict = {}
+    for (orbits, _, spared, parity), weight in states.items():
+        sizes = tuple(sorted(j * (length // k) for k, _, j in orbits for _ in range(k)))
+        table[sizes, spared, parity] = table.get((sizes, spared, parity), 0) + weight
+    return tuple(table.items())
 
 
 def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dict:
-    """(shape, (m-_1, m+_1)) -> sum of count * weight over the stable
-    structures of the class (mu, tag) whose zero block holds m-_1 negative
-    and m+_1 positive 1-cycles; no flat is built.
+    """Shape -> sum of mu_w(V, X) over the flats X of that shape stable
+    under an element w of the class (mu, tag), zero sums kept: the product
+    of its runs' tables (_run_table), block sizes merged, parities added
+    and no two spared runs; no flat is built.
 
     For tag None or '+', w is w_mu, whose cycles run c_0 -> c_1 -> ... over
     consecutive coordinates from the smallest, every step positive except
-    the last one of a negative cycle.  A structure's count is the number of
-    flats it stands for: the orbit's first cycle puts c_0 in its first
-    block with sign +, and every cycle that joins it picks the block of its
-    c_0 and, in types B and D, a sign, k * |signs| flats each.  Its weight
-    is the product of the mu_w factors of its orbits and of its zero cycles
-    longer than 1 (module docstring), taken as each cycle is placed.
-
-    The cycles are placed one run of equal (L, sigma) at a time.  The
-    state is the block sizes of the closed orbits, the zero 1-cycles, the
-    run's open orbits (k, lam, cycles) and zero cycles, and in type D the
-    parity; equal states have equal futures, so each is extended once.
+    the last one of a negative cycle.
 
     Only the D shapes with no zero block and all blocks even split, by the
     parity of the negative entries of the canonical point.  A cycle placed
@@ -235,85 +277,29 @@ def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> d
     sizes and flipping one entry of each point, so the split tags swap.
     """
     family = G.family
-    signs = (1,) if family == "A" else (1, -1)
     cycles = Counter(
         [(length, -1) for length in mu.neg] + [(length, 1) for length in mu.pos]
     )
+    states = {((), 0, 0): 1}  # (block sizes, spared, parity)
+    for (length, sigma), run in cycles.items():
+        part, states = states, {}
+        for (sizes, spared, parity), count in part.items():
+            for (more, spare, bit), weight in _run_table(family, length, sigma, run):
+                if spared and spare:
+                    continue
+                state = (tuple(sorted(sizes + more)), spared | spare, parity ^ bit)
+                states[state] = states.get(state, 0) + count * weight
 
-    def placements(length, k, lam, offsets, flips):
-        """(parity of the negatives written, how many placements) over the
-        given offsets and signs; in types A and B the parity is not kept."""
-        if family != "D":
-            return ((0, len(offsets) * len(flips)),)
-        counts = [0, 0]
-        for o in offsets:
-            odd = sum(lam ** ((o + j) // k) < 0 for j in range(length))
-            for a in flips:
-                counts[(odd if a == 1 else length - odd) % 2] += 1
-        return tuple((bit, m) for bit, m in enumerate(counts) if m)
-
-    states = {((), (0, 0), 0): 1}  # (block sizes, zero 1-cycles, parity)
-    for (length, sigma), run in sorted(cycles.items()):
-        fits = [
-            (k, lam)
-            for k in range(1, length + 1)
-            if length % k == 0 and totient_moebius(length // k)[1]
-            for lam in signs
-            if sigma * lam ** (length // k) == 1
-        ]
-        opens = {
-            f: tuple((bit, m * totient_moebius(length // f[0])[1])
-                     for bit, m in placements(length, *f, (0,), (1,)))
-            for f in fits
-        }
-        joins = {f: placements(length, *f, range(f[0]), signs) for f in fits}
-        # a zero L-cycle has factor 0 unless L is a power of 2 (b = 0)
-        zeroable = family != "A" and length & (length - 1) == 0
-        grown = {
-            (sizes, ones, (), 0, parity): count
-            for (sizes, ones, parity), count in states.items()
-        }
-        for _ in range(run):
-            part, grown = grown, {}
-            for (sizes, ones, orbits, zero, parity), count in part.items():
-                if zeroable:
-                    weight = 1 if length == 1 else sigma - 2 * length * zero
-                    state = (sizes, ones, orbits, zero + 1, parity)
-                    grown[state] = grown.get(state, 0) + count * weight
-                for i, (k, lam, j) in enumerate(orbits):
-                    if (k, lam) not in joins:
-                        continue
-                    rest = orbits[:i] + ((k, lam, j + 1),) + orbits[i + 1:]
-                    rest = tuple(sorted(rest))
-                    weight = count * -j * (length // k)
-                    for bit, m in joins[k, lam]:
-                        state = (sizes, ones, rest, zero, parity ^ bit)
-                        grown[state] = grown.get(state, 0) + weight * m
-                for (k, lam), ways in opens.items():
-                    rest = tuple(sorted(orbits + ((k, lam, 1),)))
-                    for bit, m in ways:
-                        state = (sizes, ones, rest, zero, parity ^ bit)
-                        grown[state] = grown.get(state, 0) + count * m
-        states = {}
-        for (sizes, ones, orbits, zero, parity), count in grown.items():
-            if length == 1:
-                ones = (zero, ones[1]) if sigma < 0 else (ones[0], zero)
-            if orbits:
-                blocks = [j * (length // k) for k, _, j in orbits for _ in range(k)]
-                sizes = tuple(sorted(sizes + tuple(blocks)))
-            state = (sizes, ones, parity)
-            states[state] = states.get(state, 0) + count
-
-    out: dict = {}
-    for (sizes, ones, parity), count in states.items():
+    out: dict[Shape, int] = {}
+    for (sizes, _, parity), weight in states.items():
         zero_size = G.degree - sum(sizes)
         if family == "D" and zero_size == 1:
             continue
         side = None
         if family == "D" and not zero_size and all(p % 2 == 0 for p in sizes):
             side = "-" if parity ^ (tag == "-") else "+"
-        entry = (Shape(sizes[::-1], side), ones)
-        out[entry] = out.get(entry, 0) + count
+        shape = Shape(sizes[::-1], side)
+        out[shape] = out.get(shape, 0) + weight
     return out
 
 

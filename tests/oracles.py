@@ -18,7 +18,8 @@ interval type (`stable_points`), which the library only counts.  The
 library counts them with mu_w folded into the placement; the count by
 interval type, each type valued on its own (`_stable_structures`,
 `_interval_mu`, summed by shape in `shape_sums_by_interval_type`), is
-its oracle.
+its oracle, and the Poincare rows it sums to are also read off the
+Frobenius point count of the complement (`point_count_poincare`).
 Beside them live the element-level objects no check uses, since the
 library works on class labels alone: every group element
 (`group_elements`, `contains`, `coxeter_generators`), the class of an
@@ -1567,6 +1568,77 @@ def shape_sums_by_interval_type(G: GroupDescriptor, mu: SignedPartition, tag=Non
     for (key, shape), count in _stable_structures(G, mu, tag).items():
         table[shape] += count * _interval_mu(G.family, *key)
     return {shape: total for shape, total in table.items() if total}
+
+
+# -- Poincare rows from point counts ---------------------------------------------
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _cycle_sum(k: int, weight) -> list[int]:
+    """sum over d | k of mu(k/d) weight(k/d) (q^d - 1), ascending in q."""
+    out = [0] * (k + 1)
+    for d in range(1, k + 1):
+        if k % d == 0:
+            c = _number_mu(k // d) * weight(k // d)
+            out[d] += c
+            out[0] -= c
+    return out
+
+
+def _point_count(family: str, counts: Counter) -> list[int]:
+    """C_w(q), ascending, for the A or B complement and the (sign, k) ->
+    number of k-cycles of w: a product of falling factorials, one per
+    (sign, k), of N_k = sum_{d | k} mu(k/d) q^d in type A, and in type B
+    of 2S_k for the positive k-cycles and 2T_k for the negative ones, where
+    S_k sums mu(k/d) (q^d - 1), halved when k/d is odd, and
+    T_k = sum mu(k/d) (q^d - 1) - S_k."""
+    total = [1]
+    for (sign, k), m in counts.items():
+        if family == "A":
+            base = _cycle_sum(k, lambda e: 1)
+            base[0] = 0  # N_k has no constant term
+            step = k
+        else:
+            base = _cycle_sum(k, lambda e: 1 if e % 2 else 2)
+            if sign < 0:
+                base = [2 * a - b for a, b in zip(_cycle_sum(k, lambda e: 1), base)]
+            step = 2 * k
+        for j in range(m):
+            total = _poly_mul(total, [base[0] - step * j] + base[1:])
+    return total
+
+
+def point_count_poincare(G: GroupDescriptor, label: SignedPartition, tag=None):
+    """Coefficients of P_w(t), ascending, for w in the class (label, tag),
+    of length degree + 1 (one more than rank + 1 in type A, whose t^n
+    coefficient is 0), from the points of the complement M fixed by w F
+    over F_q (Lehrer, J. London Math. Soc. 1987; Kisin-Lehrer, J. Algebra
+    2002): C_w(q) = sum_i (-1)^i tr(w, H^i(M)) q^(n - i), so
+    P_w(t) = (-t)^n C_w(-1/t), n the degree.
+
+    In type D a point may have one zero coordinate, on a 1-cycle of w, and
+    C^D = C^B + m+_1 C^B(one positive 1-cycle fewer) + m-_1 C^B(one
+    negative 1-cycle fewer).  The count reads only the signed cycle type,
+    so the two classes of a split pair get equal rows.  No flat, structure
+    or Moebius value is used.
+    """
+    n = G.degree
+    counts = Counter([(-1, k) for k in label.neg] + [(1, k) for k in label.pos])
+    count = _point_count(G.family, counts)
+    if G.family == "D":
+        for one in ((1, 1), (-1, 1)):
+            if counts[one]:
+                fewer = _point_count("B", counts - Counter([one])) + [0]
+                count = [c + counts[one] * f for c, f in zip(count, fewer)]
+    count += [0] * (n + 1 - len(count))
+    return tuple((-1) ** i * count[n - i] for i in range(n + 1))
 
 
 # -- label helpers only tests use ------------------------------------------------

@@ -11,7 +11,6 @@ from conftest import stretch_enabled
 from coxchar.groups import GroupDescriptor, conjugacy_classes, hyperplane_set
 from coxchar import lattice as lattice_module
 from coxchar.lattice import (
-    _shape_sums,
     _weighted_structures,
     build_lattice,
     flat_count,
@@ -19,7 +18,7 @@ from coxchar.lattice import (
     graded_os_character,
     shape_os_character,
 )
-from coxchar.groups import BudgetError
+from coxchar.groups import DEFAULT_FLAT_BUDGET, BudgetError
 from coxchar.linalg import Subspace
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import Shape, shape_rank, shapes
@@ -37,6 +36,7 @@ from oracles import (
     group_elements,
     hyperplane_action,
     interval_type,
+    point_count_poincare,
     reflection_exponents,
     shape_fix_space,
     shape_of_point,
@@ -867,16 +867,50 @@ FOLD_GROUPS = (
 
 @pytest.mark.parametrize("family,rank", FOLD_GROUPS)
 def test_weighted_structures_fold_to_the_interval_types(family, rank):
-    """The shape table with mu_w folded into the placement equals the
-    structures counted by interval type, each type valued on its own
-    (_interval_mu) and summed by shape, on every class.  Neither side
-    needs a lattice, so the gate runs past the flat budget."""
+    """The shape table with mu_w folded into the placement, zero sums
+    dropped, equals the structures counted by interval type, each type
+    valued on its own (_interval_mu, with its own (m+, m-) zero-block
+    formula) and summed by shape, on every class.  Neither side needs a
+    lattice, so the gate runs past the flat budget."""
     G = GroupDescriptor(family, rank)
     for cls in conjugacy_classes(G):
         weighted = _weighted_structures(G, cls.label, cls.tag)
-        assert _shape_sums(family, weighted) == shape_sums_by_interval_type(
-            G, cls.label, cls.tag
-        ), cls
+        table = {shape: total for shape, total in weighted.items() if total}
+        assert table == shape_sums_by_interval_type(G, cls.label, cls.tag), cls
+
+
+POINT_COUNT_GROUPS = (
+    [("A", r) for r in range(1, 13)]
+    + [("B", r) for r in range(1, 11)]
+    + [("D", r) for r in range(4, 11)]
+)
+if stretch_enabled():
+    POINT_COUNT_GROUPS += [("A", 13), ("A", 14), ("A", 15), ("B", 11), ("B", 12)]
+    POINT_COUNT_GROUPS += [("D", 11), ("D", 12)]
+
+
+@pytest.mark.parametrize("family,rank", POINT_COUNT_GROUPS)
+def test_poincare_rows_equal_point_counts(family, rank):
+    """Every class's Poincare row equals the one read off the Frobenius
+    point count of the complement, a polynomial in q that knows no flat
+    and no structure.  Within the flat budget the rows come from a built
+    lattice, past it from the weighted structures summed by shape_rank;
+    split D classes get the count's one row each."""
+    G = GroupDescriptor(family, rank)
+    if flat_count(G) <= DEFAULT_FLAT_BUDGET:
+        rows = build_lattice(G).poincare_polynomial
+    else:
+        def rows(k):
+            cls = conjugacy_classes(G)[k]
+            row = [0] * (rank + 1)
+            for shape, total in _weighted_structures(G, cls.label, cls.tag).items():
+                c = shape_rank(G, shape)
+                row[c] += total * (-1) ** c
+            return tuple(row)
+    for k, cls in enumerate(conjugacy_classes(G)):
+        counted = point_count_poincare(G, cls.label, cls.tag)
+        assert counted[rank + 1:] == (0,) * (G.degree - rank), cls  # type A's t^n
+        assert rows(k) == counted[:rank + 1], cls
 
 
 def swap_tags(structures):

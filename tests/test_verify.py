@@ -422,6 +422,72 @@ def test_failing_graded_and_shape_carry_triage(monkeypatch):
     assert shape.discrepancies[-1]["class"] == TRIAGE
 
 
+# One datum of chi changed: (key, which of (a, s, r), new value from the
+# old), and the cuspidal labels of the shapes it must fail.  A shape's
+# identity reduces to its blocks' and its zero block's, so only the shapes
+# whose cuspidal classes carry the changed datum fail.  Type A centralizers
+# negate no block, so the r change fails no shape there.
+CHI_CHANGES = {
+    "s flipped on key 3": (
+        3, 1, lambda v: 1 - v,
+        lambda G, labels: any(mu.pos.count(3) >= 2 for mu in labels),
+    ),
+    "a = 0 on key 3": (
+        3, 0, lambda v: 0,
+        lambda G, labels: any(3 in mu.pos for mu in labels),
+    ),
+    "r flipped on key 2": (
+        2, 2, lambda v: 1 - v,
+        lambda G, labels: G.family != "A" and any(2 in mu.pos for mu in labels),
+    ),
+    "s flipped on key -1": (
+        -1, 1, lambda v: 1 - v,
+        lambda G, labels: any(mu.neg.count(1) >= 2 for mu in labels),
+    ),
+}
+FAILING_SHAPES = {  # change -> A8, B8, D8
+    "s flipped on key 3": (3, 4, 3),
+    "a = 0 on key 3": (11, 19, 14),
+    "r flipped on key 2": (0, 30, 26),
+    "s flipped on key -1": (0, 30, 23),
+}
+
+
+@pytest.mark.parametrize("column,family", enumerate("ABD"))
+def test_shape_check_fails_exactly_where_chi_is_changed(column, family, monkeypatch):
+    """With one datum of chi changed, the shape checks that fail are
+    exactly the predicted ones: none is missed, none is extra, and a change
+    predicted to fail some shape does fail one."""
+    from coxchar import characters
+    from coxchar import lattice as lattice_module
+    from coxchar.shapes import cuspidal_labels
+
+    monkeypatch.setattr(lattice_module, "_LATTICES", {})  # freed after the test
+    real = characters.chi_char
+    G = GroupDescriptor(family, 8)
+    for change, (key, field, new, predicted) in CHI_CHANGES.items():
+
+        def changed(G, label, tag=None):
+            spec = real(G, label, tag)
+            values = dict(spec.values)
+            if key in values:
+                triple = list(values[key])
+                triple[field] = new(triple[field])
+                values[key] = tuple(triple)
+            return characters.LinearCharacterSpec(G, label, tag, values, spec.name)
+
+        monkeypatch.setattr(characters, "chi_char", changed)
+        failed = {
+            report.check for report in verify_all_shapes(G) if report.status == "fail"
+        }
+        expected = {
+            f"shape {shape}" for shape in shapes(G)
+            if predicted(G, [mu for mu, _ in cuspidal_labels(G, shape)])
+        }
+        assert failed == expected, change
+        assert len(expected) == FAILING_SHAPES[change][column], change
+
+
 def _at_identity(G):
     """1 on the identity class, 0 elsewhere: not a character, so the
     triage inner products are proper fractions."""
