@@ -25,7 +25,7 @@ coordinates is the sum of their codes.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .partitions import SignedPartition, partitions
 
@@ -37,17 +37,6 @@ __all__ = [
 ]
 
 
-def _runs(parts):
-    """Group a monotone tuple into (value, count) runs."""
-    runs = []
-    for p in parts:
-        if runs and runs[-1][0] == p:
-            runs[-1][1] += 1
-        else:
-            runs.append([p, 1])
-    return [(v, c) for v, c in runs]
-
-
 def _unit(n, signed_length):
     """The code of one cycle of W_n of this signed length (< 0: negative)."""
     if signed_length > 0:
@@ -57,25 +46,23 @@ def _unit(n, signed_length):
 
 def cycle_code(mu: SignedPartition) -> int:
     """The cycle-type code of the class mu of W_n, n = |mu|."""
-    n = mu.n
-    return sum(_unit(n, -length) for length in mu.neg) + sum(
-        _unit(n, length) for length in mu.pos
-    )
+    return sum(count * _unit(mu.n, key) for key, count in mu.families)
 
 
 # -- class tallies ------------------------------------------------------------
 #
-# A family is the set of m blocks of one cycle length and one sign.  Its
-# part of C(w_mu) is a wreath product K wr S_m with block group
-# K = Z_2length (negative blocks) or Z_length x Z_2 (positive blocks, with
-# block negations; Z_length without), and it acts on its own coordinates.
-# Its tally maps each summary, the per-length data a linear character sees
-# (what LinearCharacterSpec.exponent reads), to rows (code, bits,
-# weight): the number of family elements with that cycle-type code and, in
-# type D only, bits = 2 * (negative entries mod 2) + side, the D split-side
-# parity of the cycles (the parity of the negative values met walking each
-# cycle from its smallest entry, additive over cycles).
-# Both bits add mod 2 over families.
+# A family is the set of m blocks of one signed cycle length, keyed -L for
+# negative L-cycles and L for positive ones (SignedPartition.families).
+# Its part of C(w_mu) is a wreath product K wr S_m with block group
+# K = Z_2L (negative blocks) or Z_L x Z_2 (positive blocks, with block
+# negations; Z_L without), and it acts on its own coordinates.  Its tally
+# maps each summary (key, twist, sign, flips), the data a linear character
+# sees (what LinearCharacterSpec.exponent reads), flips 0 on a negative
+# family, to rows (code, bits, weight): the number of family elements
+# with that cycle-type code and, in type D only, bits = 2 * (negative
+# entries mod 2) + side, the D split-side parity of the cycles (the
+# parity of the negative values met walking each cycle from its smallest
+# entry, additive over cycles).  Both bits add mod 2 over families.
 
 
 @lru_cache(maxsize=None)
@@ -139,22 +126,22 @@ def _cycle_tally(length, c, negative, flips):
 
 def _z(lam):
     """Order of the centralizer in S_m of a permutation of cycle type lam."""
-    z = 1
-    for part, count in _runs(lam):
-        z *= part**count * factorial(count)
-    return z
+    return prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
 
 
 @lru_cache(maxsize=None)
-def _family_tally(n, length, m, negative, family):
-    """Tally of the family K wr S_m of a centralizer in the group of this
-    family letter acting on n coordinates.
+def _family_tally(n, signed_length, m, family):
+    """Tally of the family of m blocks of this signed length (< 0:
+    negative) of a centralizer in the group of this family letter acting
+    on n coordinates.
 
     Conjugating by a block permutation changes no key, so one block
     permutation per cycle type lam of S_m stands for its m!/z_lam
     conjugates; its cycles move disjoint blocks, so its tally is the
     convolution of their _cycle_tally.
     """
+    negative = signed_length < 0
+    length = abs(signed_length)
     modulus = 2 * length if negative else length
     in_d = family == "D"
     out: dict = {}
@@ -176,9 +163,8 @@ def _family_tally(n, length, m, negative, family):
         conjugates = factorial(m) // _z(lam)
         sign = -1 if (m - len(lam)) % 2 else 1
         for (code, twist, flip, neg, side), weight in tally.items():
-            summary = (length, twist, sign) if negative else (length, twist, sign, flip)
             key = (code, 2 * neg + side if in_d else 0)
-            rows = out.setdefault(summary, {})
+            rows = out.setdefault((signed_length, twist, sign, flip), {})
             rows[key] = rows.get(key, 0) + conjugates * weight
     return {
         summary: tuple((code, bits, w) for (code, bits), w in rows.items())
@@ -190,30 +176,17 @@ def centralizer_tallies(mu: SignedPartition, family: str):
     """The tally of each family of C(w_mu) in the group of type family,
     negative families first.  In type A the positive blocks are never
     negated (the centralizer inside S_n)."""
-    return [
-        _family_tally(mu.n, length, count, True, family)
-        for length, count in _runs(mu.neg)
-    ] + [
-        _family_tally(mu.n, length, count, False, family)
-        for length, count in _runs(mu.pos)
-    ]
+    return [_family_tally(mu.n, key, count, family) for key, count in mu.families]
 
 
 def centralizer_order(mu: SignedPartition) -> int:
-    """|C_{W_n}(w_mu)| = prod (2i)^a_i a_i!  prod (2j)^b_j b_j!."""
-    order = 1
-    for length, count in _runs(mu.neg):
-        order *= (2 * length) ** count * factorial(count)
-    for length, count in _runs(mu.pos):
-        order *= (2 * length) ** count * factorial(count)
-    return order
+    """|C_{W_n}(w_mu)| = prod (2i)^a_i a_i!  prod (2j)^b_j b_j!, that is
+    2^(number of parts) z_neg z_pos."""
+    return 2 ** (len(mu.neg) + len(mu.pos)) * _z(mu.neg) * _z(mu.pos)
 
 
 def symmetric_centralizer_order(mu: SignedPartition) -> int:
     """|C_{S_n}(w_mu)| for an all-positive mu."""
     if mu.neg:
         raise ValueError("symmetric centralizer needs an all-positive label")
-    order = 1
-    for length, count in _runs(mu.pos):
-        order *= length**count * factorial(count)
-    return order
+    return _z(mu.pos)

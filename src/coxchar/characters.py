@@ -3,8 +3,8 @@
 C(w_mu) is a direct product of wreath products, one per family of equal
 signed cycles (centralizers), so a linear character of it is fixed by
 three numbers per family.  A spec stores them as values[key] = (a, s, r),
-the key L for the family of positive L-cycles and -L for the negative
-ones:
+keyed as SignedPartition.families keys the families: L for the family of
+positive L-cycles and -L for the negative ones:
 
 * zeta_2L^a on the family's cycle generator: a negative L-cycle has order
   2L, a positive one order L, so a is even on a positive family;
@@ -15,8 +15,8 @@ ones:
 Every such assignment extends uniquely to a linear character, and
 products of characters add exponents: a mod 2L, s and r mod 2.
 Induction never evaluates a character at an element: it reads the value
-at each per-family summary of the wreath-product factors as an exponent
-(exponent).
+at each per-family summary (key, twist, sign, flips) of the
+wreath-product factors as an exponent (exponent).
 
 The stock characters, each one rule per family:
 
@@ -61,7 +61,7 @@ class LinearCharacterSpec:
             raise ValueError("type A base labels have no negative parts")
         if group.family == "D" and len(label.neg) % 2:
             raise ValueError("psi/phi_D need an even number of negative parts")
-        families = {-length for length in label.neg} | set(label.pos)
+        families = {key for key, _ in label.families}
         if set(values) != families:
             raise ValueError(
                 f"need one (a, s, r) per family {sorted(families)}, "
@@ -83,14 +83,12 @@ class LinearCharacterSpec:
 
     def exponent(self, summary) -> tuple[int, int]:
         """The value at the family elements with this summary, (e, 2L) for
-        zeta_2L^e.  The summary is (L, twist, sign) on a negative family and
-        (L, twist, sign, flips) on a positive one (centralizers)."""
-        if len(summary) == 4:
-            length, twist, sign, flips = summary
-            a, s, r = self.values[length]
-        else:
-            (length, twist, sign), flips = summary, 0
-            a, s, r = self.values[-length]
+        zeta_2L^e.  The summary is (key, twist, sign, flips), key -L on a
+        negative family of L-cycles and L on a positive one, flips always 0
+        on a negative family (centralizers)."""
+        key, twist, sign, flips = summary
+        a, s, r = self.values[key]
+        length = abs(key)
         order = 2 * length
         return (a * twist + length * (s * (sign < 0) + r * flips)) % order, order
 
@@ -104,8 +102,7 @@ class LinearCharacterSpec:
 
 def _spec(G, label, tag, name, rule) -> LinearCharacterSpec:
     """The character with the triple rule(L, negative) on each family."""
-    values = {-length: rule(length, True) for length in label.neg}
-    values |= {length: rule(length, False) for length in label.pos}
+    values = {key: rule(abs(key), key < 0) for key, _ in label.families}
     return LinearCharacterSpec(G, label, tag, values, name)
 
 

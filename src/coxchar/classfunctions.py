@@ -178,7 +178,7 @@ def induce_from_centralizer(
     classes = conjugacy_classes(G)
     order_h = classes[class_index(G)[(chi.label, chi.tag)]].centralizer_order
 
-    m = lcm(*(2 * length for length in chi.label.neg + chi.label.pos))
+    m = lcm(*(2 * abs(key) for key, _ in chi.label.families))
     m4 = 4 * m
     tally = {(0, 0): 1}
     for family in centralizer_tallies(chi.label, G.family):

@@ -99,7 +99,6 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
             mu = SignedPartition((), lam)
             c = centralizers.symmetric_centralizer_order(mu)
             out.append(ConjClass(mu, None, G.order // c, c))
-        out.sort(key=lambda cls: (cls.label.neg, cls.label.pos))
         return tuple(out)
     if G.family == "B":
         for mu in signed_partitions(n):

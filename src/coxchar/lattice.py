@@ -58,14 +58,15 @@ D_Z complements (Lehrer, J. London Math. Soc. 1987):
   + m- F(m+) F(m- - 1), F(m) = prod_{j<m} (-1 - 2j), m+ and m- the
   numbers of positive and negative zero 1-cycles.
 
-An orbit holds the cycles of one run of equal (L, sigma), since lam and r
-fix sigma, so mu_w is a product of one factor per run, bar the one spare.
-Each run's structures are counted once, with their factors folded in
-(_run_table): a partial structure carries count times the factors decided
-so far, and one whose factor is 0 is never made: no orbit opens with
-mu(r) = 0, no cycle joins an orbit of another length, and no cycle of
-length L > 1 other than a power of 2 goes into Z.  A class's table is the
-product of its runs' tables (_weighted_structures).  None of this reads a
+An orbit holds the cycles of one family of equal (L, sigma), keyed
+sigma * L (SignedPartition.families), since lam and r fix sigma, so mu_w
+is a product of one factor per family, bar the one spare.  Each family's
+structures are counted once, with their factors folded in (_run_table):
+a partial structure carries count times the factors decided so far, and
+one whose factor is 0 is never made: no orbit opens with mu(r) = 0, no
+cycle joins an orbit of another length, and no cycle of length L > 1
+other than a power of 2 goes into Z.  A class's table is the product of
+its families' tables (_weighted_structures).  None of this reads a
 flat.  The flats are still built, as bare points and only so that they
 are counted, and the flat budget refuses a lattice larger than it from
 its exact size (flat_count).
@@ -73,7 +74,6 @@ its exact size (flat_count).
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -181,10 +181,11 @@ def _negated(G: GroupDescriptor, cls):
 
 
 @lru_cache(maxsize=None)
-def _run_table(family: str, length: int, sigma: int, run: int) -> tuple:
+def _run_table(family: str, signed_length: int, run: int) -> tuple:
     """((block sizes, spared, parity), weight) over the structures of run
-    cycles of length L and sign sigma, count * weight summed by key; a
-    cached tuple, so no caller can change it.
+    cycles of length L and sign sigma, signed_length = sigma * L (a key of
+    SignedPartition.families), count * weight summed by key; a cached
+    tuple, so no caller can change it.
 
     A structure's count is the number of flats it stands for: the orbit's
     first cycle puts c_0 in its first block with sign +, and every cycle
@@ -196,6 +197,8 @@ def _run_table(family: str, length: int, sigma: int, run: int) -> tuple:
     structures are kept by their open orbits (k, lam, cycles), zero
     cycles, spared bit and parity; each state is extended once.
     """
+    length = abs(signed_length)
+    sigma = -1 if signed_length < 0 else 1
     signs = (1,) if family == "A" else (1, -1)
 
     def placements(k, lam, offsets, flips):
@@ -259,8 +262,8 @@ def _run_table(family: str, length: int, sigma: int, run: int) -> tuple:
 def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> dict:
     """Shape -> sum of mu_w(V, X) over the flats X of that shape stable
     under an element w of the class (mu, tag), zero sums kept: the product
-    of its runs' tables (_run_table), block sizes merged, parities added
-    and no two spared runs; no flat is built.
+    of its families' run tables (_run_table), block sizes merged, parities
+    added and no two spared runs; no flat is built.
 
     For tag None or '+', w is w_mu, whose cycles run c_0 -> c_1 -> ... over
     consecutive coordinates from the smallest, every step positive except
@@ -277,14 +280,11 @@ def _weighted_structures(G: GroupDescriptor, mu: SignedPartition, tag=None) -> d
     sizes and flipping one entry of each point, so the split tags swap.
     """
     family = G.family
-    cycles = Counter(
-        [(length, -1) for length in mu.neg] + [(length, 1) for length in mu.pos]
-    )
     states = {((), 0, 0): 1}  # (block sizes, spared, parity)
-    for (length, sigma), run in cycles.items():
+    for key, run in mu.families:
         part, states = states, {}
         for (sizes, spared, parity), count in part.items():
-            for (more, spare, bit), weight in _run_table(family, length, sigma, run):
+            for (more, spare, bit), weight in _run_table(family, key, run):
                 if spared and spare:
                     continue
                 state = (tuple(sorted(sizes + more)), spared | spare, parity ^ bit)

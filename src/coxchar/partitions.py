@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
+from itertools import groupby
 
 __all__ = [
     "SignedPartition",
@@ -46,6 +47,20 @@ class SignedPartition(namedtuple("SignedPartition", "neg pos")):
     @property
     def n(self) -> int:
         return sum(self.neg) + sum(self.pos)
+
+    @property
+    @lru_cache(maxsize=None)
+    def families(self) -> tuple[tuple[int, int], ...]:
+        """(key, count) per family of equal signed cycles, the negative
+        families first, in label order: key -L for negative L-cycles and L
+        for positive ones.  Cached: induction reads it several times per
+        class.
+
+        >>> SignedPartition((1, 1, 2), (3, 1, 1)).families
+        ((-1, 2), (-2, 1), (3, 1), (1, 2))
+        """
+        keys = [-p for p in self.neg] + list(self.pos)
+        return tuple((key, len(list(run))) for key, run in groupby(keys))
 
     def __str__(self) -> str:
         return format_signed_partition(self)
@@ -144,8 +159,3 @@ def format_signed_partition(mu: SignedPartition) -> str:
         out += f"+{tail}" if out else tail
     return out
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

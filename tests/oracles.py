@@ -48,10 +48,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import factorial, gcd, prod
 
-from coxchar.centralizers import _runs, _z
+from coxchar.centralizers import _z
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction
 from coxchar.groups import (
@@ -644,16 +644,18 @@ def centralizer_generators(n: int, mu: SignedPartition) -> CentralizerGenSet:
 @lru_cache(maxsize=None)
 def _layout(mu: SignedPartition):
     """Per-length families of block offsets: (neg, pos) tuples of
-    (length, offsets)."""
-    neg, pos = [], []
+    (length, offsets), grouped here and not by SignedPartition.families,
+    so that the oracle shares no code with what it checks."""
+    out = []
     u = 0
-    for length, count in _runs(mu.neg):
-        neg.append((length, tuple(u + k * length for k in range(count))))
-        u += count * length
-    for length, count in _runs(mu.pos):
-        pos.append((length, tuple(u + k * length for k in range(count))))
-        u += count * length
-    return tuple(neg), tuple(pos)
+    for parts in (mu.neg, mu.pos):
+        families = []
+        for length, run in groupby(parts):
+            count = len(list(run))
+            families.append((length, tuple(u + k * length for k in range(count))))
+            u += count * length
+        out.append(tuple(families))
+    return tuple(out)
 
 
 def _neg_orbit(offset, length):
@@ -770,11 +772,12 @@ def centralizer_elements(n, mu, *, flips=True, parity=None):
     """Stream C(w_mu) as (images, neg_summary, pos_summary) triples.
 
     images is the raw image tuple; the summaries hold, per cycle length,
-    the data a linear character sees: (length, total twist, sign of the
-    block permutation) and for positive lengths additionally the number of
-    negated blocks mod 2.  With flips=False only flip-free elements are
-    produced (the centralizer taken inside S_n); parity=0 keeps elements
-    with an even number of negative entries (the centralizer inside D_n).
+    the data a linear character sees: (-length or length, total twist,
+    sign of the block permutation, number of negated blocks mod 2), the
+    last always 0 on a negative family.  With flips=False only flip-free
+    elements are produced (the centralizer taken inside S_n); parity=0
+    keeps elements with an even number of negative entries (the
+    centralizer inside D_n).
     """
     neg_fams, pos_fams = _layout(mu)
     neg_choices = []
@@ -805,7 +808,7 @@ def centralizer_elements(n, mu, *, flips=True, parity=None):
     for neg_pick in product(*(fam for _, _, fam in neg_choices)):
         neg_parity = sum(pick[3] for pick in neg_pick)
         neg_summary = tuple(
-            (length, pick[3] % (2 * length), pick[1])
+            (-length, pick[3] % (2 * length), pick[1], 0)
             for (length, _, _), pick in zip(neg_choices, neg_pick)
         )
         for pos_pick in product(*(fam for _, _, fam in pos_choices)):
@@ -864,7 +867,7 @@ def evaluate_summaries(spec: LinearCharacterSpec, neg_summary, pos_summary) -> R
 
 
 def _summaries(coords: CentralizerCoordinates):
-    """The per-family (length, twist, sign[, flips]) data that
+    """The per-family (-length or length, twist, sign, flips) data that
     evaluate_summaries reads, from coordinates."""
     def perm_sign(perm):
         m = len(perm)
@@ -872,7 +875,7 @@ def _summaries(coords: CentralizerCoordinates):
         return -1 if inv % 2 else 1
 
     neg = tuple(
-        (length, sum(exps) % (2 * length), perm_sign(perm))
+        (-length, sum(exps) % (2 * length), perm_sign(perm), 0)
         for length, perm, exps in coords.neg
     )
     pos = tuple(
@@ -1031,7 +1034,7 @@ def _root_family_tally(length, m, negative, flips):
         conjugates = factorial(m) // _z(lam)
         sign = -1 if (m - len(lam)) % 2 else 1
         for (cycles, twist, flip, negatives, side), weight in tally.items():
-            summary = (length, twist, sign) if negative else (length, twist, sign, flip)
+            summary = (-length if negative else length, twist, sign, flip)
             key = (cycles, summary, negatives, side)
             out[key] = out.get(key, 0) + conjugates * weight
     return out

@@ -45,7 +45,7 @@ def test_lemma_order_conditions_enforced():
     G = GroupDescriptor("B", 4)
     spec = LinearCharacterSpec(G, mu, None, {-2: (5, 0, 0), 2: (2, 0, 0)})
     assert spec.values == {-2: (1, 0, 0), 2: (2, 0, 0)}
-    assert spec.exponent((2, 1, 1)) == (1, 4)  # zeta_4 at c
+    assert spec.exponent((-2, 1, 1, 0)) == (1, 4)  # zeta_4 at c
     assert spec.exponent((2, 1, 1, 0)) == (2, 4)  # -1 at d
     with pytest.raises(ValueError, match="2-th root"):
         LinearCharacterSpec(G, mu, None, {-2: (1, 0, 0), 2: (1, 0, 0)})
@@ -81,7 +81,7 @@ def test_phi_b_generator_values():
     mu = SignedPartition((4,), (3,))
     spec = phi_B(mu)
     assert spec.values[-4][0] == 4
-    assert root(*spec.exponent((4, 1, 1))) == MINUS_ONE
+    assert root(*spec.exponent((-4, 1, 1, 0))) == MINUS_ONE
     # r_j value (-1)^(j-1): +1 for odd parts
     assert spec.values[3][2] == 0
     assert phi_B(SignedPartition((), (2,))).values[2][2] == 1
@@ -98,7 +98,7 @@ def test_psi_values():
     spec = psi_mu(mu)
     # a negative i-cycle has order 2i, psi sends it to zeta_2i
     assert spec.values[-2][0] == 1
-    assert root(*spec.exponent((2, 1, 1))) == root(1, 4)
+    assert root(*spec.exponent((-2, 1, 1, 0))) == root(1, 4)
     assert spec.values[3][2] == 1 and spec.values[1][2] == 1
     gens = centralizer_generators(8, mu)
     c1 = gens.neg_cycles[0]

@@ -1,6 +1,16 @@
+import doctest
+from math import factorial, prod
+
 import pytest
 from hypothesis import given, strategies as st
 
+import coxchar.partitions
+from coxchar.centralizers import (
+    centralizer_order,
+    cycle_code,
+    symmetric_centralizer_order,
+)
+from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.partitions import (
     SignedPartition,
     format_partition,
@@ -78,3 +88,53 @@ def test_roundtrip_all_signed_partitions(n):
 def test_identity_label_first():
     mus = signed_partitions(4)
     assert mus[0] == SignedPartition((), (1, 1, 1, 1))
+
+
+def test_partitions_ascend_and_order_the_type_a_classes():
+    for n in range(16):
+        assert list(partitions(n)) == sorted(partitions(n))
+    for rank in range(1, 10):
+        classes = conjugacy_classes(GroupDescriptor("A", rank))
+        assert [cls.label.pos for cls in classes] == list(partitions(rank + 1))
+
+
+def test_module_doctests():
+    result = doctest.testmod(coxchar.partitions)
+    assert result.failed == 0 and result.attempted >= 2
+
+
+FAMILY_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 13)]
+    + [GroupDescriptor("B", r) for r in range(1, 11)]
+    + [GroupDescriptor("D", r) for r in range(4, 11)]
+)
+
+
+def _wreath_order(parts, scale):
+    """prod over the distinct parts L, m times each, of (scale L)^m m!."""
+    return prod(
+        (scale * L) ** parts.count(L) * factorial(parts.count(L)) for L in set(parts)
+    )
+
+
+@pytest.mark.parametrize("G", FAMILY_GROUPS, ids=str)
+def test_families_split_every_label(G):
+    """families lists each signed length once, negatives first, with a
+    positive count, and expands back to the label; the centralizer orders
+    and the cycle-type code, written out over neg and pos, agree."""
+    n = G.degree
+    for mu in {cls.label for cls in conjugacy_classes(G)}:
+        keys = [key for key, _ in mu.families]
+        assert len(set(keys)) == len(keys)
+        assert keys == [k for k in keys if k < 0] + [k for k in keys if k > 0]
+        assert all(count > 0 for _, count in mu.families)
+        expanded = [key for key, count in mu.families for _ in range(count)]
+        assert tuple(-key for key in expanded if key < 0) == mu.neg
+        assert tuple(key for key in expanded if key > 0) == mu.pos
+        order = _wreath_order(mu.neg, 2) * _wreath_order(mu.pos, 2)
+        assert centralizer_order(mu) == order
+        if not mu.neg:
+            assert symmetric_centralizer_order(mu) == _wreath_order(mu.pos, 1)
+        assert cycle_code(mu) == sum((n + 1) ** (n + L - 1) for L in mu.neg) + sum(
+            (n + 1) ** (L - 1) for L in mu.pos
+        )
