@@ -20,30 +20,23 @@ wreath-product factors as an exponent (exponent).
 
 The stock characters, each one rule per family:
 
-* phi_A: zeta_j on positive j-cycles, 1 on swaps (symmetric groups);
-* phi_B: zeta_{2k} on negative (2^l k)-cycles (k odd), zeta_j on positive
-  j-cycles, -1 on negative swaps, +1 on positive swaps, (-1)^(j-1) on
-  block negations;
-* psi: zeta_{2i} on negative i-cycles, zeta_j on positive j-cycles, -1 on
-  negative swaps, +1 on positive swaps, -1 on all block negations;
-* phi_D: psi restricted to the even-signed centralizer (labels with an
-  even number of negative parts; split classes carry a +/- tag and the
-  '-' side is transported by conjugation with the first sign flip);
+* phi_w, one rule per family letter (_PHI): zeta_j on positive j-cycles
+  and +1 on their swaps throughout; in type B, zeta_{2k} on negative
+  (2^l k)-cycles (k odd), -1 on their swaps and (-1)^(j-1) on the
+  negation of a positive j-block; in type D (psi, read on the
+  even-signed centralizer, a '-' class transported by conjugation with
+  the first sign flip), zeta_{2i} on negative i-cycles, -1 on their
+  swaps and -1 on every block negation;
 * alpha: determinant on the fixed space of the centralized element;
 * epsilon: restriction of the sign character.
 """
 
 from __future__ import annotations
 
-from .groups import GroupDescriptor
-from .partitions import SignedPartition
+from .groups import GroupDescriptor, class_index
 
 __all__ = [
     "LinearCharacterSpec",
-    "phi_A",
-    "phi_B",
-    "psi_mu",
-    "phi_D",
     "alpha_char",
     "epsilon_char",
     "chi_char",
@@ -57,10 +50,8 @@ class LinearCharacterSpec:
     at a class."""
 
     def __init__(self, group, label, tag, values, name=""):
-        if group.family == "A" and label.neg:
-            raise ValueError("type A base labels have no negative parts")
-        if group.family == "D" and len(label.neg) % 2:
-            raise ValueError("psi/phi_D need an even number of negative parts")
+        if (label, tag) not in class_index(group):
+            raise ValueError(f"{label} with tag {tag!r} is not a class of {group}")
         families = {key for key, _ in label.families}
         if set(values) != families:
             raise ValueError(
@@ -106,34 +97,13 @@ def _spec(G, label, tag, name, rule) -> LinearCharacterSpec:
     return LinearCharacterSpec(G, label, tag, values, name)
 
 
-def phi_A(lam: tuple[int, ...]) -> LinearCharacterSpec:
-    """zeta_j on positive j-cycles, +1 on swaps, for the symmetric group."""
-    mu = SignedPartition((), tuple(lam))
-    G = GroupDescriptor("A", mu.n - 1)
-    return _spec(G, mu, None, "phiA", lambda L, negative: (2, 0, 0))
-
-
-def phi_B(mu: SignedPartition) -> LinearCharacterSpec:
-    # zeta_2k = zeta_2L^(2^l) for L = 2^l k, and 2^l = L & -L
-    return _spec(
-        GroupDescriptor("B", mu.n), mu, None, "phiB",
-        lambda L, negative: (L & -L, 1, 0) if negative else (2, 0, 1 - L % 2),
-    )
-
-
-def psi_mu(mu: SignedPartition) -> LinearCharacterSpec:
-    """The character behind phi_D, on the full hyperoctahedral centralizer."""
-    if len(mu.neg) % 2:
-        raise ValueError("psi needs an even number of negative parts")
-    return _spec(
-        GroupDescriptor("B", mu.n), mu, None, "psi",
-        lambda L, negative: (1, 1, 0) if negative else (2, 0, 1),
-    )
-
-
-def phi_D(mu: SignedPartition, tag: str | None = None) -> LinearCharacterSpec:
-    G = GroupDescriptor("D", mu.n)
-    return LinearCharacterSpec(G, mu, tag, psi_mu(mu).values, name="phiD")
+# (a, s, r) of phi_w on a family of L-cycles; on a negative type-B family
+# zeta_2k = zeta_2L^(2^l) for L = 2^l k, and 2^l = L & -L
+_PHI = {
+    "A": lambda L, negative: (2, 0, 0),
+    "B": lambda L, negative: (L & -L, 1, 0) if negative else (2, 0, 1 - L % 2),
+    "D": lambda L, negative: (1, 1, 0) if negative else (2, 0, 1),
+}
 
 
 def alpha_char(G, label, tag=None) -> LinearCharacterSpec:
@@ -173,11 +143,7 @@ def spec_product(*specs: LinearCharacterSpec) -> LinearCharacterSpec:
 
 def phi_for_class(G: GroupDescriptor, label, tag=None) -> LinearCharacterSpec:
     """The character phi_w attached to a class in the headline identities."""
-    if G.family == "A":
-        return phi_A(label.pos)
-    if G.family == "B":
-        return phi_B(label)
-    return phi_D(label, tag)
+    return _spec(G, label, tag, "phi" + G.family, _PHI[G.family])
 
 
 def chi_char(G: GroupDescriptor, label, tag=None) -> LinearCharacterSpec:

@@ -87,7 +87,6 @@ def partitions(m: int) -> tuple[Partition, ...]:
             extend(remaining - part, part, prefix + [part])
 
     extend(m, m, [])
-    result.sort()
     return tuple(result)
 
 

@@ -37,13 +37,19 @@ product of its families' values in `evaluate_summaries`, on roots of
 unity as normalized pairs: `Root`, `root`, `root_mul`, `root_pow`), also
 at every class representative when the base is central
 (`class_function_of_spec`), which induction computes from class tallies
-and per-family exponents.
+and per-family exponents, and the type-B and type-D rules of phi_w
+written out on their own (`phi_B`, `psi`).
 Last come the label helpers only tests use (`mu_bar`,
 `parse_signed_partition`, `root_conj`, `reflection_exponents`).
+The oracles import no underscore-prefixed name of the library: z_lam
+(`_z_lam`), the type-D split rule (`_splits`), the label parser and a
+shape's sizes are their own copies, so that a fault in one of them
+cannot move an oracle together with the code it checks.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,21 +57,19 @@ from functools import lru_cache
 from itertools import groupby, permutations, product
 from math import factorial, gcd, prod
 
-from coxchar.centralizers import _z
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction
 from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
     Hyperplane,
-    _splits_in_d,
     class_index,
     conjugacy_classes,
     hyperplane_set,
 )
 from coxchar.linalg import Subspace, det, kernel
-from coxchar.partitions import SignedPartition, _tokenize, partitions
-from coxchar.shapes import Shape, _check_shape
+from coxchar.partitions import SignedPartition, partitions
+from coxchar.shapes import Shape
 from signedperm import SignedPermutation
 
 
@@ -334,6 +338,12 @@ def coxeter_generators(G: GroupDescriptor) -> tuple[SignedPermutation, ...]:
 # -- the class of an element ----------------------------------------------------
 
 
+def _splits(mu: SignedPartition) -> bool:
+    """A type-D class splits in two when all its cycles are positive and
+    of even length."""
+    return not mu.neg and not any(p % 2 for p in mu.pos)
+
+
 def signed_cycle_type(w: SignedPermutation) -> SignedPartition:
     neg, pos = [], []
     for support, sign in w.signed_cycles():
@@ -368,7 +378,7 @@ def d_split_side(w: SignedPermutation) -> str:
     so the side is the sum of the cycles' cycle_side_parity.
     """
     mu = signed_cycle_type(w)
-    if not _splits_in_d(mu):
+    if not _splits(mu):
         raise ValueError(f"class {mu} does not split")
     if not w.is_even_signed():
         raise ValueError("element is not even-signed")
@@ -379,7 +389,7 @@ def d_split_side(w: SignedPermutation) -> str:
 def class_key(w: SignedPermutation, family: str):
     """Fusion key (label, tag) of the class of w in its group."""
     mu = signed_cycle_type(w)
-    if family == "D" and _splits_in_d(mu):
+    if family == "D" and _splits(mu):
         return (mu, d_split_side(w))
     return (mu, None)
 
@@ -449,7 +459,7 @@ def _young_generators(n, lam, offset):
 
 def parabolic_generators(G: GroupDescriptor, shape: Shape):
     """Reflections generating the standard parabolic of this shape."""
-    n, m = _check_shape(G, shape)
+    n, m = G.degree, sum(shape.lam)
     head = n - m
     gens: list[SignedPermutation] = []
     if G.family == "B" and head:
@@ -467,7 +477,7 @@ def parabolic_generators(G: GroupDescriptor, shape: Shape):
 
 def shape_fix_space(G: GroupDescriptor, shape: Shape) -> Subspace:
     """Fixed space of the shape's standard parabolic in Q^n."""
-    n, m = _check_shape(G, shape)
+    n, m = G.degree, sum(shape.lam)
     rows = []
     u = n - m
     for part in shape.lam:
@@ -482,7 +492,7 @@ def shape_fix_space(G: GroupDescriptor, shape: Shape) -> Subspace:
 
 
 def _member_of_parabolic(G, w, shape) -> bool:
-    n, m = _check_shape(G, shape)
+    n, m = G.degree, sum(shape.lam)
     head = n - m
     v = w
     if shape.tag == "-":
@@ -546,7 +556,7 @@ def class_rep(G: GroupDescriptor, label: SignedPartition, tag: str | None = None
         raise ValueError("type A labels have no negative parts")
     if G.family == "D" and len(label.neg) % 2:
         raise ValueError("type D labels need an even number of negative parts")
-    split = G.family == "D" and not label.neg and all(p % 2 == 0 for p in label.pos)
+    split = G.family == "D" and _splits(label)
     if (tag is not None) != split:
         raise ValueError(f"tag {tag!r} invalid for label {label} in {G}")
     rep = w_mu(n, label)
@@ -917,6 +927,45 @@ def class_function_of_spec(G: GroupDescriptor, spec: LinearCharacterSpec):
     return ClassFunction(G, tuple(values))
 
 
+# -- the stock characters phi_B and psi, rule by rule -------------------------------
+#
+# The library keeps phi_w as one (a, s, r) rule per family letter; these are
+# the type-B rule and the type-D rule (psi, on the full hyperoctahedral
+# centralizer) written out from the characters module docstring, so that a
+# test compares the library against its own copy of each.
+
+
+def _family_keys(mu: SignedPartition):
+    return {-p for p in mu.neg} | set(mu.pos)
+
+
+def phi_B(mu: SignedPartition) -> LinearCharacterSpec:
+    """zeta_{2k} = zeta_{2L}^(2^l) on negative L-cycles, L = 2^l k with k
+    odd, and -1 on their swaps; zeta_j on positive j-cycles, +1 on their
+    swaps and (-1)^(j-1) on the negation of a j-block."""
+    values = {}
+    for key in _family_keys(mu):
+        length = abs(key)
+        if key < 0:
+            power = 1
+            while length % (2 * power) == 0:
+                power *= 2
+            values[key] = (power, 1, 0)
+        else:
+            values[key] = (2, 0, (length - 1) % 2)
+    return LinearCharacterSpec(GroupDescriptor("B", mu.n), mu, None, values, "phiB")
+
+
+def psi(mu: SignedPartition) -> LinearCharacterSpec:
+    """zeta_{2i} on negative i-cycles and -1 on their swaps; zeta_j on
+    positive j-cycles, +1 on their swaps and -1 on every block negation.
+    Only labels with an even number of negative parts, those of type D."""
+    if len(mu.neg) % 2:
+        raise ValueError("psi needs an even number of negative parts")
+    values = {key: (1, 1, 0) if key < 0 else (2, 0, 1) for key in _family_keys(mu)}
+    return LinearCharacterSpec(GroupDescriptor("B", mu.n), mu, None, values, "psi")
+
+
 # -- induction and the alpha character by definition -----------------------------
 
 
@@ -1005,6 +1054,16 @@ def _root_cycle_tally(length, c, negative, flips):
     return out
 
 
+def _z_lam(lam) -> int:
+    """z_lam = prod over parts p of p^(m_p) m_p!, m_p the multiplicity of
+    p: the order of the centralizer in S_m of a permutation of cycle type
+    lam."""
+    out = 1
+    for p, multiplicity in Counter(lam).items():
+        out *= p**multiplicity * factorial(multiplicity)
+    return out
+
+
 def _convolve(a: dict, b: dict, combine) -> dict:
     out: dict = {}
     for key_a, weight_a in a.items():
@@ -1031,7 +1090,7 @@ def _root_family_tally(length, m, negative, flips):
         for c in lam:
             cycle = _root_cycle_tally(length, c, negative, flips)
             tally = _convolve(tally, cycle, combine)
-        conjugates = factorial(m) // _z(lam)
+        conjugates = factorial(m) // _z_lam(lam)
         sign = -1 if (m - len(lam)) % 2 else 1
         for (cycles, twist, flip, negatives, side), weight in tally.items():
             summary = (-length if negative else length, twist, sign, flip)
@@ -1655,7 +1714,12 @@ def mu_bar(mu: SignedPartition) -> SignedPartition:
 
 def parse_signed_partition(text: str) -> SignedPartition:
     """Parse "-1-2+3+1" into SignedPartition(neg=(1, 2), pos=(3, 1))."""
-    parts = _tokenize(text)
+    text = text.strip()
+    if text in ("", "()"):
+        return SignedPartition((), ())
+    if not re.fullmatch(r"[+-]?[1-9][0-9]*([+-][1-9][0-9]*)*", text):
+        raise ValueError(f"bad signed partition {text!r}")
+    parts = [int(token) for token in re.findall(r"[+-]?[0-9]+", text)]
     neg = tuple(-p for p in parts if p < 0)
     pos = tuple(p for p in parts if p > 0)
     if any(p < 0 for p in parts[len(neg):]):

@@ -10,7 +10,7 @@ import random
 
 from conftest import stretch_enabled
 from coxchar.centralizers import centralizer_order
-from coxchar.characters import phi_B, phi_for_class, psi_mu
+from coxchar.characters import phi_for_class
 from coxchar.classfunctions import induce_from_centralizer
 from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.lattice import get_lattice
@@ -29,6 +29,8 @@ from oracles import (
     flat_codim,
     group_elements,
     induce_direct,
+    phi_B,
+    psi,
     reflection_exponents,
     root_mul,
     signed_cycle_type,
@@ -155,7 +157,7 @@ def test_criterion_6_homomorphism_oracle():
     failures = 0
     for n in range(1, 5):
         for mu in signed_partitions(n):
-            specs = [phi_B(mu)] + ([psi_mu(mu)] if len(mu.neg) % 2 == 0 else [])
+            specs = [phi_B(mu)] + ([psi(mu)] if len(mu.neg) % 2 == 0 else [])
             table: dict = {spec.name: {} for spec in specs}
             elements = []
             for images, neg_sum, pos_sum in centralizer_elements(n, mu):
@@ -183,7 +185,7 @@ def test_criterion_6_homomorphism_oracle():
                 SignedPermutation(images)
                 for images, *_ in centralizer_elements(n, mu)
             ]
-            specs = [phi_B(mu)] + ([psi_mu(mu)] if len(mu.neg) % 2 == 0 else [])
+            specs = [phi_B(mu)] + ([psi(mu)] if len(mu.neg) % 2 == 0 else [])
             for _ in range(100):
                 g, h = rng.choice(elements), rng.choice(elements)
                 for spec in specs:

@@ -7,11 +7,7 @@ from coxchar.characters import (
     alpha_char,
     chi_char,
     epsilon_char,
-    phi_A,
-    phi_B,
-    phi_D,
     phi_for_class,
-    psi_mu,
     spec_product,
 )
 from coxchar.groups import GroupDescriptor, conjugacy_classes
@@ -30,6 +26,8 @@ from oracles import (
     evaluate,
     evaluate_summaries,
     group_elements,
+    phi_B,
+    psi,
     root,
     root_mul,
     _summaries,
@@ -76,10 +74,34 @@ def test_spec_validation_at_construction(values):
         LinearCharacterSpec(G, mu, None, values)
 
 
+@pytest.mark.parametrize(
+    "family,rank,label,tag",
+    [
+        ("D", 4, SignedPartition((), (2, 2)), None),  # a split class needs a tag
+        ("D", 4, SignedPartition((), (3, 1)), "+"),  # one that does not split has none
+        ("B", 4, SignedPartition((), (2, 1)), None),  # a label of rank 3
+        ("A", 2, SignedPartition((1,), (2,)), None),  # type A has no negative part
+    ],
+    ids=["D4-split-untagged", "D4-tagged", "B4-rank-3", "A2-negative"],
+)
+def test_spec_base_must_be_a_class(family, rank, label, tag):
+    """A spec is refused when it is built, not later in induction, unless
+    its base (label, tag) is a class of its group; the message names all
+    three."""
+    G = GroupDescriptor(family, rank)
+    with pytest.raises(ValueError) as error:
+        phi_for_class(G, label, tag)
+    assert all(str(x) in str(error.value) for x in (label, tag, G))
+    values = {key: (0, 0, 0) for key, _ in label.families}
+    with pytest.raises(ValueError):
+        LinearCharacterSpec(G, label, tag, values)
+
+
 def test_phi_b_generator_values():
     # mu_i = 4 = 2^2: zeta_2 = zeta_8^4 = -1 on the negative 4-cycle
     mu = SignedPartition((4,), (3,))
     spec = phi_B(mu)
+    assert phi_for_class(GroupDescriptor("B", 7), mu).values == spec.values
     assert spec.values[-4][0] == 4
     assert root(*spec.exponent((-4, 1, 1, 0))) == MINUS_ONE
     # r_j value (-1)^(j-1): +1 for odd parts
@@ -95,7 +117,8 @@ def test_phi_b_generator_values():
 
 def test_psi_values():
     mu = SignedPartition((2, 2), (3, 1))
-    spec = psi_mu(mu)
+    spec = psi(mu)
+    assert phi_for_class(GroupDescriptor("D", 8), mu).values == spec.values
     # a negative i-cycle has order 2i, psi sends it to zeta_2i
     assert spec.values[-2][0] == 1
     assert root(*spec.exponent((-2, 1, 1, 0))) == root(1, 4)
@@ -105,7 +128,7 @@ def test_psi_values():
     assert c1.order() == 4
     assert evaluate(spec, c1) == root(1, 4)
     with pytest.raises(ValueError):
-        psi_mu(SignedPartition((1,), (1,)))
+        psi(SignedPartition((1,), (1,)))
 
 
 def test_phi_d_differs_from_phi_b_restriction():
@@ -115,14 +138,14 @@ def test_phi_d_differs_from_phi_b_restriction():
     c1, c2 = gens.neg_cycles
     g = c1.compose(c2)
     assert g.is_even_signed()
-    assert evaluate(phi_D(mu), g) == MINUS_ONE
+    assert evaluate(phi_for_class(GroupDescriptor("D", 4), mu), g) == MINUS_ONE
     assert evaluate(phi_B(mu), g) == ONE
 
 
 def test_phi_d_bullet_values():
     # phi_D(c_i c_k) = zeta_|c_i| zeta_|c_k|; phi_D(r_i r_k) = 1 for odd parts
     mu = SignedPartition((1, 2), (3, 3))
-    spec = phi_D(mu)
+    spec = phi_for_class(GroupDescriptor("D", 9), mu)
     gens = centralizer_generators(9, mu)
     c1, c2 = gens.neg_cycles
     assert evaluate(spec, c1.compose(c2)) == root_mul(root(1, 2), root(1, 4))
@@ -134,11 +157,14 @@ def test_phi_d_bullet_values():
 
 @pytest.mark.parametrize("n", range(4, 7))
 def test_phi_d_bullets_all_labels(n):
-    """The full phi_D bullet list, for every even-negative label of rank n."""
-    for mu in signed_partitions(n):
-        if len(mu.neg) % 2:
+    """The full phi_D bullet list, for every class of D_n; a split label is
+    taken once, on its '+' side, whose base is w_mu itself."""
+    G = GroupDescriptor("D", n)
+    for cls in conjugacy_classes(G):
+        if cls.tag == "-":
             continue
-        spec = phi_D(mu)
+        mu = cls.label
+        spec = phi_for_class(G, mu, cls.tag)
         gens = centralizer_generators(n, mu)
         for i, ci in enumerate(gens.neg_cycles):
             for k in range(i + 1, len(gens.neg_cycles)):
@@ -165,14 +191,14 @@ def test_evaluate_identity_and_rejection():
     assert evaluate(spec, SignedPermutation.identity(3)) == ONE
     with pytest.raises(ValueError):
         evaluate(spec, SignedPermutation((3, 2, 1)))  # not in the centralizer
-    dspec = phi_D(SignedPartition((1, 1), (2,)))
+    dspec = phi_for_class(GroupDescriptor("D", 4), SignedPartition((1, 1), (2,)))
     with pytest.raises(ValueError):
         evaluate(dspec, SignedPermutation((-1, 2, 3, 4)))  # odd, not in D
 
 
 def test_phi_a_values():
     lam = (3, 3, 1)
-    spec = phi_A(lam)
+    spec = phi_for_class(GroupDescriptor("A", 6), SignedPartition((), lam))
     gens = centralizer_generators(7, SignedPartition((), lam))
     d1 = gens.pos_cycles[0]
     assert evaluate(spec, d1) == root(1, 3)
@@ -193,7 +219,7 @@ def test_homomorphism_exhaustive(n):
     for mu in signed_partitions(n):
         specs = [phi_B(mu)]
         if len(mu.neg) % 2 == 0:
-            specs.append(psi_mu(mu))
+            specs.append(psi(mu))
         values = {spec.name: {} for spec in specs}
         elements = []
         for images, neg_sum, pos_sum in centralizer_elements(n, mu):
@@ -222,7 +248,7 @@ def test_homomorphism_random(n):
         elements = []
         for images, *_ in centralizer_elements(n, mu):
             elements.append(SignedPermutation(images))
-        specs = [phi_B(mu)] + ([psi_mu(mu)] if len(mu.neg) % 2 == 0 else [])
+        specs = [phi_B(mu)] + ([psi(mu)] if len(mu.neg) % 2 == 0 else [])
         for _ in range(100):
             g, h = rng.choice(elements), rng.choice(elements)
             for spec in specs:
@@ -293,10 +319,11 @@ def test_alpha_examples():
 
 def test_spec_product_and_transport():
     mu = SignedPartition((), (2, 2))
+    phi_d = phi_for_class(GroupDescriptor("D", 4), mu, "-")
     chi = spec_product(
         alpha_char(GroupDescriptor("D", 4), mu, "-"),
         epsilon_char(GroupDescriptor("D", 4), mu, "-"),
-        phi_D(mu, "-"),
+        phi_d,
     )
     w_minus = class_rep(GroupDescriptor("D", 4), mu, "-")
     assert base_rep(chi) == w_minus
@@ -305,14 +332,14 @@ def test_spec_product_and_transport():
     parts = [
         evaluate(alpha_char(GroupDescriptor("D", 4), mu, "-"), g),
         evaluate(epsilon_char(GroupDescriptor("D", 4), mu, "-"), g),
-        evaluate(phi_D(mu, "-"), g),
+        evaluate(phi_d, g),
     ]
     expected = ONE
     for p in parts:
         expected = root_mul(expected, p)
     assert evaluate(chi, g) == expected
     with pytest.raises(ValueError):
-        spec_product(phi_B(mu), phi_D(mu, "+"))
+        spec_product(phi_B(mu), phi_for_class(GroupDescriptor("D", 4), mu, "+"))
 
 
 def _sign(k):

@@ -485,7 +485,7 @@ def test_class_function_values_are_ints(G):
 
 def test_induce_group_mismatch():
     G = GroupDescriptor("B", 3)
-    from coxchar.characters import phi_B
+    from oracles import phi_B
 
     with pytest.raises(ValueError):
         induce_from_centralizer(G, phi_B(SignedPartition((), (2, 2))))

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import mulclose
 from coxchar.groups import GroupDescriptor
+from coxchar.lattice import _weighted_structures
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import (
     Shape,
@@ -195,6 +196,25 @@ def _parabolic_conjugacy_classes(G):
         if not placed:
             classes.append([k])
     return classes, subgroups, elements
+
+
+SHAPE_LIST_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 13)]
+    + [GroupDescriptor("B", r) for r in range(1, 11)]
+    + [GroupDescriptor("D", r) for r in range(4, 11)]
+)
+
+
+@pytest.mark.parametrize("G", SHAPE_LIST_GROUPS, ids=str)
+def test_shape_list_is_the_shapes_of_the_flats(G):
+    """Every flat is stable under the identity, so the keys of its table
+    of Moebius sums by shape, zero sums kept, are the shapes of all flats,
+    counted from the flat structures and not from the shape rule; the
+    shape list is exactly that set, each shape once."""
+    identity = SignedPartition((), (1,) * G.degree)
+    listed = shapes(G)
+    assert len(set(listed)) == len(listed)
+    assert set(_weighted_structures(G, identity, None)) == set(listed)
 
 
 @pytest.mark.parametrize("rank", [4, 5])

@@ -597,6 +597,31 @@ def test_checks_build_no_cyc():
                 assert "Cyc" not in names, path.name
 
 
+def test_oracles_import_no_private_name_of_the_library():
+    """tests/oracles.py keeps its own copy of every helper it needs: an
+    underscore-prefixed name of coxchar, imported or read off an imported
+    module, would move the oracle together with the code it checks."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coxchar"):
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, (node.module, private)
+            if node.module == "coxchar":
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.asname or a.name.split(".")[0]
+                for a in node.names if a.name.startswith("coxchar")
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            assert not (isinstance(root, ast.Name) and root.id in modules), node.attr
+
+
 def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
     """`import coxchar.cli` loads only what a run uses: the value types are
     namedtuples, Fraction is imported by inner_product alone, and linalg
@@ -665,7 +690,8 @@ def test_poincare_run_loads_no_induction():
 # Elements and the class of an element live there too: a class is its
 # label.  So does the reduction modulo cyclotomic polynomials: a value is
 # read off its Galois orbits.  So does the shape of a flat: a flat is its
-# bare point.
+# bare point.  So do the type-B and type-D rules of phi_w written out on
+# their own, and the oracles' copies of z_lam and of the split rule.
 ORACLE_ONLY = {
     "evaluate", "evaluate_summaries", "Root", "ONE", "MINUS_ONE", "root",
     "root_mul", "root_pow", "coordinates", "class_function_of_spec", "class_rep",
@@ -674,7 +700,7 @@ ORACLE_ONLY = {
     "coxeter_generators", "mu_bar", "parse_signed_partition", "root_conj",
     "reflection_exponents", "_stable_structures", "_interval_mu", "_zero_mu",
     "cyclotomic_polynomial", "_poly_divide", "_power_table", "_number_mu",
-    "Flat", "shape_of_point",
+    "Flat", "shape_of_point", "phi_B", "psi", "_z_lam", "_splits",
 }
 
 
