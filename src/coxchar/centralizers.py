@@ -10,9 +10,10 @@ splits one cycle length at a time,
 
 with a_i negative and b_j positive cycles of length i and j: an element
 permutes equal blocks, twists each block by a power of its cycle, and may
-negate positive blocks outright.  Induction needs only weighted class
-tallies of the wreath-product factors, read off in closed form per cycle
-of the block permutation, with no element built.
+negate positive blocks outright.  Induction needs only the class tallies
+of the wreath-product factors, valued by a linear character cycle by
+cycle of the block permutation, each cycle in closed form, with no
+element built.
 
 Tallies are keyed by integers.  The cycle type of an element of W_n is
 its cycle-type code (cycle_code): one base-(n+1) digit per signed cycle
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from .partitions import SignedPartition, partitions
+from .partitions import SignedPartition
 
 __all__ = [
     "centralizer_order",
@@ -55,14 +56,13 @@ def cycle_code(mu: SignedPartition) -> int:
 # negative L-cycles and L for positive ones (SignedPartition.families).
 # Its part of C(w_mu) is a wreath product K wr S_m with block group
 # K = Z_2L (negative blocks) or Z_L x Z_2 (positive blocks, with block
-# negations; Z_L without), and it acts on its own coordinates.  Its tally
-# maps each summary (key, twist, sign, flips), the data a linear character
-# sees (what LinearCharacterSpec.exponent reads), flips 0 on a negative
-# family, to rows (code, bits, weight): the number of family elements
-# with that cycle-type code and, in type D only, bits = 2 * (negative
-# entries mod 2) + side, the D split-side parity of the cycles (the
-# parity of the negative values met walking each cycle from its smallest
-# entry, additive over cycles).  Both bits add mod 2 over families.
+# negations; Z_L without), and it acts on its own coordinates.  Under a
+# character's triple (a, s, r) on it (characters), its valued tally maps
+# (code, e, bits) to the number of family elements with that cycle-type
+# code and value zeta_2L^e; in type D only, bits = 2 * (negative entries
+# mod 2) + side, the D split-side parity of the cycles (the parity of the
+# negative values met walking each cycle from its smallest entry,
+# additive over cycles).  Both bits add mod 2 over families.
 
 
 @lru_cache(maxsize=None)
@@ -124,59 +124,57 @@ def _cycle_tally(length, c, negative, flips):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _family_tally(n, signed_length, m, family, a, s, r):
+    """Valued tally of the family of m blocks of this signed length (< 0:
+    negative) in the group of this family letter on n coordinates, under
+    the triple (a, s, r).  A character is a product over the cycles of the
+    block permutation, so recur on the one through the first block: its
+    length c, its other blocks picked in (m-1)!/(m-c)! ways, its
+    _cycle_tally rows valued zeta_2L^(a twist) (-1)^(s (c-1)) (-1)^(r flip).
+    Two positive 1-blocks of B2: fixed, one or both negated, or swapped:
+
+    >>> tally = _family_tally(2, 1, 2, "B", 0, 0, 0)
+    >>> sorted(tally.items())
+    [((2, 0, 0), 1), ((3, 0, 0), 2), ((10, 0, 0), 2), ((18, 0, 0), 1), ((27, 0, 0), 2)]
+    >>> sum(tally.values())
+    8
+    """
+    if m == 0:
+        return {(0, 0, 0): 1}
+    length = abs(signed_length)
+    order = 2 * length
+    in_d = family == "D"
+    out: dict = {}
+    for c in range(m, 0, -1):  # the rest grows, so each call finds it cached
+        rest = _family_tally(n, signed_length, m - c, family, a, s, r)
+        ways = factorial(m - 1) // factorial(m - c)
+        for cycle, count, twist, flip, neg, side, weight in _cycle_tally(
+            length, c, signed_length < 0, family != "A"
+        ):
+            units = count * _unit(n, cycle)
+            e = (a * twist + length * (s * (c - 1) + r * flip)) % order
+            bits = 2 * neg + side if in_d else 0
+            weight *= ways
+            for (code, e_rest, bits_rest), w in rest.items():
+                key = (code + units, (e + e_rest) % order, bits ^ bits_rest)
+                out[key] = out.get(key, 0) + weight * w
+    return out
+
+
+def centralizer_tallies(mu: SignedPartition, family: str, values):
+    """The tally of each family of C(w_mu) in the group of type family,
+    valued by its triple values[key], negative families first.  In type A
+    the positive blocks are never negated (the centralizer inside S_n)."""
+    return [
+        _family_tally(mu.n, key, count, family, *values[key])
+        for key, count in mu.families
+    ]
+
+
 def _z(lam):
     """Order of the centralizer in S_m of a permutation of cycle type lam."""
     return prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
-
-
-@lru_cache(maxsize=None)
-def _family_tally(n, signed_length, m, family):
-    """Tally of the family of m blocks of this signed length (< 0:
-    negative) of a centralizer in the group of this family letter acting
-    on n coordinates.
-
-    Conjugating by a block permutation changes no key, so one block
-    permutation per cycle type lam of S_m stands for its m!/z_lam
-    conjugates; its cycles move disjoint blocks, so its tally is the
-    convolution of their _cycle_tally.
-    """
-    negative = signed_length < 0
-    length = abs(signed_length)
-    modulus = 2 * length if negative else length
-    in_d = family == "D"
-    out: dict = {}
-    for lam in partitions(m):
-        tally = {(0, 0, 0, 0, 0): 1}
-        for c in lam:
-            step: dict = {}
-            for cycle, count, twist, flip, neg, side, weight in _cycle_tally(
-                length, c, negative, family != "A"
-            ):
-                units = count * _unit(n, cycle)
-                for (code, t, f, ng, sd), w in tally.items():
-                    key = (
-                        code + units, (t + twist) % modulus, f ^ flip, ng ^ neg,
-                        sd ^ side,
-                    )
-                    step[key] = step.get(key, 0) + w * weight
-            tally = step
-        conjugates = factorial(m) // _z(lam)
-        sign = -1 if (m - len(lam)) % 2 else 1
-        for (code, twist, flip, neg, side), weight in tally.items():
-            key = (code, 2 * neg + side if in_d else 0)
-            rows = out.setdefault((signed_length, twist, sign, flip), {})
-            rows[key] = rows.get(key, 0) + conjugates * weight
-    return {
-        summary: tuple((code, bits, w) for (code, bits), w in rows.items())
-        for summary, rows in out.items()
-    }
-
-
-def centralizer_tallies(mu: SignedPartition, family: str):
-    """The tally of each family of C(w_mu) in the group of type family,
-    negative families first.  In type A the positive blocks are never
-    negated (the centralizer inside S_n)."""
-    return [_family_tally(mu.n, key, count, family) for key, count in mu.families]
 
 
 def centralizer_order(mu: SignedPartition) -> int:

@@ -14,9 +14,10 @@ positive L-cycles and -L for the negative ones:
 
 Every such assignment extends uniquely to a linear character, and
 products of characters add exponents: a mod 2L, s and r mod 2.
-Induction never evaluates a character at an element: it reads the value
-at each per-family summary (key, twist, sign, flips) of the
-wreath-product factors as an exponent (exponent).
+Induction never evaluates a character at an element: it values the class
+tallies cycle by cycle of the block permutation (centralizers), where a
+c-cycle of blocks with twist t and flip f takes zeta_2L^(a t)
+(-1)^(s (c-1)) (-1)^(r f).
 
 The stock characters, each one rule per family:
 
@@ -71,17 +72,6 @@ class LinearCharacterSpec:
         self.label = label
         self.tag = tag
         self.name = name
-
-    def exponent(self, summary) -> tuple[int, int]:
-        """The value at the family elements with this summary, (e, 2L) for
-        zeta_2L^e.  The summary is (key, twist, sign, flips), key -L on a
-        negative family of L-cycles and L on a positive one, flips always 0
-        on a negative family (centralizers)."""
-        key, twist, sign, flips = summary
-        a, s, r = self.values[key]
-        length = abs(key)
-        order = 2 * length
-        return (a * twist + length * (s * (sign < 0) + r * flips)) % order, order
 
     def __str__(self) -> str:
         tag = f"^{self.tag}" if self.tag else ""

@@ -11,19 +11,19 @@ by the class each element of H = C_G(w) fuses into:
 
 No element of H is built, not even for a central w, where H = G: H is a
 direct product of wreath products, one per family of equal blocks, and
-the weighted class tallies of the families
-(centralizers.centralizer_tallies) are convolved on keys of two ints.
+the class tallies of the families, each valued by chi's triple on it
+(centralizers.centralizer_tallies), are convolved on keys of two ints.
 The cycle-type code adds over families and leads, with the D split side,
 straight to a class (groups.code_index).  The phase is 4e + bits: the
-value zeta_M^e, M the lcm of 2L over the families of L-cycles of w (on
-a family element chi is a 2L-th root of unity, read as an exponent by
-LinearCharacterSpec.exponent), so values multiply as e adds mod M; in
-type D the low bits hold the parity of the negative entries and the
-split side, which add mod 2.  Each class's bucket (e -> count) is a
-union of Galois orbits of roots, since Weyl group classes are rational,
-and is read once as the sum over its orbits of count * mu(order); a
-bucket that is not such a union (an irrational value) or a value that is
-not an integer is an internal error (AssertionError).
+value zeta_M^e, M the lcm of 2L over the families of L-cycles of w (a
+family's tally holds exponents of zeta_2L = zeta_M^(M/2L)), so values
+multiply as e adds mod M; in type D the low bits hold the parity of the
+negative entries and the split side, which add mod 2.  Each class's
+bucket (e -> count) is a union of Galois orbits of roots, since Weyl
+group classes are rational, and is read once as the sum over its orbits
+of count * mu(order); a bucket that is not such a union (an irrational
+value) or a value that is not an integer is an internal error
+(AssertionError).
 """
 
 from __future__ import annotations
@@ -169,9 +169,10 @@ def induce_from_centralizer(
 ) -> ClassFunction:
     """Induce a linear character of C_G(w) to G by fusion of class tallies.
 
-    Each family's tally is valued by chi, the families are convolved, and
-    in type D the odd elements are dropped (the parity of negative entries
-    is only known for the whole element).
+    Each family's tally, valued by chi's triple on it, is read at the
+    common order M, the families are convolved, and in type D the odd
+    elements are dropped (the parity of negative entries is only known for
+    the whole element).
     """
     if chi.group != G:
         raise ValueError(f"character lives on {chi.group}, not {G}")
@@ -181,18 +182,15 @@ def induce_from_centralizer(
     m = lcm(*(2 * abs(key) for key, _ in chi.label.families))
     m4 = 4 * m
     tally = {(0, 0): 1}
-    for family in centralizer_tallies(chi.label, G.family):
-        valued: dict = {}
-        for summary, rows in family.items():
-            e, order = chi.exponent(summary)
-            shift = 4 * e * (m // order)
-            for code, bits, weight in rows:
-                key = (code, shift + bits)
-                valued[key] = valued.get(key, 0) + weight
+    for (signed_length, _), family in zip(
+        chi.label.families, centralizer_tallies(chi.label, G.family, chi.values)
+    ):
         # phases add as 4e mod 4M, the two low bits as an XOR
+        scale = 4 * (m // (2 * abs(signed_length)))
         split = [(code, phase & ~3, phase & 3, w) for (code, phase), w in tally.items()]
         tally = {}
-        for (code_b, phase_b), weight_b in valued.items():
+        for (code_b, e, bits), weight_b in family.items():
+            phase_b = scale * e + bits
             for code_a, high, low, weight_a in split:
                 key = (code_a + code_b, (high + phase_b) % m4 ^ low)
                 tally[key] = tally.get(key, 0) + weight_a * weight_b

@@ -64,8 +64,8 @@ def parse_shape(text: str) -> Shape:
 def _tags(G: GroupDescriptor, lam) -> tuple:
     """The tags under which lam is a shape of G: () when it is none,
     ('+', '-') for a type-D partition of n with all parts even, (None,)
-    otherwise.  Cached: shape_rank reads it for every shape of every
-    class's table."""
+    otherwise.  Cached: the shape list, ranks and cuspidal labels all
+    read it."""
     n, m = G.degree, sum(lam)
     if m > n or G.family == "A" and m < n or G.family == "D" and m == n - 1:
         return ()
@@ -90,8 +90,10 @@ def _check_shape(G: GroupDescriptor, shape: Shape):
     return G.degree, sum(shape.lam)
 
 
+@lru_cache(maxsize=None)
 def shape_rank(G: GroupDescriptor, shape: Shape) -> int:
-    """Rank of the parabolic = codimension of its fixed space."""
+    """Rank of the parabolic = codimension of its fixed space.  Cached, so
+    that each shape of the Poincare tables is validated once."""
     n, _ = _check_shape(G, shape)
     return n - len(shape.lam)
 

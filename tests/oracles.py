@@ -7,7 +7,9 @@ modulo the cyclotomic polynomial through the power table x^k mod Phi_m
 orbits, the Moebius function by trial division (`_number_mu`), induction
 by the definition over the whole group (`induce_direct`) and on the
 root-keyed class tallies the library used before its keys were integers
-(`induce_by_root_tallies`), the alpha
+(`induce_by_root_tallies`, one family's tally summed over the cycle types
+of the block permutation in `_root_family_tally`, where the library
+recurs on the block cycle through the first block), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
 the intersection lattice closed under hyperplane meets (`closure_by_meets`),
 the w-stable flats by testing each flat's hyperplanes
@@ -33,8 +35,10 @@ replace, fixed spaces as rational subspaces
 centralizer (`centralizer_generators`, `centralizer_elements`), the
 coordinates of a centralizer element (`coordinates`, `reassemble`), and
 a linear character evaluated element by element (`evaluate`, the
-product of its families' values in `evaluate_summaries`, on roots of
-unity as normalized pairs: `Root`, `root`, `root_mul`, `root_pow`), also
+product of its families' values in `evaluate_summaries`, each read off
+the family's summary by the oracles' own copy of the per-family rule,
+`summary_value`, on roots of unity as normalized pairs: `Root`, `root`,
+`root_mul`, `root_pow`), also
 at every class representative when the base is central
 (`class_function_of_spec`), which induction computes from class tallies
 and per-family exponents, and the type-B and type-D rules of phi_w
@@ -867,12 +871,26 @@ def conjugate_by_first_flip(images):
 # -- character values element by element ------------------------------------------
 
 
+def summary_value(values, summary) -> Root:
+    """The value at the family elements with this summary (key, twist,
+    sign, flips) of a character with the triple (a, s, r) = values[key]:
+    (zeta_2L^a)^twist, times (-1)^s when the block permutation is odd and
+    ((-1)^r)^flips, L = |key|.  The rule as the characters module states
+    it per family, which the library applies cycle by cycle instead."""
+    key, twist, sign, flips = summary
+    a, s, r = values[key]
+    value = root_pow(root(a, 2 * abs(key)), twist)
+    if sign < 0:
+        value = root_mul(value, root(s, 2))
+    return root_mul(value, root_pow(root(r, 2), flips))
+
+
 def evaluate_summaries(spec: LinearCharacterSpec, neg_summary, pos_summary) -> Root:
     """The value at an element with these per-family summaries: the product
-    of its families' values, each read off LinearCharacterSpec.exponent."""
+    of its families' values (summary_value)."""
     value = ONE
     for summary in neg_summary + pos_summary:
-        value = root_mul(value, root(*spec.exponent(summary)))
+        value = root_mul(value, summary_value(spec.values, summary))
     return value
 
 
@@ -1115,7 +1133,7 @@ def induce_by_root_tallies(G: GroupDescriptor, chi: LinearCharacterSpec):
         valued: dict = {}
         family = _root_family_tally(length, m, negative, G.family != "A")
         for (cycles, summary, negatives, side), weight in family.items():
-            value = root(*chi.exponent(summary))
+            value = summary_value(chi.values, summary)
             if not in_d:
                 negatives = 0
             if not in_d or any(c < 0 or c % 2 for c in cycles):

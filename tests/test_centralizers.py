@@ -1,10 +1,21 @@
+from collections import Counter
+from math import factorial
+
 import pytest
 
 from conftest import mulclose
-from coxchar.centralizers import centralizer_order, symmetric_centralizer_order
-from coxchar.groups import GroupDescriptor
+from coxchar import centralizers
+from coxchar.centralizers import (
+    centralizer_order,
+    cycle_code,
+    symmetric_centralizer_order,
+)
+from coxchar.characters import alpha_char, chi_char, epsilon_char, phi_for_class
+from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.partitions import SignedPartition, signed_partitions
+from coxchar.verify import verify_regular
 from oracles import (
+    _root_family_tally,
     _summaries,
     centralizer_elements,
     centralizer_generators,
@@ -12,6 +23,8 @@ from oracles import (
     coordinates,
     group_elements,
     reassemble,
+    root,
+    summary_value,
     w_mu,
 )
 from signedperm import SignedPermutation
@@ -154,3 +167,106 @@ def test_conjugate_by_first_flip():
     w = SignedPermutation((2, -1, 3))
     t = SignedPermutation.flip(3)
     assert conjugate_by_first_flip(w.images) == w.conjugate(t).images
+
+
+# -- valued family tallies -----------------------------------------------------
+
+
+def _stock_triples(G):
+    """(key, character name) -> the stock triple on that family, over every
+    class of G."""
+    out = {}
+    for cls in conjugacy_classes(G):
+        args = (G, cls.label, cls.tag)
+        for name, make in (
+            ("phi", phi_for_class), ("alpha", alpha_char),
+            ("epsilon", epsilon_char), ("chi", chi_char),
+        ):
+            for key, triple in make(*args).values.items():
+                out[(key, name)] = triple
+    return out
+
+
+def _oracle_tallies(family, key, m, triples):
+    """The oracle's family tally, summed over the cycle types of the block
+    permutation, valued per summary under each triple: name -> Counter of
+    (code, value, negatives, side), the side kept only where an element's
+    class can split (all its cycles positive and even) and both bits only
+    in type D; with the cycles of each code."""
+    out = {name: Counter() for name in triples}
+    codes, cycles_of = {}, {}
+    tally = _root_family_tally(abs(key), m, key < 0, family != "A")
+    for (cycles, summary, negatives, side), weight in tally.items():
+        if cycles not in codes:
+            code = codes[cycles] = cycle_code(SignedPartition(
+                tuple(sorted(-c for c in cycles if c < 0)),
+                tuple(sorted((c for c in cycles if c > 0), reverse=True)),
+            ))
+            cycles_of[code] = cycles
+        splits = all(c > 0 and c % 2 == 0 for c in cycles)
+        if family != "D":
+            negatives = side = 0
+        elif not splits:
+            side = 0
+        for name, triple in triples.items():
+            value = summary_value({key: triple}, summary)
+            out[name][(codes[cycles], value, negatives, side)] += weight
+    return out, cycles_of
+
+
+# every key with |L| <= 6 occurs in A5, B6 and D7
+TRIPLE_GROUPS = [GroupDescriptor("A", 5), GroupDescriptor("B", 6), GroupDescriptor("D", 7)]
+
+
+@pytest.mark.parametrize("G", TRIPLE_GROUPS, ids=lambda G: G.family)
+def test_family_tally_equals_partition_sum(G):
+    """The recurrence on the block cycle through the first block equals the
+    oracle's sum over the cycle types lam of S_m, m!/z_lam conjugates each,
+    valued by the oracle's own rule: every family of L <= 6 and m <= 6
+    blocks, under the stock phi, alpha, epsilon and chi triples."""
+    stock = _stock_triples(G)
+    keys = {key for key, _ in stock if abs(key) <= 6}
+    assert keys == set(range(1, 7)) | (set() if G.family == "A" else set(range(-6, 0)))
+    for key in sorted(keys):
+        length = abs(key)
+        triples = {name: t for (k, name), t in stock.items() if k == key}
+        assert len(triples) == 4
+        for m in range(1, 7):
+            expected, cycles_of = _oracle_tallies(G.family, key, m, triples)
+            for name, triple in triples.items():
+                got = Counter()
+                tally = centralizers._family_tally(length * m, key, m, G.family, *triple)
+                for (code, e, bits), weight in tally.items():
+                    cycles = cycles_of.get(code, (2,))
+                    splits = all(c > 0 and c % 2 == 0 for c in cycles)
+                    side = bits & 1 if splits else 0
+                    got[(code, root(e, 2 * length), bits >> 1, side)] += weight
+                assert got == expected[name], (G.family, key, m, name)
+
+
+@pytest.mark.parametrize("family", "ABD")
+def test_family_tally_total_weight(family):
+    """A family of m blocks of L-cycles is K wr S_m, of order |K|^m m!:
+    |K| = 2L, or L for the positive blocks of type A, which are never
+    negated."""
+    keys = range(1, 15) if family == "A" else [k for L in range(1, 15) for k in (L, -L)]
+    for key in keys:
+        block = abs(key) if family == "A" else 2 * abs(key)
+        for m in range(1, 14 // abs(key) + 1):
+            tally = centralizers._family_tally(abs(key) * m, key, m, family, 0, 0, 0)
+            assert sum(tally.values()) == block**m * factorial(m), (key, m)
+
+
+def test_family_tally_is_valued_once_per_group():
+    """The regular check of B8 values each family of m' blocks, m' up to
+    its count in some label and the empty family included, once per
+    (key, phi triple): every other induction finds its tallies cached."""
+    G = GroupDescriptor("B", 8)
+    centralizers._family_tally.cache_clear()
+    assert verify_regular(G).passed
+    expected = set()
+    for cls in conjugacy_classes(G):
+        values = phi_for_class(G, cls.label, cls.tag).values
+        for key, count in cls.label.families:
+            expected.update((key, m, values[key]) for m in range(count + 1))
+    assert centralizers._family_tally.cache_info().misses == len(expected)

@@ -30,6 +30,7 @@ from oracles import (
     psi,
     root,
     root_mul,
+    summary_value,
     _summaries,
 )
 from signedperm import SignedPermutation
@@ -43,8 +44,8 @@ def test_lemma_order_conditions_enforced():
     G = GroupDescriptor("B", 4)
     spec = LinearCharacterSpec(G, mu, None, {-2: (5, 0, 0), 2: (2, 0, 0)})
     assert spec.values == {-2: (1, 0, 0), 2: (2, 0, 0)}
-    assert spec.exponent((-2, 1, 1, 0)) == (1, 4)  # zeta_4 at c
-    assert spec.exponent((2, 1, 1, 0)) == (2, 4)  # -1 at d
+    assert summary_value(spec.values, (-2, 1, 1, 0)) == root(1, 4)  # zeta_4 at c
+    assert summary_value(spec.values, (2, 1, 1, 0)) == root(2, 4)  # -1 at d
     with pytest.raises(ValueError, match="2-th root"):
         LinearCharacterSpec(G, mu, None, {-2: (1, 0, 0), 2: (1, 0, 0)})
 
@@ -103,7 +104,7 @@ def test_phi_b_generator_values():
     spec = phi_B(mu)
     assert phi_for_class(GroupDescriptor("B", 7), mu).values == spec.values
     assert spec.values[-4][0] == 4
-    assert root(*spec.exponent((-4, 1, 1, 0))) == MINUS_ONE
+    assert summary_value(spec.values, (-4, 1, 1, 0)) == MINUS_ONE
     # r_j value (-1)^(j-1): +1 for odd parts
     assert spec.values[3][2] == 0
     assert phi_B(SignedPartition((), (2,))).values[2][2] == 1
@@ -121,7 +122,7 @@ def test_psi_values():
     assert phi_for_class(GroupDescriptor("D", 8), mu).values == spec.values
     # a negative i-cycle has order 2i, psi sends it to zeta_2i
     assert spec.values[-2][0] == 1
-    assert root(*spec.exponent((-2, 1, 1, 0))) == root(1, 4)
+    assert summary_value(spec.values, (-2, 1, 1, 0)) == root(1, 4)
     assert spec.values[3][2] == 1 and spec.values[1][2] == 1
     gens = centralizer_generators(8, mu)
     c1 = gens.neg_cycles[0]

@@ -7,7 +7,6 @@ from conftest import stretch_enabled
 from coxchar import classfunctions
 from coxchar.centralizers import cycle_code
 from coxchar.characters import (
-    LinearCharacterSpec,
     alpha_char,
     chi_char,
     epsilon_char,
@@ -421,6 +420,25 @@ def test_integer_value_reduces_and_scales():
         value({0: 3}, 1, 1, 2)
 
 
+def _skew(monkeypatch, shifted):
+    """Every value of each family's tally times zeta_2L, on the bases for
+    which shifted(label) holds: the tallies induction reads through
+    centralizer_tallies."""
+    real = classfunctions.centralizer_tallies
+
+    def skewed(mu, family, values):
+        tallies = real(mu, family, values)
+        if not shifted(mu):
+            return tallies
+        return [
+            {(code, (e + 1) % (2 * abs(key)), bits): w
+             for (code, e, bits), w in tally.items()}
+            for (key, _), tally in zip(mu.families, tallies)
+        ]
+
+    monkeypatch.setattr(classfunctions, "centralizer_tallies", skewed)
+
+
 def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
     """Every value of a character based at the transposition of A1 = S_2,
     a central base with one family of 2-cycles, times zeta_4: the central
@@ -428,13 +446,7 @@ def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
     class is zeta_4 with weight 1."""
     G = GroupDescriptor("A", 1)
     transposition = SignedPartition((), (2,))
-    real = LinearCharacterSpec.exponent
-
-    def skewed(self, summary):
-        e, order = real(self, summary)
-        return (e + (self.label == transposition)) % order, order
-
-    monkeypatch.setattr(LinearCharacterSpec, "exponent", skewed)
+    _skew(monkeypatch, lambda mu: mu == transposition)
     with pytest.raises(AssertionError, match="irrational"):
         induce_from_centralizer(G, phi_for_class(G, transposition))
     assert main(["--family", "A", "--rank", "1", "--check", "regular"]) == 3
@@ -448,13 +460,7 @@ def test_irrational_tallied_value_is_an_internal_error(monkeypatch):
     """Every family's value times zeta_2L, so every tallied value of the
     base +2+1 of B3 times zeta_4 * zeta_2: the reduction of a bucket with a
     nonzero sum is irrational."""
-    real = LinearCharacterSpec.exponent
-
-    def skewed(self, summary):
-        e, order = real(self, summary)
-        return (e + 1) % order, order
-
-    monkeypatch.setattr(LinearCharacterSpec, "exponent", skewed)
+    _skew(monkeypatch, lambda mu: True)
     G = GroupDescriptor("B", 3)
     with pytest.raises(AssertionError, match="irrational"):
         induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (2, 1))))

@@ -4,6 +4,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
+import coxchar.centralizers
 import coxchar.partitions
 from coxchar.centralizers import (
     centralizer_order,
@@ -101,6 +102,8 @@ def test_partitions_ascend_and_order_the_type_a_classes():
 def test_module_doctests():
     result = doctest.testmod(coxchar.partitions)
     assert result.failed == 0 and result.attempted >= 2
+    result = doctest.testmod(coxchar.centralizers)
+    assert result.failed == 0 and result.attempted >= 1
 
 
 FAMILY_GROUPS = (

@@ -687,14 +687,16 @@ def test_poincare_run_loads_no_induction():
 # Element-by-element character evaluation, which lives with the test
 # oracles: induction has one path, through the class tallies.  So do the
 # roots of unity it multiplies: the library reads a value as an exponent.
+# So does a character's value at a per-family summary (summary_value): the
+# library values each family's tally cycle by cycle of the block permutation.
 # Elements and the class of an element live there too: a class is its
 # label.  So does the reduction modulo cyclotomic polynomials: a value is
 # read off its Galois orbits.  So does the shape of a flat: a flat is its
 # bare point.  So do the type-B and type-D rules of phi_w written out on
 # their own, and the oracles' copies of z_lam and of the split rule.
 ORACLE_ONLY = {
-    "evaluate", "evaluate_summaries", "Root", "ONE", "MINUS_ONE", "root",
-    "root_mul", "root_pow", "coordinates", "class_function_of_spec", "class_rep",
+    "evaluate", "evaluate_summaries", "summary_value", "Root", "ONE", "MINUS_ONE",
+    "root", "root_mul", "root_pow", "coordinates", "class_function_of_spec", "class_rep",
     "base_rep", "CentralizerCoordinates", "SignedPermutation", "w_mu",
     "signed_cycle_type", "cycle_side_parity", "d_split_side", "class_key",
     "coxeter_generators", "mu_bar", "parse_signed_partition", "root_conj",
