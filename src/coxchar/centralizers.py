@@ -15,12 +15,16 @@ of the wreath-product factors, valued by a linear character cycle by
 cycle of the block permutation, each cycle in closed form, with no
 element built.
 
-Tallies are keyed by integers.  The cycle type of an element of W_n is
+Tallies are keyed by (code, e).  The cycle type of an element of W_n is
 its cycle-type code (cycle_code): one base-(n+1) digit per signed cycle
 length counts the cycles of that length and sign, positive length L at
 digit L-1 and negative L at digit n+L-1.  No count exceeds n, so the code
 determines the type, and the code of a product of elements on disjoint
-coordinates is the sum of their codes.
+coordinates is the sum of their codes.  An element lies in D_n exactly
+when it has an even number of negative cycles, so the code also decides
+D membership.  In type D one more digit above these, at side_unit(n),
+adds up the D split sides of the cycles, and its parity is the element's
+side.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "centralizer_order",
     "symmetric_centralizer_order",
     "cycle_code",
+    "side_unit",
     "centralizer_tallies",
 ]
 
@@ -50,6 +55,11 @@ def cycle_code(mu: SignedPartition) -> int:
     return sum(count * _unit(mu.n, key) for key, count in mu.families)
 
 
+def side_unit(n):
+    """The place of the D split-side digit, above the 2n cycle digits."""
+    return (n + 1) ** (2 * n)
+
+
 # -- class tallies ------------------------------------------------------------
 #
 # A family is the set of m blocks of one signed cycle length, keyed -L for
@@ -58,31 +68,29 @@ def cycle_code(mu: SignedPartition) -> int:
 # K = Z_2L (negative blocks) or Z_L x Z_2 (positive blocks, with block
 # negations; Z_L without), and it acts on its own coordinates.  Under a
 # character's triple (a, s, r) on it (characters), its valued tally maps
-# (code, e, bits) to the number of family elements with that cycle-type
-# code and value zeta_2L^e; in type D only, bits = 2 * (negative entries
-# mod 2) + side, the D split-side parity of the cycles (the parity of the
-# negative values met walking each cycle from its smallest entry,
-# additive over cycles).  Both bits add mod 2 over families.
+# (code, e) to the number of family elements with that code and value
+# zeta_2L^e.  In type D the code's side digit counts the cycles' D split
+# sides (the parity of the negative values met walking each cycle from
+# its smallest entry, additive over cycles), so sides add with codes.
 
 
 @lru_cache(maxsize=None)
 def _cycle_tally(length, c, negative, flips):
     """One c-cycle of the block permutation, as rows
-    (signed cycle length, cycles, twist, flip, negatives, side, weight).
+    (signed cycle length, cycles, twist, flip, side, weight).
 
     Conjugating by the block group inside these c blocks reaches every
     choice of twists (and flips) with the same product b around the cycle,
-    and keeps the signed cycles, twist sum, flip sum and negative parity.
-    So each product stands for |K|^(c-1) elements, represented by the one
-    that puts all of b on the last block; its c-th power is b on every
-    block, so each signed l-cycle of b makes one signed (c*l)-cycle.
+    and keeps the signed cycles, twist sum and flip sum.  So each product
+    stands for |K|^(c-1) elements, represented by the one that puts all of
+    b on the last block; its c-th power is b on every block, so each signed
+    l-cycle of b makes one signed (c*l)-cycle.
 
     On a negative block, b turns the 2L signed points by the twist k: its
     g = gcd(k, 2L) orbits are g negative (L/g)-cycles when g divides L (x
-    and -x share an orbit), else g/2 positive cycles of odd length 2L/g;
-    b has k mod 2 negative entries.  On a positive block b = +-d^k has
-    gcd(k, L) cycles of length l = L/gcd(k, L), negative when b is negated
-    and l is odd; a negation negates L entries.
+    and -x share an orbit), else g/2 positive cycles of odd length 2L/g.
+    On a positive block b = +-d^k has gcd(k, L) cycles of length
+    l = L/gcd(k, L), negative when b is negated and l is odd.
 
     The D split side matters only for positive cycles of even length, and
     moves by the parity of the conjugator.  When K has odd elements and c
@@ -106,13 +114,11 @@ def _cycle_tally(length, c, negative, flips):
                 cycle, count = -c * length // g, g
             else:
                 cycle, count = 2 * c * length // g, g // 2
-            negatives = twist % 2
         else:
-            g = gcd(twist, length)
-            cycle = c * length // g
-            if flip and (length // g) % 2:
+            count = gcd(twist, length)
+            cycle = c * length // count
+            if flip and (length // count) % 2:
                 cycle = -cycle
-            count, negatives = g, flip * length % 2
         if cycle < 0 or cycle % 2:
             sides = ((0, weight),)
         elif has_odd and c % 2 == 0:
@@ -120,7 +126,7 @@ def _cycle_tally(length, c, negative, flips):
         else:
             sides = ((flip * c * length // 2 % 2, weight),)
         for side, share in sides:
-            rows.append((cycle, count, twist, flip, negatives, side, share))
+            rows.append((cycle, count, twist, flip, side, share))
     return tuple(rows)
 
 
@@ -132,32 +138,37 @@ def _family_tally(n, signed_length, m, family, a, s, r):
     block permutation, so recur on the one through the first block: its
     length c, its other blocks picked in (m-1)!/(m-c)! ways, its
     _cycle_tally rows valued zeta_2L^(a twist) (-1)^(s (c-1)) (-1)^(r flip).
-    Two positive 1-blocks of B2: fixed, one or both negated, or swapped:
+    Two positive 1-blocks of B2: fixed, one or both negated, or swapped;
+    and the two positive 2-blocks of D4, where 8 of the 32 elements have
+    two positive 2-cycles (cycle code 2 * 5 = 10), with side digit (at
+    5^8) 0, 1 or 2, so 2 of them lie on the '-' split side:
 
     >>> tally = _family_tally(2, 1, 2, "B", 0, 0, 0)
     >>> sorted(tally.items())
-    [((2, 0, 0), 1), ((3, 0, 0), 2), ((10, 0, 0), 2), ((18, 0, 0), 1), ((27, 0, 0), 2)]
+    [((2, 0), 1), ((3, 0), 2), ((10, 0), 2), ((18, 0), 1), ((27, 0), 2)]
     >>> sum(tally.values())
     8
+    >>> tally = _family_tally(4, 2, 2, "D", 0, 0, 0)
+    >>> [tally[10 + side * 5**8, 0] for side in (0, 1, 2)], sum(tally.values())
+    ([5, 2, 1], 32)
     """
     if m == 0:
-        return {(0, 0, 0): 1}
+        return {(0, 0): 1}
     length = abs(signed_length)
     order = 2 * length
-    in_d = family == "D"
+    side_place = side_unit(n) if family == "D" else 0
     out: dict = {}
     for c in range(m, 0, -1):  # the rest grows, so each call finds it cached
         rest = _family_tally(n, signed_length, m - c, family, a, s, r)
         ways = factorial(m - 1) // factorial(m - c)
-        for cycle, count, twist, flip, neg, side, weight in _cycle_tally(
+        for cycle, count, twist, flip, side, weight in _cycle_tally(
             length, c, signed_length < 0, family != "A"
         ):
-            units = count * _unit(n, cycle)
+            units = count * _unit(n, cycle) + side * side_place
             e = (a * twist + length * (s * (c - 1) + r * flip)) % order
-            bits = 2 * neg + side if in_d else 0
             weight *= ways
-            for (code, e_rest, bits_rest), w in rest.items():
-                key = (code + units, (e + e_rest) % order, bits ^ bits_rest)
+            for (code, e_rest), w in rest.items():
+                key = (code + units, (e + e_rest) % order)
                 out[key] = out.get(key, 0) + weight * w
     return out
 

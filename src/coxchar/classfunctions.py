@@ -12,13 +12,13 @@ by the class each element of H = C_G(w) fuses into:
 No element of H is built, not even for a central w, where H = G: H is a
 direct product of wreath products, one per family of equal blocks, and
 the class tallies of the families, each valued by chi's triple on it
-(centralizers.centralizer_tallies), are convolved on keys of two ints.
-The cycle-type code adds over families and leads, with the D split side,
-straight to a class (groups.code_index).  The phase is 4e + bits: the
-value zeta_M^e, M the lcm of 2L over the families of L-cycles of w (a
-family's tally holds exponents of zeta_2L = zeta_M^(M/2L)), so values
-multiply as e adds mod M; in type D the low bits hold the parity of the
-negative entries and the split side, which add mod 2.  Each class's
+(centralizers.centralizer_tallies), are convolved on keys (code, e) of
+two ints.  The cycle-type code adds over families and leads, with the D
+split-side digit, straight to a class (groups.code_index); in type D the
+code of an odd element (an odd number of negative cycles) names no class,
+and the element is dropped.  The value zeta_M^e, M the lcm of 2L over the
+families of L-cycles of w (a family's tally holds exponents of
+zeta_2L = zeta_M^(M/2L)), multiplies as e adds mod M.  Each class's
 bucket (e -> count) is a union of Galois orbits of roots, since Weyl
 group classes are rational, and is read once as the sum over its orbits
 of count * mu(order); a bucket that is not such a union (an irrational
@@ -32,7 +32,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
-from .centralizers import centralizer_tallies
+from .centralizers import centralizer_tallies, side_unit
 from .cyclotomic import totient_moebius
 from .groups import (
     GroupDescriptor,
@@ -170,9 +170,7 @@ def induce_from_centralizer(
     """Induce a linear character of C_G(w) to G by fusion of class tallies.
 
     Each family's tally, valued by chi's triple on it, is read at the
-    common order M, the families are convolved, and in type D the odd
-    elements are dropped (the parity of negative entries is only known for
-    the whole element).
+    common order M and the families are convolved.
     """
     if chi.group != G:
         raise ValueError(f"character lives on {chi.group}, not {G}")
@@ -180,33 +178,32 @@ def induce_from_centralizer(
     order_h = classes[class_index(G)[(chi.label, chi.tag)]].centralizer_order
 
     m = lcm(*(2 * abs(key) for key, _ in chi.label.families))
-    m4 = 4 * m
-    tally = {(0, 0): 1}
+    # the '-' base class of a split pair is t w_mu t, and Ind of chi^t is
+    # Ind of chi conjugated by the odd t: starting one side unit up swaps
+    # the sides
+    unit = side_unit(G.degree)
+    tally = {(unit if chi.tag == "-" else 0, 0): 1}
     for (signed_length, _), family in zip(
         chi.label.families, centralizer_tallies(chi.label, G.family, chi.values)
     ):
-        # phases add as 4e mod 4M, the two low bits as an XOR
-        scale = 4 * (m // (2 * abs(signed_length)))
-        split = [(code, phase & ~3, phase & 3, w) for (code, phase), w in tally.items()]
+        scale = m // (2 * abs(signed_length))
+        old = list(tally.items())
         tally = {}
-        for (code_b, e, bits), weight_b in family.items():
-            phase_b = scale * e + bits
-            for code_a, high, low, weight_a in split:
-                key = (code_a + code_b, (high + phase_b) % m4 ^ low)
+        for (code_b, e_b), weight_b in family.items():
+            e_b *= scale
+            for (code_a, e_a), weight_a in old:
+                key = (code_a + code_b, (e_a + e_b) % m)
                 tally[key] = tally.get(key, 0) + weight_a * weight_b
 
-    # the '-' base class of a split pair is t w_mu t, and Ind of chi^t is
-    # Ind of chi conjugated by the odd t: the sides swap
     index = code_index(G)
-    swap = chi.tag == "-"
     buckets: dict = {}
     count = 0
-    for (code, phase), weight in tally.items():
-        if phase & 2:
+    for (code, e), weight in tally.items():
+        k = index.get(code % (2 * unit))
+        if k is None:  # an odd element of a type-D tally
             continue
         count += weight
-        bucket = buckets.setdefault(index[2 * code + ((phase ^ swap) & 1)], {})
-        e = phase >> 2
+        bucket = buckets.setdefault(k, {})
         bucket[e] = bucket.get(e, 0) + weight
     if count != order_h:
         raise AssertionError(

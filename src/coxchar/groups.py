@@ -134,13 +134,16 @@ def class_index(G: GroupDescriptor) -> dict:
 
 @lru_cache(maxsize=None)
 def code_index(G: GroupDescriptor) -> dict:
-    """2 * cycle-type code + D split side (1 for '-') -> class index; both
-    sides lead to a class that does not split."""
+    """code + side * centralizers.side_unit(n) -> class index, for the
+    cycle-type code of each class and the D split side 1 for '-', 0 for
+    '+'; both sides lead to a class that does not split.  No code with an
+    odd number of negative cycles names a class of D_n."""
     out = {}
+    unit = centralizers.side_unit(G.degree)
     for k, cls in enumerate(_classes(G)):
-        key = 2 * centralizers.cycle_code(cls.label)
+        code = centralizers.cycle_code(cls.label)
         for side in (0, 1) if cls.tag is None else (cls.tag == "-",):
-            out[key + side] = k
+            out[code + side * unit] = k
     return out
 
 

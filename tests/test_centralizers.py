@@ -8,6 +8,7 @@ from coxchar import centralizers
 from coxchar.centralizers import (
     centralizer_order,
     cycle_code,
+    side_unit,
     symmetric_centralizer_order,
 )
 from coxchar.characters import alpha_char, chi_char, epsilon_char, phi_for_class
@@ -223,7 +224,9 @@ def test_family_tally_equals_partition_sum(G):
     """The recurrence on the block cycle through the first block equals the
     oracle's sum over the cycle types lam of S_m, m!/z_lam conjugates each,
     valued by the oracle's own rule: every family of L <= 6 and m <= 6
-    blocks, under the stock phi, alpha, epsilon and chi triples."""
+    blocks, under the stock phi, alpha, epsilon and chi triples.  The side
+    is the parity of the side digit, and the oracle's own parity of the
+    negative entries is the parity of the code's negative cycles."""
     stock = _stock_triples(G)
     keys = {key for key, _ in stock if abs(key) <= 6}
     assert keys == set(range(1, 7)) | (set() if G.family == "A" else set(range(-6, 0)))
@@ -234,13 +237,18 @@ def test_family_tally_equals_partition_sum(G):
         for m in range(1, 7):
             expected, cycles_of = _oracle_tallies(G.family, key, m, triples)
             for name, triple in triples.items():
+                for code, _, negatives, _ in expected[name]:
+                    odd = sum(c < 0 for c in cycles_of[code]) % 2
+                    assert negatives == (odd if G.family == "D" else 0)
                 got = Counter()
                 tally = centralizers._family_tally(length * m, key, m, G.family, *triple)
-                for (code, e, bits), weight in tally.items():
+                for (code, e), weight in tally.items():
+                    digit, code = divmod(code, side_unit(length * m))
                     cycles = cycles_of.get(code, (2,))
                     splits = all(c > 0 and c % 2 == 0 for c in cycles)
-                    side = bits & 1 if splits else 0
-                    got[(code, root(e, 2 * length), bits >> 1, side)] += weight
+                    negatives = sum(c < 0 for c in cycles) % 2 if G.family == "D" else 0
+                    side = digit % 2 if splits else 0
+                    got[(code, root(e, 2 * length), negatives, side)] += weight
                 assert got == expected[name], (G.family, key, m, name)
 
 

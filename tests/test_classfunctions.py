@@ -5,7 +5,7 @@ import pytest
 
 from conftest import stretch_enabled
 from coxchar import classfunctions
-from coxchar.centralizers import cycle_code
+from coxchar.centralizers import cycle_code, side_unit
 from coxchar.characters import (
     alpha_char,
     chi_char,
@@ -30,7 +30,7 @@ from coxchar.groups import (
     conjugacy_classes,
     reflection_length,
 )
-from coxchar.partitions import SignedPartition
+from coxchar.partitions import SignedPartition, signed_partitions
 from oracles import (
     Cyc,
     centralizer_elements,
@@ -213,7 +213,7 @@ def _stretch(family, rank):
 @pytest.mark.parametrize(
     "G",
     [GroupDescriptor("A", 8), GroupDescriptor("B", 8), GroupDescriptor("D", 8),
-     _stretch("B", 9), _stretch("D", 9), _stretch("A", 10)],
+     _stretch("B", 9), _stretch("D", 9), _stretch("A", 10), _stretch("D", 10)],
     ids=str,
 )
 def test_integer_keys_match_root_keyed_tallies(G):
@@ -250,19 +250,28 @@ CODE_GROUPS = (
 def test_cycle_codes_name_their_classes():
     """Every class of A1-A15, B1-B14 and D4-D14 has its own code (the two
     sides of a split class share one), the code reads back to the class's
-    label, and code_index leads from code and side to the class itself."""
+    label, and code_index leads from code and side digit (at side_unit)
+    to the class itself.  No code of D_n with an odd number of negative
+    cycles names a class, whatever its side count."""
     for G in CODE_GROUPS:
         n = G.degree
         labels = {}
         index = code_index(G)
+        unit = side_unit(n)
         for k, cls in enumerate(conjugacy_classes(G)):
             code = cycle_code(cls.label)
             assert labels.setdefault(code, cls.label) == cls.label, f"{G} {cls}"
             assert _decode(n, code) == cls.label, f"{G} {cls}"
             sides = (0, 1) if cls.tag is None else (int(cls.tag == "-"),)
             for side in sides:
-                assert conjugacy_classes(G)[index[2 * code + side]].key == cls.key
+                assert conjugacy_classes(G)[index[code + side * unit]].key == cls.key
         assert len(index) == 2 * len(labels)
+        if G.family == "D":
+            for mu in signed_partitions(n):
+                if len(mu.neg) % 2:
+                    for side in range(n + 2):
+                        key = (cycle_code(mu) + side * unit) % (2 * unit)
+                        assert key not in index, f"{G} {mu} {side}"
     # full digits: n positive and n negative 1-cycles
     for n in (1, 7, 14):
         identity = SignedPartition((), (1,) * n)
@@ -431,8 +440,7 @@ def _skew(monkeypatch, shifted):
         if not shifted(mu):
             return tallies
         return [
-            {(code, (e + 1) % (2 * abs(key)), bits): w
-             for (code, e, bits), w in tally.items()}
+            {(code, (e + 1) % (2 * abs(key))): w for (code, e), w in tally.items()}
             for (key, _), tally in zip(mu.families, tallies)
         ]
 

@@ -536,6 +536,45 @@ def test_shape_characters_sum_to_graded(family, rank):
         assert totals[p] == list(graded[p].values)
 
 
+def _valued_elements(rank, shape):
+    """(element, value) over B_rank of its shape character; B_0 is
+    trivial, and its one shape () is 1."""
+    if rank == 0:
+        return [(SignedPermutation(()), 1)]
+    G = GroupDescriptor("B", rank)
+    values = shape_os_character(get_lattice(G), shape)
+    return [(w, values[class_of(G, w)]) for w in group_elements(G)]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_shape_character_reduces_to_zero_block_and_parts(rank):
+    """Brieskorn's split localised at a flat of shape (Z, lam): the shape
+    character of B_n is induced from B_Z x B_m, m = n - Z, of top(B_Z)
+    (the shape-() character) x the shape-lam character of B_m, whose
+    flats have no zero block.  The induction sums over the elements of
+    B_Z x B_m, the zero block on the first Z coordinates."""
+    G = GroupDescriptor("B", rank)
+    classes = conjugacy_classes(G)
+    lattice = get_lattice(G)
+    for shape in shapes(G):
+        m = sum(shape.lam)
+        Z = rank - m
+        first = _valued_elements(Z, Shape(()))
+        second = _valued_elements(m, shape)
+        sums = [0] * len(classes)
+        for u, a in first:
+            for v, b in second:
+                shifted = tuple(x + Z if x > 0 else x - Z for x in v.images)
+                sums[class_of(G, SignedPermutation(u.images + shifted))] += a * b
+        order_h = len(first) * len(second)
+        induced = []
+        for cls, total in zip(classes, sums):
+            value, rest = divmod(cls.centralizer_order * total, order_h)
+            assert rest == 0, (shape, cls)
+            induced.append(value)
+        assert list(shape_os_character(lattice, shape).values) == induced, shape
+
+
 @pytest.mark.parametrize("family,rank", [("B", 3), ("B", 4), ("D", 4), ("D", 5)])
 def test_pairing_shortcut_matches_direct_computation(family, rank):
     """Sharing the stable subposet between w and -w gives the same
