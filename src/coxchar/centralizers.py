@@ -15,10 +15,12 @@ of the wreath-product factors, valued by a linear character cycle by
 cycle of the block permutation, each cycle in closed form, with no
 element built.
 
-Tallies are keyed by (code, e).  The cycle type of an element of W_n is
-its cycle-type code (cycle_code): one base-(n+1) digit per signed cycle
-length counts the cycles of that length and sign, positive length L at
-digit L-1 and negative L at digit n+L-1.  No count exceeds n, so the code
+Tallies are keyed by the cycle-type code alone, and hold the sum of the
+character over the elements of each code, a rational integer, beside
+their number.  The cycle type of an element of W_n is its cycle-type
+code (cycle_code): one base-(n+1) digit per signed cycle length counts
+the cycles of that length and sign, positive length L at digit L-1 and
+negative L at digit n+L-1.  No count exceeds n, so the code
 determines the type, and the code of a product of elements on disjoint
 coordinates is the sum of their codes.  An element lies in D_n exactly
 when it has an even number of negative cycles, so the code also decides
@@ -32,6 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd, prod
 
+from .cyclotomic import orbit_sum
 from .partitions import SignedPartition
 
 __all__ = [
@@ -68,10 +71,13 @@ def side_unit(n):
 # K = Z_2L (negative blocks) or Z_L x Z_2 (positive blocks, with block
 # negations; Z_L without), and it acts on its own coordinates.  Under a
 # character's triple (a, s, r) on it (characters), its valued tally maps
-# (code, e) to the number of family elements with that code and value
-# zeta_2L^e.  In type D the code's side digit counts the cycles' D split
-# sides (the parity of the negative values met walking each cycle from
-# its smallest entry, additive over cycles), so sides add with codes.
+# a code to the sum of the character's values over the family elements of
+# that code and their number.  The values are roots of unity of order 2L
+# only until the rows of one block cycle are summed per code
+# (cyclotomic.orbit_sum).  In type D the code's side digit counts the
+# cycles' D split sides (the parity of the negative values met walking
+# each cycle from its smallest entry, additive over cycles), so sides add
+# with codes.
 
 
 @lru_cache(maxsize=None)
@@ -134,26 +140,36 @@ def _cycle_tally(length, c, negative, flips):
 def _family_tally(n, signed_length, m, family, a, s, r):
     """Valued tally of the family of m blocks of this signed length (< 0:
     negative) in the group of this family letter on n coordinates, under
-    the triple (a, s, r).  A character is a product over the cycles of the
-    block permutation, so recur on the one through the first block: its
-    length c, its other blocks picked in (m-1)!/(m-c)! ways, its
-    _cycle_tally rows valued zeta_2L^(a twist) (-1)^(s (c-1)) (-1)^(r flip).
-    Two positive 1-blocks of B2: fixed, one or both negated, or swapped;
-    and the two positive 2-blocks of D4, where 8 of the 32 elements have
-    two positive 2-cycles (cycle code 2 * 5 = 10), with side digit (at
-    5^8) 0, 1 or 2, so 2 of them lie on the '-' split side:
+    the triple (a, s, r): code -> (sum of the character's values, number
+    of elements).  A character is a product over the cycles of the block
+    permutation, so recur on the one through the first block: its length
+    c, its other blocks picked in (m-1)!/(m-c)! ways, its _cycle_tally rows
+    valued zeta_2L^(a twist) (-1)^(s (c-1)) (-1)^(r flip) and summed per
+    code.  Such a sum is a rational integer.  The rows stand for the
+    elements whose block permutation is one c-cycle sigma.  For a prime to
+    |K wr S_c|, h -> h^a maps them onto those over sigma^a, which a block
+    permutation conjugates back onto them; neither step moves a code
+    (Weyl group classes are rational), and chi(h) goes to chi(h)^a.  So
+    the sum over a code is fixed by the Galois group of Q(zeta_2L), and
+    cyclotomic.orbit_sum reads it, checking that its roots are whole
+    orbits.  Two positive 1-blocks of B2 under alpha's triple: fixed
+    (code 2), one negated (value -1 each), both negated, swapped with
+    neither or both negated (code 3, a positive 2-cycle, value -1 each) or
+    with one (a negative 2-cycle, value 1 each); and the two positive
+    2-blocks of D4, where 8 of the 32 elements have two positive 2-cycles
+    (cycle code 2 * 5 = 10), with side digit (at 5^8) 0, 1 or 2, so 2 of
+    them lie on the '-' split side:
 
-    >>> tally = _family_tally(2, 1, 2, "B", 0, 0, 0)
-    >>> sorted(tally.items())
-    [((2, 0), 1), ((3, 0), 2), ((10, 0), 2), ((18, 0), 1), ((27, 0), 2)]
-    >>> sum(tally.values())
-    8
+    >>> sorted(_family_tally(2, 1, 2, "B", 0, 1, 1).items())
+    [(2, (1, 1)), (3, (-2, 2)), (10, (-2, 2)), (18, (1, 1)), (27, (2, 2))]
     >>> tally = _family_tally(4, 2, 2, "D", 0, 0, 0)
-    >>> [tally[10 + side * 5**8, 0] for side in (0, 1, 2)], sum(tally.values())
-    ([5, 2, 1], 32)
+    >>> [tally[10 + side * 5**8] for side in (0, 1, 2)]
+    [(5, 5), (2, 2), (1, 1)]
+    >>> sum(count for _, count in tally.values())
+    32
     """
     if m == 0:
-        return {(0, 0): 1}
+        return {0: (1, 1)}
     length = abs(signed_length)
     order = 2 * length
     side_place = side_unit(n) if family == "D" else 0
@@ -161,15 +177,19 @@ def _family_tally(n, signed_length, m, family, a, s, r):
     for c in range(m, 0, -1):  # the rest grows, so each call finds it cached
         rest = _family_tally(n, signed_length, m - c, family, a, s, r)
         ways = factorial(m - 1) // factorial(m - c)
+        buckets: dict = {}
         for cycle, count, twist, flip, side, weight in _cycle_tally(
             length, c, signed_length < 0, family != "A"
         ):
-            units = count * _unit(n, cycle) + side * side_place
+            bucket = buckets.setdefault(count * _unit(n, cycle) + side * side_place, {})
             e = (a * twist + length * (s * (c - 1) + r * flip)) % order
-            weight *= ways
-            for (code, e_rest), w in rest.items():
-                key = (code + units, (e + e_rest) % order)
-                out[key] = out.get(key, 0) + weight * w
+            bucket[e] = bucket.get(e, 0) + weight
+        for units, bucket in buckets.items():
+            value = ways * orbit_sum(bucket, order)
+            number = ways * sum(bucket.values())
+            for code, (v, k) in rest.items():
+                total, count = out.get(code + units, (0, 0))
+                out[code + units] = (total + value * v, count + number * k)
     return out
 
 

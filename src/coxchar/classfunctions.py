@@ -4,36 +4,32 @@ A ClassFunction holds one value per conjugacy class of a fixed group, in
 the canonical class order.  Every class function built here is a
 (virtual) character of a Weyl group, so its values are rational
 integers, and a value is a Python int.  Induction of a linear centralizer
-character to the whole group buckets character values, roots of unity,
-by the class each element of H = C_G(w) fuses into:
+character to the whole group sums character values by the class each
+element of H = C_G(w) fuses into:
 
     Ind(g) = |C_G(g)| / |H| * sum of chi(h) over h in H with h ~_G g.
 
 No element of H is built, not even for a central w, where H = G: H is a
 direct product of wreath products, one per family of equal blocks, and
 the class tallies of the families, each valued by chi's triple on it
-(centralizers.centralizer_tallies), are convolved on keys (code, e) of
-two ints.  The cycle-type code adds over families and leads, with the D
-split-side digit, straight to a class (groups.code_index); in type D the
-code of an odd element (an odd number of negative cycles) names no class,
-and the element is dropped.  The value zeta_M^e, M the lcm of 2L over the
-families of L-cycles of w (a family's tally holds exponents of
-zeta_2L = zeta_M^(M/2L)), multiplies as e adds mod M.  Each class's
-bucket (e -> count) is a union of Galois orbits of roots, since Weyl
-group classes are rational, and is read once as the sum over its orbits
-of count * mu(order); a bucket that is not such a union (an irrational
-value) or a value that is not an integer is an internal error
-(AssertionError).
+(centralizers.centralizer_tallies), map a cycle-type code to the sum of
+chi over the elements of that code, a rational integer, and to their
+number.  They are convolved on the code, which adds over families while
+values and counts multiply, and leads, with the D split-side digit,
+straight to a class (groups.code_index); in type D the code of an odd
+element (an odd number of negative cycles) names no class, and the
+element is dropped.  Each class sums the values of its codes, both D
+side entries of a class that does not split included, and is divided by
+|H| once; a count other than |H| or a value that is not an integer is an
+internal error (AssertionError).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from .centralizers import centralizer_tallies, side_unit
-from .cyclotomic import totient_moebius
 from .groups import (
     GroupDescriptor,
     class_index,
@@ -129,90 +125,52 @@ def sign_class_function(G) -> ClassFunction:
     )
 
 
-def _integer_value(bucket: dict[int, int], m: int, num: int, den: int) -> int:
-    """num/den * sum of count * zeta_m^e over the bucket (e -> count),
-    which must be an integer.
-
-    Weyl group classes are rational: g^a ~ g for every a prime to the
-    order of g.  So for a prime to |H| the power map h -> h^a permutes the
-    elements of H that fuse into one class, and it sends chi(h) = zeta_m^e
-    to zeta_m^(ae).  Every bucket is therefore a union of whole Galois
-    orbits: the exponents of each order d = m / gcd(e, m) all occur, with
-    one count c_d, and the primitive d-th roots sum to mu(d), so the sum
-    is the sum of c_d * mu(d).  The exponents are grouped by (d, count),
-    and each group must hold all phi(d) exponents of its order; a bucket
-    that is not a union of orbits is irrational, or not a value of any
-    induced linear character.
-    """
-    orbits: dict = {}
-    for e, count in bucket.items():
-        key = (m // gcd(e, m), count)
-        orbits[key] = orbits.get(key, 0) + 1
-    total = 0
-    for (d, count), size in orbits.items():
-        phi, mu = totient_moebius(d)
-        if size != phi:
-            raise AssertionError(
-                f"irrational class function value {bucket} (exponents mod {m})"
-            )
-        total += count * mu
-    value, rest = divmod(total * num, den)
-    if rest:
-        raise AssertionError(
-            f"non-integral class function value {total * num}/{den}"
-        )
-    return value
-
-
 def induce_from_centralizer(
     G: GroupDescriptor, chi: LinearCharacterSpec
 ) -> ClassFunction:
-    """Induce a linear character of C_G(w) to G by fusion of class tallies.
-
-    Each family's tally, valued by chi's triple on it, is read at the
-    common order M and the families are convolved.
-    """
+    """Induce a linear character of C_G(w) to G by fusion of class tallies:
+    the families' valued tallies are convolved, values and counts
+    multiplying as codes add."""
     if chi.group != G:
         raise ValueError(f"character lives on {chi.group}, not {G}")
     classes = conjugacy_classes(G)
     order_h = classes[class_index(G)[(chi.label, chi.tag)]].centralizer_order
 
-    m = lcm(*(2 * abs(key) for key, _ in chi.label.families))
     # the '-' base class of a split pair is t w_mu t, and Ind of chi^t is
     # Ind of chi conjugated by the odd t: starting one side unit up swaps
     # the sides
     unit = side_unit(G.degree)
-    tally = {(unit if chi.tag == "-" else 0, 0): 1}
-    for (signed_length, _), family in zip(
-        chi.label.families, centralizer_tallies(chi.label, G.family, chi.values)
-    ):
-        scale = m // (2 * abs(signed_length))
+    tally = {unit if chi.tag == "-" else 0: (1, 1)}
+    for family in centralizer_tallies(chi.label, G.family, chi.values):
         old = list(tally.items())
         tally = {}
-        for (code_b, e_b), weight_b in family.items():
-            e_b *= scale
-            for (code_a, e_a), weight_a in old:
-                key = (code_a + code_b, (e_a + e_b) % m)
-                tally[key] = tally.get(key, 0) + weight_a * weight_b
+        for code_b, (value_b, count_b) in family.items():
+            for code_a, (value_a, count_a) in old:
+                value, count = tally.get(code_a + code_b, (0, 0))
+                tally[code_a + code_b] = (
+                    value + value_a * value_b, count + count_a * count_b
+                )
 
     index = code_index(G)
-    buckets: dict = {}
-    count = 0
-    for (code, e), weight in tally.items():
+    sums: dict = {}
+    tallied = 0
+    for code, (value, count) in tally.items():
         k = index.get(code % (2 * unit))
         if k is None:  # an odd element of a type-D tally
             continue
-        count += weight
-        bucket = buckets.setdefault(k, {})
-        bucket[e] = bucket.get(e, 0) + weight
-    if count != order_h:
+        tallied += count
+        sums[k] = sums.get(k, 0) + value
+    if tallied != order_h:
         raise AssertionError(
-            f"tallied {count} elements, expected centralizer order {order_h}"
+            f"tallied {tallied} elements, expected centralizer order {order_h}"
         )
 
     values = [0] * len(classes)
-    for k, bucket in buckets.items():
-        values[k] = _integer_value(bucket, m, classes[k].centralizer_order, order_h)
+    for k, value in sums.items():
+        total = classes[k].centralizer_order * value
+        values[k], rest = divmod(total, order_h)
+        if rest:
+            raise AssertionError(f"non-integral class function value {total}/{order_h}")
     return ClassFunction(G, tuple(values))
 
 

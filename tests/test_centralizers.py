@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from math import factorial
 
 import pytest
@@ -11,11 +12,18 @@ from coxchar.centralizers import (
     side_unit,
     symmetric_centralizer_order,
 )
-from coxchar.characters import alpha_char, chi_char, epsilon_char, phi_for_class
+from coxchar.characters import (
+    LinearCharacterSpec,
+    alpha_char,
+    chi_char,
+    epsilon_char,
+    phi_for_class,
+)
 from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.verify import verify_regular
 from oracles import (
+    Cyc,
     _root_family_tally,
     _summaries,
     centralizer_elements,
@@ -24,7 +32,6 @@ from oracles import (
     coordinates,
     group_elements,
     reassemble,
-    root,
     summary_value,
     w_mu,
 )
@@ -190,11 +197,11 @@ def _stock_triples(G):
 
 def _oracle_tallies(family, key, m, triples):
     """The oracle's family tally, summed over the cycle types of the block
-    permutation, valued per summary under each triple: name -> Counter of
-    (code, value, negatives, side), the side kept only where an element's
-    class can split (all its cycles positive and even) and both bits only
-    in type D; with the cycles of each code."""
-    out = {name: Counter() for name in triples}
+    permutation, valued per summary under each triple and summed exactly:
+    name -> {(code, negatives, side): (value, count)}, the side kept only
+    where an element's class can split (all its cycles positive and even)
+    and both bits only in type D; with the cycles of each code."""
+    roots = {name: Counter() for name in triples}
     codes, cycles_of = {}, {}
     tally = _root_family_tally(abs(key), m, key < 0, family != "A")
     for (cycles, summary, negatives, side), weight in tally.items():
@@ -211,8 +218,42 @@ def _oracle_tallies(family, key, m, triples):
             side = 0
         for name, triple in triples.items():
             value = summary_value({key: triple}, summary)
-            out[name][(codes[cycles], value, negatives, side)] += weight
+            roots[name][(codes[cycles], negatives, side), value] += weight
+    out = {name: {} for name in triples}
+    for name, counter in roots.items():
+        sums = out[name]
+        for (entry, value), weight in counter.items():
+            total, count = sums.get(entry, (Cyc.zero(), 0))
+            sums[entry] = (total + Cyc.from_root(value).scale(weight), count + weight)
+        for entry, (total, count) in sums.items():
+            value = total.as_rational()
+            assert value is not None and value.denominator == 1, (entry, total)
+            sums[entry] = (value.numerator, count)
     return out, cycles_of
+
+
+def _assert_family_tally_equals_partition_sum(family, key, m, triples):
+    """_family_tally, under each triple, equals the oracle's partition sum
+    code by code, value and count, with the side read as the parity of the
+    side digit; the oracle's own parity of the negative entries is the
+    parity of the code's negative cycles."""
+    length = abs(key)
+    expected, cycles_of = _oracle_tallies(family, key, m, triples)
+    for name, triple in triples.items():
+        for code, negatives, _ in expected[name]:
+            odd = sum(c < 0 for c in cycles_of[code]) % 2
+            assert negatives == (odd if family == "D" else 0)
+        got: dict = {}
+        tally = centralizers._family_tally(length * m, key, m, family, *triple)
+        for code, (value, count) in tally.items():
+            digit, code = divmod(code, side_unit(length * m))
+            cycles = cycles_of.get(code, (2,))
+            splits = all(c > 0 and c % 2 == 0 for c in cycles)
+            negatives = sum(c < 0 for c in cycles) % 2 if family == "D" else 0
+            entry = (code, negatives, digit % 2 if splits else 0)
+            old_value, old_count = got.get(entry, (0, 0))
+            got[entry] = (old_value + value, old_count + count)
+        assert got == expected[name], (family, key, m, name)
 
 
 # every key with |L| <= 6 occurs in A5, B6 and D7
@@ -223,33 +264,48 @@ TRIPLE_GROUPS = [GroupDescriptor("A", 5), GroupDescriptor("B", 6), GroupDescript
 def test_family_tally_equals_partition_sum(G):
     """The recurrence on the block cycle through the first block equals the
     oracle's sum over the cycle types lam of S_m, m!/z_lam conjugates each,
-    valued by the oracle's own rule: every family of L <= 6 and m <= 6
-    blocks, under the stock phi, alpha, epsilon and chi triples.  The side
-    is the parity of the side digit, and the oracle's own parity of the
-    negative entries is the parity of the code's negative cycles."""
+    valued by the oracle's own rule and summed exactly: every family of
+    L <= 6 and m <= 6 blocks, under the stock phi, alpha, epsilon and chi
+    triples."""
     stock = _stock_triples(G)
     keys = {key for key, _ in stock if abs(key) <= 6}
     assert keys == set(range(1, 7)) | (set() if G.family == "A" else set(range(-6, 0)))
     for key in sorted(keys):
-        length = abs(key)
         triples = {name: t for (k, name), t in stock.items() if k == key}
         assert len(triples) == 4
         for m in range(1, 7):
-            expected, cycles_of = _oracle_tallies(G.family, key, m, triples)
-            for name, triple in triples.items():
-                for code, _, negatives, _ in expected[name]:
-                    odd = sum(c < 0 for c in cycles_of[code]) % 2
-                    assert negatives == (odd if G.family == "D" else 0)
-                got = Counter()
-                tally = centralizers._family_tally(length * m, key, m, G.family, *triple)
-                for (code, e), weight in tally.items():
-                    digit, code = divmod(code, side_unit(length * m))
-                    cycles = cycles_of.get(code, (2,))
-                    splits = all(c > 0 and c % 2 == 0 for c in cycles)
-                    negatives = sum(c < 0 for c in cycles) % 2 if G.family == "D" else 0
-                    side = digit % 2 if splits else 0
-                    got[(code, root(e, 2 * length), negatives, side)] += weight
-                assert got == expected[name], (G.family, key, m, name)
+            _assert_family_tally_equals_partition_sum(G.family, key, m, triples)
+
+
+def _accepted_triples(key):
+    """Every (a, s, r), a < 2L, that a LinearCharacterSpec accepts on the
+    family key: a even on a positive family, r = 0 on a negative one."""
+    length = abs(key)
+    label = SignedPartition((length,), ()) if key < 0 else SignedPartition((), (length,))
+    out = []
+    for triple in product(range(2 * length), (0, 1), (0, 1)):
+        try:
+            LinearCharacterSpec(GroupDescriptor("B", length), label, None, {key: triple})
+        except ValueError:
+            continue
+        out.append(triple)
+    return out
+
+
+@pytest.mark.parametrize("family", "ABD")
+def test_every_accepted_triple_reads_integer_family_values(family):
+    """Not only the stock characters: under every triple a spec accepts,
+    none of _family_tally's per-cycle readings raises (each is a union of
+    Galois orbits), and the family's values equal the oracle's exact
+    partition sum, for every +-L with L <= 6 and up to 3 blocks.  The
+    family rule is the same in every spec, so this covers every linear
+    character on such families, not only phi, alpha, epsilon and chi."""
+    keys = [key for L in range(1, 7) for key in ((L,) if family == "A" else (L, -L))]
+    for key in keys:
+        triples = {triple: triple for triple in _accepted_triples(key)}
+        assert len(triples) == 4 * abs(key)
+        for m in range(1, 4):
+            _assert_family_tally_equals_partition_sum(family, key, m, triples)
 
 
 @pytest.mark.parametrize("family", "ABD")
@@ -262,7 +318,8 @@ def test_family_tally_total_weight(family):
         block = abs(key) if family == "A" else 2 * abs(key)
         for m in range(1, 14 // abs(key) + 1):
             tally = centralizers._family_tally(abs(key) * m, key, m, family, 0, 0, 0)
-            assert sum(tally.values()) == block**m * factorial(m), (key, m)
+            total = sum(count for _, count in tally.values())
+            assert total == block**m * factorial(m), (key, m)
 
 
 def test_family_tally_is_valued_once_per_group():

@@ -1,10 +1,11 @@
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from conftest import stretch_enabled
-from coxchar import classfunctions
+from coxchar import centralizers, classfunctions
 from coxchar.centralizers import cycle_code, side_unit
 from coxchar.characters import (
     alpha_char,
@@ -406,55 +407,52 @@ def test_b2_os_trivial_multiplicity():
     assert Fraction(brute, G.order) == value
 
 
-def test_integer_value_reduces_and_scales():
-    """A bucket maps exponents e of zeta_m to counts: zeta_3 + zeta_3^2;
-    3 - 1; 5 - 3 with -1 = zeta_12^6; the four primitive 12th roots twice,
-    plus 1 and three times -1; i; and 3/2.  Only unions of whole Galois
-    orbits are values: zeta_12 + zeta_12^5 + zeta_4^3 (= zeta_12^9) twice,
-    plus 1, is rational (2(i - i) + 1 = 1) but not such a union, and no
-    induced linear character takes it; the primitive 12th roots with
-    unequal counts split their orbit."""
-    value = classfunctions._integer_value
-    assert value({1: 1, 2: 1}, 3, 1, 1) == -1
-    assert value({0: 3, 1: 1}, 2, 4, 2) == 4
-    assert value({0: 5, 6: 3}, 12, 3, 2) == 3
-    assert value({1: 2, 5: 2, 7: 2, 11: 2, 0: 1, 6: 3}, 12, 4, 2) == -4
-    with pytest.raises(AssertionError, match="irrational"):
-        value({1: 2, 5: 2, 9: 2, 0: 1}, 12, 4, 2)
-    with pytest.raises(AssertionError, match="irrational"):
-        value({1: 1, 5: 1, 7: 1, 11: 2}, 12, 1, 1)
-    with pytest.raises(AssertionError, match="irrational"):
-        value({1: 1}, 4, 1, 1)
-    with pytest.raises(AssertionError, match="non-integral"):
-        value({0: 3}, 1, 1, 2)
-
-
-def _skew(monkeypatch, shifted):
-    """Every value of each family's tally times zeta_2L, on the bases for
-    which shifted(label) holds: the tallies induction reads through
-    centralizer_tallies."""
+def test_non_integral_induced_value_is_an_internal_error(monkeypatch, capsys):
+    """One more than every value of each family's tally, counts kept: the
+    identity base of A2 = S_3 then sums 3 + 1 over the transpositions,
+    and 2 * 4 / 6 is no integer, so the per-class division trips; from
+    the CLI this is exit 3 and one `internal error: non-integral` line."""
     real = classfunctions.centralizer_tallies
 
-    def skewed(mu, family, values):
-        tallies = real(mu, family, values)
-        if not shifted(mu):
-            return tallies
+    def shifted(mu, family, values):
         return [
-            {(code, (e + 1) % (2 * abs(key))): w for (code, e), w in tally.items()}
-            for (key, _), tally in zip(mu.families, tallies)
+            {code: (value + 1, count) for code, (value, count) in tally.items()}
+            for tally in real(mu, family, values)
         ]
 
-    monkeypatch.setattr(classfunctions, "centralizer_tallies", skewed)
+    monkeypatch.setattr(classfunctions, "centralizer_tallies", shifted)
+    G = GroupDescriptor("A", 2)
+    with pytest.raises(AssertionError, match="non-integral"):
+        induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (1, 1, 1))))
+    assert main(["--family", "A", "--rank", "2", "--check", "regular"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: non-integral")
+
+
+def _skew(monkeypatch):
+    """Each block cycle's rows times zeta_2L where centralizers reads their
+    sums (orbit_sum), with a fresh _family_tally cache for the test, so
+    that no skewed tally outlives it."""
+    real = centralizers.orbit_sum
+
+    def skewed(bucket, m):
+        return real({(e + 1) % m: count for e, count in bucket.items()}, m)
+
+    monkeypatch.setattr(centralizers, "orbit_sum", skewed)
+    fresh = lru_cache(maxsize=None)(centralizers._family_tally.__wrapped__)
+    monkeypatch.setattr(centralizers, "_family_tally", fresh)
 
 
 def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
-    """Every value of a character based at the transposition of A1 = S_2,
-    a central base with one family of 2-cycles, times zeta_4: the central
-    base goes through the class tallies, and the bucket of the identity
-    class is zeta_4 with weight 1."""
+    """Every cycle's values times zeta_2L, at a character based at the
+    transposition of A1 = S_2, a central base with one family of 2-cycles:
+    the central base goes through the class tallies, and the one row of
+    the identity's code, 1, reads as zeta_4."""
     G = GroupDescriptor("A", 1)
     transposition = SignedPartition((), (2,))
-    _skew(monkeypatch, lambda mu: mu == transposition)
+    _skew(monkeypatch)
     with pytest.raises(AssertionError, match="irrational"):
         induce_from_centralizer(G, phi_for_class(G, transposition))
     assert main(["--family", "A", "--rank", "1", "--check", "regular"]) == 3
@@ -465,10 +463,10 @@ def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_irrational_tallied_value_is_an_internal_error(monkeypatch):
-    """Every family's value times zeta_2L, so every tallied value of the
-    base +2+1 of B3 times zeta_4 * zeta_2: the reduction of a bucket with a
-    nonzero sum is irrational."""
-    _skew(monkeypatch, lambda mu: True)
+    """Every cycle's values times zeta_2L, at the base +2+1 of B3: the
+    2-cycle family's rows of the identity's code, 1, read as zeta_4, and
+    the reading of a bucket with a nonzero sum is irrational."""
+    _skew(monkeypatch)
     G = GroupDescriptor("B", 3)
     with pytest.raises(AssertionError, match="irrational"):
         induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (2, 1))))

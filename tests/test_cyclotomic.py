@@ -1,7 +1,9 @@
 from fractions import Fraction
 from math import gcd
 
-from coxchar.cyclotomic import totient_moebius
+import pytest
+
+from coxchar.cyclotomic import orbit_sum, totient_moebius
 from oracles import (
     MINUS_ONE,
     ONE,
@@ -100,3 +102,24 @@ def test_products_distribute():
     b = Cyc.from_root(root(1, 4)) - Cyc.from_rational(1)
     c = Cyc.from_root(root(2, 3))
     assert ((a + c) * b) == (a * b + c * b)
+
+
+def test_orbit_sum_reads_unions_of_orbits():
+    """A bucket maps exponents e of zeta_m to counts: zeta_3 + zeta_3^2;
+    3 - 1; 5 - 3 with -1 = zeta_12^6; the four primitive 12th roots twice,
+    plus 1 and three times -1.  Only unions of whole Galois orbits are
+    read: zeta_12 + zeta_12^5 + zeta_4^3 (= zeta_12^9) twice, plus 1, is
+    rational (2(i - i) + 1 = 1) but not such a union, and no linear
+    character's values on one code of a block cycle take it; the
+    primitive 12th roots with unequal counts split their orbit; i is
+    irrational."""
+    assert orbit_sum({1: 1, 2: 1}, 3) == -1
+    assert orbit_sum({0: 3, 1: 1}, 2) == 2
+    assert orbit_sum({0: 5, 6: 3}, 12) == 2
+    assert orbit_sum({1: 2, 5: 2, 7: 2, 11: 2, 0: 1, 6: 3}, 12) == -2
+    with pytest.raises(AssertionError, match="irrational"):
+        orbit_sum({1: 2, 5: 2, 9: 2, 0: 1}, 12)
+    with pytest.raises(AssertionError, match="irrational"):
+        orbit_sum({1: 1, 5: 1, 7: 1, 11: 2}, 12)
+    with pytest.raises(AssertionError, match="irrational"):
+        orbit_sum({1: 1}, 4)

@@ -10,7 +10,7 @@ import pytest
 
 import coxchar
 from conftest import stretch_enabled
-from coxchar import classfunctions
+from coxchar import classfunctions, cli
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor, conjugacy_classes
@@ -216,6 +216,25 @@ def test_rank_7_lattice_identities():
 @pytest.mark.parametrize("family,rank", [("B", 7), ("D", 8), ("B", 8)])
 def test_cli_check_all_rank_7_and_8(family, rank):
     assert main(["--family", family, "--rank", str(rank), "--check", "all"]) == 0
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 12), ("D", 12),
+    *(
+        pytest.param(family, 14, marks=pytest.mark.skipif(
+            not stretch_enabled(), reason="rank 14 needs COXCHAR_STRETCH=1"
+        ))
+        for family in "BD"
+    ),
+])
+def test_cli_regular_beyond_the_paper_range(family, rank):
+    """The regular identity past the paper's rank 8: B12 (1 165 classes)
+    and D12 by `cli.run`, B14 and D14 under COXCHAR_STRETCH=1."""
+    args = cli.build_parser().parse_args(
+        ["--family", family, "--rank", str(rank), "--check", "regular"]
+    )
+    reports, code = cli.run(args)
+    assert code == 0 and [r.status for r in reports] == ["pass"]
 
 
 def test_cli_a9_check_all_with_default_budget():
@@ -675,8 +694,8 @@ def test_regular_run_loads_no_lattice():
 def test_poincare_run_loads_no_induction():
     """`--check poincare` loads no induction code: the checks import
     `characters` and `classfunctions` only when they induce, and `lattice`
-    imports `ClassFunction` only when it builds one.  It loads `cyclotomic`,
-    where `lattice` takes the Moebius function."""
+    imports `ClassFunction` only when it builds one.  It loads `cyclotomic`
+    with `centralizers`, and `lattice` takes the Moebius function there."""
     assert _modules_loaded_by("poincare") == ("0", [
         "coxchar", "coxchar.centralizers", "coxchar.cli", "coxchar.cyclotomic",
         "coxchar.groups", "coxchar.lattice", "coxchar.partitions",
