@@ -13,7 +13,9 @@ permutes equal blocks, twists each block by a power of its cycle, and may
 negate positive blocks outright.  Induction needs only the class tallies
 of the wreath-product factors, valued by a linear character cycle by
 cycle of the block permutation, each cycle in closed form, with no
-element built.
+element built.  This is the one module that reads a cycle-type code: the
+tallies are convolved into the sum of the character over each class of
+the group (class_sums), which is all that induction takes from them.
 
 Tallies are keyed by the cycle-type code alone, and hold the sum of the
 character over the elements of each code, a rational integer, beside
@@ -32,17 +34,18 @@ side.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd
 
 from .cyclotomic import orbit_sum
+from .groups import GroupDescriptor, conjugacy_classes
 from .partitions import SignedPartition
 
 __all__ = [
-    "centralizer_order",
-    "symmetric_centralizer_order",
     "cycle_code",
     "side_unit",
+    "code_index",
     "centralizer_tallies",
+    "class_sums",
 ]
 
 
@@ -184,12 +187,23 @@ def _family_tally(n, signed_length, m, family, a, s, r):
             bucket = buckets.setdefault(count * _unit(n, cycle) + side * side_place, {})
             e = (a * twist + length * (s * (c - 1) + r * flip)) % order
             bucket[e] = bucket.get(e, 0) + weight
-        for units, bucket in buckets.items():
-            value = ways * orbit_sum(bucket, order)
-            number = ways * sum(bucket.values())
-            for code, (v, k) in rest.items():
-                total, count = out.get(code + units, (0, 0))
-                out[code + units] = (total + value * v, count + number * k)
+        cycles = {
+            units: (ways * orbit_sum(bucket, order), ways * sum(bucket.values()))
+            for units, bucket in buckets.items()
+        }
+        _convolve(rest, cycles, out)
+    return out
+
+
+def _convolve(left, right, out):
+    """Add to out the valued tally of the products of left's and right's
+    elements, on disjoint coordinates: codes add, values and counts
+    multiply.  Returns out."""
+    for code_b, (value_b, count_b) in right.items():
+        for code_a, (value_a, count_a) in left.items():
+            code = code_a + code_b
+            value, count = out.get(code, (0, 0))
+            out[code] = (value + value_a * value_b, count + count_a * count_b)
     return out
 
 
@@ -203,19 +217,59 @@ def centralizer_tallies(mu: SignedPartition, family: str, values):
     ]
 
 
-def _z(lam):
-    """Order of the centralizer in S_m of a permutation of cycle type lam."""
-    return prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
+@lru_cache(maxsize=None)
+def code_index(G: GroupDescriptor) -> dict:
+    """code + side * side_unit(n) -> class index, for the cycle-type code of
+    each class and the D split side 1 for '-', 0 for '+'; both sides lead
+    to a class that does not split.  No code with an odd number of
+    negative cycles names a class of D_n."""
+    out = {}
+    unit = side_unit(G.degree)
+    for k, cls in enumerate(conjugacy_classes(G)):
+        code = cycle_code(cls.label)
+        for side in (0, 1) if cls.tag is None else (cls.tag == "-",):
+            out[code + side * unit] = k
+    return out
 
 
-def centralizer_order(mu: SignedPartition) -> int:
-    """|C_{W_n}(w_mu)| = prod (2i)^a_i a_i!  prod (2j)^b_j b_j!, that is
-    2^(number of parts) z_neg z_pos."""
-    return 2 ** (len(mu.neg) + len(mu.pos)) * _z(mu.neg) * _z(mu.pos)
+def class_sums(G: GroupDescriptor, label: SignedPartition, tag, values):
+    """Fuse the centralizer H of the class (label, tag) of G into the
+    classes of G, under the linear character of H with these triples:
+    (sums, tallied), sums mapping a class index to the sum of the
+    character over the elements of H in that class, and tallied the
+    number of elements summed, |H| when every element is counted once.
 
+    The families' valued tallies are convolved, and each code, with its D
+    side digit taken mod 2, leads to a class (code_index).  The '-' base
+    class of a split pair is t w_mu t, and the tally of its centralizer is
+    that of w_mu conjugated by the odd t: starting one side unit up swaps
+    the sides.  In type D the code of an odd element (an odd number of
+    negative cycles) names no class, and the element is dropped.  Under
+    phi on D4, the bases 2+2^+ and 2+2^- give the same sums with the split
+    pairs swapped:
 
-def symmetric_centralizer_order(mu: SignedPartition) -> int:
-    """|C_{S_n}(w_mu)| for an all-positive mu."""
-    if mu.neg:
-        raise ValueError("symmetric centralizer needs an all-positive label")
-    return _z(mu.pos)
+    >>> from coxchar.characters import phi_for_class
+    >>> G = GroupDescriptor("D", 4)
+    >>> names = [str(cls) for cls in conjugacy_classes(G)]
+    >>> for tag in "+-":
+    ...     chi = phi_for_class(G, SignedPartition((), (2, 2)), tag)
+    ...     sums, tallied = class_sums(G, chi.label, tag, chi.values)
+    ...     print(tallied, sorted((names[k], v) for k, v in sums.items()
+    ...                           if "^" in names[k]))
+    32 [('2+2^+', 6), ('2+2^-', -2), ('4^+', 0)]
+    32 [('2+2^+', -2), ('2+2^-', 6), ('4^-', 0)]
+    """
+    unit = side_unit(G.degree)
+    tally = {unit if tag == "-" else 0: (1, 1)}
+    for family in centralizer_tallies(label, G.family, values):
+        tally = _convolve(tally, family, {})
+    index = code_index(G)
+    sums: dict = {}
+    tallied = 0
+    for code, (value, count) in tally.items():
+        k = index.get(code % (2 * unit))
+        if k is None:  # an odd element of a type-D tally
+            continue
+        tallied += count
+        sums[k] = sums.get(k, 0) + value
+    return sums, tallied

@@ -10,18 +10,11 @@ element of H = C_G(w) fuses into:
     Ind(g) = |C_G(g)| / |H| * sum of chi(h) over h in H with h ~_G g.
 
 No element of H is built, not even for a central w, where H = G: H is a
-direct product of wreath products, one per family of equal blocks, and
-the class tallies of the families, each valued by chi's triple on it
-(centralizers.centralizer_tallies), map a cycle-type code to the sum of
-chi over the elements of that code, a rational integer, and to their
-number.  They are convolved on the code, which adds over families while
-values and counts multiply, and leads, with the D split-side digit,
-straight to a class (groups.code_index); in type D the code of an odd
-element (an odd number of negative cycles) names no class, and the
-element is dropped.  Each class sums the values of its codes, both D
-side entries of a class that does not split included, and is divided by
-|H| once; a count other than |H| or a value that is not an integer is an
-internal error (AssertionError).
+direct product of wreath products, and centralizers.class_sums fuses the
+class tallies of their families, valued by chi, into the sum of chi over
+the elements of H in each class of G, and counts the elements summed.
+Each class's sum is divided by |H| once; a count other than |H| or a
+value that is not an integer is an internal error (AssertionError).
 """
 
 from __future__ import annotations
@@ -29,14 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .centralizers import centralizer_tallies, side_unit
-from .groups import (
-    GroupDescriptor,
-    class_index,
-    code_index,
-    conjugacy_classes,
-    sign_character,
-)
+from .centralizers import class_sums
+from .groups import GroupDescriptor, class_index, conjugacy_classes, sign_character
 from .partitions import SignedPartition
 
 if TYPE_CHECKING:  # for the annotation only: characters is not loaded here
@@ -128,38 +115,13 @@ def sign_class_function(G) -> ClassFunction:
 def induce_from_centralizer(
     G: GroupDescriptor, chi: LinearCharacterSpec
 ) -> ClassFunction:
-    """Induce a linear character of C_G(w) to G by fusion of class tallies:
-    the families' valued tallies are convolved, values and counts
-    multiplying as codes add."""
+    """Induce a linear character of C_G(w) to G by fusion of class tallies
+    (centralizers.class_sums)."""
     if chi.group != G:
         raise ValueError(f"character lives on {chi.group}, not {G}")
     classes = conjugacy_classes(G)
     order_h = classes[class_index(G)[(chi.label, chi.tag)]].centralizer_order
-
-    # the '-' base class of a split pair is t w_mu t, and Ind of chi^t is
-    # Ind of chi conjugated by the odd t: starting one side unit up swaps
-    # the sides
-    unit = side_unit(G.degree)
-    tally = {unit if chi.tag == "-" else 0: (1, 1)}
-    for family in centralizer_tallies(chi.label, G.family, chi.values):
-        old = list(tally.items())
-        tally = {}
-        for code_b, (value_b, count_b) in family.items():
-            for code_a, (value_a, count_a) in old:
-                value, count = tally.get(code_a + code_b, (0, 0))
-                tally[code_a + code_b] = (
-                    value + value_a * value_b, count + count_a * count_b
-                )
-
-    index = code_index(G)
-    sums: dict = {}
-    tallied = 0
-    for code, (value, count) in tally.items():
-        k = index.get(code % (2 * unit))
-        if k is None:  # an odd element of a type-D tally
-            continue
-        tallied += count
-        sums[k] = sums.get(k, 0) + value
+    sums, tallied = class_sums(G, chi.label, chi.tag, chi.values)
     if tallied != order_h:
         raise AssertionError(
             f"tallied {tallied} elements, expected centralizer order {order_h}"

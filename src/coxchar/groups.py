@@ -8,16 +8,15 @@ cycles of its elements.  In type D a class with all cycles positive of even
 length splits in two, distinguished by a +/- tag: '+' holds the product of
 signed cycles on consecutive coordinates, '-' its conjugate by the sign
 change t of the first coordinate.  No element is built: every class datum
-used here is read off the label.
+used here, the centralizer order included, is read off the label.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
-from . import centralizers
 from .partitions import SignedPartition, partitions, signed_partitions
 
 __all__ = [
@@ -26,11 +25,10 @@ __all__ = [
     "GroupDescriptor",
     "ConjClass",
     "conjugacy_classes",
-    "code_index",
+    "centralizer_order",
+    "symmetric_centralizer_order",
     "reflection_length",
     "sign_character",
-    "Hyperplane",
-    "hyperplane_set",
 ]
 
 
@@ -86,6 +84,24 @@ class ConjClass(namedtuple("ConjClass", "label tag size centralizer_order")):
         return f"{self.label}{tag}"
 
 
+def _z(lam):
+    """Order of the centralizer in S_m of a permutation of cycle type lam."""
+    return prod(p ** lam.count(p) * factorial(lam.count(p)) for p in set(lam))
+
+
+def centralizer_order(mu: SignedPartition) -> int:
+    """|C_{W_n}(w_mu)| = prod (2i)^a_i a_i!  prod (2j)^b_j b_j!, that is
+    2^(number of parts) z_neg z_pos."""
+    return 2 ** (len(mu.neg) + len(mu.pos)) * _z(mu.neg) * _z(mu.pos)
+
+
+def symmetric_centralizer_order(mu: SignedPartition) -> int:
+    """|C_{S_n}(w_mu)| for an all-positive mu."""
+    if mu.neg:
+        raise ValueError("symmetric centralizer needs an all-positive label")
+    return _z(mu.pos)
+
+
 def _splits_in_d(mu: SignedPartition) -> bool:
     return not mu.neg and all(p % 2 == 0 for p in mu.pos)
 
@@ -97,23 +113,17 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
     if G.family == "A":
         for lam in partitions(n):
             mu = SignedPartition((), lam)
-            c = centralizers.symmetric_centralizer_order(mu)
+            c = symmetric_centralizer_order(mu)
             out.append(ConjClass(mu, None, G.order // c, c))
         return tuple(out)
-    if G.family == "B":
-        for mu in signed_partitions(n):
-            c = centralizers.centralizer_order(mu)
-            out.append(ConjClass(mu, None, G.order // c, c))
-        return tuple(out)
+    # The W_n class of mu lies in D_n when it has an even number of negative
+    # cycles, and there it is one class or splits into two of equal size.
     for mu in signed_partitions(n):
-        if len(mu.neg) % 2:
+        if G.family == "D" and len(mu.neg) % 2:
             continue
-        cb = centralizers.centralizer_order(mu)
-        if _splits_in_d(mu):
-            out.append(ConjClass(mu, "+", G.order // cb, cb))
-            out.append(ConjClass(mu, "-", G.order // cb, cb))
-        else:
-            out.append(ConjClass(mu, None, 2 * G.order // cb, cb // 2))
+        tags = ("+", "-") if G.family == "D" and _splits_in_d(mu) else (None,)
+        size = 2**n * factorial(n) // centralizer_order(mu) // len(tags)
+        out.extend(ConjClass(mu, tag, size, G.order // size) for tag in tags)
     return tuple(out)
 
 
@@ -132,21 +142,6 @@ def class_index(G: GroupDescriptor) -> dict:
     return {cls.key: k for k, cls in enumerate(_classes(G))}
 
 
-@lru_cache(maxsize=None)
-def code_index(G: GroupDescriptor) -> dict:
-    """code + side * centralizers.side_unit(n) -> class index, for the
-    cycle-type code of each class and the D split side 1 for '-', 0 for
-    '+'; both sides lead to a class that does not split.  No code with an
-    odd number of negative cycles names a class of D_n."""
-    out = {}
-    unit = centralizers.side_unit(G.degree)
-    for k, cls in enumerate(_classes(G)):
-        code = centralizers.cycle_code(cls.label)
-        for side in (0, 1) if cls.tag is None else (cls.tag == "-",):
-            out[code + side * unit] = k
-    return out
-
-
 def reflection_length(G: GroupDescriptor, mu: SignedPartition) -> int:
     """Codimension of the fixed space in the reflection representation of
     the class mu: the positive cycles span the fixed space of Q^n."""
@@ -157,38 +152,3 @@ def sign_character(G: GroupDescriptor, mu: SignedPartition) -> int:
     """Determinant on the reflection representation of the class mu, which
     is -1 to the reflection length (a product of that many reflections)."""
     return -1 if reflection_length(G, mu) % 2 else 1
-
-
-# -- the reflection arrangement ------------------------------------------------
-
-
-class Hyperplane(namedtuple("Hyperplane", "i j rel")):
-    """x_i = rel * x_j for j > 0; the coordinate hyperplane x_i = 0 if j = 0."""
-
-    __slots__ = ()
-
-    def normal(self, n: int) -> tuple[int, ...]:
-        row = [0] * n
-        row[self.i - 1] = 1
-        if self.j:
-            row[self.j - 1] = -self.rel
-        return tuple(row)
-
-    def __str__(self) -> str:
-        if not self.j:
-            return f"x{self.i}=0"
-        return f"x{self.i}={'' if self.rel > 0 else '-'}x{self.j}"
-
-
-@lru_cache(maxsize=None)
-def hyperplane_set(G: GroupDescriptor) -> tuple[Hyperplane, ...]:
-    n = G.degree
-    out = []
-    if G.family == "B":
-        out.extend(Hyperplane(i, 0, 0) for i in range(1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(Hyperplane(i, j, 1))
-            if G.family != "A":
-                out.append(Hyperplane(i, j, -1))
-    return tuple(out)

@@ -69,11 +69,13 @@ other than a power of 2 goes into Z.  A class's table is the product of
 its families' tables (_weighted_structures).  None of this reads a
 flat.  The flats are still built, as bare points and only so that they
 are counted, and the flat budget refuses a lattice larger than it from
-its exact size (flat_count).
+its exact size (flat_count).  The arrangement's hyperplanes
+(hyperplane_set) are listed only for Lattice.hyperplanes and the tests.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -84,12 +86,13 @@ from .groups import (
     GroupDescriptor,
     conjugacy_classes,
     class_index,
-    hyperplane_set,
 )
 from .partitions import SignedPartition
 from .shapes import Shape, shape_rank
 
 __all__ = [
+    "Hyperplane",
+    "hyperplane_set",
     "Lattice",
     "flat_count",
     "build_lattice",
@@ -98,6 +101,38 @@ __all__ = [
     "shape_os_character",
     "DEFAULT_FLAT_BUDGET",
 ]
+
+
+class Hyperplane(namedtuple("Hyperplane", "i j rel")):
+    """x_i = rel * x_j for j > 0; the coordinate hyperplane x_i = 0 if j = 0."""
+
+    __slots__ = ()
+
+    def normal(self, n: int) -> tuple[int, ...]:
+        row = [0] * n
+        row[self.i - 1] = 1
+        if self.j:
+            row[self.j - 1] = -self.rel
+        return tuple(row)
+
+    def __str__(self) -> str:
+        if not self.j:
+            return f"x{self.i}=0"
+        return f"x{self.i}={'' if self.rel > 0 else '-'}x{self.j}"
+
+
+@lru_cache(maxsize=None)
+def hyperplane_set(G: GroupDescriptor) -> tuple[Hyperplane, ...]:
+    n = G.degree
+    out = []
+    if G.family == "B":
+        out.extend(Hyperplane(i, 0, 0) for i in range(1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out.append(Hyperplane(i, j, 1))
+            if G.family != "A":
+                out.append(Hyperplane(i, j, -1))
+    return tuple(out)
 
 
 class Lattice:

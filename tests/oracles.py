@@ -63,14 +63,8 @@ from math import factorial, gcd, prod
 
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction
-from coxchar.groups import (
-    BudgetError,
-    GroupDescriptor,
-    Hyperplane,
-    class_index,
-    conjugacy_classes,
-    hyperplane_set,
-)
+from coxchar.groups import BudgetError, GroupDescriptor, class_index, conjugacy_classes
+from coxchar.lattice import Hyperplane, hyperplane_set
 from coxchar.linalg import Subspace, det, kernel
 from coxchar.partitions import SignedPartition, partitions
 from coxchar.shapes import Shape

@@ -9,10 +9,9 @@ import math
 import random
 
 from conftest import stretch_enabled
-from coxchar.centralizers import centralizer_order
 from coxchar.characters import phi_for_class
 from coxchar.classfunctions import induce_from_centralizer
-from coxchar.groups import GroupDescriptor, conjugacy_classes
+from coxchar.groups import GroupDescriptor, centralizer_order, conjugacy_classes
 from coxchar.lattice import get_lattice
 from coxchar.partitions import signed_partitions
 from coxchar.verify import (

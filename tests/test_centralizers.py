@@ -6,12 +6,7 @@ import pytest
 
 from conftest import mulclose
 from coxchar import centralizers
-from coxchar.centralizers import (
-    centralizer_order,
-    cycle_code,
-    side_unit,
-    symmetric_centralizer_order,
-)
+from coxchar.centralizers import cycle_code, side_unit
 from coxchar.characters import (
     LinearCharacterSpec,
     alpha_char,
@@ -19,7 +14,12 @@ from coxchar.characters import (
     epsilon_char,
     phi_for_class,
 )
-from coxchar.groups import GroupDescriptor, conjugacy_classes
+from coxchar.groups import (
+    GroupDescriptor,
+    centralizer_order,
+    conjugacy_classes,
+    symmetric_centralizer_order,
+)
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.verify import verify_regular
 from oracles import (

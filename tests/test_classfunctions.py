@@ -5,8 +5,8 @@ from functools import lru_cache
 import pytest
 
 from conftest import stretch_enabled
-from coxchar import centralizers, classfunctions
-from coxchar.centralizers import cycle_code, side_unit
+from coxchar import centralizers
+from coxchar.centralizers import code_index, cycle_code, side_unit
 from coxchar.characters import (
     alpha_char,
     chi_char,
@@ -27,7 +27,6 @@ from coxchar.cli import main
 from coxchar.groups import (
     GroupDescriptor,
     class_index,
-    code_index,
     conjugacy_classes,
     reflection_length,
 )
@@ -412,7 +411,7 @@ def test_non_integral_induced_value_is_an_internal_error(monkeypatch, capsys):
     identity base of A2 = S_3 then sums 3 + 1 over the transpositions,
     and 2 * 4 / 6 is no integer, so the per-class division trips; from
     the CLI this is exit 3 and one `internal error: non-integral` line."""
-    real = classfunctions.centralizer_tallies
+    real = centralizers.centralizer_tallies
 
     def shifted(mu, family, values):
         return [
@@ -420,7 +419,7 @@ def test_non_integral_induced_value_is_an_internal_error(monkeypatch, capsys):
             for tally in real(mu, family, values)
         ]
 
-    monkeypatch.setattr(classfunctions, "centralizer_tallies", shifted)
+    monkeypatch.setattr(centralizers, "centralizer_tallies", shifted)
     G = GroupDescriptor("A", 2)
     with pytest.raises(AssertionError, match="non-integral"):
         induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (1, 1, 1))))

@@ -9,11 +9,10 @@ from coxchar.groups import (
     GroupDescriptor,
     class_index,
     conjugacy_classes,
-    hyperplane_set,
     reflection_length,
     sign_character,
 )
-from coxchar.lattice import _negated
+from coxchar.lattice import _negated, hyperplane_set
 from coxchar.partitions import SignedPartition
 from oracles import (
     class_key,

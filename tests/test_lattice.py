@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import stretch_enabled
-from coxchar.groups import GroupDescriptor, conjugacy_classes, hyperplane_set
+from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar import lattice as lattice_module
 from coxchar.lattice import (
     _weighted_structures,
@@ -16,6 +16,7 @@ from coxchar.lattice import (
     flat_count,
     get_lattice,
     graded_os_character,
+    hyperplane_set,
     shape_os_character,
 )
 from coxchar.groups import DEFAULT_FLAT_BUDGET, BudgetError

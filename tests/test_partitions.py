@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 
 import coxchar.centralizers
 import coxchar.partitions
-from coxchar.centralizers import (
+from coxchar.centralizers import cycle_code
+from coxchar.groups import (
+    GroupDescriptor,
     centralizer_order,
-    cycle_code,
+    conjugacy_classes,
     symmetric_centralizer_order,
 )
-from coxchar.groups import GroupDescriptor, conjugacy_classes
 from coxchar.partitions import (
     SignedPartition,
     format_partition,

@@ -5,7 +5,8 @@ pointwise, never the tuple's concatenation or repetition."""
 import pytest
 
 from coxchar.classfunctions import ClassFunction, trivial_character
-from coxchar.groups import GroupDescriptor, Hyperplane, conjugacy_classes
+from coxchar.groups import GroupDescriptor, conjugacy_classes
+from coxchar.lattice import Hyperplane
 from coxchar.partitions import SignedPartition
 from coxchar.shapes import Shape, shapes
 from signedperm import SignedPermutation

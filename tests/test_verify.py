@@ -644,7 +644,8 @@ def test_oracles_import_no_private_name_of_the_library():
 def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
     """`import coxchar.cli` loads only what a run uses: the value types are
     namedtuples, Fraction is imported by inner_product alone, and linalg
-    serves the test oracles."""
+    serves the test oracles.  Of coxchar it loads the CLI, the checks and
+    the class list: `groups` imports no coxchar module but `partitions`."""
     probe = (
         "import sys; before = set(sys.modules); import coxchar.cli; "
         "print(sorted(set(sys.modules) - before))"
@@ -657,6 +658,10 @@ def test_cli_import_loads_no_dataclasses_fractions_or_linalg():
     loaded = ast.literal_eval(out)
     for name in ("dataclasses", "fractions", "coxchar.linalg"):
         assert name not in loaded
+    assert sorted(m for m in loaded if m.startswith("coxchar")) == [
+        "coxchar", "coxchar.cli", "coxchar.groups", "coxchar.partitions",
+        "coxchar.verify",
+    ]
 
 
 def _modules_loaded_by(check):
@@ -695,9 +700,9 @@ def test_poincare_run_loads_no_induction():
     """`--check poincare` loads no induction code: the checks import
     `characters` and `classfunctions` only when they induce, and `lattice`
     imports `ClassFunction` only when it builds one.  It loads `cyclotomic`
-    with `centralizers`, and `lattice` takes the Moebius function there."""
+    with `lattice`, which takes the Moebius function there."""
     assert _modules_loaded_by("poincare") == ("0", [
-        "coxchar", "coxchar.centralizers", "coxchar.cli", "coxchar.cyclotomic",
+        "coxchar", "coxchar.cli", "coxchar.cyclotomic",
         "coxchar.groups", "coxchar.lattice", "coxchar.partitions",
         "coxchar.shapes", "coxchar.verify",
     ])
