@@ -5,8 +5,9 @@ classes (or degrees) where they differ:
 
 * regular: the regular character against the sum over all classes of the
   characters phi_w induced from centralizers;
-* os: the total arrangement-cohomology character against
-  epsilon * sum of Ind(alpha_w phi_w);
+* os: the total arrangement-cohomology character against the sum over
+  all classes of Ind(chi_w), chi_w = alpha_w epsilon phi_w (equal to
+  epsilon * sum of Ind(alpha_w phi_w), as epsilon is restricted from W);
 * graded: degree by degree, cohomology in degree p against the classes of
   reflection length p inducing chi_w = alpha_w epsilon phi_w;
 * shape: the per-shape summand of the cohomology character against the
@@ -151,21 +152,18 @@ def verify_os(
     G: GroupDescriptor,
     budget_flats=DEFAULT_FLAT_BUDGET,
 ) -> VerificationReport:
-    """Total cohomology character against epsilon * sum Ind(alpha_w phi_w)."""
-    from .characters import alpha_char, phi_for_class, spec_product
-    from .classfunctions import sign_class_function, zero_function
+    """Total cohomology character against the sum of Ind(chi_w) over all
+    classes, which is epsilon * sum Ind(alpha_w phi_w) since epsilon is
+    restricted from W: epsilon Ind(psi) = Ind(epsilon psi)."""
+    from .characters import chi_char
+    from .classfunctions import zero_function
     from .lattice import get_lattice, graded_os_character
 
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     expected = sum(graded_os_character(lattice), zero_function(G))
-    specs = [
-        spec_product(
-            alpha_char(G, cls.label, cls.tag), phi_for_class(G, cls.label, cls.tag)
-        )
-        for cls in conjugacy_classes(G)
-    ]
-    got = _induced(G, specs) * sign_class_function(G)
+    specs = [chi_char(G, cls.label, cls.tag) for cls in conjugacy_classes(G)]
+    got = _induced(G, specs)
     return _report(G, "os", started, _compare(G, expected, got), budget_flats)
 
 

@@ -201,6 +201,31 @@ def test_tallies_match_streaming(G):
             assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls} {name}"
 
 
+OS_ROUTE_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 9)]
+    + [GroupDescriptor("B", r) for r in range(1, 9)]
+    + [GroupDescriptor("D", r) for r in range(4, 9)]
+)
+
+
+def test_os_route_through_alpha_phi_equals_chi():
+    """The os check induces chi_w; its former route, epsilon times
+    Ind(alpha_w phi_w), is kept here as the oracle: epsilon is restricted
+    from W, so the two agree on every class (751 classes in all)."""
+    count = 0
+    for G in OS_ROUTE_GROUPS:
+        eps = sign_class_function(G)
+        for cls in conjugacy_classes(G):
+            alpha_phi = spec_product(
+                alpha_char(G, cls.label, cls.tag), phi_for_class(G, cls.label, cls.tag)
+            )
+            old = induce_from_centralizer(G, alpha_phi) * eps
+            new = induce_from_centralizer(G, chi_char(G, cls.label, cls.tag))
+            assert new.equals(old), f"{G} {cls}"
+            count += 1
+    assert count == 751
+
+
 def _stretch(family, rank):
     return pytest.param(
         GroupDescriptor(family, rank),

@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from conftest import mulclose
-from coxchar.groups import GroupDescriptor
+from coxchar import shapes as shapes_module
+from coxchar.groups import GroupDescriptor, conjugacy_classes, reflection_length
 from coxchar.lattice import _weighted_structures
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.shapes import (
     Shape,
+    class_shape,
     cuspidal_labels,
     parse_shape,
     shape_rank,
@@ -215,6 +220,26 @@ def test_shape_list_is_the_shapes_of_the_flats(G):
     listed = shapes(G)
     assert len(set(listed)) == len(listed)
     assert set(_weighted_structures(G, identity, None)) == set(listed)
+
+
+@pytest.mark.parametrize("G", SHAPE_LIST_GROUPS, ids=str)
+def test_class_shape_is_listed_with_the_class_reflection_length(G):
+    """Each class's shape is listed, and its rank is the class's
+    reflection length: the positive cycles span the fixed space, so the
+    degree buckets of the graded check are unions of shape buckets."""
+    listed = set(shapes(G))
+    for cls in conjugacy_classes(G):
+        shape = class_shape(cls)
+        assert shape in listed, cls
+        assert shape_rank(G, shape) == reflection_length(G, cls.label), cls
+
+
+def test_shapes_module_reads_no_family():
+    """Which labels are classes of A, B and D is decided in `groups` alone:
+    `shapes` reads every shape off the class list, never a family letter."""
+    tree = ast.parse(Path(shapes_module.__file__).read_text())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "family")
 
 
 @pytest.mark.parametrize("rank", [4, 5])
