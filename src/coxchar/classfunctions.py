@@ -40,9 +40,9 @@ __all__ = [
 
 
 class ClassFunction(namedtuple("ClassFunction", "group values")):
-    """One int per class of group.  +, - and * are pointwise and f[k] is
-    the value at class k, in place of the tuple's own + (concatenation),
-    * (repetition) and [] (item access)."""
+    """One int per class of group.  + and - are pointwise and f[k] is the
+    value at class k, in place of the tuple's own + (concatenation) and []
+    (item access); == compares the group and the values."""
 
     __slots__ = ()
 
@@ -66,17 +66,6 @@ class ClassFunction(namedtuple("ClassFunction", "group values")):
         return ClassFunction(
             self.group, tuple(a - b for a, b in zip(self.values, other.values))
         )
-
-    def __mul__(self, other) -> "ClassFunction":
-        """Pointwise product, e.g. multiplication by a linear character."""
-        self._require_same_group(other)
-        return ClassFunction(
-            self.group, tuple(a * b for a, b in zip(self.values, other.values))
-        )
-
-    def equals(self, other) -> bool:
-        self._require_same_group(other)
-        return self.values == other.values
 
     def discrepancies(self, other):
         """Indices and value pairs where the two functions differ."""

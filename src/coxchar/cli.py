@@ -91,6 +91,8 @@ def run(args) -> tuple[list[VerificationReport], int]:
             args.check,
             "skipped",
             [{"class": "-", "expected": "-", "got": "skipped: out of desk scale"}],
+            0,
+            {},
         )
         return [report], 0
 

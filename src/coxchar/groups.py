@@ -26,14 +26,13 @@ __all__ = [
     "ConjClass",
     "conjugacy_classes",
     "centralizer_order",
-    "symmetric_centralizer_order",
     "reflection_length",
     "sign_character",
 ]
 
 
 class BudgetError(RuntimeError):
-    """An enumeration or lattice build would exceed the configured budget."""
+    """The intersection lattice would exceed the flat budget."""
 
 
 # The largest intersection lattice built (lattice.get_lattice).
@@ -95,13 +94,6 @@ def centralizer_order(mu: SignedPartition) -> int:
     return 2 ** (len(mu.neg) + len(mu.pos)) * _z(mu.neg) * _z(mu.pos)
 
 
-def symmetric_centralizer_order(mu: SignedPartition) -> int:
-    """|C_{S_n}(w_mu)| for an all-positive mu."""
-    if mu.neg:
-        raise ValueError("symmetric centralizer needs an all-positive label")
-    return _z(mu.pos)
-
-
 def _splits_in_d(mu: SignedPartition) -> bool:
     return not mu.neg and all(p % 2 == 0 for p in mu.pos)
 
@@ -112,9 +104,8 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
     out = []
     if G.family == "A":
         for lam in partitions(n):
-            mu = SignedPartition((), lam)
-            c = symmetric_centralizer_order(mu)
-            out.append(ConjClass(mu, None, G.order // c, c))
+            c = _z(lam)
+            out.append(ConjClass(SignedPartition((), lam), None, G.order // c, c))
         return tuple(out)
     # The W_n class of mu lies in D_n when it has an even number of negative
     # cycles, and there it is one class or splits into two of equal size.
@@ -127,13 +118,10 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
     return tuple(out)
 
 
-def conjugacy_classes(G: GroupDescriptor, budget=None):
+def conjugacy_classes(G: GroupDescriptor, _ignored=None):
     """The classes in canonical order, listed from their labels: no element
-    is enumerated, so only a caller's explicit budget bounds |G|."""
-    if budget is not None and G.order > budget:
-        raise BudgetError(
-            f"|{G}| = {G.order} exceeds the element budget {budget}"
-        )
+    is enumerated, so no budget bounds |G|.  A second argument is accepted
+    and ignored, for callers that still pass an element budget."""
     return _classes(G)
 
 

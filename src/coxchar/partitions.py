@@ -113,35 +113,19 @@ def signed_partitions(n: int) -> tuple[SignedPartition, ...]:
 # parts first (ascending) and positive parts after (descending).  The empty
 # partition prints as "" and parses from "" or "()".
 
-_TOKEN = re.compile(r"([+-]?)(\d+)")
-
-
-def _tokenize(text: str) -> list[int]:
-    text = text.strip()
-    if text in ("", "()"):
-        return []
-    parts = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            raise ValueError(f"bad partition syntax: {text!r}")
-        pos = m.end()
-        sign = -1 if m.group(1) == "-" else 1
-        value = int(m.group(2))
-        if value == 0:
-            raise ValueError(f"zero part in {text!r}")
-        parts.append(sign * value)
-    if pos != len(text):
-        raise ValueError(f"bad partition syntax: {text!r}")
-    return parts
+_PARTITION = re.compile(r"\+?\d+(\+\d+)*")
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3+1" into (3, 1)."""
-    parts = _tokenize(text)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"unexpected negative part in partition {text!r}")
-    parts = tuple(parts)
+    """Parse "3+1" (or "+3+1") into (3, 1)."""
+    text = text.strip()
+    if text in ("", "()"):
+        return ()
+    if not _PARTITION.fullmatch(text):
+        raise ValueError(f"bad partition syntax: {text!r}")
+    parts = tuple(map(int, text.removeprefix("+").split("+")))
+    if 0 in parts:
+        raise ValueError(f"zero part in {text!r}")
     if not _is_decreasing(parts):
         raise ValueError(f"parts not descending in {text!r}")
     return parts

@@ -22,6 +22,7 @@ Poincare table no induction code.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 
 from .groups import (
     DEFAULT_FLAT_BUDGET,
@@ -41,40 +42,27 @@ __all__ = [
 ]
 
 
-class VerificationReport:
-    def __init__(
-        self,
-        group: str,
-        check: str,
-        status: str,
-        discrepancies: list[dict] | None = None,
-        timing_ms: int = 0,
-        config: dict | None = None,
-        table: list | None = None,
-    ):
-        self.group = group
-        self.check = check
-        self.status = status
-        self.discrepancies = [] if discrepancies is None else discrepancies
-        self.timing_ms = timing_ms
-        self.config = {} if config is None else config
-        self.table = table
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "group check status discrepancies timing_ms config table",
+        defaults=(None,),
+    )
+):
+    """One check's result: discrepancies is a list of dicts, config a dict
+    and table, only for a Poincare table, a list of [class, coefficients]
+    rows."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.status in ("pass", "skipped")
 
     def to_dict(self) -> dict:
-        out = {
-            "group": self.group,
-            "check": self.check,
-            "status": self.status,
-            "discrepancies": self.discrepancies,
-            "timing_ms": self.timing_ms,
-            "config": self.config,
-        }
-        if self.table is not None:
-            out["table"] = self.table
+        out = self._asdict()
+        if self.table is None:
+            del out["table"]
         return out
 
     def summary(self) -> str:
@@ -130,11 +118,12 @@ def _compare(G, expected, got, degree=None):
 
 def _induced(G, specs):
     """Sum of Ind(spec) over specs, one induction each, added per class: a
-    ClassFunction."""
-    from .classfunctions import ClassFunction, induce_from_centralizer, zero_function
+    ClassFunction.  specs is never empty: every degree 0..rank has a class
+    of that reflection length, and every shape a cuspidal class."""
+    from .classfunctions import ClassFunction, induce_from_centralizer
 
     columns = zip(*(induce_from_centralizer(G, spec).values for spec in specs))
-    return ClassFunction(G, tuple(map(sum, columns))) if specs else zero_function(G)
+    return ClassFunction(G, tuple(map(sum, columns)))
 
 
 def verify_regular(G: GroupDescriptor) -> VerificationReport:
@@ -184,7 +173,7 @@ def verify_graded(
         )
     disc = []
     for p, expected in enumerate(graded_os_character(lattice)):
-        got = _induced(G, by_length.get(p, []))
+        got = _induced(G, by_length[p])
         disc.extend(_compare(G, expected, got, degree=p))
     return _report(G, "graded", started, disc, budget_flats)
 

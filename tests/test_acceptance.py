@@ -210,7 +210,7 @@ def test_criterion_7_induction_oracle():
         assert G.order <= 5000
         for cls in conjugacy_classes(G):
             chi = phi_for_class(G, cls.label, cls.tag)
-            if not induce_from_centralizer(G, chi).equals(induce_direct(G, chi)):
+            if induce_from_centralizer(G, chi) != induce_direct(G, chi):
                 failures.append((str(G), str(cls)))
     _report(7, not failures, f"{len(ORACLE_GROUPS)} groups")
 

@@ -18,7 +18,6 @@ from coxchar.groups import (
     GroupDescriptor,
     centralizer_order,
     conjugacy_classes,
-    symmetric_centralizer_order,
 )
 from coxchar.partitions import SignedPartition, signed_partitions
 from coxchar.verify import verify_regular
@@ -86,13 +85,6 @@ def test_order_formula_consistency(n):
         assert group_order % order == 0
         total += group_order // order
     assert total == group_order
-
-
-def test_symmetric_centralizer_order():
-    assert symmetric_centralizer_order(SignedPartition((), (2, 1, 1))) == 4
-    assert symmetric_centralizer_order(SignedPartition((), (3,))) == 3
-    with pytest.raises(ValueError):
-        symmetric_centralizer_order(SignedPartition((1,), (1,)))
 
 
 def test_coordinates_of_w_mu_itself():

@@ -72,10 +72,10 @@ def test_algebra_ops():
     G = GroupDescriptor("B", 2)
     rho = regular_character(G)
     eps = sign_class_function(G)
-    assert (eps * eps * rho).equals(rho)
-    assert (rho - rho).equals(zero_function(G))
+    assert all(e * e == 1 for e in eps.values)
+    assert rho - rho == zero_function(G)
     perturbed = ClassFunction(G, rho.values[:-1] + (rho.values[-1] + 1,))
-    assert not rho.equals(perturbed)
+    assert rho != perturbed
     assert len(rho.discrepancies(perturbed)) == 1
     with pytest.raises(ValueError):
         rho + regular_character(GroupDescriptor("B", 3))
@@ -95,7 +95,7 @@ def test_induction_from_whole_group_is_identity_map():
     G = GroupDescriptor("B", 3)
     identity_label = SignedPartition((), (1, 1, 1))
     chi = phi_for_class(G, identity_label)
-    assert induce_from_centralizer(G, chi).equals(trivial_character(G))
+    assert induce_from_centralizer(G, chi) == trivial_character(G)
 
 
 def test_induced_degree_is_index():
@@ -136,7 +136,7 @@ def test_fusion_induction_matches_direct_scan(G):
         chi = phi_for_class(G, cls.label, cls.tag)
         fused = induce_from_centralizer(G, chi)
         direct = induce_direct(G, chi)
-        assert fused.equals(direct), f"{G} class {cls}"
+        assert fused == direct, f"{G} class {cls}"
 
 
 def induce_by_streaming(G, chi):
@@ -198,7 +198,7 @@ def test_tallies_match_streaming(G):
         for name, spec in _induction_specs(G, cls).items():
             tallied = induce_from_centralizer(G, spec)
             assert all(type(v) is int for v in tallied.values), f"{G} {cls} {name}"
-            assert tallied.equals(induce_by_streaming(G, spec)), f"{G} {cls} {name}"
+            assert tallied == induce_by_streaming(G, spec), f"{G} {cls} {name}"
 
 
 OS_ROUTE_GROUPS = (
@@ -219,9 +219,10 @@ def test_os_route_through_alpha_phi_equals_chi():
             alpha_phi = spec_product(
                 alpha_char(G, cls.label, cls.tag), phi_for_class(G, cls.label, cls.tag)
             )
-            old = induce_from_centralizer(G, alpha_phi) * eps
+            old = induce_from_centralizer(G, alpha_phi).values
+            old = ClassFunction(G, tuple(a * e for a, e in zip(old, eps.values)))
             new = induce_from_centralizer(G, chi_char(G, cls.label, cls.tag))
-            assert new.equals(old), f"{G} {cls}"
+            assert new == old, f"{G} {cls}"
             count += 1
     assert count == 751
 
@@ -250,7 +251,7 @@ def test_integer_keys_match_root_keyed_tallies(G):
         specs["epsilon"] = epsilon_char(G, cls.label, cls.tag)
         for name, spec in specs.items():
             got = induce_from_centralizer(G, spec)
-            assert got.equals(induce_by_root_tallies(G, spec)), f"{G} {cls} {name}"
+            assert got == induce_by_root_tallies(G, spec), f"{G} {cls} {name}"
 
 
 def _decode(n, code):
@@ -328,7 +329,7 @@ def test_central_classes_match_direct_evaluation():
             for name, spec in specs.items():
                 direct = class_function_of_spec(G, spec)
                 tallied = induce_from_centralizer(G, spec)
-                assert tallied.equals(direct), f"{G} {cls.label} {name}"
+                assert tallied == direct, f"{G} {cls.label} {name}"
                 inductions += 1
     assert inductions == 196
 
@@ -509,7 +510,7 @@ def test_class_function_values_are_ints(G):
     eps = sign_class_function(G)
     built = [
         rho, trivial_character(G), eps, zero_function(G),
-        rho + eps, rho - eps, rho * eps,
+        rho + eps, rho - eps,
         class_function_of_spec(G, phi_for_class(G, conjugacy_classes(G)[0].label)),
         *graded_os_character(lattice),
         *(shape_os_character(lattice, shape) for shape in shapes(G)),

@@ -11,7 +11,6 @@ from coxchar.groups import (
     GroupDescriptor,
     centralizer_order,
     conjugacy_classes,
-    symmetric_centralizer_order,
 )
 from coxchar.partitions import (
     SignedPartition,
@@ -73,6 +72,42 @@ def test_parse_and_format():
     assert format_partition((3, 1)) == "3+1"
     assert str(SignedPartition((1, 2), ())) == "-1-2"
     assert str(SignedPartition((), (2, 1))) == "2+1"
+
+
+PARSED_PARTITIONS = {
+    "": (),
+    "()": (),
+    "4": (4,),
+    "3+1": (3, 1),
+    " 3+1 ": (3, 1),
+    "+3+1": (3, 1),
+    "03+1": (3, 1),
+    "10+3": (10, 3),
+    "2+2+1+1": (2, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSED_PARTITIONS))
+def test_parse_partition_corpus(text):
+    assert parse_partition(text) == PARSED_PARTITIONS[text]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x", "bad partition syntax"),
+    ("3++1", "bad partition syntax"),
+    ("3 + 1", "bad partition syntax"),
+    ("+", "bad partition syntax"),
+    ("3+", "bad partition syntax"),
+    ("()3", "bad partition syntax"),
+    ("-1", "bad partition syntax"),
+    ("3-1", "bad partition syntax"),
+    ("0", "zero part"),
+    ("3+0", "zero part"),
+    ("1+2", "parts not descending"),
+])
+def test_parse_partition_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_partition(text)
 
 
 @pytest.mark.parametrize("bad", ["3-1", "1+2", "-2-1+1", "3++1", "+", "0", "3+0"])
@@ -137,8 +172,9 @@ def test_families_split_every_label(G):
         assert tuple(key for key in expanded if key > 0) == mu.pos
         order = _wreath_order(mu.neg, 2) * _wreath_order(mu.pos, 2)
         assert centralizer_order(mu) == order
-        if not mu.neg:
-            assert symmetric_centralizer_order(mu) == _wreath_order(mu.pos, 1)
         assert cycle_code(mu) == sum((n + 1) ** (n + L - 1) for L in mu.neg) + sum(
             (n + 1) ** (L - 1) for L in mu.pos
         )
+    if G.family == "A":
+        for cls in conjugacy_classes(G):
+            assert cls.centralizer_order == _wreath_order(cls.label.pos, 1)

@@ -234,6 +234,42 @@ def test_class_shape_is_listed_with_the_class_reflection_length(G):
         assert shape_rank(G, shape) == reflection_length(G, cls.label), cls
 
 
+@pytest.mark.parametrize("G", SHAPE_LIST_GROUPS, ids=str)
+def test_every_degree_and_every_shape_has_a_class(G):
+    """The graded and shape checks induce at least one class per bucket,
+    which verify._induced relies on: each degree 0..rank is the reflection
+    length of a class, and each shape has a cuspidal class."""
+    lengths = {reflection_length(G, cls.label) for cls in conjugacy_classes(G)}
+    assert lengths == set(range(G.rank + 1))
+    for shape in shapes(G):
+        assert cuspidal_labels(G, shape), shape
+
+
+PARSED_SHAPES = {
+    "": Shape(()),
+    "()": Shape(()),
+    " 3+1 ": Shape((3, 1)),
+    "+3+1": Shape((3, 1)),
+    "3+1^+": Shape((3, 1), "+"),
+    "2+2^-": Shape((2, 2), "-"),
+    "+2+2^-": Shape((2, 2), "-"),
+    "2+2 ^-": Shape((2, 2), "-"),
+    "()^-": Shape((), "-"),
+}
+
+
+@pytest.mark.parametrize("text", list(PARSED_SHAPES))
+def test_parse_shape_corpus(text):
+    assert parse_shape(text) == PARSED_SHAPES[text]
+
+
+@pytest.mark.parametrize("text", ["x", "3+0", "1+2", "3++1", "3 + 1", "-1", "3-1",
+                                  "2+2^", "2+2^*", "3+1^+^-"])
+def test_parse_shape_rejects(text):
+    with pytest.raises(ValueError):
+        parse_shape(text)
+
+
 def test_shapes_module_reads_no_family():
     """Which labels are classes of A, B and D is decided in `groups` alone:
     `shapes` reads every shape off the class list, never a family letter."""

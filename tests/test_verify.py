@@ -29,6 +29,9 @@ from coxchar.shapes import Shape, shapes
 SRC = Path(coxchar.__file__).resolve().parents[1]
 
 
+REPORT_KEYS = ["group", "check", "status", "discrepancies", "timing_ms", "config"]
+
+
 def test_verify_regular_report_fields():
     report = verify_regular(GroupDescriptor("B", 2))
     assert report.status == "pass"
@@ -36,10 +39,22 @@ def test_verify_regular_report_fields():
     assert report.group == "B2"
     assert report.timing_ms >= 0
     assert report.config == {}
-    payload = report.to_dict()
-    assert set(payload) == {
-        "group", "check", "status", "discrepancies", "timing_ms", "config",
-    }
+    assert list(report.to_dict()) == REPORT_KEYS
+
+
+def test_report_json_keys_and_immutability():
+    """The JSON keys come in field order, table last and only in a
+    Poincare report; a report is immutable, and each skipped report owns
+    its config."""
+    args = cli.build_parser().parse_args(["--family", "E", "--rank", "6"])
+    (skipped,), code = cli.run(args)
+    (again,), _ = cli.run(args)
+    assert code == 0 and list(skipped.to_dict()) == REPORT_KEYS
+    assert skipped.config == {} and skipped.config is not again.config
+    table = poincare_table(GroupDescriptor("B", 2)).to_dict()
+    assert list(table) == REPORT_KEYS + ["table"]
+    with pytest.raises(AttributeError):
+        skipped.status = "pass"
 
 
 def test_poincare_table_format():
