@@ -14,12 +14,23 @@ A reader that closes stdout early (`| head -1`) stops the printing but
 changes neither the exit code nor the `--json` report.  The report is
 opened only once the checks have run, so a run that exits 2 or 3 leaves
 the file at that path as it was.
+
+A CLI process exits without the interpreter's final collection: at exit
+every live object is moved to the collector's permanent generation
+(gc.freeze), which the exit-time collections skip, and the operating
+system takes the memory back whole.  Nothing is lost that way: the
+`--json` file is closed by its `with` block before main returns, and the
+interpreter flushes stdout and stderr itself.  Importing this module only
+registers that hook, so a caller that runs main in process keeps its
+collector as it was until it exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -37,6 +48,8 @@ from .verify import (
 )
 
 LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
+
+atexit.register(gc.freeze)
 
 
 def _budget(text: str) -> int:

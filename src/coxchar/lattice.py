@@ -28,11 +28,12 @@ shapes: the block sizes, and in type D with no zero block and all sizes
 even the parity of the point's negative entries.  A shape fixes the
 codimension of its flats (shape_rank), so one table per class, shape ->
 sum of mu_w over the stable flats of that shape (Lattice.shape_mu),
-serves every check: P_w sums it by rank, the graded and os characters
-read P_w of each class, and the per-shape character reads one entry per
-class.  Each class is named by its index in conjugacy_classes and counted
-from its label, with no element built, and the class of -w shares the
-table of w.
+serves every check: P_w sums it by rank, once per class per lattice
+(Lattice.poincare_polynomial), the graded and os characters and the
+Poincare table read P_w of each class, and the per-shape character reads
+one entry per class.  Each class is named by its index in
+conjugacy_classes and counted from its label, with no element built, and
+the class of -w shares the table of w.
 
 The stable flats are neither tested nor built but counted: w permutes
 the blocks of a stable flat, so each cycle of w goes into the zero block
@@ -147,6 +148,7 @@ class Lattice:
         self.flats = flats
         self.classes = conjugacy_classes(G)
         self._shape_mu: dict[int, dict[Shape, int]] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
 
     @property
     def rank(self) -> int:
@@ -182,13 +184,22 @@ class Lattice:
 
     def poincare_polynomial(self, k: int):
         """Coefficients of P_w(t) for w in class k, ascending, length
-        rank + 1: a shape fixes the codimension of its flats, so t^c
-        collects the shapes of rank c."""
-        coeffs = [0] * (self.rank + 1)
-        for shape, total in self.shape_mu(k).items():
-            c = shape_rank(self.G, shape)
-            coeffs[c] += total * (-1) ** c
-        return tuple(coeffs)
+        rank + 1 (_poincare_row); cached, since os, graded and the
+        Poincare table each read every class's row."""
+        row = self._rows.get(k)
+        if row is None:
+            row = self._rows[k] = _poincare_row(self.G, self.shape_mu(k))
+        return row
+
+
+def _poincare_row(G: GroupDescriptor, table: dict[Shape, int]) -> tuple[int, ...]:
+    """P_w's coefficients from w's shape -> mu table: a shape fixes the
+    codimension of its flats, so t^c collects the shapes of rank c."""
+    coeffs = [0] * (G.rank + 1)
+    for shape, total in table.items():
+        c = shape_rank(G, shape)
+        coeffs[c] += total * (-1) ** c
+    return tuple(coeffs)
 
 
 def _negated(G: GroupDescriptor, cls):

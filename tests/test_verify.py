@@ -331,10 +331,97 @@ def test_shape_checks_read_the_class_tables(family, rank, monkeypatch):
     assert not hasattr(lattice, "shape_labels")
     monkeypatch.setattr(lattice, "flats", Unreadable())
     monkeypatch.setattr(lattice, "_shape_mu", {})
+    monkeypatch.setattr(lattice, "_rows", {})
     assert poincare_table(G).table == table
     reports = [verify_os(G), verify_graded(G), *verify_all_shapes(G)]
     assert len(reports) == 2 + len(shapes(G))
     assert all(r.status == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4)])
+def test_check_all_assembles_each_poincare_row_once(family, rank, monkeypatch, capsys):
+    """os, graded and the Poincare table each read every class's P_w, but
+    a `--check all` run sums each class's shape table into its row once."""
+    from coxchar import lattice as lattice_module
+
+    G = GroupDescriptor(family, rank)
+    lattice = get_lattice(G)
+    monkeypatch.setattr(lattice, "_rows", {})
+    assembled = []
+    row = lattice_module._poincare_row
+
+    def counted(G, table):
+        assembled.append(G)
+        return row(G, table)
+
+    monkeypatch.setattr(lattice_module, "_poincare_row", counted)
+    assert main(["--family", family, "--rank", str(rank), "--check", "all"]) == 0
+    classes = len(conjugacy_classes(G))
+    assert len(assembled) == classes
+    assert sorted(lattice._rows) == list(range(classes))
+
+
+def _without_timing(path):
+    reports = json.loads(path.read_text())["reports"]
+    for report in reports:
+        del report["timing_ms"]
+    return reports
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "D", "--rank", "5", "--check", "all"],
+    ["--family", "B", "--rank", "7", "--check", "regular"],
+], ids=["D5 all", "B7 regular"])
+def test_frozen_exit_keeps_outputs_whole(args, tmp_path, capsys):
+    """A CLI process that exits with its heap frozen (no final collection)
+    prints and writes what an in-process run of main does, and exits 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    child = tmp_path / "child.json"
+    out = subprocess.run(
+        [sys.executable, "-m", "coxchar.cli", *args, "--json", str(child)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    here = tmp_path / "here.json"
+    assert main([*args, "--json", str(here)]) == 0
+    assert out.stdout == capsys.readouterr().out
+    assert _without_timing(child) == _without_timing(here)
+
+
+def test_frozen_exit_keeps_the_budget_error():
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "coxchar.cli", "--family", "B", "--rank", "9",
+         "--check", "poincare"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "budget error: flat budget 300000 exceeded while building B9 lattice"
+        " (raise --budget-flats)\n"
+    )
+
+
+def test_cli_freezes_the_heap_only_at_exit():
+    """Importing the CLI and returning from main leave the collector as
+    they found it, so in-process callers keep theirs; a hook registered
+    before the import runs after the CLI's and sees the heap frozen."""
+    probe = (
+        "import atexit, contextlib, gc, io\n"
+        "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
+        "before = gc.isenabled(), gc.get_threshold()\n"
+        "from coxchar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['--family', 'B', '--rank', '3', '--check', 'all'])\n"
+        "print(code, (gc.isenabled(), gc.get_threshold()) == before,"
+        " gc.get_freeze_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out == "0 True 0\nfrozen at exit True\n"
 
 
 def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
