@@ -15,20 +15,25 @@ of the wreath-product factors, valued by a linear character cycle by
 cycle of the block permutation, each cycle in closed form, with no
 element built.  This is the one module that reads a cycle-type code: the
 tallies are convolved into the sum of the character over each class of
-the group (class_sums), which is all that induction takes from them.
+the group (class_sums), which is all that induction takes from them; the
+largest family's products go straight to their classes, so no tally of
+the whole centralizer is built.
 
 Tallies are keyed by the cycle-type code alone, and hold the sum of the
 character over the elements of each code, a rational integer, beside
 their number.  The cycle type of an element of W_n is its cycle-type
-code (cycle_code): one base-(n+1) digit per signed cycle length counts
-the cycles of that length and sign, positive length L at digit L-1 and
-negative L at digit n+L-1.  No count exceeds n, so the code
-determines the type, and the code of a product of elements on disjoint
-coordinates is the sum of their codes.  An element lies in D_n exactly
-when it has an even number of negative cycles, so the code also decides
-D membership.  In type D one more digit above these, at side_unit(n),
+code (cycle_code), in mixed radix: one digit per signed cycle length
+counts the cycles of that length and sign, positive lengths 1..n first,
+then negative 1..n, and the digit of length +-L has base n // L + 1,
+since W_n has no element with more than n // L cycles of length L.  So
+the code determines the type, and the code of a product of elements on
+disjoint coordinates is the sum of their codes: no digit overflows.  The
+places depend on n alone (_places).  An element lies in D_n exactly when
+it has an even number of negative cycles, so the code also decides D
+membership.  In type D one more digit above these, at side_unit(n),
 adds up the D split sides of the cycles, and its parity is the element's
-side.
+side; code_index keys every side count an element can reach, so no code
+is reduced before its class is looked up.
 """
 
 from __future__ import annotations
@@ -49,11 +54,22 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _places(n):
+    """The place of each signed length's digit in a code of W_n, and the
+    side place above them: positive lengths 1..n, then negative 1..n, the
+    digit of length +-L in base n // L + 1."""
+    places = {}
+    place = 1
+    for signed_length in (*range(1, n + 1), *range(-1, -n - 1, -1)):
+        places[signed_length] = place
+        place *= n // abs(signed_length) + 1
+    return places, place
+
+
 def _unit(n, signed_length):
     """The code of one cycle of W_n of this signed length (< 0: negative)."""
-    if signed_length > 0:
-        return (n + 1) ** (signed_length - 1)
-    return (n + 1) ** (n - signed_length - 1)
+    return _places(n)[0][signed_length]
 
 
 def cycle_code(mu: SignedPartition) -> int:
@@ -63,7 +79,7 @@ def cycle_code(mu: SignedPartition) -> int:
 
 def side_unit(n):
     """The place of the D split-side digit, above the 2n cycle digits."""
-    return (n + 1) ** (2 * n)
+    return _places(n)[1]
 
 
 # -- class tallies ------------------------------------------------------------
@@ -160,13 +176,13 @@ def _family_tally(n, signed_length, m, family, a, s, r):
     neither or both negated (code 3, a positive 2-cycle, value -1 each) or
     with one (a negative 2-cycle, value 1 each); and the two positive
     2-blocks of D4, where 8 of the 32 elements have two positive 2-cycles
-    (cycle code 2 * 5 = 10), with side digit (at 5^8) 0, 1 or 2, so 2 of
-    them lie on the '-' split side:
+    (cycle code 2 * 5 = 10), with side digit (at 5 * 3 * 2 * 2 * 5 * 3 *
+    2 * 2 = 3600) 0, 1 or 2, so 2 of them lie on the '-' split side:
 
     >>> sorted(_family_tally(2, 1, 2, "B", 0, 1, 1).items())
-    [(2, (1, 1)), (3, (-2, 2)), (10, (-2, 2)), (18, (1, 1)), (27, (2, 2))]
+    [(2, (1, 1)), (3, (-2, 2)), (7, (-2, 2)), (12, (1, 1)), (18, (2, 2))]
     >>> tally = _family_tally(4, 2, 2, "D", 0, 0, 0)
-    >>> [tally[10 + side * 5**8] for side in (0, 1, 2)]
+    >>> [tally[10 + side * 3600] for side in (0, 1, 2)]
     [(5, 5), (2, 2), (1, 1)]
     >>> sum(count for _, count in tally.values())
     32
@@ -220,15 +236,19 @@ def centralizer_tallies(mu: SignedPartition, family: str, values):
 @lru_cache(maxsize=None)
 def code_index(G: GroupDescriptor) -> dict:
     """code + side * side_unit(n) -> class index, for the cycle-type code of
-    each class and the D split side 1 for '-', 0 for '+'; both sides lead
-    to a class that does not split.  No code with an odd number of
-    negative cycles names a class of D_n."""
+    each class and every side count an element of G can carry: 0 in types
+    A and B, and in type D 0..n // 2 + 1 (one per positive even cycle, and
+    one for a '-' base), of the parity of the class's tag ('+' even, '-'
+    odd) where it splits.  No code with an odd number of negative cycles
+    names a class of D_n."""
     out = {}
     unit = side_unit(G.degree)
+    sides = range(G.degree // 2 + 2) if G.family == "D" else (0,)
     for k, cls in enumerate(conjugacy_classes(G)):
         code = cycle_code(cls.label)
-        for side in (0, 1) if cls.tag is None else (cls.tag == "-",):
-            out[code + side * unit] = k
+        for side in sides:
+            if cls.tag is None or side % 2 == (cls.tag == "-"):
+                out[code + side * unit] = k
     return out
 
 
@@ -239,14 +259,17 @@ def class_sums(G: GroupDescriptor, label: SignedPartition, tag, values):
     character over the elements of H in that class, and tallied the
     number of elements summed, |H| when every element is counted once.
 
-    The families' valued tallies are convolved, and each code, with its D
-    side digit taken mod 2, leads to a class (code_index).  The '-' base
-    class of a split pair is t w_mu t, and the tally of its centralizer is
-    that of w_mu conjugated by the odd t: starting one side unit up swaps
-    the sides.  In type D the code of an odd element (an odd number of
-    negative cycles) names no class, and the element is dropped.  Under
-    phi on D4, the bases 2+2^+ and 2+2^- give the same sums with the split
-    pairs swapped:
+    The families' valued tallies but the largest are convolved, and the
+    largest is convolved straight into the classes: each product's code,
+    its D side digit included, leads to a class (code_index), which gains
+    its value, and tallied its count.  Codes add in any order, so taking
+    the largest family last keeps the convolved tally small.  The '-'
+    base class of a split pair is t w_mu t, and the tally of its
+    centralizer is that of w_mu conjugated by the odd t: starting one
+    side unit up swaps the sides.  In type D the code of an odd element
+    (an odd number of negative cycles) names no class, and the element
+    is dropped.  Under phi on D4, the bases 2+2^+ and 2+2^- give the same
+    sums with the split pairs swapped:
 
     >>> from coxchar.characters import phi_for_class
     >>> G = GroupDescriptor("D", 4)
@@ -259,17 +282,19 @@ def class_sums(G: GroupDescriptor, label: SignedPartition, tag, values):
     32 [('2+2^+', 6), ('2+2^-', -2), ('4^+', 0)]
     32 [('2+2^+', -2), ('2+2^-', 6), ('4^-', 0)]
     """
-    unit = side_unit(G.degree)
-    tally = {unit if tag == "-" else 0: (1, 1)}
-    for family in centralizer_tallies(label, G.family, values):
+    *families, last = sorted(centralizer_tallies(label, G.family, values), key=len)
+    tally = {side_unit(G.degree) if tag == "-" else 0: (1, 1)}
+    for family in families:
         tally = _convolve(tally, family, {})
-    index = code_index(G)
+    index = code_index(G).get
     sums: dict = {}
     tallied = 0
-    for code, (value, count) in tally.items():
-        k = index.get(code % (2 * unit))
-        if k is None:  # an odd element of a type-D tally
-            continue
-        tallied += count
-        sums[k] = sums.get(k, 0) + value
+    for code_b, (value_b, count_b) in last.items():
+        hits = 0
+        for code_a, (value_a, count_a) in tally.items():
+            k = index(code_a + code_b)
+            if k is not None:  # else an odd element of a type-D tally
+                hits += count_a
+                sums[k] = sums.get(k, 0) + value_a * value_b
+        tallied += hits * count_b
     return sums, tallied

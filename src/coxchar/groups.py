@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_FLAT_BUDGET",
     "GroupDescriptor",
     "ConjClass",
+    "class_count",
     "conjugacy_classes",
     "centralizer_order",
     "reflection_length",
@@ -116,6 +117,31 @@ def _classes(G: GroupDescriptor) -> tuple[ConjClass, ...]:
         size = 2**n * factorial(n) // centralizer_order(mu) // len(tags)
         out.extend(ConjClass(mu, tag, size, G.order // size) for tag in tags)
     return tuple(out)
+
+
+def class_count(G: GroupDescriptor) -> int:
+    """The number of classes of G, counted without listing one: p(n) in
+    type A; sum over k of p(k) p(n - k) in type B, k the size of the
+    negative cycles; in type D the labels with an even number of negative
+    cycles, plus one for each all-positive, all-even label (its class
+    splits), of which there are p(n / 2).  One pass over the part sizes
+    gives p and q(k), the partitions of k counted with the sign
+    (-1)^(number of parts), as the products of 1 / (1 - x^j) and
+    1 / (1 + x^j); (p(k) + q(k)) / 2 of the partitions of k have an even
+    number of parts."""
+    n = G.degree
+    p = [1] + [0] * n
+    q = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+            q[m] -= q[m - part]
+    if G.family == "A":
+        return p[n]
+    total = 0
+    for k in range(n + 1):
+        total += (p[k] if G.family == "B" else (p[k] + q[k]) // 2) * p[n - k]
+    return total + (p[n // 2] if G.family == "D" and n % 2 == 0 else 0)
 
 
 def conjugacy_classes(G: GroupDescriptor, _ignored=None):

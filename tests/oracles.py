@@ -9,7 +9,10 @@ by the definition over the whole group (`induce_direct`) and on the
 root-keyed class tallies the library used before its keys were integers
 (`induce_by_root_tallies`, one family's tally summed over the cycle types
 of the block permutation in `_root_family_tally`, where the library
-recurs on the block cycle through the first block), the alpha
+recurs on the block cycle through the first block), the class sums of a
+centralizer from one tally of all its families, each code then mapped to
+its class (`class_sums_two_pass`, where the library sums its largest family
+straight into the classes), the alpha
 character as a determinant on a fixed space (`alpha_on_centralizer`), and
 the intersection lattice closed under hyperplane meets (`closure_by_meets`),
 the w-stable flats by testing each flat's hyperplanes
@@ -61,6 +64,7 @@ from functools import lru_cache
 from itertools import groupby, permutations, product
 from math import factorial, gcd, prod
 
+from coxchar.centralizers import centralizer_tallies, code_index, side_unit
 from coxchar.characters import LinearCharacterSpec
 from coxchar.classfunctions import ClassFunction
 from coxchar.groups import BudgetError, GroupDescriptor, class_index, conjugacy_classes
@@ -1167,6 +1171,34 @@ def induce_by_root_tallies(G: GroupDescriptor, chi: LinearCharacterSpec):
         assert not any(coeffs[1:]) and not rest, f"{G} {classes[k]}: {bucket}"
         values[k] = value
     return ClassFunction(G, tuple(values))
+
+
+def class_sums_two_pass(G: GroupDescriptor, label: SignedPartition, tag, values):
+    """centralizers.class_sums the two-pass way: every family's valued
+    tally convolved into one tally of the whole centralizer, then each
+    code, its side digit taken mod 2, mapped through code_index (an odd
+    element of a type-D tally names no class and is dropped):
+    (class index -> sum of the character, elements summed)."""
+    unit = side_unit(G.degree)
+    tally = {unit if tag == "-" else 0: (1, 1)}
+    for family in centralizer_tallies(label, G.family, values):
+        product_tally: dict = {}
+        for code_a, (value_a, count_a) in tally.items():
+            for code_b, (value_b, count_b) in family.items():
+                value, count = product_tally.get(code_a + code_b, (0, 0))
+                product_tally[code_a + code_b] = (
+                    value + value_a * value_b, count + count_a * count_b
+                )
+        tally = product_tally
+    index = code_index(G)
+    sums: dict = {}
+    tallied = 0
+    for code, (value, count) in tally.items():
+        k = index.get(code % (2 * unit))
+        if k is not None:
+            tallied += count
+            sums[k] = sums.get(k, 0) + value
+    return sums, tallied
 
 
 def alpha_on_centralizer(G: GroupDescriptor, shape: Shape, w: SignedPermutation):

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import factorial
 
@@ -13,6 +15,7 @@ from coxchar.characters import (
     chi_char,
     epsilon_char,
     phi_for_class,
+    spec_product,
 )
 from coxchar.groups import (
     GroupDescriptor,
@@ -27,6 +30,7 @@ from oracles import (
     _summaries,
     centralizer_elements,
     centralizer_generators,
+    class_sums_two_pass,
     conjugate_by_first_flip,
     coordinates,
     group_elements,
@@ -269,6 +273,7 @@ def test_family_tally_equals_partition_sum(G):
             _assert_family_tally_equals_partition_sum(G.family, key, m, triples)
 
 
+@lru_cache(maxsize=None)
 def _accepted_triples(key):
     """Every (a, s, r), a < 2L, that a LinearCharacterSpec accepts on the
     family key: a even on a positive family, r = 0 on a negative one."""
@@ -281,7 +286,7 @@ def _accepted_triples(key):
         except ValueError:
             continue
         out.append(triple)
-    return out
+    return tuple(out)
 
 
 @pytest.mark.parametrize("family", "ABD")
@@ -327,3 +332,49 @@ def test_family_tally_is_valued_once_per_group():
         for key, count in cls.label.families:
             expected.update((key, m, values[key]) for m in range(count + 1))
     assert centralizers._family_tally.cache_info().misses == len(expected)
+
+
+SUM_GROUPS = (
+    [GroupDescriptor("A", r) for r in range(1, 10)]
+    + [GroupDescriptor("B", r) for r in range(1, 9)]
+    + [GroupDescriptor("D", r) for r in range(4, 11)]
+)
+
+
+def _assert_class_sums_equal_two_pass(G, spec, what):
+    args = (G, spec.label, spec.tag, spec.values)
+    assert centralizers.class_sums(*args) == class_sums_two_pass(*args), what
+
+
+@pytest.mark.parametrize("G", SUM_GROUPS, ids=str)
+def test_class_sums_equal_the_two_pass_route(G):
+    """Summing the largest family straight into the classes gives the sums
+    and the element count of one tally of the whole centralizer mapped to
+    the classes afterwards, on every class (both sides of each D split
+    pair) under phi, alpha.phi, chi and epsilon."""
+    for cls in conjugacy_classes(G):
+        args = (G, cls.label, cls.tag)
+        phi = phi_for_class(*args)
+        specs = {
+            "phi": phi,
+            "alpha.phi": spec_product(alpha_char(*args), phi),
+            "chi": chi_char(*args),
+            "epsilon": epsilon_char(*args),
+        }
+        for name, spec in specs.items():
+            _assert_class_sums_equal_two_pass(G, spec, f"{G} {cls} {name}")
+
+
+@pytest.mark.parametrize("G", SUM_GROUPS, ids=str)
+def test_class_sums_equal_the_two_pass_route_under_random_triples(G):
+    """The same under seeded random triples that a spec accepts, drawn
+    family by family from every accepted (a, s, r), so that no shortcut
+    that holds only for the stock characters can pass."""
+    rng = random.Random(str(G))
+    for cls in conjugacy_classes(G):
+        for _ in range(2):
+            values = {
+                key: rng.choice(_accepted_triples(key)) for key, _ in cls.label.families
+            }
+            spec = LinearCharacterSpec(G, cls.label, cls.tag, values)
+            _assert_class_sums_equal_two_pass(G, spec, f"{G} {cls} {values}")

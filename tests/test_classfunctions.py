@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -254,15 +255,21 @@ def test_integer_keys_match_root_keyed_tallies(G):
             assert got == induce_by_root_tallies(G, spec), f"{G} {cls} {name}"
 
 
+def _bases(n):
+    """(signed length, base) of each digit of a cycle-type code of W_n,
+    lowest first: positive lengths 1..n, then negative 1..n, the digit of
+    +-L in base n // L + 1."""
+    return [(L, n // abs(L) + 1) for L in (*range(1, n + 1), *range(-1, -n - 1, -1))]
+
+
 def _decode(n, code):
     """The signed partition read back off a cycle-type code, digit by digit."""
-    digits = []
-    for _ in range(2 * n):
-        code, digit = divmod(code, n + 1)
-        digits.append(digit)
+    counts = {}
+    for L, base in _bases(n):
+        code, counts[L] = divmod(code, base)
     assert code == 0
-    neg = tuple(L for L in range(1, n + 1) for _ in range(digits[n + L - 1]))
-    pos = tuple(L for L in range(n, 0, -1) for _ in range(digits[L - 1]))
+    neg = tuple(L for L in range(1, n + 1) for _ in range(counts[-L]))
+    pos = tuple(L for L in range(n, 0, -1) for _ in range(counts[L]))
     return SignedPartition(neg, pos)
 
 
@@ -276,35 +283,72 @@ CODE_GROUPS = (
 def test_cycle_codes_name_their_classes():
     """Every class of A1-A15, B1-B14 and D4-D14 has its own code (the two
     sides of a split class share one), the code reads back to the class's
-    label, and code_index leads from code and side digit (at side_unit)
-    to the class itself.  No code of D_n with an odd number of negative
+    label, and code_index leads from code and side digit (at side_unit,
+    right above the cycle digits) to the class itself: side 0 in types A
+    and B, every side count 0..n // 2 + 1 in type D, of the tag's parity
+    where the class splits.  No code of D_n with an odd number of negative
     cycles names a class, whatever its side count."""
     for G in CODE_GROUPS:
         n = G.degree
         labels = {}
         index = code_index(G)
         unit = side_unit(n)
+        assert unit == prod(base for _, base in _bases(n))
+        all_sides = range(n // 2 + 2) if G.family == "D" else (0,)
         for k, cls in enumerate(conjugacy_classes(G)):
             code = cycle_code(cls.label)
             assert labels.setdefault(code, cls.label) == cls.label, f"{G} {cls}"
             assert _decode(n, code) == cls.label, f"{G} {cls}"
-            sides = (0, 1) if cls.tag is None else (int(cls.tag == "-"),)
-            for side in sides:
-                assert conjugacy_classes(G)[index[code + side * unit]].key == cls.key
-        assert len(index) == 2 * len(labels)
+            parity = None if cls.tag is None else int(cls.tag == "-")
+            for side in all_sides:
+                if parity is None or side % 2 == parity:
+                    assert conjugacy_classes(G)[index[code + side * unit]].key == cls.key
+                else:
+                    assert index.get(code + side * unit) != k
+        assert len(index) == len(all_sides) * len(labels)
         if G.family == "D":
             for mu in signed_partitions(n):
                 if len(mu.neg) % 2:
                     for side in range(n + 2):
-                        key = (cycle_code(mu) + side * unit) % (2 * unit)
+                        key = cycle_code(mu) + side * unit
                         assert key not in index, f"{G} {mu} {side}"
-    # full digits: n positive and n negative 1-cycles
+    # full digits: n positive and n negative 1-cycles, and n // L cycles of
+    # each length L, the most a digit counts, read back without a carry
     for n in (1, 7, 14):
         identity = SignedPartition((), (1,) * n)
         minus = SignedPartition((1,) * n, ())
         assert cycle_code(identity) == n
-        assert cycle_code(minus) == n * (n + 1) ** n
+        assert cycle_code(minus) == n * prod(n // L + 1 for L in range(1, n + 1))
         assert _decode(n, cycle_code(minus)) == minus
+        for L in range(1, n + 1):
+            rest = (1,) * (n % L)
+            for mu in (
+                SignedPartition(rest, (L,) * (n // L)),
+                SignedPartition((L,) * (n // L), rest),
+            ):
+                assert _decode(n, cycle_code(mu)) == mu, f"{n} {mu}"
+                assert all(count <= n // abs(key) for key, count in mu.families)
+
+
+def _code(n, mu):
+    """The code of mu's cycles placed among the n coordinates of W_n."""
+    return sum(count * centralizers._unit(n, key) for key, count in mu.families)
+
+
+def test_codes_of_disjoint_labels_add():
+    """For labels mu of k and nu of n - k, placed side by side on the n
+    coordinates of W_n, the code of mu u nu is the code of mu plus the
+    code of nu: no digit overflows into the next, as convolving tallies
+    of disjoint families needs."""
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for mu in signed_partitions(k):
+                for nu in signed_partitions(n - k):
+                    union = SignedPartition(
+                        tuple(sorted(mu.neg + nu.neg)),
+                        tuple(sorted(mu.pos + nu.pos, reverse=True)),
+                    )
+                    assert _code(n, mu) + _code(n, nu) == cycle_code(union)
 
 
 CENTRAL_GROUPS = (
@@ -454,6 +498,46 @@ def test_non_integral_induced_value_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: non-integral")
+
+
+@pytest.mark.parametrize(
+    "rank, family, lost",
+    [
+        (4, "B", SignedPartition((1,), (1, 1, 1))),
+        (4, "D", SignedPartition((1, 1), (1, 1))),
+        (5, "D", SignedPartition((1, 2), (2,))),
+    ],
+    ids=str,
+)
+def test_lost_code_is_an_internal_error(monkeypatch, capsys, rank, family, lost):
+    """A code that names no class, although its elements lie in the group
+    (in type D an even number of negative cycles), loses them: tallied
+    falls short of |H| and induction raises; from the CLI this is exit 3,
+    one `internal error: tallied` line and nothing on stdout.  Only the
+    odd codes of a type-D tally may be dropped."""
+    G = GroupDescriptor(family, rank)
+    lost_classes = {
+        k for k, cls in enumerate(conjugacy_classes(G)) if cls.label == lost
+    }
+    assert lost_classes and len(lost.neg) % 2 == (family == "B")
+    real = centralizers.code_index
+
+    def without_lost(H):
+        index = real(H)
+        if H != G:
+            return index
+        return {code: k for code, k in index.items() if k not in lost_classes}
+
+    monkeypatch.setattr(centralizers, "code_index", without_lost)
+    identity = SignedPartition((), (1,) * rank)
+    with pytest.raises(AssertionError, match="tallied"):
+        induce_from_centralizer(G, phi_for_class(G, identity))
+    argv = ["--family", family, "--rank", str(rank), "--check", "regular"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: tallied")
 
 
 def _skew(monkeypatch):

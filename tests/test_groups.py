@@ -7,6 +7,7 @@ from coxchar.classfunctions import regular_character
 from coxchar.groups import (
     BudgetError,
     GroupDescriptor,
+    class_count,
     class_index,
     conjugacy_classes,
     reflection_length,
@@ -236,3 +237,16 @@ def test_hyperplane_action_is_action():
 def test_budget_errors():
     with pytest.raises(BudgetError):
         list(group_elements(GroupDescriptor("B", 8), budget=1000))
+
+
+def test_class_count_matches_the_class_list():
+    """class_count, a recurrence over part sizes that lists nothing, is the
+    length of the class list on A1-A25, B1-B14 and D4-D14 (both sides of
+    each D split pair counted)."""
+    groups = (
+        [GroupDescriptor("A", r) for r in range(1, 26)]
+        + [GroupDescriptor("B", r) for r in range(1, 15)]
+        + [GroupDescriptor("D", r) for r in range(4, 15)]
+    )
+    for G in groups:
+        assert class_count(G) == len(conjugacy_classes(G)), G

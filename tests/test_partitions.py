@@ -156,11 +156,23 @@ def _wreath_order(parts, scale):
     )
 
 
+def _place(n, signed_length):
+    """The code of one cycle of this signed length in W_n, written out: the
+    product of the bases n // j + 1 of the digits below its own, which are
+    the positive lengths j < L, or every positive length and the negative
+    j < L."""
+    below = list(range(1, signed_length)) if signed_length > 0 else [
+        *range(1, n + 1), *range(1, -signed_length)
+    ]
+    return prod(n // j + 1 for j in below)
+
+
 @pytest.mark.parametrize("G", FAMILY_GROUPS, ids=str)
 def test_families_split_every_label(G):
     """families lists each signed length once, negatives first, with a
     positive count, and expands back to the label; the centralizer orders
-    and the cycle-type code, written out over neg and pos, agree."""
+    and the cycle-type code, written out over neg and pos in its mixed
+    radix, agree."""
     n = G.degree
     for mu in {cls.label for cls in conjugacy_classes(G)}:
         keys = [key for key, _ in mu.families]
@@ -172,8 +184,8 @@ def test_families_split_every_label(G):
         assert tuple(key for key in expanded if key > 0) == mu.pos
         order = _wreath_order(mu.neg, 2) * _wreath_order(mu.pos, 2)
         assert centralizer_order(mu) == order
-        assert cycle_code(mu) == sum((n + 1) ** (n + L - 1) for L in mu.neg) + sum(
-            (n + 1) ** (L - 1) for L in mu.pos
+        assert cycle_code(mu) == sum(_place(n, -L) for L in mu.neg) + sum(
+            _place(n, L) for L in mu.pos
         )
     if G.family == "A":
         for cls in conjugacy_classes(G):

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import coxchar
 from conftest import stretch_enabled
-from coxchar import classfunctions, cli
+from coxchar import classfunctions, cli, groups
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor, conjugacy_classes
@@ -422,6 +423,42 @@ def test_cli_freezes_the_heap_only_at_exit():
         check=True,
     ).stdout
     assert out == "0 True 0\nfrozen at exit True\n"
+
+
+def test_cli_refuses_a_group_over_the_class_limit():
+    """A1200 has p(1201) classes: the CLI counts them without listing one
+    and exits 2 with one `error:` line, no traceback, well within 0.5 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "coxchar.cli", "--family", "A", "--rank", "1200",
+         "--check", "regular"],
+        env=env, capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "error: A1200 has 47944117779189310556261099429006223 conjugacy classes,"
+        f" over the limit of {cli.CLASS_LIMIT}\n"
+    )
+    assert elapsed < 0.5
+
+
+def test_cli_class_limit_admits_its_own_count(monkeypatch, capsys):
+    """With the limit at B4's own 20 classes, B4 runs; B5 (36 classes) is
+    refused with exit 2 before any class is listed."""
+    monkeypatch.setattr(cli, "CLASS_LIMIT", 20)
+    assert main(["--family", "B", "--rank", "4", "--check", "all"]) == 0
+    capsys.readouterr()
+
+    def listed(G):
+        raise AssertionError(f"listed the classes of {G}")
+
+    monkeypatch.setattr(groups, "_classes", listed)
+    assert main(["--family", "B", "--rank", "5", "--check", "regular"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: B5 has 36 conjugacy classes, over the limit of 20\n"
 
 
 def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
