@@ -20,6 +20,7 @@ value that is not an integer is an internal error (AssertionError).
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .centralizers import class_sums
@@ -57,15 +58,11 @@ class ClassFunction(namedtuple("ClassFunction", "group values")):
 
     def __add__(self, other) -> "ClassFunction":
         self._require_same_group(other)
-        return ClassFunction(
-            self.group, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return ClassFunction(self.group, tuple(map(add, self.values, other.values)))
 
     def __sub__(self, other) -> "ClassFunction":
         self._require_same_group(other)
-        return ClassFunction(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return ClassFunction(self.group, tuple(map(sub, self.values, other.values)))
 
     def discrepancies(self, other):
         """Indices and value pairs where the two functions differ."""

@@ -9,13 +9,15 @@
 
 Exit codes: 0 all requested checks pass (or are skipped), 1 a verification
 failed, 2 usage or budget error (a group with more than CLASS_LIMIT
-classes is refused before any class is listed), 3 internal error (an
-invariant of the program failed; the message is one `internal error:`
-line on stderr).
+classes is refused before any class is listed) or a report or stdout
+that cannot be written, 3 internal error (an invariant of the program
+failed; the message is one `internal error:` line on stderr).
 A reader that closes stdout early (`| head -1`) stops the printing but
-changes neither the exit code nor the `--json` report.  The report is
-opened only once the checks have run, so a run that exits 2 or 3 leaves
-the file at that path as it was.
+changes neither the exit code nor the `--json` report; a stdout that
+fails otherwise (a full disk) stops it too, with one `error: cannot
+write stdout` line and exit 2, and the report is still written.  The
+report is opened only once the checks have run, so a run that exits 2
+or 3 before that leaves the file at that path as it was.
 
 A CLI process exits without the interpreter's final collection: at exit
 every live object is moved to the collector's permanent generation
@@ -53,8 +55,9 @@ LATTICE_CHECKS = ("os", "graded", "shape", "poincare")
 
 # The most classes a group may have: counted before any is listed, so a
 # larger group is refused at once.  The largest groups admitted are B16
-# (5 822 classes), A29 and D17, whose regular checks take 8.5, 4.8 and
-# 11 s at up to 400 MB; D18 (6 160 classes) takes 29 s.
+# (5 822 classes), A29 and D17, whose regular checks take 7.4, 3.7 and
+# 8.2 s and peak at 29, 28 and 43 MB (2-vCPU VM, Python 3.11); D18
+# (6 160 classes) takes 29 s.
 CLASS_LIMIT = 6000
 
 atexit.register(gc.freeze)
@@ -118,6 +121,13 @@ def run(args) -> tuple[list[VerificationReport], int]:
         return [report], 0
 
     G = GroupDescriptor(args.family, args.rank)
+    # Each hook (n - k, 1^k) labels a class of A_{n-1}, B_n and D_n, so a
+    # group of degree n has at least n classes: refused before counting them.
+    if G.degree > CLASS_LIMIT:
+        raise ValueError(
+            f"{G} has at least {G.degree} conjugacy classes, over the limit of"
+            f" {CLASS_LIMIT}"
+        )
     count = class_count(G)
     if count > CLASS_LIMIT:
         raise ValueError(
@@ -173,29 +183,31 @@ def main(argv=None) -> int:
         return 3
     # opened only now, so a run that fails leaves a report already there
     try:
-        output = open(args.json, "w") if args.json else contextlib.nullcontext()
-    except OSError as err:
+        with open(args.json, "w") if args.json else contextlib.nullcontext() as handle:
+            try:
+                for report in reports:
+                    print(report.summary())
+                    if report.table is not None:
+                        print(format_poincare_table(report))
+                    if report.status != "skipped":
+                        for entry in report.discrepancies:
+                            print(f"  {entry}")
+                sys.stdout.flush()
+            except OSError as err:
+                # The reader has gone (`| head`) or the disk is full: print no
+                # more, but still write the JSON.  Pointing stdout at devnull
+                # keeps the flush at interpreter exit from failing again.
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+                if not isinstance(err, BrokenPipeError):
+                    print(f"error: cannot write stdout: {err.strerror}", file=sys.stderr)
+                    code = 2
+            if handle is not None:
+                payload = {"reports": [r.to_dict() for r in reports]}
+                json.dump(payload, handle, indent=2)
+    except OSError as err:  # the report could not be opened, written or closed
         print(f"error: cannot write {args.json}: {err.strerror}", file=sys.stderr)
         return 2
-    with output as handle:
-        try:
-            for report in reports:
-                print(report.summary())
-                if report.table is not None:
-                    print(format_poincare_table(report))
-                if report.status != "skipped":
-                    for entry in report.discrepancies:
-                        print(f"  {entry}")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader has gone (`| head`): print no more, but still write
-            # the JSON and exit with the checks' code.  Pointing stdout at
-            # devnull keeps the flush at interpreter exit from failing again.
-            with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-        if handle is not None:
-            payload = {"reports": [r.to_dict() for r in reports]}
-            json.dump(payload, handle, indent=2)
     return code
 
 

@@ -116,14 +116,17 @@ def _compare(G, expected, got, degree=None):
     return out
 
 
-def _induced(G, specs):
-    """Sum of Ind(spec) over specs, one induction each, added per class: a
-    ClassFunction.  specs is never empty: every degree 0..rank has a class
-    of that reflection length, and every shape a cuspidal class."""
-    from .classfunctions import ClassFunction, induce_from_centralizer
+def _induced(G, character, bases):
+    """Sum of Ind(character(G, label, tag)) over the keys (label, tag) in
+    bases, one induction each: a ClassFunction.  character is a rule such
+    as characters.phi_for_class or chi_char; each induced row is added to
+    one running sum as it comes, so no more than one is alive at a time."""
+    from .classfunctions import induce_from_centralizer, zero_function
 
-    columns = zip(*(induce_from_centralizer(G, spec).values for spec in specs))
-    return ClassFunction(G, tuple(map(sum, columns)))
+    return sum(
+        (induce_from_centralizer(G, character(G, *key)) for key in bases),
+        zero_function(G),
+    )
 
 
 def verify_regular(G: GroupDescriptor) -> VerificationReport:
@@ -132,8 +135,7 @@ def verify_regular(G: GroupDescriptor) -> VerificationReport:
     from .classfunctions import regular_character
 
     started = time.perf_counter()
-    specs = [phi_for_class(G, cls.label, cls.tag) for cls in conjugacy_classes(G)]
-    got = _induced(G, specs)
+    got = _induced(G, phi_for_class, (cls.key for cls in conjugacy_classes(G)))
     return _report(G, "regular", started, _compare(G, regular_character(G), got))
 
 
@@ -151,8 +153,7 @@ def verify_os(
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     expected = sum(graded_os_character(lattice), zero_function(G))
-    specs = [chi_char(G, cls.label, cls.tag) for cls in conjugacy_classes(G)]
-    got = _induced(G, specs)
+    got = _induced(G, chi_char, (cls.key for cls in conjugacy_classes(G)))
     return _report(G, "os", started, _compare(G, expected, got), budget_flats)
 
 
@@ -168,12 +169,10 @@ def verify_graded(
     lattice = get_lattice(G, budget_flats)
     by_length: dict[int, list] = {}
     for cls in conjugacy_classes(G):
-        by_length.setdefault(reflection_length(G, cls.label), []).append(
-            chi_char(G, cls.label, cls.tag)
-        )
+        by_length.setdefault(reflection_length(G, cls.label), []).append(cls.key)
     disc = []
     for p, expected in enumerate(graded_os_character(lattice)):
-        got = _induced(G, by_length[p])
+        got = _induced(G, chi_char, by_length[p])
         disc.extend(_compare(G, expected, got, degree=p))
     return _report(G, "graded", started, disc, budget_flats)
 
@@ -192,8 +191,7 @@ def verify_shape(
     started = time.perf_counter()
     lattice = get_lattice(G, budget_flats)
     expected = shape_os_character(lattice, shape)
-    specs = [chi_char(G, label, tag) for label, tag in cuspidal_labels(G, shape)]
-    disc = _compare(G, expected, _induced(G, specs))
+    disc = _compare(G, expected, _induced(G, chi_char, cuspidal_labels(G, shape)))
     return _report(G, f"shape {shape}", started, disc, budget_flats)
 
 

@@ -236,9 +236,10 @@ def test_class_shape_is_listed_with_the_class_reflection_length(G):
 
 @pytest.mark.parametrize("G", SHAPE_LIST_GROUPS, ids=str)
 def test_every_degree_and_every_shape_has_a_class(G):
-    """The graded and shape checks induce at least one class per bucket,
-    which verify._induced relies on: each degree 0..rank is the reflection
-    length of a class, and each shape has a cuspidal class."""
+    """Each degree 0..rank is the reflection length of a class, which
+    verify_graded's per-degree lookup of the classes of each length relies
+    on, and each shape has a cuspidal class, so no shape check compares its
+    summand with an empty sum."""
     lengths = {reflection_length(G, cls.label) for cls in conjugacy_classes(G)}
     assert lengths == set(range(G.rank + 1))
     for shape in shapes(G):

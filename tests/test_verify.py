@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -253,6 +254,60 @@ def test_cli_regular_beyond_the_paper_range(family, rank):
     assert code == 0 and [r.status for r in reports] == ["pass"]
 
 
+@pytest.mark.skipif(not stretch_enabled(), reason="B16 regular needs COXCHAR_STRETCH=1")
+def test_cli_regular_b16_peaks_under_100_mb():
+    """B16 (5 822 classes) holds one induced row at a time, so its regular
+    check stays far below the 5 822 x 5 822 table of held rows (~400 MB).
+    The peak is the child's own (os.wait4): the suite's RUSAGE_CHILDREN
+    would report the largest child it has waited for."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxchar.cli", "--family", "B", "--rank", "16",
+         "--check", "regular"],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 100 * 1024  # kilobytes on Linux
+
+
+class _CountedRow(tuple):
+    """The values of an induced row, counting how many rows are alive."""
+
+    alive = peak = 0
+
+    def __new__(cls, values):
+        row = super().__new__(cls, values)
+        _CountedRow.alive += 1
+        _CountedRow.peak = max(_CountedRow.peak, _CountedRow.alive)
+        return row
+
+    def __del__(self):
+        _CountedRow.alive -= 1
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_checks_hold_one_induced_row_at_a_time(family, monkeypatch):
+    """Each induced row is added into one running sum as it comes: while a
+    check runs, no more than two rows are alive at once (the one being
+    added and the next), however many bases it induces."""
+    real = classfunctions.induce_from_centralizer
+
+    def counted(G, spec):
+        return ClassFunction(G, _CountedRow(real(G, spec).values))
+
+    monkeypatch.setattr(classfunctions, "induce_from_centralizer", counted)
+    G = GroupDescriptor(family, 5)
+    for check in (verify_regular, verify_graded, verify_all_shapes):
+        _CountedRow.alive = _CountedRow.peak = 0
+        reports = check(G)
+        reports = reports if isinstance(reports, list) else [reports]
+        assert [r.status for r in reports] == ["pass"] * len(reports)
+        assert 1 <= _CountedRow.peak <= 2, check.__name__
+        assert _CountedRow.alive == 0
+
+
 def test_cli_a9_check_all_with_default_budget():
     """A9's 115 975 flats fit the default flat budget."""
     assert main(["--family", "A", "--rank", "9", "--check", "all"]) == 0
@@ -444,6 +499,28 @@ def test_cli_refuses_a_group_over_the_class_limit():
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("rank", [10**8, 10**18])
+@pytest.mark.parametrize("family", "ABD")
+def test_cli_refuses_a_huge_rank_before_counting_classes(family, rank):
+    """A group of degree n has at least n classes (the hooks (n - k, 1^k)),
+    so a degree over the limit is refused at once, classes uncounted."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "coxchar.cli", "--family", family, "--rank",
+         str(rank), "--check", "regular"],
+        env=env, capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    degree = rank + 1 if family == "A" else rank
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        f"error: {family}{rank} has at least {degree} conjugacy classes,"
+        f" over the limit of {cli.CLASS_LIMIT}\n"
+    )
+    assert elapsed < 0.5
+
+
 def test_cli_class_limit_admits_its_own_count(monkeypatch, capsys):
     """With the limit at B4's own 20 classes, B4 runs; B5 (36 classes) is
     refused with exit 2 before any class is listed."""
@@ -491,6 +568,45 @@ def test_cli_unwritable_json_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+needs_dev_full = pytest.mark.skipif(
+    not Path("/dev/full").exists(), reason="needs /dev/full"
+)
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_dev_full
+def test_cli_report_that_cannot_be_written_is_usage_error():
+    """A --json write that fails once the checks have passed exits 2 with
+    one line, not a traceback and the "verification failed" code."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-m", "coxchar.cli", "--family", "B", "--rank", "3",
+         "--check", "regular", "--json", "/dev/full"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, "B3 regular: pass\n")
+    assert out.stderr == f"error: cannot write /dev/full: {NO_SPACE}\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_cli_stdout_that_cannot_be_written_is_usage_error(tmp_path, unbuffered):
+    """A stdout that cannot be written stops the printing with one line and
+    exit 2; the --json report is still written whole."""
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "coxchar.cli", "--family", "B", "--rank", "3",
+             "--check", "all", "--json", str(report)],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert out.returncode == 2
+    assert out.stderr == f"error: cannot write stdout: {NO_SPACE}\n"
+    reports = json.loads(report.read_text())["reports"]
+    assert len(reports) == 11 and all(r["status"] == "pass" for r in reports)
 
 
 @pytest.mark.parametrize("flag", ["--budget-elements", "--budget-flats"])
