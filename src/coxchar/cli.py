@@ -9,7 +9,8 @@
 
 Exit codes: 0 all requested checks pass (or are skipped), 1 a verification
 failed, 2 usage or budget error (a group with more than CLASS_LIMIT
-classes is refused before any class is listed) or a report or stdout
+classes is refused before any class is listed, and a --shape that is not
+one of the group's before any lattice is built) or a report or stdout
 that cannot be written, 3 internal error (an invariant of the program
 failed; the message is one `internal error:` line on stderr).
 A reader that closes stdout early (`| head -1`) stops the printing but
@@ -133,6 +134,12 @@ def run(args) -> tuple[list[VerificationReport], int]:
         raise ValueError(
             f"{G} has {count} conjugacy classes, over the limit of {CLASS_LIMIT}"
         )
+    shape = None
+    if args.shape is not None:  # refused before any lattice is built
+        from .shapes import parse_shape, shape_rank  # only shape checks load it
+
+        shape = parse_shape(args.shape)
+        shape_rank(G, shape)  # a shape that is not one of G's is a ValueError
     checks = (
         ["regular", "os", "graded", "shape", "poincare"]
         if args.check == "all"
@@ -151,10 +158,8 @@ def run(args) -> tuple[list[VerificationReport], int]:
             reports.append(verify_os(G, budget))
         elif check == "graded":
             reports.append(verify_graded(G, budget))
-        elif check == "shape" and args.shape is not None:
-            from .shapes import parse_shape  # only shape checks load it
-
-            reports.append(verify_shape(G, parse_shape(args.shape), budget))
+        elif check == "shape" and shape is not None:
+            reports.append(verify_shape(G, shape, budget))
         elif check == "shape":
             reports.extend(verify_all_shapes(G, budget))
         elif check == "poincare":

@@ -124,23 +124,36 @@ def class_count(G: GroupDescriptor) -> int:
     type A; sum over k of p(k) p(n - k) in type B, k the size of the
     negative cycles; in type D the labels with an even number of negative
     cycles, plus one for each all-positive, all-even label (its class
-    splits), of which there are p(n / 2).  One pass over the part sizes
-    gives p and q(k), the partitions of k counted with the sign
-    (-1)^(number of parts), as the products of 1 / (1 - x^j) and
-    1 / (1 + x^j); (p(k) + q(k)) / 2 of the partitions of k have an even
-    number of parts."""
+    splits), of which there are p(n / 2).
+
+    Euler's pentagonal theorem writes prod (1 - x^j) as the sum of
+    (-1)^k x^g over the generalized pentagonal numbers g = k (3k - 1) / 2,
+    k in Z, so p(m) = -sum over g > 0 of (-1)^k p(m - g).  The partitions
+    of m counted with the sign (-1)^(number of parts) have the generating
+    function prod 1 / (1 + x^j) = prod (1 - x^j) / (1 - x^(2j)), so
+    q(m) = sum over g <= m with m - g even of (-1)^k p((m - g) / 2), and
+    (p(m) + q(m)) / 2 of the partitions of m have an even number of
+    parts.  Both take O(n^1.5) steps."""
     n = G.degree
-    p = [1] + [0] * n
-    q = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            p[m] += p[m - part]
-            q[m] -= q[m - part]
+    pentagonal = [(0, 1)]  # (g, (-1)^k) by g: k and -k give k (3k -+ 1) / 2
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        sign = (-1) ** k
+        pentagonal += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(-sum(sign * p[m - g] for g, sign in pentagonal[1:] if g <= m))
     if G.family == "A":
         return p[n]
-    total = 0
-    for k in range(n + 1):
-        total += (p[k] if G.family == "B" else (p[k] + q[k]) // 2) * p[n - k]
+
+    def even(m):  # the partitions of m with an even number of parts
+        q = sum(sign * p[(m - g) // 2]
+                for g, sign in pentagonal if g <= m and (m - g) % 2 == 0)
+        return (p[m] + q) // 2
+
+    total = sum((p[k] if G.family == "B" else even(k)) * p[n - k]
+                for k in range(n + 1))
     return total + (p[n // 2] if G.family == "D" and n % 2 == 0 else 0)
 
 

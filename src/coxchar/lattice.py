@@ -27,13 +27,13 @@ complement as its t^p coefficient.  Orbits of flats are labelled by
 shapes: the block sizes, and in type D with no zero block and all sizes
 even the parity of the point's negative entries.  A shape fixes the
 codimension of its flats (shape_rank), so one table per class, shape ->
-sum of mu_w over the stable flats of that shape (Lattice.shape_mu),
-serves every check: P_w sums it by rank, once per class per lattice
-(Lattice.poincare_polynomial), the graded and os characters and the
-Poincare table read P_w of each class, and the per-shape character reads
-one entry per class.  Each class is named by its index in
-conjugacy_classes and counted from its label, with no element built, and
-the class of -w shares the table of w.
+sum of mu_w over the stable flats of that shape, serves every check.  A
+lattice computes every class's table once, in class order
+(Lattice.tables), and sums each by rank into P_w once (Lattice.rows):
+the graded and os characters and the Poincare table read the rows, and
+the per-shape character reads one entry of each table.  Each class is
+named by its index in conjugacy_classes and counted from its label, with
+no element built, and the class of -w shares the table of w.
 
 The stable flats are neither tested nor built but counted: w permutes
 the blocks of a stable flat, so each cycle of w goes into the zero block
@@ -77,7 +77,7 @@ its exact size (flat_count).  The arrangement's hyperplanes
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .cyclotomic import totient_moebius
@@ -146,60 +146,50 @@ class Lattice:
         self.G = G
         self.hyperplanes = hyperplane_set(G)
         self.flats = flats
-        self.classes = conjugacy_classes(G)
-        self._shape_mu: dict[int, dict[Shape, int]] = {}
-        self._rows: dict[int, tuple[int, ...]] = {}
-
-    @property
-    def rank(self) -> int:
-        return self.G.rank
-
-    # -- fixed subposets and their Moebius functions -------------------------
 
     def fixed_subposet(self, k: int) -> dict[Shape, int]:
         """Shape -> sum of mu_w(V, X) over the flats X of that shape stable
         under class k, zero sums kept (_weighted_structures)."""
-        cls = self.classes[k]
+        cls = conjugacy_classes(self.G)[k]
         return _weighted_structures(self.G, cls.label, cls.tag)
 
     def moebius(self, subposet: dict[Shape, int]) -> dict[Shape, int]:
         """subposet = fixed_subposet(k) with its zero sums dropped."""
         return {shape: total for shape, total in subposet.items() if total}
 
-    def shape_mu(self, k: int) -> dict[Shape, int]:
-        """Shape -> sum of mu_w(X) over the flats X of that shape stable
-        under an element w of class k.
+    @cached_property
+    def tables(self) -> list[dict[Shape, int]]:
+        """Every class's shape -> sum of mu_w(X) over the flats X of that
+        shape stable under an element w of it, in class order.  The class
+        of -w, which acts on every flat as w does, shares the table of w."""
+        G = self.G
+        classes = conjugacy_classes(G)
+        tables: list = [None] * len(classes)
+        for k, cls in enumerate(classes):
+            if tables[k] is None:
+                tables[k] = self.moebius(self.fixed_subposet(k))
+                partner = _negated(G, cls)
+                if partner is not None:
+                    tables[class_index(G)[partner]] = tables[k]
+        return tables
 
-        Cached, and shared with the class of -w, which acts on every flat
-        as w does.
-        """
-        if k in self._shape_mu:
-            return self._shape_mu[k]
-        table = self.moebius(self.fixed_subposet(k))
-        self._shape_mu[k] = table
-        partner = _negated(self.G, self.classes[k])
-        if partner is not None:
-            self._shape_mu.setdefault(class_index(self.G)[partner], table)
-        return table
+    @cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        """Every class's coefficients of P_w(t), ascending, length rank + 1,
+        in class order: a shape fixes the codimension of its flats, so t^c
+        collects the shapes of rank c."""
+        rows = []
+        for table in self.tables:
+            coeffs = [0] * (self.G.rank + 1)
+            for shape, total in table.items():
+                c = shape_rank(self.G, shape)
+                coeffs[c] += total * (-1) ** c
+            rows.append(tuple(coeffs))
+        return rows
 
-    def poincare_polynomial(self, k: int):
-        """Coefficients of P_w(t) for w in class k, ascending, length
-        rank + 1 (_poincare_row); cached, since os, graded and the
-        Poincare table each read every class's row."""
-        row = self._rows.get(k)
-        if row is None:
-            row = self._rows[k] = _poincare_row(self.G, self.shape_mu(k))
-        return row
-
-
-def _poincare_row(G: GroupDescriptor, table: dict[Shape, int]) -> tuple[int, ...]:
-    """P_w's coefficients from w's shape -> mu table: a shape fixes the
-    codimension of its flats, so t^c collects the shapes of rank c."""
-    coeffs = [0] * (G.rank + 1)
-    for shape, total in table.items():
-        c = shape_rank(G, shape)
-        coeffs[c] += total * (-1) ** c
-    return tuple(coeffs)
+    def poincare_polynomial(self, k: int) -> tuple[int, ...]:
+        """Coefficients of P_w(t) for w in class k (rows)."""
+        return self.rows[k]
 
 
 def _negated(G: GroupDescriptor, cls):
@@ -288,8 +278,6 @@ def _run_table(family: str, signed_length: int, run: int) -> tuple:
                 if family == "D" and length == 1 and not spared:
                     add((orbits, zero, 1, parity), count)
             for i, (k, lam, j) in enumerate(orbits):
-                if (k, lam) not in joins:
-                    continue
                 rest = tuple(sorted(orbits[:i] + ((k, lam, j + 1),) + orbits[i + 1:]))
                 weight = count * -j * (length // k)
                 for bit, m in joins[k, lam]:
@@ -446,13 +434,7 @@ def graded_os_character(lattice: Lattice):
     """ClassFunctions of the cohomology of the complement, degrees 0..rank."""
     from .classfunctions import ClassFunction  # induction code stays unloaded
 
-    G = lattice.G
-    classes = conjugacy_classes(G)
-    rows = [lattice.poincare_polynomial(k) for k in range(len(classes))]
-    return [
-        ClassFunction(G, tuple(row[p] for row in rows))
-        for p in range(lattice.rank + 1)
-    ]
+    return [ClassFunction(lattice.G, column) for column in zip(*lattice.rows)]
 
 
 def shape_os_character(lattice: Lattice, shape: Shape) -> ClassFunction:
@@ -460,9 +442,7 @@ def shape_os_character(lattice: Lattice, shape: Shape) -> ClassFunction:
     carried by the shape's orbit of flats."""
     from .classfunctions import ClassFunction
 
-    G = lattice.G
-    sign = (-1) ** shape_rank(G, shape)
-    return ClassFunction(G, tuple(
-        sign * lattice.shape_mu(k).get(shape, 0)
-        for k in range(len(conjugacy_classes(G)))
+    sign = (-1) ** shape_rank(lattice.G, shape)
+    return ClassFunction(lattice.G, tuple(
+        sign * table.get(shape, 0) for table in lattice.tables
     ))

@@ -401,6 +401,30 @@ def class_of(G: GroupDescriptor, w: SignedPermutation) -> int:
     return class_index(G)[class_key(w, G.family)]
 
 
+def class_counts_by_parts(family: str, top: int) -> list[int]:
+    """The class counts of the groups of one family by degree n = 0..top
+    (entries below degree 4 meaningless in type D), by the O(top^2)
+    recurrence over part sizes: one pass gives p and q(k), the partitions
+    of k counted with the sign (-1)^(number of parts), as the products of
+    1 / (1 - x^j) and 1 / (1 + x^j); (p(k) + q(k)) / 2 of the partitions
+    of k have an even number of parts.  The reference of
+    groups.class_count, which takes them from Euler's pentagonal theorem."""
+    p = [1] + [0] * top
+    q = [1] + [0] * top
+    for part in range(1, top + 1):
+        for m in range(part, top + 1):
+            p[m] += p[m - part]
+            q[m] -= q[m - part]
+    if family == "A":
+        return p
+    even = p if family == "B" else [(a + b) // 2 for a, b in zip(p, q)]
+    return [
+        sum(even[k] * p[n - k] for k in range(n + 1))
+        + (p[n // 2] if family == "D" and n % 2 == 0 else 0)
+        for n in range(top + 1)
+    ]
+
+
 def element_reflection_length(G: GroupDescriptor, w: SignedPermutation) -> int:
     """Codimension of the fixed space of w in the reflection representation,
     from its positive cycles."""

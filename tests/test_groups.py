@@ -16,6 +16,7 @@ from coxchar.groups import (
 from coxchar.lattice import _negated, hyperplane_set
 from coxchar.partitions import SignedPartition
 from oracles import (
+    class_counts_by_parts,
     class_key,
     class_rep,
     coxeter_generators,
@@ -240,7 +241,7 @@ def test_budget_errors():
 
 
 def test_class_count_matches_the_class_list():
-    """class_count, a recurrence over part sizes that lists nothing, is the
+    """class_count, Euler's pentagonal recurrence that lists nothing, is the
     length of the class list on A1-A25, B1-B14 and D4-D14 (both sides of
     each D split pair counted)."""
     groups = (
@@ -250,3 +251,16 @@ def test_class_count_matches_the_class_list():
     )
     for G in groups:
         assert class_count(G) == len(conjugacy_classes(G)), G
+
+
+@pytest.mark.parametrize("family", "ABD")
+def test_class_count_matches_the_recurrence_over_part_sizes(family):
+    """The pentagonal recurrence gives the counts of the O(n^2) recurrence
+    over part sizes (oracles.class_counts_by_parts) at every degree up to
+    200 and at every 100th up to 1500, the degrees the class limit refuses
+    among them."""
+    counts = class_counts_by_parts(family, 1500)
+    first = {"A": 2, "B": 1, "D": 4}[family]  # the smallest degree
+    for n in [*range(first, 200), *range(200, 1501, 100)]:
+        G = GroupDescriptor(family, n - 1 if family == "A" else n)
+        assert class_count(G) == counts[n], G

@@ -31,7 +31,7 @@ def paper_range():
         lattice = Lattice(G, ())
         rows = []
         for k, cls in enumerate(conjugacy_classes(G)):
-            table = lattice.shape_mu(k)
+            table = lattice.tables[k]
             rows.append([
                 str(cls),
                 list(lattice.poincare_polynomial(k)),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from coxchar import classfunctions, cli, groups
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
 from coxchar.groups import GroupDescriptor, conjugacy_classes
-from coxchar.lattice import get_lattice
+from coxchar.lattice import Lattice, get_lattice
 from coxchar.verify import (
     format_poincare_table,
     poincare_table,
@@ -202,6 +203,26 @@ def test_cli_bad_shape_is_usage_error():
                  "--shape", "2+2^-"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--check", "all"],
+    ["--check", "shape"],
+    ["--check", "all", "--budget-flats", "10"],
+], ids=["all", "shape", "over the flat budget"])
+def test_cli_bad_shape_is_refused_before_any_work(extra, monkeypatch, capsys):
+    """A --shape that is not one of the group's exits 2 with its one line
+    before any lattice is built or any check runs, and before the flat
+    budget is compared."""
+    from coxchar import lattice
+
+    def refuse(*args):
+        raise AssertionError("work done before the shape was checked")
+
+    monkeypatch.setattr(lattice, "get_lattice", refuse)
+    monkeypatch.setattr(cli, "verify_regular", refuse)
+    assert main(["--family", "B", "--rank", "8", "--shape", "9", *extra]) == 2
+    assert capsys.readouterr() == ("", "error: 9 is not a shape of B8\n")
+
+
 def test_cli_rank_7_with_raised_budget():
     code = main([
         "--family", "D", "--rank", "7", "--check", "regular",
@@ -375,46 +396,66 @@ class Unreadable:
     __getitem__ = __iter__ = __len__ = _refuse
 
 
+def _counting_fixed_subposet(monkeypatch) -> list:
+    """Patches Lattice.fixed_subposet to record the class of every call."""
+    counted = []
+    fixed = Lattice.fixed_subposet
+
+    def counting(self, k):
+        counted.append(k)
+        return fixed(self, k)
+
+    monkeypatch.setattr(Lattice, "fixed_subposet", counting)
+    return counted
+
+
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("D", 4), ("D", 5)])
 def test_shape_checks_read_the_class_tables(family, rank, monkeypatch):
     """The checks read one shape -> mu table per class, and each table is
     counted from the cycles of its representative: with no flat readable,
-    no shape label kept and no table cached, the Poincare table is
-    unchanged and os, graded and every shape check pass."""
+    no shape label kept and the lattice's tables and rows dropped, the
+    tables are counted again, the Poincare table is unchanged and os,
+    graded and every shape check pass."""
     G = GroupDescriptor(family, rank)
     table = poincare_table(G).table
     lattice = get_lattice(G)
     assert not hasattr(lattice, "shape_labels")
     monkeypatch.setattr(lattice, "flats", Unreadable())
-    monkeypatch.setattr(lattice, "_shape_mu", {})
-    monkeypatch.setattr(lattice, "_rows", {})
+    monkeypatch.delitem(vars(lattice), "tables")
+    monkeypatch.delitem(vars(lattice), "rows")
+    counted = _counting_fixed_subposet(monkeypatch)
     assert poincare_table(G).table == table
+    assert counted and len(lattice.tables) == len(conjugacy_classes(G))
     reports = [verify_os(G), verify_graded(G), *verify_all_shapes(G)]
     assert len(reports) == 2 + len(shapes(G))
     assert all(r.status == "pass" for r in reports)
 
 
-@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 4)])
+@pytest.mark.parametrize("family,rank", [("B", 3), ("B", 4), ("D", 4)])
 def test_check_all_assembles_each_poincare_row_once(family, rank, monkeypatch, capsys):
-    """os, graded and the Poincare table each read every class's P_w, but
-    a `--check all` run sums each class's shape table into its row once."""
-    from coxchar import lattice as lattice_module
-
+    """os, graded, the shape checks and the Poincare table all read the
+    class tables, but a `--check all` run builds the rows once and counts
+    each table once: fixed_subposet runs once per class up to -w, as often
+    as the benchmark's frozen lattice.moebius_calls reads on B3 and D4."""
     G = GroupDescriptor(family, rank)
     lattice = get_lattice(G)
-    monkeypatch.setattr(lattice, "_rows", {})
-    assembled = []
-    row = lattice_module._poincare_row
+    for name in ("tables", "rows"):
+        monkeypatch.delitem(vars(lattice), name, raising=False)
+    built = []
+    rows = Lattice.rows.func
 
-    def counted(G, table):
-        assembled.append(G)
-        return row(G, table)
+    def counted_rows(self):
+        built.append(self.G)
+        return rows(self)
 
-    monkeypatch.setattr(lattice_module, "_poincare_row", counted)
+    counted_property = cached_property(counted_rows)
+    counted_property.__set_name__(Lattice, "rows")
+    monkeypatch.setattr(Lattice, "rows", counted_property)
+    counted = _counting_fixed_subposet(monkeypatch)
     assert main(["--family", family, "--rank", str(rank), "--check", "all"]) == 0
-    classes = len(conjugacy_classes(G))
-    assert len(assembled) == classes
-    assert sorted(lattice._rows) == list(range(classes))
+    assert built == [G]
+    assert sorted(set(counted)) == sorted(counted)
+    assert len(counted) == {"B3": 5, "B4": 14, "D4": 10}[str(G)]
 
 
 def _without_timing(path):
@@ -494,6 +535,27 @@ def test_cli_refuses_a_group_over_the_class_limit():
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (
         "error: A1200 has 47944117779189310556261099429006223 conjugacy classes,"
+        f" over the limit of {cli.CLASS_LIMIT}\n"
+    )
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5999), ("B", 6000), ("D", 6000)])
+def test_cli_refuses_a_degree_just_under_the_class_limit_at_once(family, rank):
+    """Degree 6000 passes the degree bound, so the classes are counted,
+    by the pentagonal recurrence: the refusal still comes within 0.5 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "coxchar.cli", "--family", family, "--rank",
+         str(rank), "--check", "regular"],
+        env=env, capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    G = GroupDescriptor(family, rank)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        f"error: {G} has {groups.class_count(G)} conjugacy classes,"
         f" over the limit of {cli.CLASS_LIMIT}\n"
     )
     assert elapsed < 0.5
