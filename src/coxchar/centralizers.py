@@ -13,11 +13,13 @@ permutes equal blocks, twists each block by a power of its cycle, and may
 negate positive blocks outright.  Induction needs only the class tallies
 of the wreath-product factors, valued by a linear character cycle by
 cycle of the block permutation, each cycle in closed form, with no
-element built.  This is the one module that reads a cycle-type code: the
-tallies are convolved into the sum of the character over each class of
-the group (class_sums), which is all that induction takes from them; the
-largest family's products go straight to their classes, so no tally of
-the whole centralizer is built.
+element built: the twists of a block cycle that give one cycle type are
+a union of Galois orbits, and each orbit's values sum to a Ramanujan sum.
+This is the one module that reads a cycle-type code: the tallies are
+convolved into the sum of the character over each class of the group
+(class_sums), which is all that induction takes from them; the largest
+family's products go straight to their classes, so no tally of the whole
+centralizer is built.
 
 Tallies are keyed by the cycle-type code alone, and hold the sum of the
 character over the elements of each code, a rational integer, beside
@@ -41,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, gcd
 
-from .cyclotomic import orbit_sum
+from .cyclotomic import ramanujan, totient_moebius
 from .groups import GroupDescriptor, conjugacy_classes
 from .partitions import SignedPartition
 
@@ -91,31 +93,36 @@ def side_unit(n):
 # negations; Z_L without), and it acts on its own coordinates.  Under a
 # character's triple (a, s, r) on it (characters), its valued tally maps
 # a code to the sum of the character's values over the family elements of
-# that code and their number.  The values are roots of unity of order 2L
-# only until the rows of one block cycle are summed per code
-# (cyclotomic.orbit_sum).  In type D the code's side digit counts the
-# cycles' D split sides (the parity of the negative values met walking
-# each cycle from its smallest entry, additive over cycles), so sides add
-# with codes.
+# that code and their number.  The twists of one block cycle fall into
+# Galois orbits whose elements share a code, and the values over an orbit
+# sum to a Ramanujan sum (cyclotomic.ramanujan), so every value is a
+# rational integer and no root of unity is formed.  In type D the code's
+# side digit counts the cycles' D split sides (the parity of the negative
+# values met walking each cycle from its smallest entry, additive over
+# cycles), so sides add with codes.
 
 
 @lru_cache(maxsize=None)
 def _cycle_tally(length, c, negative, flips):
     """One c-cycle of the block permutation, as rows
-    (signed cycle length, cycles, twist, flip, side, weight).
+    (signed cycle length, cycles, q, flip, side, weight), one per Galois
+    orbit of its twists and flip.
 
     Conjugating by the block group inside these c blocks reaches every
     choice of twists (and flips) with the same product b around the cycle,
     and keeps the signed cycles, twist sum and flip sum.  So each product
-    stands for |K|^(c-1) elements, represented by the one that puts all of
-    b on the last block; its c-th power is b on every block, so each signed
-    l-cycle of b makes one signed (c*l)-cycle.
+    stands for |K|^(c-1) elements, the weight, represented by the one that
+    puts all of b on the last block; its c-th power is b on every block, so
+    each signed l-cycle of b makes one signed (c*l)-cycle.
 
-    On a negative block, b turns the 2L signed points by the twist k: its
-    g = gcd(k, 2L) orbits are g negative (L/g)-cycles when g divides L (x
-    and -x share an orbit), else g/2 positive cycles of odd length 2L/g.
-    On a positive block b = +-d^k has gcd(k, L) cycles of length
-    l = L/gcd(k, L), negative when b is negated and l is odd.
+    The twist k of b lies in Z_M, M = 2L on a negative block and L on a
+    positive one, and the cycles of b depend on its flip and g = gcd(k, M)
+    alone.  The twists of one g are k = g u for the phi(q) units u mod
+    q = M / g: one Galois orbit, and one row.  On a negative block, b turns
+    the 2L signed points by k: its g orbits are g negative (L/g)-cycles
+    when g divides L (x and -x share an orbit), else g/2 positive cycles of
+    odd length 2L/g.  On a positive block b = +-d^k has g cycles of length
+    l = L/g, negative when b is negated and l is odd.
 
     The D split side matters only for positive cycles of even length, and
     moves by the parity of the conjugator.  When K has odd elements and c
@@ -125,33 +132,31 @@ def _cycle_tally(length, c, negative, flips):
     a (c*l)-cycle, the sign flips at each pass through a negated b, so c*l/2
     of its values are negative, c*L/2 over its L/l cycles.
     """
-    if negative:
-        products = [(k, 0) for k in range(2 * length)]
-    else:
-        products = [(k, e) for k in range(length) for e in ((0, 1) if flips else (0,))]
-    weight = len(products) ** (c - 1)
+    modulus = 2 * length if negative else length
+    flip_range = (0, 1) if flips and not negative else (0,)
+    weight = (modulus * len(flip_range)) ** (c - 1)
     has_odd = negative or (flips and length % 2)
     rows = []
-    for twist, flip in products:
-        if negative:
-            g = gcd(twist, 2 * length)
-            if length % g == 0:
+    for g in range(1, modulus + 1):
+        if modulus % g:
+            continue
+        for flip in flip_range:
+            if not negative:
+                cycle, count = c * length // g, g
+                if flip and (length // g) % 2:
+                    cycle = -cycle
+            elif length % g == 0:
                 cycle, count = -c * length // g, g
             else:
                 cycle, count = 2 * c * length // g, g // 2
-        else:
-            count = gcd(twist, length)
-            cycle = c * length // count
-            if flip and (length // count) % 2:
-                cycle = -cycle
-        if cycle < 0 or cycle % 2:
-            sides = ((0, weight),)
-        elif has_odd and c % 2 == 0:
-            sides = ((0, weight // 2), (1, weight // 2))
-        else:
-            sides = ((flip * c * length // 2 % 2, weight),)
-        for side, share in sides:
-            rows.append((cycle, count, twist, flip, side, share))
+            if cycle < 0 or cycle % 2:
+                sides = ((0, weight),)
+            elif has_odd and c % 2 == 0:
+                sides = ((0, weight // 2), (1, weight // 2))
+            else:
+                sides = ((flip * c * length // 2 % 2, weight),)
+            for side, share in sides:
+                rows.append((cycle, count, modulus // g, flip, side, share))
     return tuple(rows)
 
 
@@ -162,22 +167,20 @@ def _family_tally(n, signed_length, m, family, a, s, r):
     the triple (a, s, r): code -> (sum of the character's values, number
     of elements).  A character is a product over the cycles of the block
     permutation, so recur on the one through the first block: its length
-    c, its other blocks picked in (m-1)!/(m-c)! ways, its _cycle_tally rows
-    valued zeta_2L^(a twist) (-1)^(s (c-1)) (-1)^(r flip) and summed per
-    code.  Such a sum is a rational integer.  The rows stand for the
-    elements whose block permutation is one c-cycle sigma.  For a prime to
-    |K wr S_c|, h -> h^a maps them onto those over sigma^a, which a block
-    permutation conjugates back onto them; neither step moves a code
-    (Weyl group classes are rational), and chi(h) goes to chi(h)^a.  So
-    the sum over a code is fixed by the Galois group of Q(zeta_2L), and
-    cyclotomic.orbit_sum reads it, checking that its roots are whole
-    orbits.  Two positive 1-blocks of B2 under alpha's triple: fixed
-    (code 2), one negated (value -1 each), both negated, swapped with
-    neither or both negated (code 3, a positive 2-cycle, value -1 each) or
-    with one (a negative 2-cycle, value 1 each); and the two positive
-    2-blocks of D4, where 8 of the 32 elements have two positive 2-cycles
-    (cycle code 2 * 5 = 10), with side digit (at 5 * 3 * 2 * 2 * 5 * 3 *
-    2 * 2 = 3600) 0, 1 or 2, so 2 of them lie on the '-' split side:
+    c, its other blocks picked in (m-1)!/(m-c)! ways, and its _cycle_tally
+    rows summed per code.  A row stands for weight elements at each twist
+    k of its orbit, valued zeta_2L^(a k) (-1)^(s (c-1)) (-1)^(r flip).  On
+    a negative block zeta_2L^(a k) is zeta_q^(a u) for k = g u, and on a
+    positive one zeta_q^(a/2 u) (a is even there), so the orbit's phi(q)
+    twists sum to the Ramanujan sum c_q(a), or c_q(a/2), a rational
+    integer by Hoelder's formula (cyclotomic.ramanujan).  Two positive
+    1-blocks of B2 under alpha's triple: fixed (code 2), one negated
+    (value -1 each), both negated, swapped with neither or both negated
+    (code 3, a positive 2-cycle, value -1 each) or with one (a negative
+    2-cycle, value 1 each); and the two positive 2-blocks of D4, where 8
+    of the 32 elements have two positive 2-cycles (cycle code 2 * 5 = 10),
+    with side digit (at 5 * 3 * 2 * 2 * 5 * 3 * 2 * 2 = 3600) 0, 1 or 2,
+    so 2 of them lie on the '-' split side:
 
     >>> sorted(_family_tally(2, 1, 2, "B", 0, 1, 1).items())
     [(2, (1, 1)), (3, (-2, 2)), (7, (-2, 2)), (12, (1, 1)), (18, (2, 2))]
@@ -189,24 +192,24 @@ def _family_tally(n, signed_length, m, family, a, s, r):
     """
     if m == 0:
         return {0: (1, 1)}
-    length = abs(signed_length)
-    order = 2 * length
+    negative = signed_length < 0
+    power = a if negative else a // 2
     side_place = side_unit(n) if family == "D" else 0
     out: dict = {}
     for c in range(m, 0, -1):  # the rest grows, so each call finds it cached
         rest = _family_tally(n, signed_length, m - c, family, a, s, r)
         ways = factorial(m - 1) // factorial(m - c)
-        buckets: dict = {}
-        for cycle, count, twist, flip, side, weight in _cycle_tally(
-            length, c, signed_length < 0, family != "A"
+        cycles: dict = {}
+        for cycle, count, q, flip, side, weight in _cycle_tally(
+            abs(signed_length), c, negative, family != "A"
         ):
-            bucket = buckets.setdefault(count * _unit(n, cycle) + side * side_place, {})
-            e = (a * twist + length * (s * (c - 1) + r * flip)) % order
-            bucket[e] = bucket.get(e, 0) + weight
-        cycles = {
-            units: (ways * orbit_sum(bucket, order), ways * sum(bucket.values()))
-            for units, bucket in buckets.items()
-        }
+            code = count * _unit(n, cycle) + side * side_place
+            share = ways * weight * (-1) ** (s * (c - 1) + r * flip)
+            value, number = cycles.get(code, (0, 0))
+            cycles[code] = (
+                value + share * ramanujan(q, power),
+                number + ways * weight * totient_moebius(q)[0],
+            )
         _convolve(rest, cycles, out)
     return out
 

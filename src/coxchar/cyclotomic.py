@@ -1,10 +1,11 @@
-"""Galois orbits of roots of unity: their size and sum, and the integer
-sum of a multiset of roots that is a union of whole orbits.
+"""Galois orbits of roots of unity: their size and sum, and the sum of
+one power of every root in an orbit.
 
-The primitive d-th roots of unity form one Galois orbit of phi(d) roots,
-which sums to mu(d).  A root of unity is handled as an exponent of a
-fixed order wherever it occurs (centralizers), so no root type lives
-here.
+The primitive q-th roots of unity form one Galois orbit of phi(q) roots,
+which sums to mu(q), and their a-th powers sum to the Ramanujan sum
+c_q(a), a rational integer.  The class sums of a centralizer family are
+such sums, one per orbit of twists (centralizers), so the library forms
+no root of unity.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-__all__ = ["totient_moebius", "orbit_sum"]
+__all__ = ["totient_moebius", "ramanujan"]
 
 
 @lru_cache(maxsize=None)
@@ -34,23 +35,9 @@ def totient_moebius(d: int) -> tuple[int, int]:
     return phi, mu
 
 
-def orbit_sum(bucket: dict[int, int], m: int) -> int:
-    """The sum of count * zeta_m^e over the bucket (e -> count), which must
-    be a union of whole Galois orbits: the exponents of each order
-    d = m / gcd(e, m) all occur, with one count c_d, so the sum is the
-    sum of c_d * mu(d).  The exponents are grouped by (d, count), and each
-    group must hold all phi(d) exponents of its order; a bucket that is
-    not such a union is irrational, or rational by cancellation alone,
-    and is an internal error (AssertionError).
-    """
-    orbits: dict = {}
-    for e, count in bucket.items():
-        key = (m // gcd(e, m), count)
-        orbits[key] = orbits.get(key, 0) + 1
-    total = 0
-    for (d, count), size in orbits.items():
-        phi, mu = totient_moebius(d)
-        if size != phi:
-            raise AssertionError(f"irrational sum {bucket} (exponents mod {m})")
-        total += count * mu
-    return total
+def ramanujan(q: int, a: int) -> int:
+    """The Ramanujan sum c_q(a): the sum of the a-th powers of the
+    primitive q-th roots of unity, mu(q/d) phi(q) / phi(q/d) with
+    d = gcd(a, q) (Hoelder's formula)."""
+    phi, mu = totient_moebius(q // gcd(a, q))
+    return mu * totient_moebius(q)[0] // phi

@@ -12,8 +12,9 @@ A class's shape is its positive cycles with its split tag (class_shape):
 the positive cycles of w_mu span its fixed space, so w_mu is cuspidal in
 W_{|neg|} x S_pos, the parabolic whose fixed space that is.  The shapes of
 G are the shapes of its classes, so the shape list, the shape check, the
-ranks and the cuspidal classes are all read off the class list, and only
-`groups` knows which labels are classes of A, B and D.  The type-D list
+ranks and the cuspidal classes are all read off one grouping of the class
+list by shape (shapes), and only `groups` knows which labels are classes
+of A, B and D.  The type-D list
 (partitions of n-1 dropped as redundant, all-even partitions of n doubled,
 everything else kept once) follows from the type-D classes: a partition
 of n-1 would leave one negative cycle, and only the all-even positive
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from types import MappingProxyType
 
 from .groups import GroupDescriptor, conjugacy_classes
 from .partitions import format_partition, parse_partition
@@ -69,30 +71,28 @@ def class_shape(cls) -> Shape:
 
 
 @lru_cache(maxsize=None)
-def shapes(G: GroupDescriptor) -> tuple[Shape, ...]:
-    """The distinct class shapes by (size, partition, tag): partition
-    tuples sort as `partitions` lists them, and '+' before '-'."""
-    distinct = set(map(class_shape, conjugacy_classes(G)))
-    return tuple(sorted(distinct, key=lambda shape: (sum(shape.lam), shape)))
+def shapes(G: GroupDescriptor) -> MappingProxyType:
+    """The distinct class shapes by (size, partition, tag), read-only, each
+    mapped to the keys (mu, tag) of its cuspidal classes in class order:
+    partition tuples sort as `partitions` lists them, and '+' before '-'."""
+    grouped: dict = {}
+    for cls in conjugacy_classes(G):
+        grouped.setdefault(class_shape(cls), []).append(cls.key)
+    order = sorted(grouped, key=lambda shape: (sum(shape.lam), shape))
+    return MappingProxyType({shape: tuple(grouped[shape]) for shape in order})
 
 
-def _check_shape(G: GroupDescriptor, shape: Shape):
+def cuspidal_labels(G: GroupDescriptor, shape: Shape) -> tuple:
+    """Keys (mu, tag) of the cuspidal classes of the shape's parabolic, in
+    class order; a shape that is not one of G's is a ValueError."""
     if shape not in shapes(G):
         raise ValueError(f"{shape} is not a shape of {G}")
+    return shapes(G)[shape]
 
 
 @lru_cache(maxsize=None)
 def shape_rank(G: GroupDescriptor, shape: Shape) -> int:
     """Rank of the parabolic = codimension of its fixed space.  Cached, so
     that each shape of the Poincare tables is validated once."""
-    _check_shape(G, shape)
+    cuspidal_labels(G, shape)  # validates the shape
     return G.degree - len(shape.lam)
-
-
-def cuspidal_labels(G: GroupDescriptor, shape: Shape):
-    """Keys (mu, tag) of the cuspidal classes of the shape's parabolic, in
-    class order."""
-    _check_shape(G, shape)
-    return tuple(
-        cls.key for cls in conjugacy_classes(G) if class_shape(cls) == shape
-    )

@@ -4,7 +4,10 @@ Each computes what a production path computes, the slow way, so that a
 test can compare the two: exact sums of roots of unity (`Cyc`), reduced
 modulo the cyclotomic polynomial through the power table x^k mod Phi_m
 (`cyclotomic_polynomial`, `_power_table`) where the library sums Galois
-orbits, the Moebius function by trial division (`_number_mu`), induction
+orbits, the Moebius function by trial division (`_number_mu`), the sum
+of a bucket of roots that is a union of whole Galois orbits, read orbit
+by orbit (`orbit_sum`, where the library takes each orbit's Ramanujan
+sum in closed form), induction
 by the definition over the whole group (`induce_direct`) and on the
 root-keyed class tallies the library used before its keys were integers
 (`induce_by_root_tallies`, one family's tally summed over the cycle types
@@ -78,9 +81,9 @@ from signedperm import SignedPermutation
 # -- roots of unity --------------------------------------------------------------
 #
 # A root of unity is a pair (k, m) standing for exp(2*pi*i*k/m), kept
-# normalized with gcd(k, m) = 1, so m is its true order.  The library reads
-# a character value as an exponent of the fixed order 2L of its family
-# (LinearCharacterSpec.exponent) and never multiplies two values.
+# normalized with gcd(k, m) = 1, so m is its true order.  The library
+# forms no root: it sums a character's values over each Galois orbit of
+# twists in closed form (cyclotomic.ramanujan).
 
 Root = tuple[int, int]
 
@@ -158,6 +161,28 @@ def _number_mu(n: int) -> int:
         p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
     ]
     return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
+def orbit_sum(bucket: dict[int, int], m: int) -> int:
+    """The sum of count * zeta_m^e over the bucket (e -> count), which must
+    be a union of whole Galois orbits: the exponents of each order
+    d = m / gcd(e, m) all occur, with one count c_d, so the sum is the
+    sum of c_d * mu(d).  The exponents are grouped by (d, count), and each
+    group must hold all phi(d) exponents of its order; a bucket that is
+    not such a union is irrational, or rational by cancellation alone,
+    and raises AssertionError.  The reading of a family's class sums by
+    exponent buckets, which cyclotomic.ramanujan replaces.
+    """
+    orbits: dict = {}
+    for e, count in bucket.items():
+        key = (m // gcd(e, m), count)
+        orbits[key] = orbits.get(key, 0) + 1
+    total = 0
+    for (d, count), size in orbits.items():
+        if size != sum(gcd(k, d) == 1 for k in range(d)):
+            raise AssertionError(f"irrational sum {bucket} (exponents mod {m})")
+        total += count * _number_mu(d)
+    return total
 
 
 class Cyc:

@@ -1,6 +1,5 @@
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
 import pytest
@@ -538,47 +537,6 @@ def test_lost_code_is_an_internal_error(monkeypatch, capsys, rank, family, lost)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: tallied")
-
-
-def _skew(monkeypatch):
-    """Each block cycle's rows times zeta_2L where centralizers reads their
-    sums (orbit_sum), with a fresh _family_tally cache for the test, so
-    that no skewed tally outlives it."""
-    real = centralizers.orbit_sum
-
-    def skewed(bucket, m):
-        return real({(e + 1) % m: count for e, count in bucket.items()}, m)
-
-    monkeypatch.setattr(centralizers, "orbit_sum", skewed)
-    fresh = lru_cache(maxsize=None)(centralizers._family_tally.__wrapped__)
-    monkeypatch.setattr(centralizers, "_family_tally", fresh)
-
-
-def test_irrational_central_value_is_an_internal_error(monkeypatch, capsys):
-    """Every cycle's values times zeta_2L, at a character based at the
-    transposition of A1 = S_2, a central base with one family of 2-cycles:
-    the central base goes through the class tallies, and the one row of
-    the identity's code, 1, reads as zeta_4."""
-    G = GroupDescriptor("A", 1)
-    transposition = SignedPartition((), (2,))
-    _skew(monkeypatch)
-    with pytest.raises(AssertionError, match="irrational"):
-        induce_from_centralizer(G, phi_for_class(G, transposition))
-    assert main(["--family", "A", "--rank", "1", "--check", "regular"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("internal error: irrational")
-
-
-def test_irrational_tallied_value_is_an_internal_error(monkeypatch):
-    """Every cycle's values times zeta_2L, at the base +2+1 of B3: the
-    2-cycle family's rows of the identity's code, 1, read as zeta_4, and
-    the reading of a bucket with a nonzero sum is irrational."""
-    _skew(monkeypatch)
-    G = GroupDescriptor("B", 3)
-    with pytest.raises(AssertionError, match="irrational"):
-        induce_from_centralizer(G, phi_for_class(G, SignedPartition((), (2, 1))))
 
 
 @pytest.mark.parametrize(

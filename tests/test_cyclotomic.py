@@ -1,14 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from coxchar.cyclotomic import orbit_sum, totient_moebius
+from coxchar.cyclotomic import ramanujan, totient_moebius
 from oracles import (
     MINUS_ONE,
     ONE,
     Cyc,
     cyclotomic_polynomial,
+    orbit_sum,
     root,
     root_conj,
     root_mul,
@@ -123,3 +125,25 @@ def test_orbit_sum_reads_unions_of_orbits():
         orbit_sum({1: 1, 5: 1, 7: 1, 11: 2}, 12)
     with pytest.raises(AssertionError, match="irrational"):
         orbit_sum({1: 1}, 4)
+
+
+def test_ramanujan_sum_reads_the_powers_of_one_orbit():
+    """c_q(a) is the sum of the a-th powers of the primitive q-th roots of
+    unity: the bucket of exponents a k mod q over the units k mod q, a
+    union of whole orbits read by orbit_sum, for every q <= 64 and every
+    a mod q."""
+    for q in range(1, 65):
+        units = [k for k in range(q) if gcd(k, q) == 1]
+        for a in range(q):
+            bucket = Counter(a * k % q for k in units)
+            assert ramanujan(q, a) == orbit_sum(bucket, q), (q, a)
+
+
+def test_ramanujan_sums_over_the_divisors_detect_divisibility():
+    """The orders q | M of the M-th roots of unity split them into orbits,
+    so the sum of c_q(a) over q | M is the sum of zeta_M^(a k) over every
+    k mod M: M when M divides a, else 0.  Every M <= 64, every a < 2M."""
+    for M in range(1, 65):
+        for a in range(2 * M):
+            total = sum(ramanujan(q, a) for q in range(1, M + 1) if M % q == 0)
+            assert total == (M if a % M == 0 else 0), (M, a)

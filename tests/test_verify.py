@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coxchar
-from conftest import stretch_enabled
+from conftest import run_cli_own_peak, stretch_enabled
 from coxchar import classfunctions, cli, groups
 from coxchar.classfunctions import ClassFunction, trivial_character
 from coxchar.cli import main
@@ -279,18 +279,31 @@ def test_cli_regular_beyond_the_paper_range(family, rank):
 def test_cli_regular_b16_peaks_under_100_mb():
     """B16 (5 822 classes) holds one induced row at a time, so its regular
     check stays far below the 5 822 x 5 822 table of held rows (~400 MB).
-    The peak is the child's own (os.wait4): the suite's RUSAGE_CHILDREN
-    would report the largest child it has waited for."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "coxchar.cli", "--family", "B", "--rank", "16",
-         "--check", "regular"],
-        env=env, stdout=subprocess.DEVNULL,
+    The peak is the child's own (run_cli_own_peak): os.wait4 would count
+    the suite's own memory in it."""
+    code, _, _, peak = run_cli_own_peak(
+        ["--family", "B", "--rank", "16", "--check", "regular"]
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 100 * 1024  # kilobytes on Linux
+    assert code == 0
+    assert peak < 100 * 1024  # kilobytes
+
+
+@pytest.mark.parametrize(
+    "family,rank,count", [("B", 9, 101), ("D", 9, 79), ("A", 10, 60)]
+)
+def test_cli_check_all_past_rank_8_passes(family, rank, count, tmp_path):
+    """The paper proves the identities through rank 8; with the flat budget
+    raised, every report of B9, D9 and A10 passes, each run in its own
+    process under 400 MB of its own peak (the README's table)."""
+    out = tmp_path / "reports.json"
+    code, _, err, peak = run_cli_own_peak(
+        ["--family", family, "--rank", str(rank), "--check", "all",
+         "--budget-flats", "2000000", "--json", str(out)]
+    )
+    assert (code, err) == (0, "")
+    statuses = [report["status"] for report in json.loads(out.read_text())["reports"]]
+    assert statuses == ["pass"] * count
+    assert peak < 400 * 1024  # kilobytes
 
 
 class _CountedRow(tuple):
@@ -752,7 +765,7 @@ def test_failing_graded_and_shape_carry_triage(monkeypatch):
     failing = {e["degree"] for e in graded.discrepancies if e["class"] != TRIAGE}
     triaged = [e["degree"] for e in graded.discrepancies if e["class"] == TRIAGE]
     assert failing and sorted(triaged) == sorted(failing)
-    shape = verify_shape(G, shapes(G)[0])
+    shape = verify_shape(G, next(iter(shapes(G))))
     assert shape.status == "fail"
     assert [e["class"] for e in shape.discrepancies].count(TRIAGE) == 1
     assert shape.discrepancies[-1]["class"] == TRIAGE
@@ -1036,9 +1049,10 @@ def test_poincare_run_loads_no_induction():
 # So does a character's value at a per-family summary (summary_value): the
 # library values each family's tally cycle by cycle of the block permutation.
 # Elements and the class of an element live there too: a class is its
-# label.  So does the reduction modulo cyclotomic polynomials: a value is
-# read off its Galois orbits.  So does the shape of a flat: a flat is its
-# bare point.  So do the type-B and type-D rules of phi_w written out on
+# label.  So do the reduction modulo cyclotomic polynomials and the
+# reading of a bucket of roots orbit by orbit: a family's values over an
+# orbit of twists are one Ramanujan sum.  So does the shape of a flat: a
+# flat is its bare point.  So do the type-B and type-D rules of phi_w written out on
 # their own, and the oracles' copies of z_lam and of the split rule.
 ORACLE_ONLY = {
     "evaluate", "evaluate_summaries", "summary_value", "Root", "ONE", "MINUS_ONE",
@@ -1049,6 +1063,7 @@ ORACLE_ONLY = {
     "reflection_exponents", "_stable_structures", "_interval_mu", "_zero_mu",
     "cyclotomic_polynomial", "_poly_divide", "_power_table", "_number_mu",
     "Flat", "shape_of_point", "phi_B", "psi", "_z_lam", "_splits",
+    "orbit_sum",
 }
 
 
